@@ -58,7 +58,6 @@ from .galg import (
 )
 from .kgmat import (
     KGMatrix,
-    expand,
     expanded_rank,
     kg_apply,
     kg_involution,
@@ -223,6 +222,24 @@ def denominator_zeros(dd: DecoderData, x):
     return zeros
 
 
+def _error_system(code: EquivariantCode, zeros):
+    """The columns of expand(C^t) at the given (place, group index) pairs.
+
+    Row (j, g), column (i, s) holds coefficient g s^{-1} of (C^t)_{j,i},
+    which is C_{i,j}: the K-matrix taking error values on the zeros to the
+    syndrome, built without expanding the rest of C^t.
+    """
+    G = code.group
+    shift = {s: [G.compose(g, G.inverse_index(s)) for g in range(G.order)]
+             for s in {s for _, s in zeros}}
+    sub = []
+    for j in range(code.check.cols):
+        blocks = [(code.check.entry(i, j).coeffs, shift[s]) for i, s in zeros]
+        for g in range(G.order):
+            sub.append([c[t[g]] for c, t in blocks])
+    return sub
+
+
 def basic_decode(dd: DecoderData, r, seed=0, max_attempts=40,
                  trace=None) -> DecodeResult:
     """Correct r to a codeword: locate errors at the zeros of a sampled
@@ -238,17 +255,16 @@ def basic_decode(dd: DecoderData, r, seed=0, max_attempts=40,
     code = dd.code
     G, ctx, o = code.group, code.field, code.group.order
     r = list(r)
-    if all(s.is_zero() for s in parity_check(code, r)):
+    syndrome = parity_check(code, r)
+    if all(s.is_zero() for s in syndrome):
         log("syndrome zero, fast path")
         m = interpolate(code, r)
         zero = GroupAlgebraElement(G, ctx, (ctx.zero,) * o)
         return DecodeResult(tuple(r), tuple(m), (zero,) * code.n, None, ())
     log("syndrome nonzero, searching denominators")
-    ct = [list(row) for row in expand(kg_transpose(code.check)).matrix]
-    rvec = []
-    for a in r:
-        rvec.extend(a.coeffs)
-    target = gauss.matvec(ctx, ct, rvec)
+    target = []
+    for s in syndrome:
+        target.extend(s.coeffs)
     rounds = max(1, max_attempts // 4)
     for attempt in range(rounds):
         op = _denominator_operator(dd, r)
@@ -267,7 +283,7 @@ def basic_decode(dd: DecoderData, r, seed=0, max_attempts=40,
         log("round %d: denominator vanishes at %d points"
             % (attempt, len(zeros)))
         cols = [i * o + s for i, s in zeros]
-        sub = [[row[c] for c in cols] for row in ct]
+        sub = _error_system(code, zeros)
         try:
             sol = gauss.solve(ctx, sub, target)
         except Inconsistent:
@@ -365,7 +381,8 @@ def make_rs_decoder_data(code: EquivariantCode, deg_d0=None) -> DecoderData:
     c1 = _trivial_kg(G, ctx, gauss.transpose(kern), n, n - k1)
     i1 = _trivial_kg(G, ctx, gauss.transpose(
         gauss.solve_matrix(ctx, e1t, gauss.identity(ctx, k1))), k1, n)
-    assert expanded_rank(e0) == k0
+    if expanded_rank(e0) != k0:
+        raise RankDeficient("denominator evaluation is not free")
     radius = min(deg_d0, n - deg_e - deg_d0 - 1)
     return DecoderData(code, e0, c1, i1, deg_d0, radius)
 
@@ -400,7 +417,8 @@ def make_cyclic_decoder_data(code: EquivariantCode, k0) -> DecoderData:
     e1 = KGMatrix(G, ctx, n, k1, cyclic_orbit_evaluation(ctx, G, zeta,
                                                          ys, k1))
     c1, i1 = split_kernel_and_inverse(e1, zeta)
-    assert expanded_rank(e0) == k0 * o
+    if expanded_rank(e0) != k0 * o:
+        raise RankDeficient("denominator evaluation is not free")
     radius = min(k0 * o - 1, o * (n - k - k0))
     return DecoderData(code, e0, c1, i1, k0 * o - 1, radius)
 

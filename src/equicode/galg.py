@@ -464,8 +464,8 @@ def ft_group(a, omega):
         if omega != ctx.one:
             raise BadRootOrder("trivial group takes omega = 1")
         return FourierImage(G, ctx, omega, a.coeffs)
-    if not _root_has_exact_order(ctx, omega, G.exponent):
-        raise BadRootOrder("omega must have exact order %d" % G.exponent)
+    # the last axis has order e and root omega itself, so building its
+    # plan checks the exact order (BadRootOrder otherwise)
     data = _axis_transform(ctx, list(a.coeffs), G, _axis_roots(ctx, G, omega))
     return FourierImage(G, ctx, omega, tuple(data))
 
@@ -644,18 +644,3 @@ def _ga_mul_extension(a, b):
                     dst[s] = (dst[s] + rj * src[s]) % p
     coeffs = tuple(tuple(power[j][s] for j in range(d)) for s in range(order))
     return GroupAlgebraElement(G, ctx, coeffs)
-
-
-# -------------------------------------------------------------- (de)coding
-
-
-def ga_to_obj(a):
-    return [ff.raw_to_obj(a.field, c) for c in a.coeffs]
-
-
-def ga_from_obj(group, ctx, obj):
-    if not isinstance(obj, list) or len(obj) != group.order:
-        raise TypeError("group-algebra element must be a list of %d values"
-                        % group.order)
-    return GroupAlgebraElement(
-        group, ctx, tuple(ff.raw_from_obj(ctx, c) for c in obj))

@@ -6,6 +6,14 @@ block of multiplication by that entry in the group basis (the regular
 representation): block[g, h] = entry_{g h^{-1}}.  With that convention
 expand(a) . vec(b) = vec(a b) and expand(involution(a)) = expand(a)^t.
 
+Matrix-vector products (`kg_apply`) run in the character domain whenever
+K[G] is split (G nontrivial, its exponent dividing q - 1): the Fourier
+transform makes K[G] a product of copies of K, so the matrix acts as one
+K-matrix per character.  Each matrix keeps its Fourier image once it has
+been computed, and an apply costs one forward transform per column, one
+K-matrix product per character and one inverse transform per row.  Other
+algebras multiply entry by entry through `ga_mul_fast`.
+
 On top of the expansion: invariant duality forms, the lifting of K-linear
 forms to K[G]-linear ones, equivariant projections onto free submodules,
 systematization by unit pivots, and (in the split case) per-character kernel
@@ -14,7 +22,8 @@ and left-inverse computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from operator import mul as int_mul
 
 from . import gauss
 from .errors import (
@@ -40,7 +49,7 @@ from .galg import (
     ga_sub,
     ga_zero,
 )
-from .ff import FieldCtx
+from .ff import OPS, FieldCtx, root_of_unity
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,9 @@ class KGMatrix:
     rows: int
     cols: int
     entries: tuple  # row-major GroupAlgebraElements
+    # omega -> per-character K-matrices (see _spectrum); memoization only
+    _spectra: dict = dc_field(default_factory=dict, init=False,
+                              compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
@@ -120,6 +132,22 @@ def kg_matmul(a: KGMatrix, b: KGMatrix) -> KGMatrix:
     return KGMatrix(group, ctx, a.rows, b.cols, tuple(out))
 
 
+def _spectrum(a: KGMatrix, omega):
+    """Per-character K-matrices of a: spec[chi][i][j] = FT(a_ij)(chi).
+
+    Computed once per omega and kept on the matrix.
+    """
+    spec = a._spectra.get(omega)
+    if spec is None:
+        hats = [ft_group(x, omega).values for x in a.entries]
+        cols = a.cols
+        spec = [[tuple(h[chi] for h in hats[i * cols:(i + 1) * cols])
+                 for i in range(a.rows)]
+                for chi in range(a.group.order)]
+        a._spectra[omega] = spec
+    return spec
+
+
 def kg_apply(a: KGMatrix, vec):
     """Matrix times vector of GroupAlgebraElements."""
     if a.cols != len(vec):
@@ -127,13 +155,35 @@ def kg_apply(a: KGMatrix, vec):
                           % (a.cols, len(vec)))
     group = a.group
     ctx = a.field
-    out = []
-    for i in range(a.rows):
-        acc = ga_zero(group, ctx)
-        for l in range(a.cols):
-            acc = ga_add(acc, ga_mul_fast(a.entry(i, l), vec[l]))
-        out.append(acc)
-    return out
+    if not group.factors or (ctx.q - 1) % group.exponent != 0:
+        # trivial or non-split group: one ga_mul_fast per entry (the
+        # lifting prime's exactness bound covers one convolution, not a
+        # sum of them)
+        out = []
+        for i in range(a.rows):
+            acc = ga_zero(group, ctx)
+            for l in range(a.cols):
+                acc = ga_add(acc, ga_mul_fast(a.entry(i, l), vec[l]))
+            out.append(acc)
+        return out
+    for v in vec:
+        if v.group != group or v.field != ctx:
+            raise Mismatch("operands live in different group algebras")
+    omega = root_of_unity(ctx, group.exponent)
+    spec = _spectrum(a, omega)
+    o = group.order
+    # xs[chi]: the vector's values at character chi
+    xs = list(zip(*(ft_group(v, omega).values for v in vec))) or [()] * o
+    if ctx.d == 1:
+        # plain int dot products, one reduction per output value
+        p = ctx.p
+        per_chi = [[sum(map(int_mul, row, x)) % p for row in m]
+                   for m, x in zip(spec, xs)]
+        OPS.add(2 * a.rows * a.cols * o)
+    else:
+        per_chi = [gauss.matvec(ctx, m, x) for m, x in zip(spec, xs)]
+    return [ft_inverse(FourierImage(group, ctx, omega, values))
+            for values in zip(*per_chi)]
 
 
 # ------------------------------------------------------------- expansion

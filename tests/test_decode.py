@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from equicode import gauss
+from equicode import code as code_module, decode as decode_module, gauss
 from equicode.code import (
     cyclic_cover_code,
     encode,
@@ -15,6 +15,7 @@ from equicode.code import (
 from equicode.decode import (
     DecodeResult,
     _denominator_operator,
+    _error_system,
     basic_decode,
     basic_radius,
     denominator_check,
@@ -34,9 +35,17 @@ from equicode.errors import (
     DimMismatch,
     Mismatch,
     NotADenominatorCandidate,
+    RankDeficient,
 )
 from equicode.ff import field_make, poly_divmod, poly_trim
-from equicode.galg import AbelianGroup, GroupAlgebraElement, ga_rand
+from equicode.galg import (
+    AbelianGroup,
+    GroupAlgebraElement,
+    ga_add,
+    ga_mul_fast,
+    ga_rand,
+    ga_zero,
+)
 from equicode.kgmat import KGMatrix, expand, kg_transpose
 
 K13 = field_make(13)
@@ -400,3 +409,61 @@ def test_decode_result_is_frozen():
     assert isinstance(res, DecodeResult)
     with pytest.raises(AttributeError):
         res.codeword = ()
+
+
+def test_decoder_data_refuses_a_non_free_denominator_space(monkeypatch):
+    monkeypatch.setattr(decode_module, "expanded_rank",
+                        lambda m: m.cols * m.group.order - 1)
+    with pytest.raises(RankDeficient):
+        make_rs_decoder_data(rs_degenerate_code(13, 12, 5))
+    with pytest.raises(RankDeficient):
+        make_cyclic_decoder_data(cyclic_cover_code(13, 1, 4, 3, 1), 1)
+
+
+def entrywise_apply(a, vec):
+    """kg_apply as one ga_mul_fast per matrix entry."""
+    out = []
+    for i in range(a.rows):
+        acc = ga_zero(a.group, a.field)
+        for j in range(a.cols):
+            acc = ga_add(acc, ga_mul_fast(a.entry(i, j), vec[j]))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["cyclic", "split", "rs"])
+def test_basic_decode_bit_equal_to_entrywise_apply(fixture, monkeypatch):
+    if fixture == "rs":
+        code, dd = rs_pair()
+    else:
+        code = cyclic_cover_code(13, 1, 4, 3, 1)
+        dd = (make_cyclic_decoder_data(code, 1) if fixture == "cyclic"
+              else make_split_decoder_data(code, 1))
+    rng = random.Random(17)
+    words = []
+    for trial in range(6):
+        cw = encode(code, rand_message(code, rng))
+        words.append(corrupt(code, cw, trial % 4, rng)[0])
+    spectral = [basic_decode(dd, r, seed=seed)
+                for seed, r in enumerate(words)]
+    for module in (code_module, decode_module):
+        monkeypatch.setattr(module, "kg_apply", entrywise_apply)
+    entrywise = [basic_decode(dd, r, seed=seed)
+                 for seed, r in enumerate(words)]
+    assert spectral == entrywise
+
+
+@pytest.mark.parametrize("code", [
+    cyclic_cover_code(13, 1, 4, 3, 1),
+    synth_split_code(5, 1, AbelianGroup([2, 2]), 4, 2, seed=1),
+    rs_degenerate_code(13, 12, 5),
+], ids=["cyclic", "two-axis", "rs"])
+def test_error_system_is_the_expanded_check_at_the_zeros(code):
+    o = code.group.order
+    ct = expand(kg_transpose(code.check)).matrix
+    rng = random.Random(18)
+    places = [(i, s) for i in range(code.n) for s in range(o)]
+    for size in (0, 1, len(places) // 3, len(places)):
+        zeros = sorted(rng.sample(places, size))
+        assert _error_system(code, zeros) == \
+            [[row[i * o + s] for i, s in zeros] for row in ct]

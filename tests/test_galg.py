@@ -293,10 +293,22 @@ def test_convolution_theorem(factors, p, d):
 
 
 def test_ft_group_bad_root():
-    K = ff.field_make(13)
-    G = AbelianGroup([2, 6])
-    with pytest.raises(BadRootOrder):
-        ft_group(ga_one(G, K), 12)  # 12 = -1 has order 2, not 6
+    # (p, invariant factors, order of the wrong root), one per plan kind;
+    # the plan of the last axis, whose root is omega itself, rejects it
+    cases = [
+        (13, [2, 6], 2),    # two axes, direct plans: -1 has order 2, not 6
+        (13, [6], 3),       # direct plan
+        (17, [8], 4),       # radix-2 NTT plan
+        (97, [48], 24),     # Bluestein plan, Kronecker convolution
+        (12289, [96], 48),  # Bluestein plan, NTT convolution
+    ]
+    for p, factors, order in cases:
+        K = ff.field_make(p)
+        G = AbelianGroup(factors)
+        # build the good root's plans first; the bad root must not reuse them
+        ft_group(ga_one(G, K), ff.root_of_unity(K, G.exponent))
+        with pytest.raises(BadRootOrder):
+            ft_group(ga_one(G, K), ff.root_of_unity(K, order))
 
 
 def test_ft_inverse_characteristic_clash():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from equicode import ff, gauss, kgmat
 from equicode.errors import (
@@ -15,6 +16,7 @@ from equicode.errors import (
 from equicode.galg import (
     AbelianGroup,
     GroupAlgebraElement,
+    ga_add,
     ga_from_ints,
     ga_involution,
     ga_mul_naive,
@@ -118,6 +120,55 @@ def test_kg_matmul_identities():
     assert out == expected.col(0)
     with pytest.raises(DimMismatch):
         kgmat.kg_apply(a, vec[:2])
+
+
+def kg_apply_reference(a, vec):
+    """Entry by entry through the convolution's definition."""
+    out = []
+    for i in range(a.rows):
+        acc = ga_zero(a.group, a.field)
+        for j in range(a.cols):
+            acc = ga_add(acc, ga_mul_naive(a.entry(i, j), vec[j]))
+        out.append(acc)
+    return out
+
+
+# (p, d, invariant factors): every kg_apply path
+APPLY_CASES = {
+    "split-cyclic": (13, 1, [4]),
+    "split-multiaxis": (13, 1, [2, 6]),
+    "split-extension-f9": (3, 2, [8]),
+    "split-extension-f81": (3, 4, [16]),
+    "lifted-prime": (3, 1, [8]),
+    "lifted-extension": (3, 2, [16]),
+    "trivial-group": (13, 1, []),
+}
+
+
+@pytest.mark.parametrize("case", list(APPLY_CASES))
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(0, 3), cols=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32))
+@example(rows=2, cols=0, seed=0)  # the check matrix of an n == k code
+def test_kg_apply_matches_entrywise_reference(case, rows, cols, seed):
+    p, d, factors = APPLY_CASES[case]
+    ctx, G = ff.field_make(p, d), AbelianGroup(factors)
+    rng = random.Random(seed)
+    a = kg_rand(G, ctx, rng, rows, cols)
+    copy = kgmat.KGMatrix(G, ctx, rows, cols, a.entries)
+    before = hash(a)
+    for _ in range(2):  # the second apply reuses the cached spectra
+        vec = [ga_rand(G, ctx, rng) for _ in range(cols)]
+        assert kgmat.kg_apply(a, vec) == kg_apply_reference(a, vec)
+    assert a == copy and hash(a) == before == hash(copy)
+
+
+def test_kg_apply_rejects_foreign_vector():
+    rng = random.Random(16)
+    for ctx, G in ((K5, Z4), (K3, Z4)):
+        a = kg_rand(G, ctx, rng, 2, 1)
+        with pytest.raises(Mismatch):
+            kgmat.kg_apply(a, [ga_rand(Z2, ctx, rng)])
 
 
 def test_duality_form_z2_values():
