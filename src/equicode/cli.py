@@ -19,7 +19,6 @@ import statistics
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 from . import files
 from .code import (
@@ -211,25 +210,16 @@ def cmd_decode(args):
     trace = None
     if args.trace:
         trace = lambda line: print("trace: %s" % line, file=sys.stderr)
-    if args.threads > 1:
-        seeds = [seed + i for i in range(args.threads)]
-
-        def attempt(s):
-            try:
-                return basic_decode(dd, r, seed=s,
-                                    max_attempts=args.max_attempts)
-            except DecodeFail:
-                return None
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = list(pool.map(attempt, seeds))
-        res = next((x for x in outcomes if x is not None), None)
-        if res is None:
-            raise DecodeFail("all %d parallel attempts failed"
-                             % args.threads)
-    else:
-        res = basic_decode(dd, r, seed=seed,
-                           max_attempts=args.max_attempts, trace=trace)
+    # --threads N: seeds seed..seed+N-1 in turn, first success wins
+    last = seed + max(1, args.threads) - 1
+    for s in range(seed, last + 1):
+        try:
+            res = basic_decode(dd, r, seed=s,
+                               max_attempts=args.max_attempts, trace=trace)
+            break
+        except DecodeFail:
+            if s == last:
+                raise
     out = {"codeword": [files.element_to_obj(a) for a in res.codeword],
            "message": [files.element_to_obj(a) for a in res.message],
            "error": [files.element_to_obj(a) for a in res.error],
@@ -308,7 +298,6 @@ def build_parser():
     p = sub.add_parser("bench-mul", help="time and count multiplications")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--group-family", choices=["cyclic"], default="cyclic")
     p.add_argument("--sizes", default="",
                    help="comma-separated group orders")
     p.add_argument("--reps", type=int, default=5)

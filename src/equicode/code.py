@@ -38,17 +38,13 @@ from .errors import (
     TooManyPoints,
 )
 from .ff import FieldCtx, field_make, root_of_unity
-from .galg import (
-    AbelianGroup,
-    FourierImage,
-    GroupAlgebraElement,
-    ft_inverse,
-)
+from .galg import AbelianGroup, GroupAlgebraElement
 from .kgmat import (
     KGMatrix,
     expanded_rank,
     kg_apply,
     kg_from_rows,
+    kg_from_spectrum,
     kg_identity,
     kg_matmul,
     kg_transpose,
@@ -74,6 +70,25 @@ class EquivariantCode:
     check: KGMatrix
     interp: KGMatrix
     meta: dict = dc_field(default_factory=dict)
+
+    def __post_init__(self):
+        n, k = self.n, self.k
+        _check_shapes(self.group, self.field,
+                      (("evaluation", self.evaluation, n, k),
+                       ("check", self.check, n, n - k),
+                       ("interp", self.interp, k, n)))
+
+
+def _check_shapes(group, ctx, shapes):
+    """InvariantViolation unless each (name, matrix, rows, cols) has that
+    shape and lives over group and ctx."""
+    for name, m, rows, cols in shapes:
+        if m.rows != rows or m.cols != cols:
+            raise InvariantViolation(
+                "%s matrix is %dx%d, expected %dx%d"
+                % (name, m.rows, m.cols, rows, cols))
+        if m.group != group or m.field != ctx:
+            raise InvariantViolation("%s matrix group/field mismatch" % name)
 
 
 def encode(code: EquivariantCode, message):
@@ -106,22 +121,12 @@ def expanded_weight(vec) -> int:
 def validate(code: EquivariantCode):
     """Check every defining identity; returns the warnings issued.
 
-    Hard failures (wrong shapes, C^t E != 0, I E != 1, rank deficiency)
-    raise InvariantViolation naming the identity.  The divisor-degree
-    window 2 g_x - 1 <= deg_d <= deg_p - 1 only warns: perfectly good
-    codes sit outside it (the genus-2 example has deg_d = g_x = 2).
+    Hard failures (C^t E != 0, I E != 1, rank deficiency; shapes fail at
+    construction) raise InvariantViolation naming the identity.  The window
+    2 g_x - 1 <= deg_d <= deg_p - 1 only warns: perfectly good codes sit
+    outside it (the genus-2 example has deg_d = g_x = 2).
     """
     G, ctx, n, k = code.group, code.field, code.n, code.k
-    shapes = (("evaluation", code.evaluation, n, k),
-              ("check", code.check, n, n - k),
-              ("interp", code.interp, k, n))
-    for name, m, rows, cols in shapes:
-        if m.rows != rows or m.cols != cols:
-            raise InvariantViolation(
-                "%s matrix is %dx%d, expected %dx%d"
-                % (name, m.rows, m.cols, rows, cols))
-        if m.group != G or m.field != ctx:
-            raise InvariantViolation("%s matrix group/field mismatch" % name)
     if kg_matmul(kg_transpose(code.check), code.evaluation) != \
             kg_zero(G, ctx, n - k, k):
         raise InvariantViolation("checking identity C^t E = 0 fails")
@@ -256,13 +261,7 @@ def synth_split_code(p, d, group: AbelianGroup, n, k, seed=0) \
             if redraws > 10:
                 raise RankDeficient("no full-rank character table found")
         tables.append(m)
-    entries = []
-    for i in range(n):
-        for j in range(k):
-            values = tuple(tables[chi][i][j] for chi in range(o))
-            entries.append(ft_inverse(FourierImage(group, ctx, omega,
-                                                   values)))
-    ev = KGMatrix(group, ctx, n, k, tuple(entries))
+    ev = kg_from_spectrum(group, ctx, omega, tables, n, k)
     chk, interp = split_kernel_and_inverse(ev, omega)
     code = EquivariantCode(ctx, group, n, k, ev, chk, interp,
                            {"g_x": 0, "g_y": None, "deg_d": None,

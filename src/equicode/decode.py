@@ -28,6 +28,7 @@ from . import gauss
 from .blackbox import BlackBoxOperator, wiedemann_kernel_sample
 from .code import (
     EquivariantCode,
+    _check_shapes,
     _first_nonzero_points,
     cyclic_orbit_evaluation,
     interpolate,
@@ -48,18 +49,13 @@ from .errors import (
     RankDeficient,
 )
 from .ff import root_of_unity
-from .galg import (
-    FourierImage,
-    GroupAlgebraElement,
-    ft_group,
-    ft_inverse,
-    ga_mul_naive,
-    ga_sigma,
-)
+from .galg import (GroupAlgebraElement, ft_group, ga_mul_naive, ga_sigma,
+                   ga_sub)
 from .kgmat import (
     KGMatrix,
     expanded_rank,
     kg_apply,
+    kg_from_spectrum,
     kg_involution,
     kg_transpose,
     split_kernel_and_inverse,
@@ -85,6 +81,13 @@ class DecoderData:
     deg_d0: object
     radius: int
 
+    def __post_init__(self):
+        code, n, k1 = self.code, self.code.n, self.i1.rows
+        _check_shapes(code.group, code.field,
+                      (("e0", self.e0, n, self.e0.cols),
+                       ("c1", self.c1, n, n - k1),
+                       ("i1", self.i1, k1, n)))
+
 
 @dataclass(frozen=True)
 class PadeApproximant:
@@ -108,6 +111,18 @@ def basic_radius(code: EquivariantCode):
     if deg_e is None or g_y is None:
         return None
     return (code.n * code.group.order - deg_e - 1 - g_y) // 2
+
+
+def _blocks(G, ctx, flat, count):
+    """Cut a flat K-vector into count elements of K[G]."""
+    o = G.order
+    return [GroupAlgebraElement(G, ctx, tuple(flat[b * o:(b + 1) * o]))
+            for b in range(count)]
+
+
+def _flatten(elems):
+    """The coefficients of a list of K[G] elements, concatenated."""
+    return [c for a in elems for c in a.coeffs]
 
 
 def _pointwise(a: GroupAlgebraElement, b: GroupAlgebraElement):
@@ -146,33 +161,22 @@ def _denominator_operator(dd: DecoderData, r) -> BlackBoxOperator:
     through the involution (expand(M)^t = expand(iota(M^t)))."""
     G, ctx = dd.code.group, dd.code.field
     o = G.order
-    n, k0 = dd.e0.rows, dd.e0.cols
-    rows = (n - dd.i1.rows) * o
+    k0, checks = dd.e0.cols, dd.c1.cols
     c1t = kg_transpose(dd.c1)
     e0_t_inv = kg_involution(kg_transpose(dd.e0))
     c1_inv = kg_involution(dd.c1)
 
-    def blocks(flat, count):
-        return [GroupAlgebraElement(G, ctx, tuple(flat[b * o:(b + 1) * o]))
-                for b in range(count)]
-
-    def flatten(elems):
-        out = []
-        for a in elems:
-            out.extend(a.coeffs)
-        return out
-
     def apply_fn(xs):
-        v = kg_apply(dd.e0, blocks(xs, k0))
+        v = kg_apply(dd.e0, _blocks(G, ctx, xs, k0))
         u = [_pointwise(vi, ri) for vi, ri in zip(v, r)]
-        return flatten(kg_apply(c1t, u))
+        return _flatten(kg_apply(c1t, u))
 
     def apply_t_fn(ys):
-        w = kg_apply(c1_inv, blocks(ys, n - dd.i1.rows))
+        w = kg_apply(c1_inv, _blocks(G, ctx, ys, checks))
         u = [_pointwise(ri, wi) for ri, wi in zip(r, w)]
-        return flatten(kg_apply(e0_t_inv, u))
+        return _flatten(kg_apply(e0_t_inv, u))
 
-    return BlackBoxOperator(ctx, rows, k0 * o, apply_fn, apply_t_fn)
+    return BlackBoxOperator(ctx, checks * o, k0 * o, apply_fn, apply_t_fn)
 
 
 def find_denominator(dd: DecoderData, r, seed=0, max_attempts=40):
@@ -189,9 +193,7 @@ def find_denominator(dd: DecoderData, r, seed=0, max_attempts=40):
     raw = wiedemann_kernel_sample(op, seed=seed, max_attempts=max_attempts)
     if raw is None:
         return None
-    G, ctx, o = dd.code.group, dd.code.field, dd.code.group.order
-    x = [GroupAlgebraElement(G, ctx, tuple(raw[b * o:(b + 1) * o]))
-         for b in range(dd.e0.cols)]
+    x = _blocks(dd.code.group, dd.code.field, raw, dd.e0.cols)
     if not denominator_check(dd, r, x):
         return None
     return x
@@ -262,22 +264,13 @@ def basic_decode(dd: DecoderData, r, seed=0, max_attempts=40,
         zero = GroupAlgebraElement(G, ctx, (ctx.zero,) * o)
         return DecodeResult(tuple(r), tuple(m), (zero,) * code.n, None, ())
     log("syndrome nonzero, searching denominators")
-    target = []
-    for s in syndrome:
-        target.extend(s.coeffs)
+    target = _flatten(syndrome)
     rounds = max(1, max_attempts // 4)
     for attempt in range(rounds):
-        op = _denominator_operator(dd, r)
-        raw = wiedemann_kernel_sample(op, seed=seed * rounds + attempt,
-                                      max_attempts=4)
-        log("round %d: %d black-box applications" % (attempt, op.calls))
-        if raw is None:
-            log("round %d: no denominator found" % attempt)
-            continue
-        x = [GroupAlgebraElement(G, ctx, tuple(raw[b * o:(b + 1) * o]))
-             for b in range(dd.e0.cols)]
-        if not denominator_check(dd, r, x):
-            log("round %d: kernel sample failed the check" % attempt)
+        x = find_denominator(dd, r, seed=seed * rounds + attempt,
+                             max_attempts=4)
+        if x is None:
+            log("round %d: no verified denominator" % attempt)
             continue
         zeros = denominator_zeros(dd, x)
         log("round %d: denominator vanishes at %d points"
@@ -292,12 +285,8 @@ def basic_decode(dd: DecoderData, r, seed=0, max_attempts=40,
         evec = [ctx.zero] * (code.n * o)
         for c, value in zip(cols, sol):
             evec[c] = value
-        err = [GroupAlgebraElement(G, ctx, tuple(evec[i * o:(i + 1) * o]))
-               for i in range(code.n)]
-        cw = [GroupAlgebraElement(G, ctx,
-                                  tuple(ctx.sub(a, b) for a, b in
-                                        zip(ri.coeffs, ei.coeffs)))
-              for ri, ei in zip(r, err)]
+        err = _blocks(G, ctx, evec, code.n)
+        cw = [ga_sub(ri, ei) for ri, ei in zip(r, err)]
         if not all(s.is_zero() for s in parity_check(code, cw)):
             log("round %d: corrected word fails the parity check" % attempt)
             continue
@@ -476,11 +465,9 @@ def make_split_decoder_data(code: EquivariantCode, k0, seed=0) -> DecoderData:
             cand = [ctx.rand(rng) for _ in range(n)]
             if gauss.rank(ctx, span + [cand]) == len(span) + 1:
                 span.append(cand)
-    entries = tuple(
-        ft_inverse(FourierImage(G, ctx, omega,
-                                tuple(spans[chi][j][i] for chi in range(o))))
-        for i in range(n) for j in range(k1))
-    e1 = KGMatrix(G, ctx, n, k1, entries)
+    e1 = kg_from_spectrum(G, ctx, omega,
+                          [[tuple(v[i] for v in span) for i in range(n)]
+                           for span in spans], n, k1)
     c1, i1 = split_kernel_and_inverse(e1, omega)
     c1t = kg_transpose(c1)
     for qs in products:

@@ -413,21 +413,11 @@ def _ft_cyclic_raw(ctx, values, plan):
 
 
 def ft_cyclic(ctx, values, omega):
-    """DFT of length len(values): out_j = sum_i omega^(ij) values_i.
-
-    values may hold raw field values, or lists of raws (a bundle of vectors
-    transformed in one call); bundles are transformed strand by strand.
-    """
+    """DFT of length len(values): out_j = sum_i omega^(ij) values_i."""
     n = len(values)
     if n == 0:
         return []
-    plan = _cyclic_plan(ctx, n, omega)
-    if isinstance(values[0], list):
-        width = len(values[0])
-        strands = [[row[s] for row in values] for s in range(width)]
-        done = [_ft_cyclic_raw(ctx, st, plan) for st in strands]
-        return [[done[s][i] for s in range(width)] for i in range(n)]
-    return _ft_cyclic_raw(ctx, values, plan)
+    return _ft_cyclic_raw(ctx, values, _cyclic_plan(ctx, n, omega))
 
 
 # ------------------------------------------------------- group transforms

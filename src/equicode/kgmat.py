@@ -104,10 +104,15 @@ def kg_identity(group, ctx, n):
 
 
 def kg_transpose(m: KGMatrix) -> KGMatrix:
-    """Plain entrywise transpose; no involution is applied."""
-    return KGMatrix(m.group, m.field, m.cols, m.rows,
-                    tuple(m.entry(i, j)
-                          for j in range(m.cols) for i in range(m.rows)))
+    """Plain entrywise transpose; no involution is applied.  Cached Fourier
+    images carry over, transposed character by character."""
+    t = KGMatrix(m.group, m.field, m.cols, m.rows,
+                 tuple(m.entry(i, j)
+                       for j in range(m.cols) for i in range(m.rows)))
+    for omega, spec in m._spectra.items():
+        t._spectra[omega] = [list(zip(*mat)) or [()] * m.cols
+                              for mat in spec]
+    return t
 
 
 def kg_involution(m: KGMatrix) -> KGMatrix:
@@ -122,12 +127,14 @@ def kg_matmul(a: KGMatrix, b: KGMatrix) -> KGMatrix:
                           % (a.cols, b.rows))
     group = a.group
     ctx = a.field
+    b_cols = [b.col(j) for j in range(b.cols)]
     out = []
     for i in range(a.rows):
-        for j in range(b.cols):
+        row = a.row(i)
+        for col in b_cols:
             acc = ga_zero(group, ctx)
-            for l in range(a.cols):
-                acc = ga_add(acc, ga_mul_fast(a.entry(i, l), b.entry(l, j)))
+            for x, y in zip(row, col):
+                acc = ga_add(acc, ga_mul_fast(x, y))
             out.append(acc)
     return KGMatrix(group, ctx, a.rows, b.cols, tuple(out))
 
@@ -148,6 +155,21 @@ def _spectrum(a: KGMatrix, omega):
     return spec
 
 
+def kg_from_spectrum(group, ctx, omega, spec, rows, cols) -> KGMatrix:
+    """The rows x cols matrix whose per-character K-matrices are spec.
+
+    spec[chi][i][j] is entry (i, j) at character chi, in the layout
+    `_spectrum` returns; it is kept as the matrix's Fourier image.
+    """
+    entries = tuple(
+        ft_inverse(FourierImage(group, ctx, omega,
+                                tuple(mat[i][j] for mat in spec)))
+        for i in range(rows) for j in range(cols))
+    m = KGMatrix(group, ctx, rows, cols, entries)
+    m._spectra[omega] = spec
+    return m
+
+
 def kg_apply(a: KGMatrix, vec):
     """Matrix times vector of GroupAlgebraElements."""
     if a.cols != len(vec):
@@ -155,20 +177,12 @@ def kg_apply(a: KGMatrix, vec):
                           % (a.cols, len(vec)))
     group = a.group
     ctx = a.field
+    column = KGMatrix(group, ctx, a.cols, 1, tuple(vec))  # Mismatch if foreign
     if not group.factors or (ctx.q - 1) % group.exponent != 0:
         # trivial or non-split group: one ga_mul_fast per entry (the
         # lifting prime's exactness bound covers one convolution, not a
         # sum of them)
-        out = []
-        for i in range(a.rows):
-            acc = ga_zero(group, ctx)
-            for l in range(a.cols):
-                acc = ga_add(acc, ga_mul_fast(a.entry(i, l), vec[l]))
-            out.append(acc)
-        return out
-    for v in vec:
-        if v.group != group or v.field != ctx:
-            raise Mismatch("operands live in different group algebras")
+        return kg_matmul(a, column).col(0)
     omega = root_of_unity(ctx, group.exponent)
     spec = _spectrum(a, omega)
     o = group.order
@@ -236,19 +250,6 @@ def expand(m: KGMatrix) -> ExpandedMatrix:
 
 def expanded_rank(m: KGMatrix) -> int:
     return gauss.rank(m.field, [list(r) for r in expand(m).matrix])
-
-
-def vec_of(a: GroupAlgebraElement):
-    return list(a.coeffs)
-
-
-def unvec(group, ctx, values):
-    return GroupAlgebraElement(group, ctx, tuple(values))
-
-
-def expand_apply(em: ExpandedMatrix, vec):
-    """Apply an expanded matrix to a flat K-vector."""
-    return gauss.matvec(em.field, [list(r) for r in em.matrix], vec)
 
 
 # ---------------------------------------------------------------- duality
@@ -458,45 +459,29 @@ def split_kernel_and_inverse(e: KGMatrix, omega):
     n, k = e.rows, e.cols
     G = e.group
     ctx = e.field
-    o = G.order
     if G.order % ctx.p == 0:
         raise NotSplit("characteristic %d divides the group order %d"
                        % (ctx.p, G.order))
     if (ctx.q - 1) % G.exponent != 0:
         raise NotSplit("F_%d has no elements of order %d"
                        % (ctx.q, G.exponent))
-    hat = [[ft_group(e.entry(i, j), omega).values for j in range(k)]
-           for i in range(n)]
-    c_hat = [[[None] * o for _ in range(n - k)] for _ in range(n)]
-    i_hat = [[[None] * o for _ in range(n)] for _ in range(k)]
+    c_spec, i_spec = [], []
     ident = gauss.identity(ctx, k)
-    for chi in range(o):
-        e_chi = [[hat[i][j][chi] for j in range(k)] for i in range(n)]
+    for chi, e_chi in enumerate(_spectrum(e, omega)):
         e_chi_t = gauss.transpose(e_chi)
         kern = gauss.kernel_basis(ctx, e_chi_t)
         if len(kern) != n - k:
             raise RankDeficient(
                 "character %d: rank %d, expected %d"
                 % (chi, n - len(kern), k))
-        for j, v in enumerate(kern):
-            for i in range(n):
-                c_hat[i][j][chi] = v[i]
+        c_spec.append([tuple(v[i] for v in kern) for i in range(n)])
         try:
             y = gauss.solve_matrix(ctx, e_chi_t, ident)
         except Inconsistent:
             raise RankDeficient("character %d: no left inverse" % chi)
-        for i in range(k):
-            for j in range(n):
-                i_hat[i][j][chi] = y[j][i]
-    def assemble(table, rows, cols):
-        entries = []
-        for i in range(rows):
-            for j in range(cols):
-                img = FourierImage(G, ctx, omega, tuple(table[i][j]))
-                entries.append(ft_inverse(img))
-        return KGMatrix(G, ctx, rows, cols, tuple(entries))
-    c = assemble(c_hat, n, n - k)
-    i_mat = assemble(i_hat, k, n)
+        i_spec.append([tuple(row[i] for row in y) for i in range(k)])
+    c = kg_from_spectrum(G, ctx, omega, c_spec, n, n - k)
+    i_mat = kg_from_spectrum(G, ctx, omega, i_spec, k, n)
     if kg_matmul(kg_transpose(c), e) != kg_zero(G, ctx, n - k, k):
         raise InvariantViolation("kernel matrix fails C^t E = 0")
     if kg_matmul(i_mat, e) != kg_identity(G, ctx, k):

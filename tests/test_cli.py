@@ -239,6 +239,43 @@ def test_decode_threads_flag(tmp_path):
     assert [m[0] for m in res["message"]] == [1, 0, 2, 0, 3, 0]
 
 
+def test_decode_threads_sweep_matches_single_seed(tmp_path):
+    code_path, dec_path = tmp_path / "c.json", tmp_path / "d.json"
+    run_cli("gen", "rs", "--p", 13, "--n", 12, "--deg", 5,
+            "--out", code_path, "--decoder-out", dec_path)
+    cw_path = tmp_path / "cw.json"
+    run_cli("code", "encode", "--code", code_path,
+            "--message", "[[4],[1],[0],[7],[2],[9]]", "--out", cw_path)
+    corrupt_file(cw_path, [1, 6, 10])
+    common = ("decode", "--decoder", dec_path,
+              "--received", "@%s" % cw_path, "--seed", 5)
+    swept = run_cli(*common, "--threads", 3, "--trace")
+    single = run_cli(*common)
+    assert swept.returncode == 0 and single.returncode == 0, swept.stderr
+    assert "trace: " in swept.stderr
+    assert swept.stdout == single.stdout
+
+
+@pytest.mark.parametrize("name", ["c1", "e0"])
+def test_decode_truncated_decoder_matrix_exits_two(tmp_path, name):
+    code_path, dec_path = tmp_path / "c.json", tmp_path / "d.json"
+    run_cli("gen", "rs", "--p", 13, "--n", 12, "--deg", 5,
+            "--out", code_path, "--decoder-out", dec_path)
+    cw_path = tmp_path / "cw.json"
+    run_cli("code", "encode", "--code", code_path,
+            "--message", "[[1],[0],[0],[0],[0],[0]]", "--out", cw_path)
+    corrupt_file(cw_path, [3])
+    obj = json.loads(dec_path.read_text())
+    m = obj[name]
+    m["rows"] -= 1
+    del m["entries"][-m["cols"]:]
+    dec_path.write_text(json.dumps(obj))
+    r = run_cli("decode", "--decoder", dec_path,
+                "--received", "@%s" % cw_path)
+    assert r.returncode == 2
+    assert "InvariantViolation" in r.stderr and name in r.stderr
+
+
 def test_decode_code_cross_check(tmp_path):
     code_path, dec_path = tmp_path / "c.json", tmp_path / "d.json"
     run_cli("gen", "rs", "--p", 13, "--n", 12, "--deg", 5,

@@ -206,18 +206,6 @@ def test_ft_cyclic_vs_direct(p, d, n):
         assert ft_cyclic(K, values, w) == dft_oracle(K, n, w, values)
 
 
-def test_ft_cyclic_bundles():
-    K = ff.field_make(769)
-    n = 48
-    w = ff.root_of_unity(K, n)
-    rng = random.Random(9)
-    vectors = [[K.rand(rng) for _ in range(n)] for _ in range(3)]
-    bundle = [[vec[i] for vec in vectors] for i in range(n)]
-    out = ft_cyclic(K, bundle, w)
-    for s, vec in enumerate(vectors):
-        assert [row[s] for row in out] == ft_cyclic(K, vec, w)
-
-
 def test_ft_cyclic_bad_root():
     K = ff.field_make(13)
     # 3 has order 3, not 4

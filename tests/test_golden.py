@@ -1,0 +1,120 @@
+"""Golden artifacts: sha256 digests of canonical files at fixed seeds.
+
+Each fixture writes its code and decoder files, corrupts one codeword at
+fixed positions and decodes it through the CLI.  The digests pin the bytes
+of all three artifacts, so a refactor that changes any matrix, any kernel
+draw or the decode loop's choice of seeds shows up here.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from equicode import cli, files
+from equicode.code import encode
+from equicode.decode import make_split_decoder_data
+from equicode.galg import GroupAlgebraElement, ga_rand
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _gen(tmp_path, *argv, decoder=True):
+    code_path, dec_path = tmp_path / "code.json", tmp_path / "dec.json"
+    argv = ["gen", *argv, "--out", code_path]
+    if decoder:
+        argv += ["--decoder-out", dec_path]
+    assert cli.main([str(a) for a in argv]) == 0
+    return code_path, dec_path
+
+
+def _corrupted_word(code, positions, seed):
+    """A codeword of a seeded message with nonzero errors at `positions`
+    (indices into the expanded length n * order)."""
+    rng = random.Random(seed)
+    ctx, o = code.field, code.group.order
+    cw = encode(code, [ga_rand(code.group, ctx, rng) for _ in range(code.k)])
+    rows = [list(a.coeffs) for a in cw]
+    for p in positions:
+        i, s = divmod(p, o)
+        rows[i][s] = ctx.add(rows[i][s], ctx.rand_nonzero(rng))
+    return [GroupAlgebraElement(code.group, ctx, tuple(r)) for r in rows]
+
+
+def _decode(tmp_path, dec_path, positions, seed):
+    dd = files.load_decoder(str(dec_path))
+    word_path, out_path = tmp_path / "word.json", tmp_path / "out.json"
+    files.save_vector(str(word_path), dd.code.group, dd.code.field,
+                      _corrupted_word(dd.code, positions, seed))
+    assert cli.main(["decode", "--decoder", str(dec_path),
+                     "--received", "@%s" % word_path,
+                     "--seed", str(seed), "--out", str(out_path)]) == 0
+    return out_path
+
+
+def rs13(tmp_path):
+    code, dec = _gen(tmp_path, "rs", "--p", 13, "--n", 12, "--deg", 5)
+    return code, dec, _decode(tmp_path, dec, [0, 5, 9], 7)
+
+
+def rs9(tmp_path):
+    code, dec = _gen(tmp_path, "rs", "--p", 3, "--d", 2, "--n", 8,
+                     "--deg", 3)
+    return code, dec, _decode(tmp_path, dec, [1, 6], 2)
+
+
+def cyclic257(tmp_path):
+    code, dec = _gen(tmp_path, "cyclic", "--p", 257, "--order", 16,
+                     "--n", 8, "--k", 2, "--k0", 2)
+    return code, dec, _decode(tmp_path, dec, range(3, 128, 5)[:24], 1)
+
+
+def split13(tmp_path):
+    code, _ = _gen(tmp_path, "cyclic", "--p", 13, "--order", 4, "--n", 3,
+                   "--k", 1, decoder=False)
+    dec = tmp_path / "split_dec.json"
+    files.save_decoder(str(dec),
+                       make_split_decoder_data(files.load_code(str(code)), 1))
+    return code, dec, _decode(tmp_path, dec, [2, 7], 5)
+
+
+def synth13(tmp_path):
+    code, _ = _gen(tmp_path, "split", "--p", 13, "--group", "2,6",
+                   "--n", 4, "--k", 2, "--seed", 3, decoder=False)
+    return (code,)
+
+
+GOLDEN = {
+    "rs13": (rs13, (
+        "7058f0755c6545e0166505ca94aca3230433e13ffdfedf0608cc4e5e2c3dbb6f",
+        "cbe2d4de761e5163b8c9cc3a44eca05047767a79cc2fab6eaf4b927c2f4c2f2a",
+        "f345c4270a1673d2ee876ee8fb61b6f66c51c389449478a4c78171f0da290c08",
+    )),
+    "rs9": (rs9, (
+        "71f972bd85df5c7224b32469ef742ad053640cd2e1e2b85ec5a2590d54575afe",
+        "60726f62f3e0e85ee8d8a671faad502a7d03f918bea9d28b0df76c7d9c29cd35",
+        "53accee5c42feac07e65891bbb492ebd94fbd58588b55d8c059d21e60df3173e",
+    )),
+    "cyclic257": (cyclic257, (
+        "5dbf7dc37384873ce68aab6af1b4deddd231c9bdf6939e177b7dd2f03b99c3ae",
+        "e771d950960fd30143517476bf4252825d7474206cd1600fdffea22bf7a9cad1",
+        "5affe6d62ee868afcff3e0656f0019b1c423edf74e39e2a936a738941cff4b88",
+    )),
+    "split13": (split13, (
+        "278f564292fdfbb374226f15d0a6bceaa19952664dcc9216555da383dc2c616b",
+        "8939fde8fc2fb7d6a29792a2e4bca74e910678f9566770ef7b6bee30988c5d87",
+        "ac0d30899eb847a33055af34db7780025498805674a3ff5739564667d90f8781",
+    )),
+    "synth13": (synth13, (
+        "f094aab5ce210dc116521afcdadd57658e3888661d3dfdb7eabd6bbc3ff28cc4",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_artifacts(name, tmp_path):
+    build, expected = GOLDEN[name]
+    got = tuple(_digest(p) for p in build(tmp_path))
+    assert got == expected
