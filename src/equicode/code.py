@@ -45,8 +45,7 @@ from .kgmat import (
     kg_apply,
     kg_from_rows,
     kg_from_spectrum,
-    kg_identity,
-    kg_matmul,
+    kg_product_is_scalar,
     kg_transpose,
     kg_zero,
     split_kernel_and_inverse,
@@ -121,20 +120,24 @@ def expanded_weight(vec) -> int:
 def validate(code: EquivariantCode):
     """Check every defining identity; returns the warnings issued.
 
-    Hard failures (C^t E != 0, I E != 1, rank deficiency; shapes fail at
-    construction) raise InvariantViolation naming the identity.  The window
+    Hard failures (C^t E != 0, I E != 1, rank deficiency of E or C; shapes
+    fail at construction) raise InvariantViolation naming the identity.  In
+    the split case every check runs per character.  The window
     2 g_x - 1 <= deg_d <= deg_p - 1 only warns: perfectly good codes sit
     outside it (the genus-2 example has deg_d = g_x = 2).
     """
     G, ctx, n, k = code.group, code.field, code.n, code.k
-    if kg_matmul(kg_transpose(code.check), code.evaluation) != \
-            kg_zero(G, ctx, n - k, k):
+    if not kg_product_is_scalar(kg_transpose(code.check), code.evaluation,
+                                ctx.zero):
         raise InvariantViolation("checking identity C^t E = 0 fails")
-    if kg_matmul(code.interp, code.evaluation) != kg_identity(G, ctx, k):
+    if not kg_product_is_scalar(code.interp, code.evaluation, ctx.one):
         raise InvariantViolation("interpolation identity I E = 1 fails")
     if expanded_rank(code.evaluation) != k * G.order:
         raise InvariantViolation(
             "evaluation columns are not a free-module basis")
+    if expanded_rank(code.check) != (n - k) * G.order:
+        # otherwise ker C^t is larger than the image of E
+        raise InvariantViolation("check matrix does not have full rank")
     issued = []
     g_x = code.meta.get("g_x")
     deg_d = code.meta.get("deg_d")

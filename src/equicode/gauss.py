@@ -8,6 +8,7 @@ Gaussian elimination; inputs stay desk-scale, so no pivoting strategy beyond
 from __future__ import annotations
 
 from .errors import DimMismatch, Inconsistent
+from .ff import OPS
 
 
 def identity(ctx, n):
@@ -61,6 +62,7 @@ def rref(ctx, m):
     m = [list(row) for row in m]
     rows = len(m)
     cols = len(m[0]) if rows else 0
+    prime, p = ctx.d == 1, ctx.p
     pivots = []
     r = 0
     for c in range(cols):
@@ -73,12 +75,22 @@ def rref(ctx, m):
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = ctx.inv(m[r][c])
-        m[r] = [ctx.mul(inv, x) for x in m[r]]
+        if prime:
+            # plain ints, one reduction per cell; OPS gets the count the
+            # ctx calls below would make (cols, then 2 cols per row)
+            m[r] = [inv * x % p for x in m[r]]
+            OPS.add(cols)
+        else:
+            m[r] = [ctx.mul(inv, x) for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c] != ctx.zero:
                 f = m[i][c]
-                m[i] = [ctx.sub(x, ctx.mul(f, y))
-                        for x, y in zip(m[i], m[r])]
+                if prime:
+                    m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+                    OPS.add(2 * cols)
+                else:
+                    m[i] = [ctx.sub(x, ctx.mul(f, y))
+                            for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == rows:

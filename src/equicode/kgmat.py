@@ -6,13 +6,19 @@ block of multiplication by that entry in the group basis (the regular
 representation): block[g, h] = entry_{g h^{-1}}.  With that convention
 expand(a) . vec(b) = vec(a b) and expand(involution(a)) = expand(a)^t.
 
-Matrix-vector products (`kg_apply`) run in the character domain whenever
-K[G] is split (G nontrivial, its exponent dividing q - 1): the Fourier
-transform makes K[G] a product of copies of K, so the matrix acts as one
-K-matrix per character.  Each matrix keeps its Fourier image once it has
-been computed, and an apply costs one forward transform per column, one
-K-matrix product per character and one inverse transform per row.  Other
-algebras multiply entry by entry through `ga_mul_fast`.
+Whenever K[G] is split (G nontrivial, its exponent dividing q - 1) the
+Fourier transform makes K[G] a product of copies of K, so a matrix acts as
+one K-matrix per character, and the work runs there:
+  * `kg_apply` costs one forward transform per column, one K-matrix product
+    per character and one inverse transform per row;
+  * `expanded_rank` is the sum of the per-character ranks (the block DFT is
+    invertible), and `kg_product_is_scalar` compares per-character products
+    with a multiple of the identity.
+Each matrix keeps its Fourier image once computed, always from its stored
+entries (`kg_from_spectrum` keeps none of the spectrum it is given), so
+these certifications check what gets saved.  Transposes and involutions
+carry the image over.  Other algebras expand densely or multiply entry by
+entry through `ga_mul_fast`.
 
 On top of the expansion: invariant duality forms, the lifting of K-linear
 forms to K[G]-linear ones, equivariant projections onto free submodules,
@@ -104,11 +110,17 @@ def kg_identity(group, ctx, n):
 
 
 def kg_transpose(m: KGMatrix) -> KGMatrix:
-    """Plain entrywise transpose; no involution is applied.  Cached Fourier
-    images carry over, transposed character by character."""
+    """Plain entrywise transpose; no involution is applied.
+
+    In the split case m's Fourier image is computed first and kept on m, so
+    every transpose of m shares it; cached images carry over, transposed
+    character by character."""
     t = KGMatrix(m.group, m.field, m.cols, m.rows,
                  tuple(m.entry(i, j)
                        for j in range(m.cols) for i in range(m.rows)))
+    root = _split_root(m.group, m.field)
+    if root is not None:
+        _spectrum(m, root)
     for omega, spec in m._spectra.items():
         t._spectra[omega] = [list(zip(*mat)) or [()] * m.cols
                               for mat in spec]
@@ -116,9 +128,14 @@ def kg_transpose(m: KGMatrix) -> KGMatrix:
 
 
 def kg_involution(m: KGMatrix) -> KGMatrix:
-    """Entrywise involution, same shape."""
-    return KGMatrix(m.group, m.field, m.rows, m.cols,
-                    tuple(ga_involution(a) for a in m.entries))
+    """Entrywise involution, same shape.  Cached Fourier images carry over:
+    iota(a) at a character is a at the inverse character."""
+    t = KGMatrix(m.group, m.field, m.rows, m.cols,
+                 tuple(ga_involution(a) for a in m.entries))
+    inv = m.group.inverse_index
+    for omega, spec in m._spectra.items():
+        t._spectra[omega] = [spec[inv(chi)] for chi in range(len(spec))]
+    return t
 
 
 def kg_matmul(a: KGMatrix, b: KGMatrix) -> KGMatrix:
@@ -139,10 +156,18 @@ def kg_matmul(a: KGMatrix, b: KGMatrix) -> KGMatrix:
     return KGMatrix(group, ctx, a.rows, b.cols, tuple(out))
 
 
+def _split_root(group, ctx):
+    """The root of unity the character-domain paths use, or None when G is
+    trivial or K[G] is not split."""
+    if not group.factors or (ctx.q - 1) % group.exponent != 0:
+        return None
+    return root_of_unity(ctx, group.exponent)
+
+
 def _spectrum(a: KGMatrix, omega):
     """Per-character K-matrices of a: spec[chi][i][j] = FT(a_ij)(chi).
 
-    Computed once per omega and kept on the matrix.
+    Computed from the stored entries once per omega and kept on the matrix.
     """
     spec = a._spectra.get(omega)
     if spec is None:
@@ -159,15 +184,14 @@ def kg_from_spectrum(group, ctx, omega, spec, rows, cols) -> KGMatrix:
     """The rows x cols matrix whose per-character K-matrices are spec.
 
     spec[chi][i][j] is entry (i, j) at character chi, in the layout
-    `_spectrum` returns; it is kept as the matrix's Fourier image.
+    `_spectrum` returns.  spec is not kept: the matrix's Fourier image is
+    transformed from its entries when first needed, so a certification
+    never just re-reads its own input.
     """
-    entries = tuple(
+    return KGMatrix(group, ctx, rows, cols, tuple(
         ft_inverse(FourierImage(group, ctx, omega,
                                 tuple(mat[i][j] for mat in spec)))
-        for i in range(rows) for j in range(cols))
-    m = KGMatrix(group, ctx, rows, cols, entries)
-    m._spectra[omega] = spec
-    return m
+        for i in range(rows) for j in range(cols)))
 
 
 def kg_apply(a: KGMatrix, vec):
@@ -178,26 +202,58 @@ def kg_apply(a: KGMatrix, vec):
     group = a.group
     ctx = a.field
     column = KGMatrix(group, ctx, a.cols, 1, tuple(vec))  # Mismatch if foreign
-    if not group.factors or (ctx.q - 1) % group.exponent != 0:
+    omega = _split_root(group, ctx)
+    if omega is None:
         # trivial or non-split group: one ga_mul_fast per entry (the
         # lifting prime's exactness bound covers one convolution, not a
         # sum of them)
         return kg_matmul(a, column).col(0)
-    omega = root_of_unity(ctx, group.exponent)
     spec = _spectrum(a, omega)
     o = group.order
     # xs[chi]: the vector's values at character chi
     xs = list(zip(*(ft_group(v, omega).values for v in vec))) or [()] * o
-    if ctx.d == 1:
-        # plain int dot products, one reduction per output value
-        p = ctx.p
-        per_chi = [[sum(map(int_mul, row, x)) % p for row in m]
-                   for m, x in zip(spec, xs)]
-        OPS.add(2 * a.rows * a.cols * o)
-    else:
-        per_chi = [gauss.matvec(ctx, m, x) for m, x in zip(spec, xs)]
+    per_chi = [_matvec(ctx, m, x) for m, x in zip(spec, xs)]
     return [ft_inverse(FourierImage(group, ctx, omega, values))
             for values in zip(*per_chi)]
+
+
+def _matvec(ctx, m, x):
+    """K-matrix times vector.  Over prime fields: plain int dot products,
+    one reduction per output value, counted in OPS in bulk."""
+    if ctx.d == 1:
+        p = ctx.p
+        OPS.add(2 * len(m) * len(x))
+        return [sum(map(int_mul, row, x)) % p for row in m]
+    return gauss.matvec(ctx, m, x)
+
+
+def kg_product_is_scalar(a: KGMatrix, b: KGMatrix, c) -> bool:
+    """Whether a . b is the raw field value c times the identity (c zero:
+    the zero matrix).
+
+    Split algebras compare each character's K-matrix product with c I (c I
+    takes the value c at every character); others multiply entry by
+    entry."""
+    if a.cols != b.rows:
+        raise DimMismatch("inner dimensions %d and %d differ"
+                          % (a.cols, b.rows))
+    G, ctx = a.group, a.field
+    zero = ctx.zero
+    omega = _split_root(G, ctx)
+    if omega is None:
+        unit = GroupAlgebraElement(G, ctx, (c,) + (zero,) * (G.order - 1))
+        z = ga_zero(G, ctx)
+        return kg_matmul(a, b).entries == tuple(
+            unit if i == j else z for i in range(a.rows)
+            for j in range(b.cols))
+    for x, y in zip(_spectrum(a, omega), _spectrum(b, omega)):
+        y_cols = list(zip(*y)) or [()] * b.cols
+        for i, row in enumerate(x):
+            # row i of x . y
+            if _matvec(ctx, y_cols, row) != [c if i == j else zero
+                                             for j in range(b.cols)]:
+                return False
+    return True
 
 
 # ------------------------------------------------------------- expansion
@@ -249,7 +305,11 @@ def expand(m: KGMatrix) -> ExpandedMatrix:
 
 
 def expanded_rank(m: KGMatrix) -> int:
-    return gauss.rank(m.field, [list(r) for r in expand(m).matrix])
+    """K-rank of expand(m); per character in the split case."""
+    omega = _split_root(m.group, m.field)
+    if omega is None:
+        return gauss.rank(m.field, [list(r) for r in expand(m).matrix])
+    return sum(gauss.rank(m.field, mat) for mat in _spectrum(m, omega))
 
 
 # ---------------------------------------------------------------- duality
@@ -482,8 +542,8 @@ def split_kernel_and_inverse(e: KGMatrix, omega):
         i_spec.append([tuple(row[i] for row in y) for i in range(k)])
     c = kg_from_spectrum(G, ctx, omega, c_spec, n, n - k)
     i_mat = kg_from_spectrum(G, ctx, omega, i_spec, k, n)
-    if kg_matmul(kg_transpose(c), e) != kg_zero(G, ctx, n - k, k):
+    if not kg_product_is_scalar(kg_transpose(c), e, ctx.zero):
         raise InvariantViolation("kernel matrix fails C^t E = 0")
-    if kg_matmul(i_mat, e) != kg_identity(G, ctx, k):
+    if not kg_product_is_scalar(i_mat, e, ctx.one):
         raise InvariantViolation("left inverse fails I E = 1")
     return c, i_mat

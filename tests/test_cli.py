@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from equicode.files import load_code, load_vector, save_code, save_vector
-from equicode.code import encode, genus2_example_code
+from equicode.code import cyclic_cover_code, encode, genus2_example_code
 from equicode.galg import AbelianGroup, ga_from_ints
 from equicode.ff import field_make
 
@@ -106,6 +106,20 @@ def test_code_corrupted_file_exits_two(tmp_path):
     r = run_cli("code", "validate", "--code", path)
     assert r.returncode == 2
     assert "InvariantViolation" in r.stderr
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["genus2", "cover"])
+def test_code_validate_zero_check_matrix_exits_two(tmp_path, split):
+    # C^t E = 0 and I E = 1 still hold; only the rank of C is wrong
+    path = (tmp_path / "cover.json" if split else fixture_path(tmp_path))
+    if split:
+        save_code(path, cyclic_cover_code(13, 1, 4, 3, 1))
+    obj = json.loads(path.read_text())
+    obj["check"]["entries"] = [[0] * len(e) for e in obj["check"]["entries"]]
+    path.write_text(json.dumps(obj))
+    r = run_cli("code", "validate", "--code", path)
+    assert r.returncode == 2
+    assert "InvariantViolation" in r.stderr and "check matrix" in r.stderr
 
 
 def test_code_interpolate_bad_word_exits_three(tmp_path):

@@ -1,4 +1,5 @@
 import random
+import time
 import warnings
 
 import pytest
@@ -399,6 +400,17 @@ def test_split_decoder_data_refuses_generic_codes():
     code = cyclic_cover_code(13, 1, 4, 3, 1)
     with pytest.raises(DegreeWindow):
         make_split_decoder_data(code, 2)
+
+
+def test_cyclic_setup_at_n1024_within_budget():
+    # with dense expanded_rank this took about a minute on a 2-vCPU VM;
+    # per character it takes under a second there
+    t0 = time.perf_counter()
+    code = cyclic_cover_code(12289, 1, 128, 8, 2)
+    dd = make_cyclic_decoder_data(code, 2)
+    elapsed = time.perf_counter() - t0
+    assert dd.radius == 255 and code.n * code.group.order == 1024
+    assert elapsed < 10, "set-up took %.2f s" % elapsed
 
 
 def test_decode_result_is_frozen():

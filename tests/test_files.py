@@ -4,10 +4,12 @@ import warnings
 
 import pytest
 
+from equicode import kgmat
 from equicode.code import (
     cyclic_cover_code,
     encode,
     genus2_example_code,
+    parity_check,
     rs_degenerate_code,
     synth_split_code,
     validate,
@@ -68,6 +70,26 @@ def test_loaded_code_still_works():
     rng = random.Random(0)
     m = [ga_rand(code.group, code.field, rng) for _ in range(code.k)]
     assert encode(code, m) == encode(rs_degenerate_code(13, 12, 5), m)
+
+
+def test_loaded_split_code_transforms_its_check_once(tmp_path, monkeypatch):
+    path = tmp_path / "cover.json"
+    save_code(path, cyclic_cover_code(257, 1, 16, 8, 2))
+    code = load_code(path)
+    computed = []
+    real = kgmat._spectrum
+
+    def counting(a, omega):
+        if omega not in a._spectra:
+            computed.append((a.rows, a.cols))
+        return real(a, omega)
+
+    monkeypatch.setattr(kgmat, "_spectrum", counting)
+    rng = random.Random(6)
+    for _ in range(3):
+        parity_check(code, [ga_rand(code.group, code.field, rng)
+                            for _ in range(code.n)])
+    assert computed == [(code.n, code.n - code.k)]  # C itself, not C^t
 
 
 def test_decoder_round_trip_inline(tmp_path):

@@ -88,3 +88,27 @@ def test_inverse():
             assert gauss.matmul(ctx, mi, m) == gauss.identity(ctx, n)
     with pytest.raises(Inconsistent):
         gauss.inverse(K13, [[1, 2], [2, 4]])
+
+
+# (p, d, rows, cols, seed) -> (field ops, rank), counted through the
+# per-cell FieldCtx calls before prime fields got a plain-int row update
+RREF_COUNTS = {
+    (13, 1, 5, 7, 1): (186, 4),
+    (12289, 1, 8, 6, 2): (486, 6),
+    (3, 1, 6, 6, 3): (167, 5),
+    (3, 2, 4, 6, 4): (105, 3),
+    (7, 1, 3, 0, 5): (0, 0),
+    (5, 1, 0, 3, 6): (0, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(RREF_COUNTS))
+def test_rref_field_op_count(case):
+    p, d, rows, cols, seed = case
+    ctx = ff.field_make(p, d)
+    m = rand_matrix(ctx, random.Random(seed), rows, cols)
+    if rows > 2:
+        m[2] = list(m[0])  # a dependent row
+    with ff.count_field_ops() as ops:
+        _, pivots = gauss.rref(ctx, m)
+    assert (ops.count, len(pivots)) == RREF_COUNTS[case]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from equicode import ff, gauss, kgmat
+from equicode.code import EquivariantCode, cyclic_cover_code, validate
 from equicode.errors import (
     DimMismatch,
     InvariantViolation,
@@ -157,12 +158,12 @@ def test_kg_apply_matches_entrywise_reference(case, rows, cols, seed):
     a = kg_rand(G, ctx, rng, rows, cols)
     copy = kgmat.KGMatrix(G, ctx, rows, cols, a.entries)
     before = hash(a)
-    early = kgmat.kg_transpose(a)  # nothing cached yet
+    early = kgmat.kg_transpose(a)  # split: a's spectrum is computed here
     for _ in range(2):  # the second apply reuses the cached spectra
         vec = [ga_rand(G, ctx, rng) for _ in range(cols)]
         assert kgmat.kg_apply(a, vec) == kg_apply_reference(a, vec)
     assert a == copy and hash(a) == before == hash(copy)
-    late = kgmat.kg_transpose(a)  # inherits a's cached spectra
+    late = kgmat.kg_transpose(a)  # shares a's cached spectra
     assert late._spectra.keys() == a._spectra.keys()
     for t in (early, late, kgmat.kg_transpose(late)):
         vec = [ga_rand(G, ctx, rng) for _ in range(t.cols)]
@@ -415,3 +416,104 @@ def test_expanded_rank_examples():
     assert kgmat.expanded_rank(kgmat.kg_identity(Z4, K5, 3)) == 12
     assert kgmat.expanded_rank(kgmat.kg_zero(Z4, K5, 2, 3)) == 0
     assert kgmat.expanded_rank(eval_column_f3z4()) == 4
+
+
+def low_rank(ctx, rng, rows, cols, r):
+    """A rows x cols K-matrix of rank at most r, as a product A B."""
+    a = [[ctx.rand(rng) for _ in range(r)] for _ in range(rows)]
+    b_cols = [[ctx.rand(rng) for _ in range(r)] for _ in range(cols)]
+    return [tuple(gauss.matvec(ctx, b_cols, row)) for row in a]
+
+
+# (p, d, invariant factors): split algebras rank per character, the
+# non-split ones expand densely
+RANK_CASES = {
+    "split-cyclic": (13, 1, [4]),
+    "split-multiaxis": (13, 1, [2, 6]),
+    "split-extension-f9": (3, 2, [8]),
+    "nonsplit-f3-z4": (3, 1, [4]),
+    "nonsplit-f3-z8": (3, 1, [8]),
+}
+
+
+@pytest.mark.parametrize("case", list(RANK_CASES))
+@settings(max_examples=20, deadline=None)
+@given(rows=st.integers(0, 3), cols=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32), deficient=st.booleans())
+def test_expanded_rank_matches_dense_rank(case, rows, cols, seed, deficient):
+    p, d, factors = RANK_CASES[case]
+    ctx, G = ff.field_make(p, d), AbelianGroup(factors)
+    rng = random.Random(seed)
+    split = (ctx.q - 1) % G.exponent == 0
+    spec = None
+    if not deficient:
+        m = kg_rand(G, ctx, rng, rows, cols)
+    elif split:
+        # chosen per-character ranks, most of them below full
+        spec = [low_rank(ctx, rng, rows, cols,
+                         rng.randrange(min(rows, cols) + 1))
+                for _ in range(G.order)]
+        m = kgmat.kg_from_spectrum(G, ctx, ff.root_of_unity(ctx, G.exponent),
+                                   spec, rows, cols)
+    else:
+        # last column a multiple of the first
+        m = kg_rand(G, ctx, rng, rows, cols)
+        if rows and cols >= 2:
+            x = ga_rand(G, ctx, rng)
+            m = kgmat.kg_from_rows(
+                [m.row(i)[:-1] + [ga_mul_naive(m.entry(i, 0), x)]
+                 for i in range(rows)])
+    dense = gauss.rank(ctx, [list(r) for r in kgmat.expand(m).matrix])
+    assert kgmat.expanded_rank(m) == dense
+    if spec is not None:
+        assert dense == sum(gauss.rank(ctx, mat) for mat in spec)
+
+
+@pytest.mark.parametrize("case", ["split-cyclic", "split-multiaxis",
+                                  "split-extension-f9"])
+def test_kg_involution_carries_the_spectrum(case):
+    p, d, factors = APPLY_CASES[case]
+    ctx, G = ff.field_make(p, d), AbelianGroup(factors)
+    omega = ff.root_of_unity(ctx, G.exponent)
+    rng = random.Random(20)
+    for rows, cols in ((2, 3), (3, 1), (0, 2), (2, 0)):
+        a = kg_rand(G, ctx, rng, rows, cols)
+        kgmat._spectrum(a, omega)
+        carried = kgmat.kg_involution(a)
+        fresh = kgmat.KGMatrix(G, ctx, rows, cols, carried.entries)
+        assert carried == fresh
+        assert carried._spectra[omega] == kgmat._spectrum(fresh, omega)
+
+
+@pytest.mark.parametrize("bad_call", [0, 6], ids=["check", "interp"])
+def test_certification_transforms_the_stored_entries(monkeypatch, bad_call):
+    """An inverse transform that corrupts one coefficient is caught: the
+    checks read the image of the entries, not the spectrum that
+    kg_from_spectrum was given."""
+    code = cyclic_cover_code(13, 1, 4, 3, 1)  # C is 3 x 2, I is 1 x 3
+    G, ctx = code.group, code.field
+    omega = ff.root_of_unity(ctx, G.exponent)
+    c_spec = kgmat._spectrum(code.check, omega)
+    i_spec = kgmat._spectrum(code.interp, omega)
+    real = kgmat.ft_inverse
+    calls = []
+
+    def faulty(image):
+        out = real(image)
+        calls.append(out)
+        if len(calls) - 1 != bad_call:
+            return out
+        coeffs = (ctx.add(out.coeffs[0], ctx.one),) + out.coeffs[1:]
+        return GroupAlgebraElement(G, ctx, coeffs)
+
+    monkeypatch.setattr(kgmat, "ft_inverse", faulty)
+    with pytest.raises(InvariantViolation):
+        kgmat.split_kernel_and_inverse(code.evaluation, omega)
+    calls.clear()
+    chk = kgmat.kg_from_spectrum(G, ctx, omega, c_spec, 3, 2)
+    interp = kgmat.kg_from_spectrum(G, ctx, omega, i_spec, 1, 3)
+    assert (chk, interp) != (code.check, code.interp)
+    broken = EquivariantCode(ctx, G, 3, 1, code.evaluation, chk, interp,
+                             code.meta)
+    with pytest.raises(InvariantViolation):
+        validate(broken)
