@@ -277,23 +277,27 @@ def cyclic_orbit_evaluation(ctx, G: AbelianGroup, zeta, ys, rank):
     """Entries of the evaluation matrix for polynomials of degree < rank*o
     on the mu_o-orbits of the points ys, in the free basis
     w_l = sum_{j<o} y^(l*o+j).  Coefficient s of entry (i, l) is
-    w_l(zeta^s y_i).  Returns the flat entry tuple for a KGMatrix."""
+    w_l(zeta^s y_i) = y_i^(l*o) (y_i^o - 1) / (zeta^s y_i - 1), a geometric
+    sum in closed form, or o where zeta^s y_i = 1.  Returns the flat entry
+    tuple for a KGMatrix."""
     o = G.order
+    one, order = ctx.one, ctx.from_int(o)
     zpow = [ctx.pow_(zeta, t) for t in range(o)]
     entries = []
     for y in ys:
-        ypow = [ctx.one]
-        for _ in range(rank * o - 1):
-            ypow.append(ctx.mul(ypow[-1], y))
-        for l in range(rank):
-            coeffs = []
-            for s in range(o):
-                acc = ctx.zero
-                for j in range(o):
-                    acc = ctx.add(acc, ctx.mul(zpow[(s * j) % o],
-                                               ypow[l * o + j]))
-                coeffs.append(acc)
-            entries.append(GroupAlgebraElement(G, ctx, tuple(coeffs)))
+        yo = ctx.pow_(y, o)
+        num = ctx.sub(yo, one)
+        # sums[s] = sum_{j<o} (zeta^s y)^j, one inverse per s for every l
+        sums = []
+        for z in zpow:
+            x = ctx.mul(z, y)
+            sums.append(order if x == one
+                        else ctx.mul(num, ctx.inv(ctx.sub(x, one))))
+        lead = one  # y^(l*o)
+        for _ in range(rank):
+            entries.append(GroupAlgebraElement(
+                G, ctx, tuple(ctx.mul(lead, v) for v in sums)))
+            lead = ctx.mul(lead, yo)
     return tuple(entries)
 
 

@@ -48,7 +48,7 @@ from .errors import (
     NotSplit,
     RankDeficient,
 )
-from .ff import root_of_unity
+from .ff import OPS, root_of_unity
 from .galg import (GroupAlgebraElement, ft_group, ga_mul_naive, ga_sigma,
                    ga_sub)
 from .kgmat import (
@@ -127,8 +127,14 @@ def _flatten(elems):
 
 def _pointwise(a: GroupAlgebraElement, b: GroupAlgebraElement):
     """Coefficientwise product: the residue-algebra multiplication, which
-    is NOT the group-algebra convolution."""
+    is NOT the group-algebra convolution.  Over prime fields: plain ints,
+    one reduction per value, counted in OPS in bulk."""
     ctx = a.field
+    if ctx.d == 1:
+        p = ctx.p
+        OPS.add(a.group.order)
+        return GroupAlgebraElement(a.group, ctx, tuple(
+            [x * y % p for x, y in zip(a.coeffs, b.coeffs)]))
     return GroupAlgebraElement(
         a.group, ctx,
         tuple(ctx.mul(x, y) for x, y in zip(a.coeffs, b.coeffs)))

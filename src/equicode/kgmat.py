@@ -6,19 +6,22 @@ block of multiplication by that entry in the group basis (the regular
 representation): block[g, h] = entry_{g h^{-1}}.  With that convention
 expand(a) . vec(b) = vec(a b) and expand(involution(a)) = expand(a)^t.
 
+Products (`kg_matmul`, `kg_apply`) go through Kronecker substitution in
+every algebra: each entry is packed into one Python int, with slots wide
+enough that no sum of products carries into the next slot, so an output
+entry costs one sum of big-int products and one unpacking, and no
+transform runs.  Each matrix keeps its packed entries once computed.
+
 Whenever K[G] is split (G nontrivial, its exponent dividing q - 1) the
-Fourier transform makes K[G] a product of copies of K, so a matrix acts as
-one K-matrix per character, and the work runs there:
-  * `kg_apply` costs one forward transform per column, one K-matrix product
-    per character and one inverse transform per row;
-  * `expanded_rank` is the sum of the per-character ranks (the block DFT is
-    invertible), and `kg_product_is_scalar` compares per-character products
-    with a multiple of the identity.
-Each matrix keeps its Fourier image once computed, always from its stored
-entries (`kg_from_spectrum` keeps none of the spectrum it is given), so
-these certifications check what gets saved.  Transposes and involutions
-carry the image over.  Other algebras expand densely or multiply entry by
-entry through `ga_mul_fast`.
+Fourier transform makes K[G] a product of copies of K, so a matrix is one
+K-matrix per character, and certification runs there: `expanded_rank` is
+the sum of the per-character ranks (the block DFT is invertible), and
+`kg_product_is_scalar` compares per-character products with a multiple of
+the identity.  Each matrix keeps its Fourier image once computed, always
+from its stored entries (`kg_from_spectrum` keeps none of the spectrum it
+is given), so these certifications check what gets saved.  Transposes and
+involutions carry the image over.  Other algebras expand densely or
+multiply through `kg_matmul`.
 
 On top of the expansion: invariant duality forms, the lifting of K-linear
 forms to K[G]-linear ones, equivariant projections onto free submodules,
@@ -28,6 +31,8 @@ and left-inverse computation.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field as dc_field
 from operator import mul as int_mul
 
@@ -48,7 +53,6 @@ from .galg import (
     GroupAlgebraElement,
     ft_group,
     ft_inverse,
-    ga_add,
     ga_involution,
     ga_mul_fast,
     ga_one,
@@ -65,9 +69,12 @@ class KGMatrix:
     rows: int
     cols: int
     entries: tuple  # row-major GroupAlgebraElements
-    # omega -> per-character K-matrices (see _spectrum); memoization only
+    # omega -> per-character K-matrices (see _spectrum) and slot width ->
+    # packed rows (see _packed); memoization only
     _spectra: dict = dc_field(default_factory=dict, init=False,
                               compare=False, hash=False, repr=False)
+    _packed: dict = dc_field(default_factory=dict, init=False,
+                             compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
@@ -139,21 +146,160 @@ def kg_involution(m: KGMatrix) -> KGMatrix:
 
 
 def kg_matmul(a: KGMatrix, b: KGMatrix) -> KGMatrix:
+    """Matrix product through packed integers (see `_packed_product`)."""
     if a.cols != b.rows:
         raise DimMismatch("inner dimensions %d and %d differ"
                           % (a.cols, b.rows))
-    group = a.group
-    ctx = a.field
-    b_cols = [b.col(j) for j in range(b.cols)]
-    out = []
-    for i in range(a.rows):
-        row = a.row(i)
-        for col in b_cols:
-            acc = ga_zero(group, ctx)
-            for x, y in zip(row, col):
-                acc = ga_add(acc, ga_mul_fast(x, y))
-            out.append(acc)
-    return KGMatrix(group, ctx, a.rows, b.cols, tuple(out))
+    if a.group != b.group or a.field != b.field:
+        raise Mismatch("entries live in different group algebras")
+    return KGMatrix(a.group, a.field, a.rows, b.cols,
+                    tuple(_packed_product(a, b)))
+
+
+# --------------------------------------------------- packed (Kronecker) product
+#
+# A K[G] element becomes one Python int: coefficient (c_1, ..., c_I) of the
+# invariant-factor axes goes to the slot sum_k c_k S_k, S_k = prod_{m<k}
+# (2 o_m - 1), so an integer product adds exponents axis by axis without a
+# carry from one axis into the next; over F_{p^d} coordinate u of the
+# field value is one more, outermost axis of stride T = prod_k (2 o_k - 1).
+# A slot is `width` bytes with 2^(8 width) above every sum the product can
+# form, so the big-int product is the exact integer convolution.
+
+_LAYOUT_CACHE = {}
+
+
+def _layout(group):
+    """(src, T): src[t] is the group index packed into slot t (group.order
+    for a gap), T the slot count of one field coordinate of a product."""
+    lay = _LAYOUT_CACHE.get(group.factors)
+    if lay is None:
+        pos, T = [0], 1
+        for o in group.factors:
+            pos = [t + c * T for c in range(o) for t in pos]
+            T *= 2 * o - 1
+        src = [group.order] * (pos[-1] + 1)
+        for idx, t in enumerate(pos):
+            src[t] = idx
+        lay = _LAYOUT_CACHE[group.factors] = (src, T)
+    return lay
+
+
+def _slot_width(group, ctx, terms):
+    """Bytes per slot for sums of `terms` products over F_{p^d}[G]: every
+    slot stays below terms |G| d (p-1)^2."""
+    bound = terms * group.order * ctx.d * (ctx.p - 1) ** 2
+    return max(1, -(-bound.bit_length() // 8))
+
+
+def _to_int(vals, width):
+    """The int whose little-endian slots of `width` bytes hold vals.  Up
+    to 8 bytes the slots go through one 64-bit array, cut down in C."""
+    if width > 8:
+        return int.from_bytes(b"".join(v.to_bytes(width, "little")
+                                       for v in vals), "little")
+    words = array("Q", vals)
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw = words.tobytes()
+    if width < 8:
+        cut = bytearray(len(words) * width)
+        for j in range(width):
+            cut[j::width] = raw[j::8]
+        raw = cut
+    return int.from_bytes(raw, "little")
+
+
+def _from_int(x, count, width):
+    """The first count slots of x; the inverse of `_to_int`."""
+    buf = x.to_bytes(count * width, "little")
+    if width > 8:
+        return [int.from_bytes(buf[i:i + width], "little")
+                for i in range(0, len(buf), width)]
+    if width < 8:
+        raw = bytearray(count * 8)
+        for j in range(width):
+            raw[j::8] = buf[j::width]
+        buf = raw
+    words = array("Q", buf)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tolist()
+
+
+def _pack(a: GroupAlgebraElement, width):
+    """a as one int, field coordinate u starting at slot u T."""
+    src, T = _layout(a.group)
+    coords = [a.coeffs] if a.field.d == 1 else zip(*a.coeffs)
+    x = 0
+    for u, c in enumerate(coords):
+        if len(src) != len(c):  # gaps between the axes
+            c += (0,)
+            c = [c[i] for i in src]
+        x |= _to_int(c, width) << (8 * width * T * u)
+    return x
+
+
+def _unpack(group, ctx, x, width):
+    """The element whose packed product is x: fold each axis mod o_k,
+    reduce x^w for w >= d along the field modulus, then mod p."""
+    _, T = _layout(group)
+    d, p = ctx.d, ctx.p
+    factors, count = group.factors, (2 * d - 1) * T
+    if d == 1 and factors:
+        # the outermost axis folds on the integer itself; a folded slot
+        # still sums at most |G| products per term, so it does not carry
+        count = T // (2 * factors[-1] - 1) * factors[-1]
+        high = x >> (8 * width * count)
+        x += high - (high << (8 * width * count))
+        factors = factors[:-1]
+    vals = _from_int(x, count, width)
+    stride = 1
+    for o in factors:
+        wide, keep = (2 * o - 1) * stride, o * stride
+        folded = []
+        for start in range(0, len(vals), wide):
+            lo = vals[start:start + keep]
+            hi = vals[start + keep:start + wide]
+            folded += [u + v for u, v in zip(lo, hi)]
+            folded += lo[len(hi):]
+        vals, stride = folded, keep
+    if d == 1:
+        return GroupAlgebraElement(group, ctx, tuple([v % p for v in vals]))
+    o = group.order
+    power = [vals[w * o:(w + 1) * o] for w in range(2 * d - 1)]
+    for w in range(2 * d - 2, d - 1, -1):
+        for j, rj in enumerate(ctx._red[w - d]):
+            if rj:
+                power[j] = [u + rj * v for u, v in zip(power[j], power[w])]
+    return GroupAlgebraElement(group, ctx, tuple(
+        tuple(c % p for c in coeff) for coeff in zip(*power[:d])))
+
+
+def _packed(m: KGMatrix, width):
+    """m's entries packed at the given width, row by row; kept on m."""
+    rows = m._packed.get(width)
+    if rows is None:
+        flat = [_pack(x, width) for x in m.entries]
+        rows = [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
+        m._packed[width] = rows
+    return rows
+
+
+def _packed_product(a: KGMatrix, b: KGMatrix):
+    """The entries of a . b, row-major: one packed integer per entry and,
+    per output entry, one sum of big-int products unpacked once.
+
+    Nominal cost, added to OPS: one multiplication and one addition per
+    slot of every packed product, 2 a.rows a.cols b.cols (2d - 1) T with
+    T = prod_k (2 o_k - 1)."""
+    G, ctx = a.group, a.field
+    width = _slot_width(G, ctx, a.cols)
+    b_cols = list(zip(*_packed(b, width))) or [()] * b.cols
+    _, T = _layout(G)
+    OPS.add(2 * a.rows * a.cols * b.cols * (2 * ctx.d - 1) * T)
+    return [_unpack(G, ctx, sum(map(int_mul, row, col)), width)
+            for row in _packed(a, width) for col in b_cols]
 
 
 def _split_root(group, ctx):
@@ -195,26 +341,15 @@ def kg_from_spectrum(group, ctx, omega, spec, rows, cols) -> KGMatrix:
 
 
 def kg_apply(a: KGMatrix, vec):
-    """Matrix times vector of GroupAlgebraElements."""
+    """Matrix times vector of GroupAlgebraElements, as `kg_matmul` with a
+    one-column matrix: OPS gets the nominal 2 rows cols (2d - 1) T field
+    operations of `_packed_product`."""
     if a.cols != len(vec):
         raise DimMismatch("matrix has %d columns, vector %d entries"
                           % (a.cols, len(vec)))
-    group = a.group
-    ctx = a.field
-    column = KGMatrix(group, ctx, a.cols, 1, tuple(vec))  # Mismatch if foreign
-    omega = _split_root(group, ctx)
-    if omega is None:
-        # trivial or non-split group: one ga_mul_fast per entry (the
-        # lifting prime's exactness bound covers one convolution, not a
-        # sum of them)
-        return kg_matmul(a, column).col(0)
-    spec = _spectrum(a, omega)
-    o = group.order
-    # xs[chi]: the vector's values at character chi
-    xs = list(zip(*(ft_group(v, omega).values for v in vec))) or [()] * o
-    per_chi = [_matvec(ctx, m, x) for m, x in zip(spec, xs)]
-    return [ft_inverse(FourierImage(group, ctx, omega, values))
-            for values in zip(*per_chi)]
+    # building the column is also the check that vec lives in a's algebra
+    return _packed_product(a, KGMatrix(a.group, a.field, a.cols, 1,
+                                       tuple(vec)))
 
 
 def _matvec(ctx, m, x):

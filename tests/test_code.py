@@ -6,6 +6,7 @@ import pytest
 from equicode.code import (
     EquivariantCode,
     cyclic_cover_code,
+    cyclic_orbit_evaluation,
     encode,
     expanded_weight,
     genus2_example_code,
@@ -318,3 +319,38 @@ def test_cyclic_cover_rejections():
         cyclic_cover_code(7, 1, 4, 1, 1)
     with pytest.raises(RankDeficient):
         cyclic_cover_code(13, 1, 4, 3, 3)
+
+
+def orbit_evaluation_reference(ctx, G, zeta, ys, rank):
+    """Coefficient s of entry (i, l) as the sum over j < o of
+    (zeta^s y_i)^(l*o + j), term by term."""
+    o = G.order
+    zpow = [ctx.pow_(zeta, t) for t in range(o)]
+    entries = []
+    for y in ys:
+        ypow = [ctx.one]
+        for _ in range(rank * o - 1):
+            ypow.append(ctx.mul(ypow[-1], y))
+        for l in range(rank):
+            coeffs = []
+            for s in range(o):
+                acc = ctx.zero
+                for j in range(o):
+                    acc = ctx.add(acc, ctx.mul(zpow[(s * j) % o],
+                                               ypow[l * o + j]))
+                coeffs.append(acc)
+            entries.append(GroupAlgebraElement(G, ctx, tuple(coeffs)))
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("p, d, order, n", [
+    (12289, 1, 32, 8), (12289, 1, 128, 3), (13, 1, 4, 3), (13, 1, 12, 1),
+    (3, 2, 8, 1), (3, 4, 80, 1), (3, 4, 16, 5),
+])
+def test_cyclic_orbit_evaluation_matches_the_sum(p, d, order, n):
+    ctx, G = field_make(p, d), AbelianGroup([order])
+    zeta = root_of_unity(ctx, order)
+    gen = ctx.generator()
+    ys = [ctx.pow_(gen, i) for i in range(n)]  # ys[0] = 1 hits zeta^0 y = 1
+    assert cyclic_orbit_evaluation(ctx, G, zeta, ys, 3) == \
+        orbit_evaluation_reference(ctx, G, zeta, ys, 3)

@@ -1,10 +1,11 @@
 import random
+import sys
 import time
 import warnings
 
 import pytest
 
-from equicode import code as code_module, decode as decode_module, gauss
+from equicode import code as code_module, decode as decode_module, galg, gauss
 from equicode.code import (
     cyclic_cover_code,
     encode,
@@ -479,3 +480,29 @@ def test_error_system_is_the_expanded_check_at_the_zeros(code):
         zeros = sorted(rng.sample(places, size))
         assert _error_system(code, zeros) == \
             [[row[i * o + s] for i, s in zeros] for row in ct]
+
+
+def test_basic_decode_runs_no_transform(monkeypatch):
+    """Once decoder data exists, a decode applies every K[G] matrix through
+    packed products: no group Fourier transform runs."""
+    code = cyclic_cover_code(257, 1, 16, 8, 2)
+    dd = make_cyclic_decoder_data(code, 2)
+    rng = random.Random(22)
+    msg = rand_message(code, rng)
+    r, _ = corrupt(code, encode(code, msg), dd.radius, rng)
+    calls = []
+    for name in ("ft_group", "ft_inverse"):
+        real = getattr(galg, name)
+
+        def counting(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        for mod in list(sys.modules.values()):
+            if (mod is not None and mod.__name__.split(".")[0] == "equicode"
+                    and getattr(mod, name, None) is real):
+                monkeypatch.setattr(mod, name, counting)
+    res = basic_decode(dd, r, seed=3)
+    assert res.denominator is not None and list(res.message) == msg
+    assert calls == []
+    audit(dd, r, res)

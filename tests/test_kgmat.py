@@ -175,12 +175,80 @@ def test_kg_apply_matches_entrywise_reference(case, rows, cols, seed):
         assert kgmat.kg_apply(rebuilt, vec) == kg_apply_reference(a, vec)
 
 
+# (p, d, invariant factors, slot width at 9 columns): every coefficient
+# p - 1 makes every slot of the packed product as large as it can get
+WORST_CASES = {
+    "f12289-z32": (12289, 1, [32], 5),
+    "f13-z2xz6": (13, 1, [2, 6], 2),
+    "f81-z16": (3, 4, [16], 2),
+    "f9-z2xz4": (3, 2, [2, 4], 2),
+    "f3-z8": (3, 1, [8], 2),
+    "f13-trivial": (13, 1, [], 2),
+    "f67108859-z4": (67108859, 1, [4], 8),
+    "f2^61-1-z2xz2": (2 ** 61 - 1, 1, [2, 2], 16),
+}
+
+
+@pytest.mark.parametrize("case", list(WORST_CASES))
+def test_kg_apply_worst_case_slots(case):
+    p, d, factors, width = WORST_CASES[case]
+    ctx, G = ff.field_make(p, d), AbelianGroup(factors)
+    top = p - 1 if d == 1 else (p - 1,) * d
+    full = GroupAlgebraElement(G, ctx, (top,) * G.order)
+    assert kgmat._slot_width(G, ctx, 9) == width
+    for cols in (1, 9):
+        a = kgmat.KGMatrix(G, ctx, 2, cols, (full,) * (2 * cols))
+        vec = [full] * cols
+        assert kgmat.kg_apply(a, vec) == kg_apply_reference(a, vec)
+
+
+@pytest.mark.parametrize("case", list(APPLY_CASES))
+@settings(max_examples=20, deadline=None)
+@given(rows=st.integers(0, 3), inner=st.integers(0, 3),
+       cols=st.integers(0, 3), seed=st.integers(0, 2 ** 32))
+def test_kg_matmul_matches_naive_reference(case, rows, inner, cols, seed):
+    p, d, factors = APPLY_CASES[case]
+    ctx, G = ff.field_make(p, d), AbelianGroup(factors)
+    rng = random.Random(seed)
+    a = kg_rand(G, ctx, rng, rows, inner)
+    b = kg_rand(G, ctx, rng, inner, cols)
+    want = []
+    for i in range(rows):
+        for j in range(cols):
+            acc = ga_zero(G, ctx)
+            for t in range(inner):
+                acc = ga_add(acc, ga_mul_naive(a.entry(i, t), b.entry(t, j)))
+            want.append(acc)
+    assert kgmat.kg_matmul(a, b) == kgmat.KGMatrix(G, ctx, rows, cols,
+                                                   tuple(want))
+
+
+@pytest.mark.parametrize("p, d, factors, ops", [
+    (13, 1, [2, 6], 2 * 2 * 3 * 33),  # T = 3 * 11
+    (3, 2, [8], 2 * 2 * 3 * 3 * 15),  # 2d - 1 = 3 blocks of T = 15
+    (13, 1, [], 2 * 2 * 3),           # plain dot products
+])
+def test_kg_apply_nominal_op_count(p, d, factors, ops):
+    """One multiplication and one addition per slot of each packed
+    product: 2 rows cols (2d - 1) prod_k (2 o_k - 1)."""
+    ctx, G = ff.field_make(p, d), AbelianGroup(factors)
+    rng = random.Random(21)
+    a = kg_rand(G, ctx, rng, 2, 3)
+    vec = [ga_rand(G, ctx, rng) for _ in range(3)]
+    kgmat.kg_apply(a, vec)  # packs a
+    with ff.count_field_ops() as counted:
+        kgmat.kg_apply(a, vec)
+    assert counted.count == ops
+
+
 def test_kg_apply_rejects_foreign_vector():
     rng = random.Random(16)
     for ctx, G in ((K5, Z4), (K3, Z4)):
         a = kg_rand(G, ctx, rng, 2, 1)
         with pytest.raises(Mismatch):
             kgmat.kg_apply(a, [ga_rand(Z2, ctx, rng)])
+        with pytest.raises(Mismatch):
+            kgmat.kg_matmul(a, kg_rand(Z2, ctx, rng, 1, 1))
 
 
 def test_duality_form_z2_values():
