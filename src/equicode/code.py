@@ -127,17 +127,19 @@ def validate(code: EquivariantCode):
     outside it (the genus-2 example has deg_d = g_x = 2).
     """
     G, ctx, n, k = code.group, code.field, code.n, code.k
-    if not kg_product_is_scalar(kg_transpose(code.check), code.evaluation,
-                                ctx.zero):
-        raise InvariantViolation("checking identity C^t E = 0 fails")
-    if not kg_product_is_scalar(code.interp, code.evaluation, ctx.one):
-        raise InvariantViolation("interpolation identity I E = 1 fails")
+    # the ranks first: in the split case they keep E's and C's Fourier
+    # images on the matrices, where C^t and the identities find them
     if expanded_rank(code.evaluation) != k * G.order:
         raise InvariantViolation(
             "evaluation columns are not a free-module basis")
     if expanded_rank(code.check) != (n - k) * G.order:
         # otherwise ker C^t is larger than the image of E
         raise InvariantViolation("check matrix does not have full rank")
+    if not kg_product_is_scalar(kg_transpose(code.check), code.evaluation,
+                                ctx.zero):
+        raise InvariantViolation("checking identity C^t E = 0 fails")
+    if not kg_product_is_scalar(code.interp, code.evaluation, ctx.one):
+        raise InvariantViolation("interpolation identity I E = 1 fails")
     issued = []
     g_x = code.meta.get("g_x")
     deg_d = code.meta.get("deg_d")

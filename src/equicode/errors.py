@@ -53,10 +53,6 @@ class OrderDividesCharacteristic(EquicodeError):
     """The group order vanishes in the field, so no inverse transform exists."""
 
 
-class NotPrimeField(EquicodeError):
-    """Operation requires a prime field (extension degree 1)."""
-
-
 # --- matrices over K[G] -------------------------------------------------
 
 class DimMismatch(EquicodeError):

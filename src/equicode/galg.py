@@ -2,20 +2,22 @@
 
 G is presented by its invariant factors [o1, ..., oI] (each dividing the
 next); elements of G are mixed-radix indices, elements of K[G] are length-|G|
-coefficient vectors over a FieldCtx.  Multiplication is convolution, and the
-fast path runs through Fourier transforms:
+coefficient vectors over a FieldCtx.  Multiplication is convolution, and
+`ga_mul_fast` computes it by Kronecker substitution in every algebra: each
+operand is packed into one Python int with slots wide enough that no sum of
+products carries, so a product is one CPython big-int product (Karatsuba
+above a size threshold) and one unpacking.
 
-* when the exponent e of G divides q - 1, transforms happen inside K itself;
-* for prime fields without enough roots, coefficients are lifted to an
-  auxiliary prime field F_{p'} chosen so the integer convolution is exact;
-* extension fields reduce to d^2 prime-field products sharing one p'.
-
+Fourier transforms over K serve the split case (exponent e of G dividing
+q - 1), where matrices are built and certified character by character.
 Everything here is a pure function of immutable values; transform plans
-(twiddle tables, chirp tables) are cached per (field, length, root).
+(twiddle tables, packed chirps) are cached per (field, length, root).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 
 from . import ff
@@ -23,7 +25,6 @@ from .errors import (
     BadRootOrder,
     InvariantViolation,
     Mismatch,
-    NotPrimeField,
     OrderDividesCharacteristic,
     SearchExhausted,
 )
@@ -204,6 +205,144 @@ def ga_involution(a):
         tuple(a.coeffs[G.inverse_index(i)] for i in range(G.order)))
 
 
+# --------------------------------------------------- packed (Kronecker) product
+#
+# A K[G] element becomes one Python int: coefficient (c_1, ..., c_I) of the
+# invariant-factor axes goes to the slot sum_k c_k S_k, S_k = prod_{m<k}
+# (2 o_m - 1), so an integer product adds exponents axis by axis without a
+# carry from one axis into the next; over F_{p^d} coordinate u of the
+# field value is one more, outermost axis of stride T = prod_k (2 o_k - 1).
+# A slot is `width` bytes with 2^(8 width) above every sum the product can
+# form, so the big-int product is the exact integer convolution.
+
+_LAYOUT_CACHE = {}
+
+
+def _layout(group):
+    """(src, T): src[t] is the group index packed into slot t (group.order
+    for a gap), T the slot count of one field coordinate of a product."""
+    lay = _LAYOUT_CACHE.get(group.factors)
+    if lay is None:
+        pos, T = [0], 1
+        for o in group.factors:
+            pos = [t + c * T for c in range(o) for t in pos]
+            T *= 2 * o - 1
+        src = [group.order] * (pos[-1] + 1)
+        for idx, t in enumerate(pos):
+            src[t] = idx
+        lay = _LAYOUT_CACHE[group.factors] = (src, T)
+    return lay
+
+
+def _slot_width(group, ctx, terms):
+    """Bytes per slot for sums of `terms` products over F_{p^d}[G]: every
+    slot stays below terms |G| d (p-1)^2."""
+    bound = terms * group.order * ctx.d * (ctx.p - 1) ** 2
+    return max(1, -(-bound.bit_length() // 8))
+
+
+def _to_int(vals, width):
+    """The int whose little-endian slots of `width` bytes hold vals.  Up
+    to 8 bytes the slots go through one 64-bit array, cut down in C."""
+    if width > 8:
+        return int.from_bytes(b"".join(v.to_bytes(width, "little")
+                                       for v in vals), "little")
+    words = array("Q", vals)
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw = words.tobytes()
+    if width < 8:
+        cut = bytearray(len(words) * width)
+        for j in range(width):
+            cut[j::width] = raw[j::8]
+        raw = cut
+    return int.from_bytes(raw, "little")
+
+
+def _from_int(x, count, width):
+    """The first count slots of x; the inverse of `_to_int`."""
+    buf = x.to_bytes(count * width, "little")
+    if width > 8:
+        return [int.from_bytes(buf[i:i + width], "little")
+                for i in range(0, len(buf), width)]
+    if width < 8:
+        raw = bytearray(count * 8)
+        for j in range(width):
+            raw[j::8] = buf[j::width]
+        buf = raw
+    words = array("Q", buf)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tolist()
+
+
+def _pack(a: GroupAlgebraElement, width):
+    """a as one int, field coordinate u starting at slot u T."""
+    src, T = _layout(a.group)
+    coords = [a.coeffs] if a.field.d == 1 else zip(*a.coeffs)
+    x = 0
+    for u, c in enumerate(coords):
+        if len(src) != len(c):  # gaps between the axes
+            c += (0,)
+            c = [c[i] for i in src]
+        x |= _to_int(c, width) << (8 * width * T * u)
+    return x
+
+
+def _unpack(group, ctx, x, width):
+    """The element whose packed product is x: fold each axis mod o_k,
+    reduce x^w for w >= d along the field modulus, then mod p."""
+    _, T = _layout(group)
+    d, p = ctx.d, ctx.p
+    factors, count = group.factors, (2 * d - 1) * T
+    if d == 1 and factors:
+        # the outermost axis folds on the integer itself; a folded slot
+        # still sums at most |G| products per term, so it does not carry
+        count = T // (2 * factors[-1] - 1) * factors[-1]
+        high = x >> (8 * width * count)
+        x += high - (high << (8 * width * count))
+        factors = factors[:-1]
+    vals = _from_int(x, count, width)
+    stride = 1
+    for o in factors:
+        wide, keep = (2 * o - 1) * stride, o * stride
+        folded = []
+        for start in range(0, len(vals), wide):
+            lo = vals[start:start + keep]
+            hi = vals[start + keep:start + wide]
+            folded += [u + v for u, v in zip(lo, hi)]
+            folded += lo[len(hi):]
+        vals, stride = folded, keep
+    if d == 1:
+        return GroupAlgebraElement(group, ctx, tuple([v % p for v in vals]))
+    o = group.order
+    power = [vals[w * o:(w + 1) * o] for w in range(2 * d - 1)]
+    for w in range(2 * d - 2, d - 1, -1):
+        for j, rj in enumerate(ctx._red[w - d]):
+            if rj:
+                power[j] = [u + rj * v for u, v in zip(power[j], power[w])]
+    return GroupAlgebraElement(group, ctx, tuple(
+        tuple(c % p for c in coeff) for coeff in zip(*power[:d])))
+
+
+def ga_mul_fast(a, b):
+    """Product in K[G] by Kronecker substitution: a and b packed into one
+    int each (see `_pack`), one CPython big-int product (Karatsuba above
+    a size threshold), one unpacking.  Always equals ga_mul_naive.
+
+    Nominal cost, added to OPS: one multiplication and one addition per
+    slot of the packed product, 2 (2d - 1) prod_k (2 o_k - 1)."""
+    _check_pair(a, b)
+    G = a.group
+    ctx = a.field
+    if not G.factors:
+        return GroupAlgebraElement(G, ctx,
+                                   (ctx.mul(a.coeffs[0], b.coeffs[0]),))
+    width = _slot_width(G, ctx, 1)
+    OPS.add(2 * (2 * ctx.d - 1) * _layout(G)[1])
+    return _unpack(G, ctx, _pack(a, width) * _pack(b, width), width)
+
+
 @dataclass(frozen=True)
 class FourierImage:
     """Values of an element on all characters, dual mixed-radix order.
@@ -288,12 +427,6 @@ def _ntt_ctx(ctx, a, wtab):
     return a
 
 
-def _ntt(ctx, a, wtab):
-    if ctx.d == 1:
-        return _ntt_prime(a, ctx.p, wtab)
-    return _ntt_ctx(ctx, a, wtab)
-
-
 def _power_table(ctx, w, count):
     out = [ctx.one]
     cur = ctx.one
@@ -334,7 +467,9 @@ def _build_plan(ctx, n, omega):
         for j in range(n):
             rows.append([wpow[(i * j) % n] for i in range(n)])
         return ("direct", rows)
-    # Bluestein: out_j = binv_j * (b * nrev)_{n-1+j} with b_i = w^{i(i-1)/2}
+    # Bluestein: out_j = binv_j * (b * nrev)_{n-1+j} with b_i = w^{i(i-1)/2};
+    # the convolution is one packed product in K[Z/t], t = 3n - 2, where the
+    # zero-padded operands are short enough that no index wraps around
     beta = [ctx.one]
     cur = ctx.one
     wk = ctx.one
@@ -343,54 +478,25 @@ def _build_plan(ctx, n, omega):
         wk = ctx.mul(wk, omega)
         beta.append(cur)
     beta_inv = [ctx.inv(beta[i]) for i in range(n)]
-    t = 1
-    while t < 3 * n - 2:
-        t <<= 1
-    if (ctx.q - 1) % t == 0:
-        wt = ff.root_of_unity(ctx, t)
-        wtab = _power_table(ctx, wt, t >> 1)
-        wtab_inv = _power_table(ctx, ctx.inv(wt), t >> 1)
-        t_inv = ctx.inv(ctx.from_int(t))
-        b_hat = _ntt(ctx, list(beta) + [ctx.zero] * (t - len(beta)), wtab)
-        return ("bluestein_ntt", beta_inv, t, wtab, wtab_inv, t_inv, b_hat)
-    if ctx.d == 1:
-        bits = (n * (ctx.p - 1) ** 2).bit_length()
-        packed_b = 0
-        for i, c in enumerate(beta):
-            packed_b |= c << (bits * i)
-        return ("bluestein_kron", beta_inv, packed_b, bits, (1 << bits) - 1)
-    return ("bluestein_school", beta_inv, beta)
+    group = AbelianGroup([3 * n - 2])
+    width = _slot_width(group, ctx, 1)
+    chirp = GroupAlgebraElement(group, ctx,
+                                tuple(beta) + (ctx.zero,) * (n - 1))
+    return ("bluestein", beta_inv, group, width, _pack(chirp, width))
 
 
 def _run_bluestein(ctx, values, plan):
+    """The Bluestein plan's transform.  Nominal cost of the packed
+    product, added to OPS: 2 (2d - 1) (3n - 2)."""
+    _, beta_inv, group, width, chirp = plan
     n = len(values)
-    beta_inv = plan[1]
     mul = ctx.mul
-    # n-polynomial: reversed beta_inv-weighted input
+    # reversed beta_inv-weighted input, zero-padded to length t
     nvec = [mul(beta_inv[n - 1 - l], values[n - 1 - l]) for l in range(n)]
-    kind = plan[0]
-    if kind == "bluestein_ntt":
-        _, _, t, wtab, wtab_inv, t_inv, b_hat = plan
-        buf = nvec + [ctx.zero] * (t - n)
-        _ntt(ctx, buf, wtab)
-        buf = [mul(x, y) for x, y in zip(buf, b_hat)]
-        _ntt(ctx, buf, wtab_inv)
-        r = [mul(x, t_inv) for x in buf]
-    elif kind == "bluestein_kron":
-        _, _, packed_b, bits, mask = plan
-        p = ctx.p
-        packed_n = 0
-        for i, c in enumerate(nvec):
-            packed_n |= c << (bits * i)
-        prod = packed_b * packed_n
-        # only indices n-1 .. 2n-2 of the product are read below
-        r = [((prod >> (bits * i)) & mask) % p for i in range(2 * n - 1)]
-        if OPS.enabled:
-            OPS.count += 2 * (3 * n - 2)  # nominal cost of the packed product
-    else:
-        _, _, beta = plan
-        r = ff.poly_mul(beta, nvec, ctx)
-        r += [ctx.zero] * (3 * n - 2 - len(r))
+    nvec = GroupAlgebraElement(group, ctx,
+                               tuple(nvec) + (ctx.zero,) * (2 * n - 2))
+    r = _unpack(group, ctx, chirp * _pack(nvec, width), width).coeffs
+    OPS.add(2 * (2 * ctx.d - 1) * (3 * n - 2))
     return [mul(beta_inv[i], r[n - 1 + i]) for i in range(n)]
 
 
@@ -399,7 +505,9 @@ def _ft_cyclic_raw(ctx, values, plan):
     if kind == "identity":
         return list(values)
     if kind == "ntt":
-        return _ntt(ctx, list(values), plan[1])
+        if ctx.d == 1:
+            return _ntt_prime(list(values), ctx.p, plan[1])
+        return _ntt_ctx(ctx, list(values), plan[1])
     if kind == "direct":
         add, mul, zero = ctx.add, ctx.mul, ctx.zero
         out = []
@@ -478,7 +586,7 @@ def ft_inverse(F: FourierImage) -> GroupAlgebraElement:
     return GroupAlgebraElement(G, ctx, tuple(coeffs))
 
 
-# ---------------------------------------------------------- prime lifting
+# ---------------------------------------------------------- auxiliary prime
 
 
 def find_lifting_prime(order, exponent, p):
@@ -497,140 +605,3 @@ def find_lifting_prime(order, exponent, p):
             return candidate, t
         candidate += modulus
     raise SearchExhausted("no prime found for modulus %d" % modulus)
-
-
-_LIFT_CACHE = {}
-
-
-class _LiftContext:
-    """Shared machinery for exact convolution of mod-p vectors over F_{p'}."""
-
-    __slots__ = ("p", "p_prime", "t", "ctx", "omega", "bound")
-
-    def __init__(self, group, p):
-        p_prime, t = find_lifting_prime(group.order, group.exponent, p)
-        self.p = p
-        self.p_prime = p_prime
-        self.t = t
-        self.ctx = ff.field_make(p_prime)
-        self.omega = ff.root_of_unity(self.ctx, group.exponent)
-        self.bound = group.order * (p - 1) ** 2
-
-
-def _lift_context(group, p):
-    key = (group.factors, p)
-    lc = _LIFT_CACHE.get(key)
-    if lc is None:
-        lc = _LiftContext(group, p)
-        _LIFT_CACHE[key] = lc
-    return lc
-
-
-def _lift_forward(lc, group, ints):
-    """Transform a mod-p coefficient list in F_{p'}; values embed as-is."""
-    return _axis_transform(lc.ctx, list(ints), group,
-                           _axis_roots(lc.ctx, group, lc.omega))
-
-
-def _lift_backward(lc, group, spectrum):
-    """Inverse transform over F_{p'}, then reduce coefficients back mod p."""
-    ctx = lc.ctx
-    data = _axis_transform(ctx, list(spectrum), group,
-                           _axis_roots(ctx, group, lc.omega))
-    scale = ctx.inv(ctx.from_int(group.order))
-    out = [0] * group.order
-    bound = lc.bound
-    p = lc.p
-    for idx in range(group.order):
-        v = ctx.mul(scale, data[group.inverse_index(idx)])
-        if v > bound:
-            raise InvariantViolation(
-                "lifted coefficient %d exceeds the exactness bound %d"
-                % (v, bound))
-        out[idx] = v % p
-    return out
-
-
-def ga_mul_lifted(a, b):
-    """Product in (Z/pZ)[G] via an auxiliary prime field rich in roots."""
-    _check_pair(a, b)
-    ctx = a.field
-    if ctx.d != 1:
-        raise NotPrimeField("prime lifting needs a prime field, got F_%d^%d"
-                            % (ctx.p, ctx.d))
-    G = a.group
-    if not G.factors:
-        return GroupAlgebraElement(G, ctx,
-                                   (ctx.mul(a.coeffs[0], b.coeffs[0]),))
-    lc = _lift_context(G, ctx.p)
-    fa = _lift_forward(lc, G, a.coeffs)
-    fb = _lift_forward(lc, G, b.coeffs)
-    mul = lc.ctx.mul
-    prod = [mul(x, y) for x, y in zip(fa, fb)]
-    return GroupAlgebraElement(G, ctx, tuple(_lift_backward(lc, G, prod)))
-
-
-# ------------------------------------------------------------ fast product
-
-
-def ga_mul_fast(a, b):
-    """Product in K[G], quasi-linear in the group order.
-
-    Dispatch: transforms inside K when the exponent divides q-1 (the split
-    case; the group order is then automatically invertible), prime lifting
-    for prime fields otherwise, and d^2 lifted prime-field products for
-    extension fields.  Always equals ga_mul_naive.
-    """
-    _check_pair(a, b)
-    G = a.group
-    ctx = a.field
-    if not G.factors:
-        return GroupAlgebraElement(G, ctx,
-                                   (ctx.mul(a.coeffs[0], b.coeffs[0]),))
-    if (ctx.q - 1) % G.exponent == 0:
-        omega = ff.root_of_unity(ctx, G.exponent)
-        fa = ft_group(a, omega)
-        fb = ft_group(b, omega)
-        mul = ctx.mul
-        prod = tuple(mul(x, y) for x, y in zip(fa.values, fb.values))
-        return ft_inverse(FourierImage(G, ctx, omega, prod))
-    if ctx.d == 1:
-        return ga_mul_lifted(a, b)
-    return _ga_mul_extension(a, b)
-
-
-def _ga_mul_extension(a, b):
-    """Extension-field product via d^2 prime-field products sharing one p'."""
-    G = a.group
-    ctx = a.field
-    d = ctx.d
-    p = ctx.p
-    lc = _lift_context(G, p)
-    order = G.order
-    fa = [_lift_forward(lc, G, [a.coeffs[s][u] for s in range(order)])
-          for u in range(d)]
-    fb = [_lift_forward(lc, G, [b.coeffs[s][v] for s in range(order)])
-          for v in range(d)]
-    mul = lc.ctx.mul
-    # power[w][s]: coefficient of x^w at group index s, as ints mod p
-    power = [[0] * order for _ in range(2 * d - 1)]
-    for u in range(d):
-        for v in range(d):
-            spectrum = [mul(x, y) for x, y in zip(fa[u], fb[v])]
-            down = _lift_backward(lc, G, spectrum)
-            row = power[u + v]
-            for s in range(order):
-                row[s] = (row[s] + down[s]) % p
-    # fold x^w for w >= d down along the field modulus
-    red = ctx._red
-    for w in range(2 * d - 2, d - 1, -1):
-        src = power[w]
-        row = red[w - d]
-        for j in range(d):
-            rj = row[j]
-            if rj:
-                dst = power[j]
-                for s in range(order):
-                    dst[s] = (dst[s] + rj * src[s]) % p
-    coeffs = tuple(tuple(power[j][s] for j in range(d)) for s in range(order))
-    return GroupAlgebraElement(G, ctx, coeffs)

@@ -6,9 +6,8 @@ block of multiplication by that entry in the group basis (the regular
 representation): block[g, h] = entry_{g h^{-1}}.  With that convention
 expand(a) . vec(b) = vec(a b) and expand(involution(a)) = expand(a)^t.
 
-Products (`kg_matmul`, `kg_apply`) go through Kronecker substitution in
-every algebra: each entry is packed into one Python int, with slots wide
-enough that no sum of products carries into the next slot, so an output
+Products (`kg_matmul`, `kg_apply`) use the Kronecker substitution of
+`galg.ga_mul_fast` and its packing helpers in every algebra: an output
 entry costs one sum of big-int products and one unpacking, and no
 transform runs.  Each matrix keeps its packed entries once computed.
 
@@ -31,8 +30,6 @@ and left-inverse computation.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass, field as dc_field
 from operator import mul as int_mul
 
@@ -51,6 +48,10 @@ from .galg import (
     AbelianGroup,
     FourierImage,
     GroupAlgebraElement,
+    _layout,
+    _pack,
+    _slot_width,
+    _unpack,
     ft_group,
     ft_inverse,
     ga_involution,
@@ -117,17 +118,11 @@ def kg_identity(group, ctx, n):
 
 
 def kg_transpose(m: KGMatrix) -> KGMatrix:
-    """Plain entrywise transpose; no involution is applied.
-
-    In the split case m's Fourier image is computed first and kept on m, so
-    every transpose of m shares it; cached images carry over, transposed
-    character by character."""
+    """Plain entrywise transpose; no involution is applied.  Cached
+    Fourier images carry over, transposed character by character."""
     t = KGMatrix(m.group, m.field, m.cols, m.rows,
                  tuple(m.entry(i, j)
                        for j in range(m.cols) for i in range(m.rows)))
-    root = _split_root(m.group, m.field)
-    if root is not None:
-        _spectrum(m, root)
     for omega, spec in m._spectra.items():
         t._spectra[omega] = [list(zip(*mat)) or [()] * m.cols
                               for mat in spec]
@@ -157,123 +152,6 @@ def kg_matmul(a: KGMatrix, b: KGMatrix) -> KGMatrix:
 
 
 # --------------------------------------------------- packed (Kronecker) product
-#
-# A K[G] element becomes one Python int: coefficient (c_1, ..., c_I) of the
-# invariant-factor axes goes to the slot sum_k c_k S_k, S_k = prod_{m<k}
-# (2 o_m - 1), so an integer product adds exponents axis by axis without a
-# carry from one axis into the next; over F_{p^d} coordinate u of the
-# field value is one more, outermost axis of stride T = prod_k (2 o_k - 1).
-# A slot is `width` bytes with 2^(8 width) above every sum the product can
-# form, so the big-int product is the exact integer convolution.
-
-_LAYOUT_CACHE = {}
-
-
-def _layout(group):
-    """(src, T): src[t] is the group index packed into slot t (group.order
-    for a gap), T the slot count of one field coordinate of a product."""
-    lay = _LAYOUT_CACHE.get(group.factors)
-    if lay is None:
-        pos, T = [0], 1
-        for o in group.factors:
-            pos = [t + c * T for c in range(o) for t in pos]
-            T *= 2 * o - 1
-        src = [group.order] * (pos[-1] + 1)
-        for idx, t in enumerate(pos):
-            src[t] = idx
-        lay = _LAYOUT_CACHE[group.factors] = (src, T)
-    return lay
-
-
-def _slot_width(group, ctx, terms):
-    """Bytes per slot for sums of `terms` products over F_{p^d}[G]: every
-    slot stays below terms |G| d (p-1)^2."""
-    bound = terms * group.order * ctx.d * (ctx.p - 1) ** 2
-    return max(1, -(-bound.bit_length() // 8))
-
-
-def _to_int(vals, width):
-    """The int whose little-endian slots of `width` bytes hold vals.  Up
-    to 8 bytes the slots go through one 64-bit array, cut down in C."""
-    if width > 8:
-        return int.from_bytes(b"".join(v.to_bytes(width, "little")
-                                       for v in vals), "little")
-    words = array("Q", vals)
-    if sys.byteorder == "big":
-        words.byteswap()
-    raw = words.tobytes()
-    if width < 8:
-        cut = bytearray(len(words) * width)
-        for j in range(width):
-            cut[j::width] = raw[j::8]
-        raw = cut
-    return int.from_bytes(raw, "little")
-
-
-def _from_int(x, count, width):
-    """The first count slots of x; the inverse of `_to_int`."""
-    buf = x.to_bytes(count * width, "little")
-    if width > 8:
-        return [int.from_bytes(buf[i:i + width], "little")
-                for i in range(0, len(buf), width)]
-    if width < 8:
-        raw = bytearray(count * 8)
-        for j in range(width):
-            raw[j::8] = buf[j::width]
-        buf = raw
-    words = array("Q", buf)
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words.tolist()
-
-
-def _pack(a: GroupAlgebraElement, width):
-    """a as one int, field coordinate u starting at slot u T."""
-    src, T = _layout(a.group)
-    coords = [a.coeffs] if a.field.d == 1 else zip(*a.coeffs)
-    x = 0
-    for u, c in enumerate(coords):
-        if len(src) != len(c):  # gaps between the axes
-            c += (0,)
-            c = [c[i] for i in src]
-        x |= _to_int(c, width) << (8 * width * T * u)
-    return x
-
-
-def _unpack(group, ctx, x, width):
-    """The element whose packed product is x: fold each axis mod o_k,
-    reduce x^w for w >= d along the field modulus, then mod p."""
-    _, T = _layout(group)
-    d, p = ctx.d, ctx.p
-    factors, count = group.factors, (2 * d - 1) * T
-    if d == 1 and factors:
-        # the outermost axis folds on the integer itself; a folded slot
-        # still sums at most |G| products per term, so it does not carry
-        count = T // (2 * factors[-1] - 1) * factors[-1]
-        high = x >> (8 * width * count)
-        x += high - (high << (8 * width * count))
-        factors = factors[:-1]
-    vals = _from_int(x, count, width)
-    stride = 1
-    for o in factors:
-        wide, keep = (2 * o - 1) * stride, o * stride
-        folded = []
-        for start in range(0, len(vals), wide):
-            lo = vals[start:start + keep]
-            hi = vals[start + keep:start + wide]
-            folded += [u + v for u, v in zip(lo, hi)]
-            folded += lo[len(hi):]
-        vals, stride = folded, keep
-    if d == 1:
-        return GroupAlgebraElement(group, ctx, tuple([v % p for v in vals]))
-    o = group.order
-    power = [vals[w * o:(w + 1) * o] for w in range(2 * d - 1)]
-    for w in range(2 * d - 2, d - 1, -1):
-        for j, rj in enumerate(ctx._red[w - d]):
-            if rj:
-                power[j] = [u + rj * v for u, v in zip(power[j], power[w])]
-    return GroupAlgebraElement(group, ctx, tuple(
-        tuple(c % p for c in coeff) for coeff in zip(*power[:d])))
 
 
 def _packed(m: KGMatrix, width):
@@ -677,6 +555,7 @@ def split_kernel_and_inverse(e: KGMatrix, omega):
         i_spec.append([tuple(row[i] for row in y) for i in range(k)])
     c = kg_from_spectrum(G, ctx, omega, c_spec, n, n - k)
     i_mat = kg_from_spectrum(G, ctx, omega, i_spec, k, n)
+    _spectrum(c, omega)  # on c itself, so that c and its transpose share it
     if not kg_product_is_scalar(kg_transpose(c), e, ctx.zero):
         raise InvariantViolation("kernel matrix fails C^t E = 0")
     if not kg_product_is_scalar(i_mat, e, ctx.one):

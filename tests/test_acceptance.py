@@ -150,13 +150,15 @@ def test_criterion_03_fourier_correctness():
 
 def test_criterion_04_fast_multiplication_paths():
     def body():
+        # one packed product serves every algebra; the labels name the
+        # transform paths these algebras once took, and seed the draws
         paths = []
-        # split path: fourth roots live in F_13
+        # split: fourth roots live in F_13
         paths.append(("split", field_make(13), AbelianGroup([4])))
-        # lifting path: F_3 has no fourth roots; auxiliary prime is 257
+        # F_3 has no fourth roots; the frozen auxiliary prime is 257
         assert find_lifting_prime(4, 4, 3)[0] == 257
         paths.append(("lifted p'=257", field_make(3), AbelianGroup([4])))
-        # extension path: F_9 has no fifth roots and d = 2
+        # F_9 has no fifth roots and d = 2
         paths.append(("extension", field_make(3, 2), AbelianGroup([5])))
         for name, ctx, G in paths:
             rng = random.Random(len(name))
@@ -164,7 +166,8 @@ def test_criterion_04_fast_multiplication_paths():
                 a = ga_rand(G, ctx, rng)
                 b = ga_rand(G, ctx, rng)
                 assert ga_mul_fast(a, b) == ga_mul_naive(a, b), name
-        return "fast = naive on split, lifted (p'=257) and extension paths"
+        return ("fast = naive on F_13[Z/4], F_3[Z/4] (p'=257) and "
+                "F_9[Z/5]")
 
     _run(4, "fast-multiplication equivalence", 10, body)
 
@@ -173,12 +176,12 @@ def test_criterion_04_fast_multiplication_paths():
 
 
 def test_criterion_05_operation_count_trend():
-    # Q = 6 was fitted once against this implementation: the measured
-    # ratio ops / (o log2 o) falls from 4.93 at o = 64 to 4.67 at o = 4096
-    # (the auxiliary-prime path included), so a single constant covers
-    # every size with slack.  A super-linear regression trips this at the
-    # first size it touches: the naive product already needs ratio > 21
-    # at o = 64.
+    # Q = 6 was fitted once against a transform-based product, whose
+    # ratio ops / (o log2 o) fell from 4.93 at o = 64 to 4.67 at o = 4096.
+    # The packed product counts 2 (2o - 1) nominal ops, ratio 0.66 at
+    # o = 64 down to 0.33 at o = 4096.  A super-linear regression trips
+    # this at the first size it touches: the naive product already needs
+    # ratio > 21 at o = 64.
     Q = 6
 
     def body():
@@ -189,7 +192,7 @@ def test_criterion_05_operation_count_trend():
             G = AbelianGroup([2 ** m])
             a = ga_rand(G, ctx, rng)
             b = ga_rand(G, ctx, rng)
-            ga_mul_fast(a, b)  # warm the lift cache outside the count
+            ga_mul_fast(a, b)  # warm the layout cache outside the count
             with count_field_ops() as ops:
                 ga_mul_fast(a, b)
             o = G.order

@@ -40,11 +40,12 @@ from equicode.errors import (
     RankDeficient,
 )
 from equicode.ff import field_make, poly_divmod, poly_trim
+from equicode.files import load_decoder, save_decoder
 from equicode.galg import (
     AbelianGroup,
     GroupAlgebraElement,
     ga_add,
-    ga_mul_fast,
+    ga_mul_naive,
     ga_rand,
     ga_zero,
 )
@@ -434,12 +435,12 @@ def test_decoder_data_refuses_a_non_free_denominator_space(monkeypatch):
 
 
 def entrywise_apply(a, vec):
-    """kg_apply as one ga_mul_fast per matrix entry."""
+    """kg_apply as one ga_mul_naive per matrix entry."""
     out = []
     for i in range(a.rows):
         acc = ga_zero(a.group, a.field)
         for j in range(a.cols):
-            acc = ga_add(acc, ga_mul_fast(a.entry(i, j), vec[j]))
+            acc = ga_add(acc, ga_mul_naive(a.entry(i, j), vec[j]))
         out.append(acc)
     return out
 
@@ -482,11 +483,14 @@ def test_error_system_is_the_expanded_check_at_the_zeros(code):
             [[row[i * o + s] for i, s in zeros] for row in ct]
 
 
-def test_basic_decode_runs_no_transform(monkeypatch):
-    """Once decoder data exists, a decode applies every K[G] matrix through
-    packed products: no group Fourier transform runs."""
+def test_basic_decode_runs_no_transform(monkeypatch, tmp_path):
+    """Once decoder data exists, fresh or reloaded from its file, a decode
+    applies every K[G] matrix through packed products: no group Fourier
+    transform runs."""
     code = cyclic_cover_code(257, 1, 16, 8, 2)
     dd = make_cyclic_decoder_data(code, 2)
+    save_decoder(tmp_path / "dec.json", dd)
+    reloaded = load_decoder(tmp_path / "dec.json")
     rng = random.Random(22)
     msg = rand_message(code, rng)
     r, _ = corrupt(code, encode(code, msg), dd.radius, rng)
@@ -502,7 +506,9 @@ def test_basic_decode_runs_no_transform(monkeypatch):
             if (mod is not None and mod.__name__.split(".")[0] == "equicode"
                     and getattr(mod, name, None) is real):
                 monkeypatch.setattr(mod, name, counting)
-    res = basic_decode(dd, r, seed=3)
-    assert res.denominator is not None and list(res.message) == msg
-    assert calls == []
-    audit(dd, r, res)
+    for data in (dd, reloaded):
+        calls.clear()
+        res = basic_decode(data, r, seed=3)
+        assert res.denominator is not None and list(res.message) == msg
+        assert calls == []
+        audit(data, r, res)

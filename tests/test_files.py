@@ -89,7 +89,8 @@ def test_loaded_split_code_transforms_its_check_once(tmp_path, monkeypatch):
     for _ in range(3):
         parity_check(code, [ga_rand(code.group, code.field, rng)
                             for _ in range(code.n)])
-    assert computed == [(code.n, code.n - code.k)]  # C itself, not C^t
+    # parity checks apply C^t as packed products: nothing is transformed
+    assert computed == []
 
 
 def test_decoder_round_trip_inline(tmp_path):

@@ -1,18 +1,19 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from equicode import ff, galg
 from equicode.errors import (
     BadRootOrder,
     InvariantViolation,
     Mismatch,
-    NotPrimeField,
     OrderDividesCharacteristic,
 )
 from equicode.galg import (
     AbelianGroup,
     FourierImage,
+    GroupAlgebraElement,
     ft_cyclic,
     ft_group,
     ft_inverse,
@@ -21,7 +22,6 @@ from equicode.galg import (
     ga_from_ints,
     ga_involution,
     ga_mul_fast,
-    ga_mul_lifted,
     ga_mul_naive,
     ga_one,
     ga_rand,
@@ -193,9 +193,9 @@ def test_ft_cyclic_delta_and_ones():
     (5, 1, 4),       # power of two
     (13, 1, 6),      # small direct
     (13, 1, 12),     # small direct, composite
-    (769, 1, 48),    # Bluestein with inner radix-2 transform (256 | 768)
-    (67, 1, 33),     # Bluestein with packed-integer product (128 does not divide 66)
-    (7, 2, 48),      # Bluestein with schoolbook product over an extension field
+    (769, 1, 48),    # Bluestein, 3-byte slots
+    (67, 1, 33),     # Bluestein, 2-byte slots
+    (7, 2, 48),      # Bluestein over an extension field
 ])
 def test_ft_cyclic_vs_direct(p, d, n):
     K = ff.field_make(p, d)
@@ -281,14 +281,14 @@ def test_convolution_theorem(factors, p, d):
 
 
 def test_ft_group_bad_root():
-    # (p, invariant factors, order of the wrong root), one per plan kind;
+    # (p, invariant factors, order of the wrong root), each plan kind;
     # the plan of the last axis, whose root is omega itself, rejects it
     cases = [
         (13, [2, 6], 2),    # two axes, direct plans: -1 has order 2, not 6
         (13, [6], 3),       # direct plan
         (17, [8], 4),       # radix-2 NTT plan
-        (97, [48], 24),     # Bluestein plan, Kronecker convolution
-        (12289, [96], 48),  # Bluestein plan, NTT convolution
+        (97, [48], 24),     # Bluestein plan, 3-byte slots
+        (12289, [96], 48),  # Bluestein plan, 5-byte slots
     ]
     for p, factors, order in cases:
         K = ff.field_make(p)
@@ -316,30 +316,38 @@ def test_find_lifting_prime_frozen():
     assert find_lifting_prime(6, 6, 2) == (97, 16)
 
 
-def test_ga_mul_lifted_examples():
-    K = ff.field_make(3)
-    G = AbelianGroup([4])
-    a = ga_from_ints(G, K, [1, 1, 0, 0])
-    assert ga_mul_lifted(a, a) == ga_from_ints(G, K, [1, 2, 1, 0])
-    z = ga_zero(G, K)
-    assert ga_mul_lifted(a, z) == z
-    E = ff.field_make(3, 2)
-    with pytest.raises(NotPrimeField):
-        ga_mul_lifted(ga_zero(G, E), ga_zero(G, E))
-
-
-def test_ga_mul_lifted_vs_naive():
-    rng = random.Random(17)
-    for p, factors in ((3, [4]), (2, [2, 6]), (3, [3, 9]), (5, [12])):
-        K = ff.field_make(p)
-        G = AbelianGroup(factors)
-        for _ in range(100):
-            a = ga_rand(G, K, rng)
-            b = ga_rand(G, K, rng)
-            assert ga_mul_lifted(a, b) == ga_mul_naive(a, b)
-
-
 # ------------------------------------------------------------ fast product
+
+# (p, d, invariant factors): prime and extension fields, p | |G| or not,
+# split or not, and the trivial group; only f81-z80 needs 2-byte slots
+MUL_CASES = {
+    "f3-z4": (3, 1, [4]),
+    "f2-z2xz6": (2, 1, [2, 6]),
+    "f3-z3xz9": (3, 1, [3, 9]),
+    "f5-z12": (5, 1, [12]),
+    "f9-z3": (3, 2, [3]),
+    "f81-z80": (3, 4, [80]),
+    "f13-trivial": (13, 1, []),
+}
+
+
+@pytest.mark.parametrize("case", list(MUL_CASES))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), top=st.booleans())
+@example(seed=0, top=True)
+def test_ga_mul_fast_matches_naive(case, seed, top):
+    """top: every coefficient, and every coordinate when d > 1, is p - 1,
+    so every slot of the packed product is as large as it can get."""
+    p, d, factors = MUL_CASES[case]
+    K, G = ff.field_make(p, d), AbelianGroup(factors)
+    if top:
+        full = GroupAlgebraElement(
+            G, K, (p - 1 if d == 1 else (p - 1,) * d,) * G.order)
+        a = b = full
+    else:
+        rng = random.Random(seed)
+        a, b = ga_rand(G, K, rng), ga_rand(G, K, rng)
+    assert ga_mul_fast(a, b) == ga_mul_naive(a, b)
 
 
 def test_ga_mul_fast_split_path():
@@ -366,7 +374,7 @@ def test_ga_mul_fast_lifted_path():
 def test_ga_mul_fast_extension_path():
     rng = random.Random(31)
     K = ff.field_make(3, 2)
-    G = AbelianGroup([3])  # p divides the group order: must lift
+    G = AbelianGroup([3])  # p divides the group order
     for _ in range(100):
         a = ga_rand(G, K, rng)
         b = ga_rand(G, K, rng)
@@ -411,13 +419,13 @@ def test_ga_mul_fast_identity_all_paths():
 
 
 def test_fast_mul_operation_count_trend():
-    # one data point of the quasi-linearity check: ops stay near o*log2(o)
+    # one data point of criterion 5's check: ops stay below 40 o log2(o)
     K = ff.field_make(257)
     G = AbelianGroup([64])
     rng = random.Random(47)
     a = ga_rand(G, K, rng)
     b = ga_rand(G, K, rng)
-    ga_mul_fast(a, b)  # warm the plan cache
+    ga_mul_fast(a, b)  # warm the layout cache
     with ff.count_field_ops() as ops:
         ga_mul_fast(a, b)
     assert 0 < ops.count <= 40 * 64 * 6
