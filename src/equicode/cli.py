@@ -136,14 +136,18 @@ def cmd_mul(args):
 
 def cmd_bench_mul(args):
     ctx = field_make(args.p, args.d)
-    sizes = [int(t) for t in args.sizes.split(",")] if args.sizes else []
+    # each size is a cyclic group order, "1" the trivial group
+    groups = [_parse_group(t) for t in args.sizes.split(",")] \
+        if args.sizes else []
+    if args.reps < 1:
+        raise ParseError("--reps must be at least 1, got %d" % args.reps)
     seed = _resolve_seed(args)
     _echo_seed(seed)
     import random as _random
     rng = _random.Random(seed)
     rows = [["group_order", "method", "median_ns", "ops_per_element"]]
-    for m in sizes:
-        group = AbelianGroup([m])
+    for group in groups:
+        m = group.order
         a = ga_rand(group, ctx, rng)
         b = ga_rand(group, ctx, rng)
         for name, fn in (("naive", ga_mul_naive), ("fast", ga_mul_fast)):

@@ -47,7 +47,6 @@ from .kgmat import (
     kg_from_spectrum,
     kg_product_is_scalar,
     kg_transpose,
-    kg_zero,
     split_kernel_and_inverse,
 )
 
@@ -197,21 +196,11 @@ def _first_nonzero_points(ctx, n):
 
 
 def _scalar_code(ctx, group, vand, n, k, meta):
-    """Package an n x k K-evaluation matrix over the trivial group."""
-    def elem(v):
-        return GroupAlgebraElement(group, ctx, (v,))
-
-    ev = kg_from_rows([[elem(v) for v in row] for row in vand])
-    vand_t = gauss.transpose(vand)
-    kern = gauss.kernel_basis(ctx, vand_t)
-    if n > k:
-        chk = kg_from_rows([[elem(kern[j][i]) for j in range(n - k)]
-                            for i in range(n)])
-    else:
-        chk = kg_zero(group, ctx, n, 0)
-    y = gauss.solve_matrix(ctx, vand_t, gauss.identity(ctx, k))
-    interp = kg_from_rows([[elem(y[j][i]) for j in range(n)]
-                           for i in range(k)])
+    """Package an n x k K-evaluation matrix over the trivial group, whose
+    one character is the identity: C and I come from the split solver."""
+    ev = kg_from_rows([[GroupAlgebraElement(group, ctx, (v,)) for v in row]
+                       for row in vand])
+    chk, interp = split_kernel_and_inverse(ev, ctx.one)
     code = EquivariantCode(ctx, group, n, k, ev, chk, interp, meta)
     validate(code)
     return code

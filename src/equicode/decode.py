@@ -371,11 +371,8 @@ def make_rs_decoder_data(code: EquivariantCode, deg_d0=None) -> DecoderData:
                                "matrix of the expected points")
     G = code.group
     e0 = _trivial_kg(G, ctx, [row[:k0] for row in vand], n, k0)
-    e1t = gauss.transpose(vand)
-    kern = gauss.kernel_basis(ctx, e1t)
-    c1 = _trivial_kg(G, ctx, gauss.transpose(kern), n, n - k1)
-    i1 = _trivial_kg(G, ctx, gauss.transpose(
-        gauss.solve_matrix(ctx, e1t, gauss.identity(ctx, k1))), k1, n)
+    c1, i1 = split_kernel_and_inverse(_trivial_kg(G, ctx, vand, n, k1),
+                                      ctx.one)
     if expanded_rank(e0) != k0:
         raise RankDeficient("denominator evaluation is not free")
     radius = min(deg_d0, n - deg_e - deg_d0 - 1)

@@ -10,8 +10,11 @@ above a size threshold) and one unpacking.
 
 Fourier transforms over K serve the split case (exponent e of G dividing
 q - 1), where matrices are built and certified character by character.
-Everything here is a pure function of immutable values; transform plans
-(twiddle tables, packed chirps) are cached per (field, length, root).
+A cyclic transform of length n has one plan: a radix-2 NTT over a prime
+field when n is a power of two, and otherwise Bluestein's chirp, whose
+convolution is one packed product.  Everything here is a pure function of
+immutable values; plans (twiddle tables, packed chirps) are cached per
+(field, length, root).
 """
 
 from __future__ import annotations
@@ -406,27 +409,6 @@ def _ntt_prime(a, p, wtab):
     return a
 
 
-def _ntt_ctx(ctx, a, wtab):
-    """Same transform through ctx ops (extension fields)."""
-    n = len(a)
-    _bit_reverse_inplace(a)
-    add, sub, mul = ctx.add, ctx.sub, ctx.mul
-    length = 2
-    while length <= n:
-        step = n // length
-        half = length >> 1
-        for start in range(0, n, length):
-            widx = 0
-            for k in range(start, start + half):
-                u = a[k]
-                v = mul(a[k + half], wtab[widx])
-                a[k] = add(u, v)
-                a[k + half] = sub(u, v)
-                widx += step
-        length <<= 1
-    return a
-
-
 def _power_table(ctx, w, count):
     out = [ctx.one]
     cur = ctx.one
@@ -459,14 +441,10 @@ def _cyclic_plan(ctx, n, omega):
 
 
 def _build_plan(ctx, n, omega):
-    if n & (n - 1) == 0:
-        return ("ntt", _power_table(ctx, omega, n >> 1) if n > 1 else [ctx.one])
-    if n < 32:
-        rows = []
-        wpow = _power_table(ctx, omega, n)
-        for j in range(n):
-            rows.append([wpow[(i * j) % n] for i in range(n)])
-        return ("direct", rows)
+    """The plan for one (field, length, root), n >= 2: a radix-2 NTT over
+    a prime field when n is a power of two, Bluestein's chirp otherwise."""
+    if ctx.d == 1 and n & (n - 1) == 0:
+        return ("ntt", _power_table(ctx, omega, n >> 1))
     # Bluestein: out_j = binv_j * (b * nrev)_{n-1+j} with b_i = w^{i(i-1)/2};
     # the convolution is one packed product in K[Z/t], t = 3n - 2, where the
     # zero-padded operands are short enough that no index wraps around
@@ -505,18 +483,7 @@ def _ft_cyclic_raw(ctx, values, plan):
     if kind == "identity":
         return list(values)
     if kind == "ntt":
-        if ctx.d == 1:
-            return _ntt_prime(list(values), ctx.p, plan[1])
-        return _ntt_ctx(ctx, list(values), plan[1])
-    if kind == "direct":
-        add, mul, zero = ctx.add, ctx.mul, ctx.zero
-        out = []
-        for row in plan[1]:
-            acc = zero
-            for w, v in zip(row, values):
-                acc = add(acc, mul(w, v))
-            out.append(acc)
-        return out
+        return _ntt_prime(list(values), ctx.p, plan[1])
     return _run_bluestein(ctx, values, plan)
 
 

@@ -11,16 +11,17 @@ Products (`kg_matmul`, `kg_apply`) use the Kronecker substitution of
 entry costs one sum of big-int products and one unpacking, and no
 transform runs.  Each matrix keeps its packed entries once computed.
 
-Whenever K[G] is split (G nontrivial, its exponent dividing q - 1) the
-Fourier transform makes K[G] a product of copies of K, so a matrix is one
-K-matrix per character, and certification runs there: `expanded_rank` is
-the sum of the per-character ranks (the block DFT is invertible), and
+Whenever K[G] is split (the exponent of G dividing q - 1, so also for the
+trivial group, where K[1] = K has one character) the Fourier transform
+makes K[G] a product of copies of K, so a matrix is one K-matrix per
+character, and certification runs there: `expanded_rank` is the sum of the
+per-character ranks (the block DFT is invertible), and
 `kg_product_is_scalar` compares per-character products with a multiple of
 the identity.  Each matrix keeps its Fourier image once computed, always
 from its stored entries (`kg_from_spectrum` keeps none of the spectrum it
-is given), so these certifications check what gets saved.  Transposes and
-involutions carry the image over.  Other algebras expand densely or
-multiply through `kg_matmul`.
+is given), so these certifications check what gets saved.  Transposes
+carry the image over.  Non-split algebras expand densely or multiply
+through `kg_matmul`.
 
 On top of the expansion: invariant duality forms, the lifting of K-linear
 forms to K[G]-linear ones, equivariant projections onto free submodules,
@@ -130,14 +131,9 @@ def kg_transpose(m: KGMatrix) -> KGMatrix:
 
 
 def kg_involution(m: KGMatrix) -> KGMatrix:
-    """Entrywise involution, same shape.  Cached Fourier images carry over:
-    iota(a) at a character is a at the inverse character."""
-    t = KGMatrix(m.group, m.field, m.rows, m.cols,
-                 tuple(ga_involution(a) for a in m.entries))
-    inv = m.group.inverse_index
-    for omega, spec in m._spectra.items():
-        t._spectra[omega] = [spec[inv(chi)] for chi in range(len(spec))]
-    return t
+    """Entrywise involution, same shape."""
+    return KGMatrix(m.group, m.field, m.rows, m.cols,
+                    tuple(ga_involution(a) for a in m.entries))
 
 
 def kg_matmul(a: KGMatrix, b: KGMatrix) -> KGMatrix:
@@ -181,9 +177,9 @@ def _packed_product(a: KGMatrix, b: KGMatrix):
 
 
 def _split_root(group, ctx):
-    """The root of unity the character-domain paths use, or None when G is
-    trivial or K[G] is not split."""
-    if not group.factors or (ctx.q - 1) % group.exponent != 0:
+    """The root of unity the character-domain paths use, or None when K[G]
+    is not split.  The trivial group is split, with root 1."""
+    if (ctx.q - 1) % group.exponent != 0:
         return None
     return root_of_unity(ctx, group.exponent)
 

@@ -73,6 +73,15 @@ def test_bench_mul_empty_sizes():
     assert r.stdout.strip() == "group_order,method,median_ns,ops_per_element"
 
 
+@pytest.mark.parametrize("argv", [("--sizes", "4,x"), ("--sizes", "0"),
+                                  ("--reps", 0)],
+                         ids=["bad-size", "zero-size", "zero-reps"])
+def test_bench_mul_bad_input_is_a_parse_error(argv):
+    r = run_cli("--json-errors", "bench-mul", "--p", 13, *argv)
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == "ParseError"
+
+
 def fixture_path(tmp_path):
     path = tmp_path / "fixture.json"
     with warnings.catch_warnings():

@@ -454,17 +454,21 @@ def test_split_kernel_and_inverse_unit_column():
 
 def test_split_kernel_and_inverse_random():
     rng = random.Random(19)
-    done = 0
-    while done < 8:
-        e = kg_rand(Z4, K5, rng, 4, 2)
-        try:
-            c, i_mat = kgmat.split_kernel_and_inverse(e, W5)
-        except RankDeficient:
-            continue
-        done += 1
-        assert kgmat.kg_matmul(kgmat.kg_transpose(c), e) == \
-            kgmat.kg_zero(Z4, K5, 2, 2)
-        assert kgmat.kg_matmul(i_mat, e) == kgmat.kg_identity(Z4, K5, 2)
+    # the trivial group is split too: K[1] = K, one character, omega = 1
+    for group, ctx, omega in ((Z4, K5, W5),
+                              (AbelianGroup([]), ff.field_make(13), 1)):
+        done = 0
+        while done < 8:
+            e = kg_rand(group, ctx, rng, 4, 2)
+            try:
+                c, i_mat = kgmat.split_kernel_and_inverse(e, omega)
+            except RankDeficient:
+                continue
+            done += 1
+            assert kgmat.kg_matmul(kgmat.kg_transpose(c), e) == \
+                kgmat.kg_zero(group, ctx, 2, 2)
+            assert kgmat.kg_matmul(i_mat, e) == \
+                kgmat.kg_identity(group, ctx, 2)
 
 
 def test_split_kernel_and_inverse_errors():
@@ -499,6 +503,7 @@ RANK_CASES = {
     "split-cyclic": (13, 1, [4]),
     "split-multiaxis": (13, 1, [2, 6]),
     "split-extension-f9": (3, 2, [8]),
+    "split-trivial": (13, 1, []),
     "nonsplit-f3-z4": (3, 1, [4]),
     "nonsplit-f3-z8": (3, 1, [8]),
 }
@@ -535,22 +540,6 @@ def test_expanded_rank_matches_dense_rank(case, rows, cols, seed, deficient):
     assert kgmat.expanded_rank(m) == dense
     if spec is not None:
         assert dense == sum(gauss.rank(ctx, mat) for mat in spec)
-
-
-@pytest.mark.parametrize("case", ["split-cyclic", "split-multiaxis",
-                                  "split-extension-f9"])
-def test_kg_involution_carries_the_spectrum(case):
-    p, d, factors = APPLY_CASES[case]
-    ctx, G = ff.field_make(p, d), AbelianGroup(factors)
-    omega = ff.root_of_unity(ctx, G.exponent)
-    rng = random.Random(20)
-    for rows, cols in ((2, 3), (3, 1), (0, 2), (2, 0)):
-        a = kg_rand(G, ctx, rng, rows, cols)
-        kgmat._spectrum(a, omega)
-        carried = kgmat.kg_involution(a)
-        fresh = kgmat.KGMatrix(G, ctx, rows, cols, carried.entries)
-        assert carried == fresh
-        assert carried._spectra[omega] == kgmat._spectrum(fresh, omega)
 
 
 @pytest.mark.parametrize("bad_call", [0, 6], ids=["check", "interp"])
