@@ -27,7 +27,6 @@ from .kgmat import (
     kg_apply,
     kg_from_rows,
     kg_identity,
-    kg_involution,
     kg_matmul,
     kg_transpose,
     kg_zero,

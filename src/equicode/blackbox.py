@@ -10,15 +10,20 @@ Over fields with fewer than 16 elements the drivers re-run the whole
 computation over an extension F_{q^l} with q^l >= 16 (random projections in
 a tiny field fail too often) and project the answer back; one extension
 apply costs l base applies.
+
+Over prime fields the scalar loops run on plain ints with one reduction
+per value, as gauss.rref does; OPS gets the count the ctx calls would make.
 """
 
 from __future__ import annotations
 
 import random
+from operator import mul
 
 from . import gauss
 from .errors import DimMismatch, DivisionByZero, Mismatch
-from .ff import poly_mod, poly_mul, poly_powmod, poly_random_monic_irreducible
+from .ff import (OPS, FieldCtx, poly_mod, poly_mul, poly_powmod,
+                 poly_random_monic_irreducible)
 
 
 class BlackBoxOperator:
@@ -79,6 +84,52 @@ def dense_kernel(ctx, matrix):
     return gauss.kernel_basis(ctx, [list(r) for r in matrix])
 
 
+# ------------------------------------------------------------ scalar loops
+
+
+def _prime(ctx):
+    """p when ctx is a prime field (raw values are ints mod p), else None."""
+    return ctx.p if isinstance(ctx, FieldCtx) and ctx.d == 1 else None
+
+
+def _dot(ctx, u, v, acc=None):
+    """acc + sum u_i v_i (acc defaults to zero)."""
+    p = _prime(ctx)
+    if p is not None:
+        OPS.add(2 * len(u))
+        return ((acc or 0) + sum(map(mul, u, v))) % p
+    if acc is None:
+        acc = ctx.zero
+    for x, y in zip(u, v):
+        acc = ctx.add(acc, ctx.mul(x, y))
+    return acc
+
+
+def _scale(ctx, diag, x):
+    """The entrywise product diag * x."""
+    p = _prime(ctx)
+    if p is not None:
+        OPS.add(len(x))
+        return [d * v % p for d, v in zip(diag, x)]
+    return [ctx.mul(d, v) for d, v in zip(diag, x)]
+
+
+def _sub_scaled(ctx, y, a, x):
+    """y - a x, entrywise."""
+    p = _prime(ctx)
+    if p is not None:
+        OPS.add(2 * len(x))
+        return [(u - a * v) % p for u, v in zip(y, x)]
+    return [ctx.sub(u, ctx.mul(a, v)) for u, v in zip(y, x)]
+
+
+def _combine(ctx, coeffs, vecs):
+    """sum_i coeffs[i] vecs[i]; zero coefficients cost nothing.  The
+    callers' coefficients come from a minimal polynomial, never all zero."""
+    cs, vs = zip(*[(c, v) for c, v in zip(coeffs, vecs) if c != ctx.zero])
+    return [_dot(ctx, cs, col) for col in zip(*vs)]
+
+
 # ------------------------------------------------------- Berlekamp-Massey
 
 
@@ -96,26 +147,21 @@ def berlekamp_massey(ctx, seq):
     m = 1
     bb = ctx.one
     for i, s in enumerate(seq):
-        d = s
-        for j in range(1, length + 1):
-            d = ctx.add(d, ctx.mul(c[j], seq[i - j]))
+        d = _dot(ctx, c[1:length + 1], seq[i - length:i][::-1], s)
         if d == zero:
             m += 1
             continue
         coef = ctx.mul(d, ctx.inv(bb))
         if len(c) < len(b) + m:
             c = c + [zero] * (len(b) + m - len(c))
-        if 2 * length <= i:
-            prev = list(c)
-            for j, bj in enumerate(b):
-                c[j + m] = ctx.sub(c[j + m], ctx.mul(coef, bj))
+        prev = list(c) if 2 * length <= i else None
+        c[m:m + len(b)] = _sub_scaled(ctx, c[m:m + len(b)], coef, b)
+        if prev is not None:
             length = i + 1 - length
             b = prev
             bb = d
             m = 1
         else:
-            for j, bj in enumerate(b):
-                c[j + m] = ctx.sub(c[j + m], ctx.mul(coef, bj))
             m += 1
     c = (c + [zero] * (length + 1))[:length + 1]
     return list(reversed(c))
@@ -201,13 +247,6 @@ def _componentwise(work, fn):
 # ----------------------------------------------------- Wiedemann drivers
 
 
-def _dot(ctx, u, v):
-    acc = ctx.zero
-    for x, y in zip(u, v):
-        acc = ctx.add(acc, ctx.mul(x, y))
-    return acc
-
-
 def _solve_attempt(ctx, apply_fn, n, b, rng):
     """One Las Vegas round for (A.D) x' = b; returns D x' or None.
 
@@ -221,20 +260,16 @@ def _solve_attempt(ctx, apply_fn, n, b, rng):
     seq = [_dot(ctx, u, b)]
     for _ in range(2 * n - 1):
         prev = krylov[-1]
-        nxt = apply_fn([ctx.mul(d, x) for d, x in zip(diag, prev)])
+        nxt = apply_fn(_scale(ctx, diag, prev))
         krylov.append(nxt)
         seq.append(_dot(ctx, u, nxt))
     mp = berlekamp_massey(ctx, seq)
     if len(mp) == 1 or mp[0] == ctx.zero:
         return None
     scale = ctx.inv(ctx.neg(mp[0]))
-    y = [ctx.zero] * n
-    for i in range(1, len(mp)):
-        if mp[i] == ctx.zero:
-            continue
-        coeff = ctx.mul(scale, mp[i])
-        y = [ctx.add(a, ctx.mul(coeff, v)) for a, v in zip(y, krylov[i - 1])]
-    return [ctx.mul(d, v) for d, v in zip(diag, y)]
+    coeffs = [c if c == ctx.zero else ctx.mul(scale, c) for c in mp[1:]]
+    y = _combine(ctx, coeffs, krylov)
+    return _scale(ctx, diag, y)
 
 
 def _kernel_attempt(ctx, apply_fn, n, rng):
@@ -264,11 +299,7 @@ def _kernel_attempt(ctx, apply_fn, n, rng):
         s += 1
     if s == 0 or s >= len(mp):
         return None
-    w = [ctx.zero] * n
-    for i, gi in enumerate(mp[s:]):
-        if gi == ctx.zero:
-            continue
-        w = [ctx.add(a, ctx.mul(gi, x)) for a, x in zip(w, krylov[i])]
+    w = _combine(ctx, mp[s:], krylov)
     if all(x == ctx.zero for x in w):
         return None
     for _ in range(s):
@@ -347,18 +378,17 @@ def wiedemann_kernel_sample(a: BlackBoxOperator, seed=0, max_attempts=40):
             diag = [work.rand_nonzero(rng) for _ in range(n)]
 
             def bb(x, _d=diag):
-                return fwd([work.mul(di, xi) for di, xi in zip(_d, x)])
+                return fwd(_scale(work, _d, x))
         else:
             d1 = [work.rand_nonzero(rng) for _ in range(a.rows)]
 
             def bb(x, _d=d1):
-                y = fwd(x)
-                return bwd([work.mul(di, yi) for di, yi in zip(_d, y)])
+                return bwd(_scale(work, _d, fwd(x)))
         w = _kernel_attempt(work, bb, n, rng)
         if w is None:
             continue
         if square:
-            cand = [work.mul(di, wi) for di, wi in zip(diag, w)]
+            cand = _scale(work, diag, w)
         else:
             cand = w
             if fwd(cand) != wzero:

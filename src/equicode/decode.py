@@ -10,10 +10,12 @@ with few errors, every denominator vanishes on the error support, so its
 zero set locates the errors and a small dense solve recovers them.
 
 The denominator condition "a0 * r lands in the product space" is one
-K-linear system whose matrix is never formed: it is applied factor by
-factor (evaluate a0, multiply pointwise by r, apply the extended check)
-and handed to the randomized black-box kernel sampler.  Everything
-downstream of the sampler is verified, so a wrong kernel draw costs a
+K-linear system A whose matrix is never formed: it is applied factor by
+factor (evaluate a0, multiply pointwise by r, apply the extended check).
+A has more rows than columns, so a random K[G] matrix R folds the checks
+to the square B = R A, which the randomized black-box kernel sampler
+runs with one apply per step.  ker A lies in ker B, and every candidate
+is checked against A itself, so an unlucky R or kernel draw costs a
 retry, never a wrong answer; decode failures are reported as DecodeFail
 after the retry budget, not as silent miscorrections.
 """
@@ -49,14 +51,14 @@ from .errors import (
     RankDeficient,
 )
 from .ff import OPS, root_of_unity
-from .galg import (GroupAlgebraElement, ft_group, ga_mul_naive, ga_sigma,
-                   ga_sub)
+from .galg import (GroupAlgebraElement, ft_group, ga_mul_naive, ga_rand,
+                   ga_sigma, ga_sub)
 from .kgmat import (
     KGMatrix,
     expanded_rank,
     kg_apply,
     kg_from_spectrum,
-    kg_involution,
+    kg_matmul,
     kg_transpose,
     split_kernel_and_inverse,
 )
@@ -159,50 +161,59 @@ def denominator_check(dd: DecoderData, r, x) -> bool:
     return all(s.is_zero() for s in kg_apply(kg_transpose(dd.c1), u))
 
 
-def _denominator_operator(dd: DecoderData, r) -> BlackBoxOperator:
-    """The denominator condition as a matrix-free K-linear operator.
-
-    Expanded over K the condition reads  expand(C1^t) . R . expand(E0)
-    with R the diagonal of r; the transpose swaps the outer factors
-    through the involution (expand(M)^t = expand(iota(M^t)))."""
+def _fold_matrix(dd: DecoderData, rng) -> KGMatrix:
+    """A random k0 x (n-k1) K[G] matrix: the fold of the extended checks."""
     G, ctx = dd.code.group, dd.code.field
-    o = G.order
-    k0, checks = dd.e0.cols, dd.c1.cols
-    c1t = kg_transpose(dd.c1)
-    e0_t_inv = kg_involution(kg_transpose(dd.e0))
-    c1_inv = kg_involution(dd.c1)
+    rows, cols = dd.e0.cols, dd.c1.cols
+    return KGMatrix(G, ctx, rows, cols,
+                    tuple(ga_rand(G, ctx, rng) for _ in range(rows * cols)))
+
+
+def _denominator_operator(dd: DecoderData, r, rng) -> BlackBoxOperator:
+    """The folded denominator condition as a square matrix-free operator.
+
+    The condition itself, A = expand(C1^t) . diag(r) . expand(E0), is
+    (n-k1)o x k0 o.  A random k0 x (n-k1) K[G] matrix R drawn from rng
+    folds it to the square B = expand(R C1^t) . diag(r) . expand(E0),
+    which the kernel sampler runs with one apply per Krylov step.
+    ker A lies in ker B, and a draw from ker B that is not in ker A fails
+    denominator_check, so an unlucky R costs a retry, never a wrong
+    answer."""
+    G, ctx = dd.code.group, dd.code.field
+    k0 = dd.e0.cols
+    rc = kg_matmul(_fold_matrix(dd, rng), kg_transpose(dd.c1))
 
     def apply_fn(xs):
         v = kg_apply(dd.e0, _blocks(G, ctx, xs, k0))
         u = [_pointwise(vi, ri) for vi, ri in zip(v, r)]
-        return _flatten(kg_apply(c1t, u))
+        return _flatten(kg_apply(rc, u))
 
-    def apply_t_fn(ys):
-        w = kg_apply(c1_inv, _blocks(G, ctx, ys, checks))
-        u = [_pointwise(ri, wi) for ri, wi in zip(r, w)]
-        return _flatten(kg_apply(e0_t_inv, u))
-
-    return BlackBoxOperator(ctx, checks * o, k0 * o, apply_fn, apply_t_fn)
+    return BlackBoxOperator(ctx, k0 * G.order, k0 * G.order, apply_fn)
 
 
 def find_denominator(dd: DecoderData, r, seed=0, max_attempts=40):
     """Sample a verified denominator of r, or None.
 
-    None means the kernel sampler came up empty within the budget: either
-    no denominator exists (too many errors) or the draws were unlucky.
-    Any non-None return passes denominator_check.
+    Each attempt folds the checks with a fresh R (from its own stream, not
+    the sampler's) and takes one kernel sample of the square operator.
+    None means every attempt came up empty: either no denominator exists
+    (too many errors) or the draws were unlucky.  Any non-None return
+    passes denominator_check.
     """
     if len(r) != dd.code.n:
         raise DimMismatch("received word has length %d, expected %d"
                           % (len(r), dd.code.n))
-    op = _denominator_operator(dd, r)
-    raw = wiedemann_kernel_sample(op, seed=seed, max_attempts=max_attempts)
-    if raw is None:
-        return None
-    x = _blocks(dd.code.group, dd.code.field, raw, dd.e0.cols)
-    if not denominator_check(dd, r, x):
-        return None
-    return x
+    for attempt in range(max_attempts):
+        op = _denominator_operator(
+            dd, r, random.Random("fold/%d/%d" % (seed, attempt)))
+        raw = wiedemann_kernel_sample(op, seed=seed * max_attempts + attempt,
+                                      max_attempts=1)
+        if raw is None:
+            continue
+        x = _blocks(dd.code.group, dd.code.field, raw, dd.e0.cols)
+        if denominator_check(dd, r, x):
+            return x
+    return None
 
 
 def pade_numerator(dd: DecoderData, r, x) -> PadeApproximant:

@@ -55,7 +55,6 @@ from .galg import (
     _unpack,
     ft_group,
     ft_inverse,
-    ga_involution,
     ga_mul_fast,
     ga_one,
     ga_sub,
@@ -128,12 +127,6 @@ def kg_transpose(m: KGMatrix) -> KGMatrix:
         t._spectra[omega] = [list(zip(*mat)) or [()] * m.cols
                               for mat in spec]
     return t
-
-
-def kg_involution(m: KGMatrix) -> KGMatrix:
-    """Entrywise involution, same shape."""
-    return KGMatrix(m.group, m.field, m.rows, m.cols,
-                    tuple(ga_involution(a) for a in m.entries))
 
 
 def kg_matmul(a: KGMatrix, b: KGMatrix) -> KGMatrix:

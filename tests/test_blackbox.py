@@ -95,6 +95,38 @@ def test_berlekamp_massey_annihilates():
                 assert acc == ctx.zero
 
 
+def test_prime_field_op_counts_pinned():
+    # Over a prime field the scalar loops run on plain ints and add their
+    # ops to OPS in bulk; the totals are pinned to the per-call counts
+    k = ff.field_make(12289)
+    rng = random.Random(12289)
+    seq = [k.rand(rng) for _ in range(40)]
+    with ff.count_field_ops() as ops:
+        mp = blackbox.berlekamp_massey(k, seq)
+    assert (ops.count, len(mp)) == (2482, 21)
+    n = 12
+    while True:
+        top = rand_matrix(k, rng, n - 1, n)
+        if gauss.rank(k, top) == n - 1:
+            break
+    w = [k.rand(rng) for _ in range(n - 1)]
+    last = [sum(wi * row[j] for wi, row in zip(w, top)) % k.p
+            for j in range(n)]
+    a = top + [last]
+    op = blackbox.operator_from_matrix(k, a)
+    with ff.count_field_ops() as ops:
+        x = blackbox.wiedemann_kernel_sample(op, seed=5)
+    assert (ops.count, op.calls) == (9278, 25)
+    assert any(x) and gauss.matvec(k, a, x) == [0] * n
+    b = [k.rand(rng) for _ in range(n)]
+    a = rand_matrix(k, rng, n, n)
+    op = blackbox.operator_from_matrix(k, a)
+    with ff.count_field_ops() as ops:
+        x = blackbox.wiedemann_solve(op, b, seed=5)
+    assert (ops.count, op.calls) == (8992, 24)
+    assert gauss.matvec(k, a, x) == b
+
+
 def test_wiedemann_solve_identity_and_zero():
     op = blackbox.operator_from_matrix(K257, gauss.identity(K257, 5))
     b = [3, 1, 4, 1, 5]

@@ -4,6 +4,7 @@ import time
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equicode import code as code_module, decode as decode_module, galg, gauss
 from equicode.code import (
@@ -18,6 +19,7 @@ from equicode.decode import (
     DecodeResult,
     _denominator_operator,
     _error_system,
+    _fold_matrix,
     basic_decode,
     basic_radius,
     denominator_check,
@@ -49,7 +51,8 @@ from equicode.galg import (
     ga_rand,
     ga_zero,
 )
-from equicode.kgmat import KGMatrix, expand, kg_transpose
+from equicode.kgmat import (KGMatrix, expand, kg_matmul, kg_transpose,
+                            kg_zero)
 
 K13 = field_make(13)
 
@@ -190,17 +193,121 @@ def test_denominator_operator_matches_dense_expansion():
     rng = random.Random(5)
     r, _ = corrupt(code, encode(code, rand_message(code, rng)), 2, rng)
     rvec = [c for a in r for c in a.coeffs]
-    c1t = [list(row) for row in expand(kg_transpose(dd.c1)).matrix]
+    fold = _fold_matrix(dd, random.Random(55))
+    folded = expand(kg_matmul(fold, kg_transpose(dd.c1))).matrix
     e0x = [list(row) for row in expand(dd.e0).matrix]
     scaled = [[ctx.mul(rvec[i], v) for v in row] for i, row in enumerate(e0x)]
-    dense = gauss.matmul(ctx, c1t, scaled)
-    op = _denominator_operator(dd, r)
-    assert (op.rows, op.cols) == (len(dense), len(dense[0]))
+    dense = gauss.matmul(ctx, [list(row) for row in folded], scaled)
+    op = _denominator_operator(dd, r, random.Random(55))
+    assert op.rows == op.cols == dd.e0.cols * o == len(dense)
+    assert not op.has_transpose
     for _ in range(10):
         v = [ctx.rand(rng) for _ in range(op.cols)]
         assert op.apply(v) == gauss.matvec(ctx, dense, v)
-        w = [ctx.rand(rng) for _ in range(op.rows)]
-        assert op.apply_t(w) == gauss.matvec(ctx, gauss.transpose(dense), w)
+
+
+def _zero_fold(dd, rng):
+    return kg_zero(dd.code.group, dd.code.field, dd.e0.cols, dd.c1.cols)
+
+
+def _radius_word(code, dd, rng):
+    """A corrupted codeword with exactly dd.radius expanded errors."""
+    return corrupt(code, encode(code, rand_message(code, rng)), dd.radius,
+                   rng)[0]
+
+
+def test_zero_fold_costs_retries_not_a_wrong_answer(monkeypatch):
+    # R = 0 makes B = 0: every vector is in ker B, and the sampler's
+    # draws are random vectors that denominator_check turns away
+    code = cyclic_cover_code(257, 1, 16, 8, 2)
+    dd = make_cyclic_decoder_data(code, 2)
+    r = _radius_word(code, dd, random.Random(12))
+    assert find_denominator(dd, r, seed=3) is not None
+    monkeypatch.setattr(decode_module, "_fold_matrix", _zero_fold)
+    assert find_denominator(dd, r, seed=3, max_attempts=8) is None
+
+
+def test_zero_fold_first_then_random_recovers(monkeypatch):
+    real = decode_module._fold_matrix
+    folds = []
+
+    def first_zero(dd, rng):
+        folds.append(_zero_fold(dd, rng) if not folds else real(dd, rng))
+        return folds[-1]
+
+    for code, dd in (rs_pair(), cyclic_pair()):
+        r = _radius_word(code, dd, random.Random(13))
+        folds.clear()
+        monkeypatch.setattr(decode_module, "_fold_matrix", first_zero)
+        x = find_denominator(dd, r, seed=4)
+        monkeypatch.undo()
+        assert x is not None and denominator_check(dd, r, x)
+        assert len(folds) >= 2
+        assert all(e.is_zero() for e in folds[0].entries)
+
+
+def _small_field_pairs():
+    rs9 = rs_degenerate_code(3, 8, 3, 2)
+    rs5 = rs_degenerate_code(5, 4, 1)
+    cyc = cyclic_cover_code(13, 1, 4, 3, 1)
+    cyc7 = cyclic_cover_code(7, 1, 2, 3, 1)
+    cyc13 = cyclic_cover_code(13, 1, 3, 4, 1)
+    return [rs_pair(), (rs9, make_rs_decoder_data(rs9)),
+            (rs5, make_rs_decoder_data(rs5)),
+            (cyc, make_cyclic_decoder_data(cyc, 1)),
+            (cyc7, make_cyclic_decoder_data(cyc7, 1)),
+            (cyc13, make_cyclic_decoder_data(cyc13, 1))]
+
+
+SMALL_FIELD_PAIRS = _small_field_pairs()
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, len(SMALL_FIELD_PAIRS) - 1),
+       word_seed=st.integers(0, 2 ** 16), seed=st.integers(0, 2 ** 16),
+       weight=st.integers(0, 3))
+def test_find_denominator_results_are_verified(which, word_seed, seed,
+                                                weight):
+    code, dd = SMALL_FIELD_PAIRS[which]
+    rng = random.Random(word_seed)
+    r, _ = corrupt(code, encode(code, rand_message(code, rng)),
+                   min(weight, dd.radius), rng)
+    ops = []
+    real = decode_module._denominator_operator
+
+    def recording(*args):
+        ops.append(real(*args))
+        return ops[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decode_module, "_denominator_operator", recording)
+        x = find_denominator(dd, r, seed=seed, max_attempts=4)
+    if x is None:
+        return
+    assert denominator_check(dd, r, x)
+    flat = [c for a in x for c in a.coeffs]
+    assert ops[-1].apply(flat) == [code.field.zero] * ops[-1].rows
+
+
+def test_kernel_sample_applies_once_per_krylov_step(monkeypatch):
+    # N = 256 at the radius: the square operator has side k0 * o = 64, so
+    # one sample costs 2 * 64 - 1 Krylov applies, one to walk the kernel
+    # vector out and one verify (the rectangular A^t D A took 258)
+    code = cyclic_cover_code(12289, 1, 32, 8, 2)
+    dd = make_cyclic_decoder_data(code, 2)
+    r = _radius_word(code, dd, random.Random(1))
+    calls = []
+    real = decode_module.wiedemann_kernel_sample
+
+    def counted(op, **kwargs):
+        res = real(op, **kwargs)
+        calls.append(op.calls)
+        return res
+
+    monkeypatch.setattr(decode_module, "wiedemann_kernel_sample", counted)
+    x = find_denominator(dd, r, seed=1, max_attempts=4)
+    assert x is not None
+    assert calls == [129]
 
 
 def test_find_denominator_matches_classical_locator():
