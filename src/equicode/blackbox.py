@@ -12,7 +12,7 @@ a tiny field fail too often) and project the answer back; one extension
 apply costs l base applies.
 
 Over prime fields the scalar loops run on plain ints with one reduction
-per value, as gauss.rref does; OPS gets the count the ctx calls would make.
+per value; OPS gets the count the ctx calls would make.
 """
 
 from __future__ import annotations

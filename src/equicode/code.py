@@ -139,6 +139,11 @@ def validate(code: EquivariantCode):
         raise InvariantViolation("checking identity C^t E = 0 fails")
     if not kg_product_is_scalar(code.interp, code.evaluation, ctx.one):
         raise InvariantViolation("interpolation identity I E = 1 fails")
+    return _window_warnings(code)
+
+
+def _window_warnings(code: EquivariantCode):
+    """The warn-only part of `validate`; returns the warnings issued."""
     issued = []
     g_x = code.meta.get("g_x")
     deg_d = code.meta.get("deg_d")
@@ -148,7 +153,7 @@ def validate(code: EquivariantCode):
             msg = ("divisor degree %d outside the window [%d, %d]; "
                    "identities hold but interpolation-theoretic guarantees "
                    "need checking by hand" % (deg_d, 2 * g_x - 1, deg_p - 1))
-            warnings.warn(DegreeWindowWarning(msg), stacklevel=2)
+            warnings.warn(DegreeWindowWarning(msg), stacklevel=3)
             issued.append(msg)
     return issued
 
@@ -195,14 +200,14 @@ def _first_nonzero_points(ctx, n):
                         % (len(pts), n))
 
 
-def _scalar_code(ctx, group, vand, n, k, meta):
-    """Package an n x k K-evaluation matrix over the trivial group, whose
-    one character is the identity: C and I come from the split solver."""
-    ev = kg_from_rows([[GroupAlgebraElement(group, ctx, (v,)) for v in row]
-                       for row in vand])
-    chk, interp = split_kernel_and_inverse(ev, ctx.one)
+def _split_code(ctx, group, omega, n, k, ev, meta):
+    """The code with evaluation matrix ev whose C and I come from the split
+    solver.  It certifies on the stored entries what `validate` would (E's
+    rank through its kernel, C's rank, C^t E = 0 and I E = 1), so only the
+    degree-window warnings are left to issue."""
+    chk, interp = split_kernel_and_inverse(ev, omega)
     code = EquivariantCode(ctx, group, n, k, ev, chk, interp, meta)
-    validate(code)
+    _window_warnings(code)
     return code
 
 
@@ -224,7 +229,10 @@ def rs_degenerate_code(p, n, deg_e, d=1) -> EquivariantCode:
     k = deg_e + 1
     vand = [[ctx.pow_(x, j) for j in range(k)] for x in pts]
     meta = {"g_x": 0, "g_y": 0, "deg_d": deg_e, "deg_e": deg_e, "deg_p": n}
-    return _scalar_code(ctx, AbelianGroup([]), vand, n, k, meta)
+    G = AbelianGroup([])  # its one character is the identity
+    ev = kg_from_rows([[GroupAlgebraElement(G, ctx, (v,)) for v in row]
+                       for row in vand])
+    return _split_code(ctx, G, ctx.one, n, k, ev, meta)
 
 
 def synth_split_code(p, d, group: AbelianGroup, n, k, seed=0) \
@@ -256,12 +264,9 @@ def synth_split_code(p, d, group: AbelianGroup, n, k, seed=0) \
                 raise RankDeficient("no full-rank character table found")
         tables.append(m)
     ev = kg_from_spectrum(group, ctx, omega, tables, n, k)
-    chk, interp = split_kernel_and_inverse(ev, omega)
-    code = EquivariantCode(ctx, group, n, k, ev, chk, interp,
-                           {"g_x": 0, "g_y": None, "deg_d": None,
-                            "deg_e": None, "deg_p": None})
-    validate(code)
-    return code
+    return _split_code(ctx, group, omega, n, k, ev,
+                       {"g_x": 0, "g_y": None, "deg_d": None,
+                        "deg_e": None, "deg_p": None})
 
 
 def cyclic_orbit_evaluation(ctx, G: AbelianGroup, zeta, ys, rank):
@@ -317,9 +322,6 @@ def cyclic_cover_code(p, d, order, n, k) -> EquivariantCode:
     gen = ctx.generator()
     ys = [ctx.pow_(gen, i) for i in range(n)]
     ev = KGMatrix(G, ctx, n, k, cyclic_orbit_evaluation(ctx, G, zeta, ys, k))
-    chk, interp = split_kernel_and_inverse(ev, zeta)
-    code = EquivariantCode(ctx, G, n, k, ev, chk, interp,
-                           {"g_x": 0, "g_y": 0, "deg_d": None,
-                            "deg_e": k * o - 1, "deg_p": n})
-    validate(code)
-    return code
+    return _split_code(ctx, G, zeta, n, k, ev,
+                       {"g_x": 0, "g_y": 0, "deg_d": None,
+                        "deg_e": k * o - 1, "deg_p": n})

@@ -249,8 +249,7 @@ def _error_system(code: EquivariantCode, zeros):
     syndrome, built without expanding the rest of C^t.
     """
     G = code.group
-    shift = {s: [G.compose(g, G.inverse_index(s)) for g in range(G.order)]
-             for s in {s for _, s in zeros}}
+    shift = {s: G.quotients(s) for s in {s for _, s in zeros}}
     sub = []
     for j in range(code.check.cols):
         blocks = [(code.check.entry(i, j).coeffs, shift[s]) for i, s in zeros]

@@ -95,6 +95,16 @@ class AbelianGroup:
         return self.index_of(tuple((x + y) % o
                                    for x, y, o in zip(a, b, self.factors)))
 
+    def quotients(self, s):
+        """[index of g s^{-1} for g in range(order)], by mixed-radix index
+        arithmetic: along each axis, coordinate x goes to (x - s_axis) mod o."""
+        table = [0]
+        stride = 1
+        for o, c in zip(self.factors, self.coords_of(s)):
+            table = [t + (x - c) % o * stride for x in range(o) for t in table]
+            stride *= o
+        return table
+
 
 @dataclass(frozen=True)
 class GroupAlgebraElement:

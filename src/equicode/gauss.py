@@ -1,14 +1,19 @@
 """Dense exact linear algebra over a FieldCtx.
 
-Matrices are lists of rows of raw field values.  Everything is plain
-Gaussian elimination; inputs stay desk-scale, so no pivoting strategy beyond
-"first nonzero" is needed (arithmetic is exact).
+Matrices are lists of rows of raw field values.  `rref` is Gauss-Jordan
+elimination with the first nonzero entry as pivot, which is all exact
+arithmetic needs.  Over prime fields it runs on packed columns: a column is
+one int with a fixed-width slot per row, a pivot costs one big-int
+multiply-add per later column it touches, and slots are reduced mod p only
+when read (delayed reduction, as in FFLAS-FFPACK).  Extension fields run the
+same elimination through the FieldCtx calls.
 """
 
 from __future__ import annotations
 
 from .errors import DimMismatch, Inconsistent
 from .ff import OPS
+from .galg import _from_int, _to_int
 
 
 def identity(ctx, n):
@@ -59,10 +64,11 @@ def _dot(ctx, u, v):
 
 def rref(ctx, m):
     """Reduced row echelon form; returns (new matrix, pivot column list)."""
+    if ctx.d == 1:
+        return _rref_packed(ctx, m)
     m = [list(row) for row in m]
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    prime, p = ctx.d == 1, ctx.p
     pivots = []
     r = 0
     for c in range(cols):
@@ -75,27 +81,73 @@ def rref(ctx, m):
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = ctx.inv(m[r][c])
-        if prime:
-            # plain ints, one reduction per cell; OPS gets the count the
-            # ctx calls below would make (cols, then 2 cols per row)
-            m[r] = [inv * x % p for x in m[r]]
-            OPS.add(cols)
-        else:
-            m[r] = [ctx.mul(inv, x) for x in m[r]]
+        m[r] = [ctx.mul(inv, x) for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c] != ctx.zero:
                 f = m[i][c]
-                if prime:
-                    m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-                    OPS.add(2 * cols)
-                else:
-                    m[i] = [ctx.sub(x, ctx.mul(f, y))
-                            for x, y in zip(m[i], m[r])]
+                m[i] = [ctx.sub(x, ctx.mul(f, y))
+                        for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == rows:
             break
     return m, pivots
+
+
+def _rref_packed(ctx, m):
+    """`rref` over F_p on one int per column, row i in slot i.
+
+    Rows are never moved: `order` maps echelon positions to slots.  A
+    pivot on slot t turns column c into the unit at t, and every later
+    column with x = (its slot t) != 0 gets one big-int update
+    col += (-inv x) F, where F is column c with slot t set to piv - 1
+    (so slot t becomes inv x and slot i loses inv x c_i).  The factor is
+    taken in [1, p - 1], so slots only grow: each column gets at most one
+    update of at most (p - 1)^2 per slot per pivot, which the slot width
+    holds, and slots are reduced mod p only when read.  OPS gets the
+    count the ctx calls of the extension-field loop would make.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    if not cols:
+        return [list(row) for row in m], []
+    p = ctx.p
+    bound = (p - 1) + min(rows, cols) * (p - 1) ** 2
+    width = max(8, -(-bound.bit_length() // 8))  # 8: the 64-bit array path
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    packed = [_to_int(col, width) for col in zip(*m)]
+    order = list(range(rows))
+    out = []
+    pivots = []
+    r = 0
+    for c in range(cols):
+        vals = [v % p for v in _from_int(packed[c], rows, width)]
+        out.append(vals)
+        if r == rows:
+            continue
+        for pos in range(r, rows):
+            if vals[order[pos]]:
+                break
+        else:
+            continue
+        order[r], order[pos] = order[pos], order[r]
+        t = order[r]
+        inv = pow(vals[t], -1, p)
+        OPS.add(1 + cols + 2 * cols * (rows - vals.count(0) - 1))
+        vals[t] -= 1
+        f = _to_int(vals, width)
+        shift = t * bits
+        for j in range(c + 1, cols):
+            x = (packed[j] >> shift & mask) % p
+            if x:
+                packed[j] += (p - inv * x % p) * f
+        out[c] = [0] * rows
+        out[c][t] = 1
+        pivots.append(c)
+        r += 1
+    by_slot = list(zip(*out))
+    return [list(by_slot[t]) for t in order], pivots
 
 
 def rank(ctx, m):
@@ -109,36 +161,42 @@ def solve(ctx, a, b):
 
 def solve_matrix(ctx, a, b):
     """Solve a·X = B column by column; raises Inconsistent if any fails."""
-    if len(a) != len(b):
-        raise DimMismatch("a has %d rows, b has %d" % (len(a), len(b)))
-    cols = len(a[0]) if a else 0
-    width = len(b[0]) if b else 0
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    red, pivots = rref(ctx, aug)
-    for c in pivots:
-        if c >= cols:
-            raise Inconsistent("right-hand side outside the column span")
-    x = zeros(ctx, cols, width)
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols:]
+    x = kernel_and_solution(ctx, a, b)[1]
+    if x is None:
+        raise Inconsistent("right-hand side outside the column span")
     return x
 
 
 def kernel_basis(ctx, m):
     """Basis of the right kernel of m, one vector per free column."""
-    cols = len(m[0]) if m else 0
-    red, pivots = rref(ctx, m)
-    pivot_set = set(pivots)
+    return kernel_and_solution(ctx, m, [[] for _ in m])[0]
+
+
+def kernel_and_solution(ctx, a, b):
+    """(kernel_basis(a), one solution X of a·X = B or None if there is
+    none), from one elimination of [a | B], whose left block is rref(a)."""
+    if len(a) != len(b):
+        raise DimMismatch("a has %d rows, b has %d" % (len(a), len(b)))
+    cols = len(a[0]) if a else 0
+    width = len(b[0]) if b else 0
+    red, pivots = rref(ctx, [list(ra) + list(rb) for ra, rb in zip(a, b)])
+    left = [c for c in pivots if c < cols]
+    pivot_set = set(left)
     basis = []
     for free in range(cols):
         if free in pivot_set:
             continue
         v = [ctx.zero] * cols
         v[free] = ctx.one
-        for r, c in enumerate(pivots):
+        for r, c in enumerate(left):
             v[c] = ctx.neg(red[r][free])
         basis.append(v)
-    return basis
+    if len(left) < len(pivots):
+        return basis, None
+    x = zeros(ctx, cols, width)
+    for r, c in enumerate(pivots):
+        x[c] = red[r][cols:]
+    return basis, x
 
 
 def inverse(ctx, m):

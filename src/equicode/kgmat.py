@@ -515,8 +515,9 @@ def split_kernel_and_inverse(e: KGMatrix, omega):
     """Kernel-checking and left-inverse matrices through the characters.
 
     In the split case the Fourier transform turns K[G] into K^order
-    pointwise, so C and I come from one plain K-linear problem per
-    character.  Returns (C, I) with C^t . e = 0 and I . e = identity.
+    pointwise, so C and I come from one elimination of [e_chi^t | I] per
+    character.  Returns (C, I) with C of full rank, C^t . e = 0 and
+    I . e = identity, each checked on the stored entries of C and I.
     """
     n, k = e.rows, e.cols
     G = e.group
@@ -530,21 +531,22 @@ def split_kernel_and_inverse(e: KGMatrix, omega):
     c_spec, i_spec = [], []
     ident = gauss.identity(ctx, k)
     for chi, e_chi in enumerate(_spectrum(e, omega)):
-        e_chi_t = gauss.transpose(e_chi)
-        kern = gauss.kernel_basis(ctx, e_chi_t)
+        kern, y = gauss.kernel_and_solution(ctx, gauss.transpose(e_chi),
+                                            ident)
         if len(kern) != n - k:
             raise RankDeficient(
                 "character %d: rank %d, expected %d"
                 % (chi, n - len(kern), k))
         c_spec.append([tuple(v[i] for v in kern) for i in range(n)])
-        try:
-            y = gauss.solve_matrix(ctx, e_chi_t, ident)
-        except Inconsistent:
+        if y is None:
             raise RankDeficient("character %d: no left inverse" % chi)
         i_spec.append([tuple(row[i] for row in y) for i in range(k)])
     c = kg_from_spectrum(G, ctx, omega, c_spec, n, n - k)
     i_mat = kg_from_spectrum(G, ctx, omega, i_spec, k, n)
-    _spectrum(c, omega)  # on c itself, so that c and its transpose share it
+    # the rank first: it keeps c's Fourier image on c, where its transpose
+    # finds it; a C short of full rank has ker C^t larger than the image of e
+    if expanded_rank(c) != (n - k) * G.order:
+        raise InvariantViolation("kernel matrix does not have full rank")
     if not kg_product_is_scalar(kg_transpose(c), e, ctx.zero):
         raise InvariantViolation("kernel matrix fails C^t E = 0")
     if not kg_product_is_scalar(i_mat, e, ctx.one):

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from equicode import code as code_module, kgmat
 from equicode.code import (
     EquivariantCode,
     cyclic_cover_code,
@@ -310,6 +311,26 @@ def test_cyclic_cover_metadata_and_validity():
     assert code.meta["deg_e"] == 15
     assert code.meta["g_x"] == 0 and code.meta["g_y"] == 0
     assert validate(code) == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rs_degenerate_code(13, 12, 5),
+    lambda: cyclic_cover_code(12289, 1, 32, 8, 2),
+], ids=["rs", "cyclic-cover"])
+def test_split_codes_are_certified_once(monkeypatch, build):
+    """The split solver checks C^t E = 0 and I E = 1 on the stored entries;
+    the constructor does not repeat them through validate."""
+    real = kgmat.kg_product_is_scalar
+    calls = []
+
+    def counting(a, b, c):
+        calls.append(c)
+        return real(a, b, c)
+
+    monkeypatch.setattr(kgmat, "kg_product_is_scalar", counting)
+    monkeypatch.setattr(code_module, "kg_product_is_scalar", counting)
+    code = build()
+    assert calls == [code.field.zero, code.field.one]
 
 
 def test_cyclic_cover_rejections():

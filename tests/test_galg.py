@@ -75,6 +75,14 @@ def test_group_basic():
     assert G.compose(G.index_of((1, 3)), G.index_of((1, 4))) == G.index_of((0, 1))
 
 
+@pytest.mark.parametrize("factors", [[], [5], [2, 6], [2, 2, 4]])
+def test_group_quotients(factors):
+    G = AbelianGroup(factors)
+    for s in range(G.order):
+        assert G.quotients(s) == [G.compose(g, G.inverse_index(s))
+                                  for g in range(G.order)]
+
+
 def test_trivial_group():
     G = AbelianGroup([])
     assert G.order == 1

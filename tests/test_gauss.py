@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equicode import ff, gauss
 from equicode.errors import DimMismatch, Inconsistent
@@ -112,3 +113,88 @@ def test_rref_field_op_count(case):
     with ff.count_field_ops() as ops:
         _, pivots = gauss.rref(ctx, m)
     assert (ops.count, len(pivots)) == RREF_COUNTS[case]
+
+
+def rref_reference(ctx, m):
+    """The per-cell elimination over F_p that gauss.rref replaced: one
+    reduction per cell, OPS counted as the ctx calls would count it."""
+    m = [list(row) for row in m]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    p = ctx.p
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(r, rows):
+            if m[i][c] != ctx.zero:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = ctx.inv(m[r][c])
+        m[r] = [inv * x % p for x in m[r]]
+        ff.OPS.add(cols)
+        for i in range(rows):
+            if i != r and m[i][c] != ctx.zero:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+                ff.OPS.add(2 * cols)
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def assert_rref_matches_reference(ctx, m):
+    with ff.count_field_ops() as ops:
+        got = gauss.rref(ctx, m)
+    with ff.count_field_ops() as ref_ops:
+        want = rref_reference(ctx, m)
+    assert got == want
+    assert ops.count == ref_ops.count
+
+
+RREF_PRIMES = (2, 3, 13, 12289, 2 ** 31 - 1, 2 ** 61 - 1)
+
+
+@st.composite
+def prime_matrices(draw):
+    """Shapes from 0 x k and k x 0 to tall and wide; entries drawn from a
+    pool so that zeros, p - 1 and repeated rows (rank deficiency) occur."""
+    p = draw(st.sampled_from(RREF_PRIMES))
+    rows = draw(st.integers(0, 9))
+    cols = draw(st.integers(0, 9)) if rows else 0
+    value = st.one_of(st.sampled_from((0, 1, p - 1)),
+                      st.integers(0, p - 1))
+    m = [[draw(value) for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        if draw(st.booleans()) and draw(st.booleans()):
+            j = draw(st.integers(0, i - 1))
+            f = draw(st.integers(0, p - 1))
+            m[i] = [f * x % p for x in m[j]]
+    return ff.field_make(p), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(prime_matrices())
+def test_rref_matches_per_cell_reference(case):
+    ctx, m = case
+    assert_rref_matches_reference(ctx, m)
+
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
+@pytest.mark.parametrize("rows, cols", [(2, 2), (2, 5), (5, 2), (6, 6)])
+def test_rref_slots_near_their_bound(p, rows, cols):
+    """All entries p - 1 leave (p - 1) + (p - 1)^2, the most one update can
+    add to a fresh slot; p - 1 off the diagonal carries a slot through
+    several pivots (to 0.44 of the bound at 6 x 6).  With slots one byte
+    narrower, every case at 2^61 - 1 fails, and so does every case with
+    two rows or two columns at 2^31 - 1."""
+    ctx = ff.field_make(p)
+    assert_rref_matches_reference(ctx, [[p - 1] * cols for _ in range(rows)])
+    assert_rref_matches_reference(
+        ctx, [[0 if i == j else p - 1 for j in range(cols)]
+              for i in range(rows)])

@@ -484,6 +484,42 @@ def test_split_kernel_and_inverse_errors():
         kgmat.split_kernel_and_inverse(deficient, W5)
 
 
+def test_split_kernel_and_inverse_eliminates_once_per_character(
+        monkeypatch):
+    """C and I come from one rref of [E_chi^t | I] per character; the
+    other rref per character is the rank of the stored C."""
+    code = cyclic_cover_code(13, 1, 4, 3, 1)  # E is 3 x 1, C is 3 x 2
+    omega = ff.root_of_unity(code.field, 4)
+    real = gauss.rref
+    widths = []
+
+    def counting(ctx, m):
+        widths.append(len(m[0]))
+        return real(ctx, m)
+
+    monkeypatch.setattr(gauss, "rref", counting)
+    kgmat.split_kernel_and_inverse(code.evaluation, omega)
+    assert widths == [3 + 1] * 4 + [2] * 4
+
+
+def test_split_kernel_and_inverse_checks_the_rank_of_c(monkeypatch):
+    """A C whose stored entries are all zero passes C^t E = 0; the rank
+    check on the stored C catches it."""
+    code = cyclic_cover_code(13, 1, 4, 3, 1)  # C's 6 entries come first
+    G, ctx = code.group, code.field
+    omega = ff.root_of_unity(ctx, G.exponent)
+    real = kgmat.ft_inverse
+    calls = []
+
+    def zeroing(image):
+        calls.append(image)
+        return ga_zero(G, ctx) if len(calls) <= 6 else real(image)
+
+    monkeypatch.setattr(kgmat, "ft_inverse", zeroing)
+    with pytest.raises(InvariantViolation, match="full rank"):
+        kgmat.split_kernel_and_inverse(code.evaluation, omega)
+
+
 def test_expanded_rank_examples():
     assert kgmat.expanded_rank(kgmat.kg_identity(Z4, K5, 3)) == 12
     assert kgmat.expanded_rank(kgmat.kg_zero(Z4, K5, 2, 3)) == 0
