@@ -18,6 +18,13 @@ runs with one apply per step.  ker A lies in ker B, and every candidate
 is checked against A itself, so an unlucky R or kernel draw costs a
 retry, never a wrong answer; decode failures are reported as DecodeFail
 after the retry budget, not as silent miscorrections.
+
+One apply (one Krylov step) stays on packed integers from the flat input
+to the flat output and builds no K[G] object: the k0 coefficient blocks
+of x are packed, the n sums against E0's packed rows are unpacked to raw
+slot values and multiplied by r's coefficients with one reduction per
+value (the pointwise product), the results are packed at the slot width
+of R C1^t, and its k0 sums are unpacked straight into the output list.
 """
 
 from __future__ import annotations
@@ -51,10 +58,11 @@ from .errors import (
     RankDeficient,
 )
 from .ff import OPS, root_of_unity
-from .galg import (GroupAlgebraElement, ft_group, ga_mul_naive, ga_rand,
-                   ga_sigma, ga_sub)
+from .galg import (GroupAlgebraElement, _elements, _pack_coeffs, _slot_width,
+                   ft_group, ga_mul_naive, ga_rand, ga_sigma, ga_sub)
 from .kgmat import (
     KGMatrix,
+    _apply_packed,
     expanded_rank,
     kg_apply,
     kg_from_spectrum,
@@ -115,18 +123,6 @@ def basic_radius(code: EquivariantCode):
     return (code.n * code.group.order - deg_e - 1 - g_y) // 2
 
 
-def _blocks(G, ctx, flat, count):
-    """Cut a flat K-vector into count elements of K[G]."""
-    o = G.order
-    return [GroupAlgebraElement(G, ctx, tuple(flat[b * o:(b + 1) * o]))
-            for b in range(count)]
-
-
-def _flatten(elems):
-    """The coefficients of a list of K[G] elements, concatenated."""
-    return [c for a in elems for c in a.coeffs]
-
-
 def _pointwise(a: GroupAlgebraElement, b: GroupAlgebraElement):
     """Coefficientwise product: the residue-algebra multiplication, which
     is NOT the group-algebra convolution.  Over prime fields: plain ints,
@@ -180,15 +176,16 @@ def _denominator_operator(dd: DecoderData, r, rng) -> BlackBoxOperator:
     denominator_check, so an unlucky R costs a retry, never a wrong
     answer."""
     G, ctx = dd.code.group, dd.code.field
-    k0 = dd.e0.cols
+    o, e0, k0 = G.order, dd.e0, dd.e0.cols
     rc = kg_matmul(_fold_matrix(dd, rng), kg_transpose(dd.c1))
+    w0, w1 = _slot_width(G, ctx, k0), _slot_width(G, ctx, rc.cols)
+    scale = [c for a in r for c in a.coeffs]
 
     def apply_fn(xs):
-        v = kg_apply(dd.e0, _blocks(G, ctx, xs, k0))
-        u = [_pointwise(vi, ri) for vi, ri in zip(v, r)]
-        return _flatten(kg_apply(rc, u))
+        u = _apply_packed(e0, _pack_coeffs(G, ctx, xs, w0), w0, scale)
+        return _apply_packed(rc, _pack_coeffs(G, ctx, u, w1), w1)
 
-    return BlackBoxOperator(ctx, k0 * G.order, k0 * G.order, apply_fn)
+    return BlackBoxOperator(ctx, k0 * o, k0 * o, apply_fn)
 
 
 def find_denominator(dd: DecoderData, r, seed=0, max_attempts=40):
@@ -210,7 +207,7 @@ def find_denominator(dd: DecoderData, r, seed=0, max_attempts=40):
                                       max_attempts=1)
         if raw is None:
             continue
-        x = _blocks(dd.code.group, dd.code.field, raw, dd.e0.cols)
+        x = _elements(dd.code.group, dd.code.field, raw)
         if denominator_check(dd, r, x):
             return x
     return None
@@ -280,7 +277,7 @@ def basic_decode(dd: DecoderData, r, seed=0, max_attempts=40,
         zero = GroupAlgebraElement(G, ctx, (ctx.zero,) * o)
         return DecodeResult(tuple(r), tuple(m), (zero,) * code.n, None, ())
     log("syndrome nonzero, searching denominators")
-    target = _flatten(syndrome)
+    target = [c for a in syndrome for c in a.coeffs]
     rounds = max(1, max_attempts // 4)
     for attempt in range(rounds):
         x = find_denominator(dd, r, seed=seed * rounds + attempt,
@@ -301,7 +298,7 @@ def basic_decode(dd: DecoderData, r, seed=0, max_attempts=40,
         evec = [ctx.zero] * (code.n * o)
         for c, value in zip(cols, sol):
             evec[c] = value
-        err = _blocks(G, ctx, evec, code.n)
+        err = _elements(G, ctx, evec)
         cw = [ga_sub(ri, ei) for ri, ei in zip(r, err)]
         if not all(s.is_zero() for s in parity_check(code, cw)):
             log("round %d: corrected word fails the parity check" % attempt)

@@ -29,7 +29,6 @@ from .errors import (
     InvariantViolation,
     Mismatch,
     OrderDividesCharacteristic,
-    SearchExhausted,
 )
 from .ff import OPS, FieldCtx
 
@@ -133,6 +132,13 @@ class GroupAlgebraElement:
     def is_zero(self):
         z = self.field.zero
         return all(c == z for c in self.coeffs)
+
+
+def _elements(group, ctx, flat):
+    """Cut raw coefficients, |G| per element, into elements of K[G]."""
+    o = group.order
+    return [GroupAlgebraElement(group, ctx, tuple(flat[i:i + o]))
+            for i in range(0, len(flat), o)]
 
 
 def ga_from_ints(group, ctx, ints):
@@ -254,12 +260,11 @@ def _slot_width(group, ctx, terms):
     return max(1, -(-bound.bit_length() // 8))
 
 
-def _to_int(vals, width):
-    """The int whose little-endian slots of `width` bytes hold vals.  Up
-    to 8 bytes the slots go through one 64-bit array, cut down in C."""
+def _to_bytes(vals, width):
+    """Little-endian slots of `width` bytes holding vals.  Up to 8 bytes
+    the slots go through one 64-bit array, cut down in C."""
     if width > 8:
-        return int.from_bytes(b"".join(v.to_bytes(width, "little")
-                                       for v in vals), "little")
+        return b"".join(v.to_bytes(width, "little") for v in vals)
     words = array("Q", vals)
     if sys.byteorder == "big":
         words.byteswap()
@@ -269,17 +274,17 @@ def _to_int(vals, width):
         for j in range(width):
             cut[j::width] = raw[j::8]
         raw = cut
-    return int.from_bytes(raw, "little")
+    return raw
 
 
-def _from_int(x, count, width):
-    """The first count slots of x; the inverse of `_to_int`."""
-    buf = x.to_bytes(count * width, "little")
+def _from_bytes(buf, width):
+    """The values of the `width`-byte slots of buf; the inverse of
+    `_to_bytes`."""
     if width > 8:
         return [int.from_bytes(buf[i:i + width], "little")
                 for i in range(0, len(buf), width)]
     if width < 8:
-        raw = bytearray(count * 8)
+        raw = bytearray(len(buf) // width * 8)
         for j in range(width):
             raw[j::8] = buf[j::width]
         buf = raw
@@ -289,22 +294,47 @@ def _from_int(x, count, width):
     return words.tolist()
 
 
-def _pack(a: GroupAlgebraElement, width):
-    """a as one int, field coordinate u starting at slot u T."""
-    src, T = _layout(a.group)
-    coords = [a.coeffs] if a.field.d == 1 else zip(*a.coeffs)
-    x = 0
-    for u, c in enumerate(coords):
-        if len(src) != len(c):  # gaps between the axes
-            c += (0,)
-            c = [c[i] for i in src]
-        x |= _to_int(c, width) << (8 * width * T * u)
-    return x
+def _to_int(vals, width):
+    """The int whose little-endian slots of `width` bytes hold vals."""
+    return int.from_bytes(_to_bytes(vals, width), "little")
 
 
-def _unpack(group, ctx, x, width):
-    """The element whose packed product is x: fold each axis mod o_k,
-    reduce x^w for w >= d along the field modulus, then mod p."""
+def _from_int(x, count, width):
+    """The first count slots of x; the inverse of `_to_int`."""
+    return _from_bytes(x.to_bytes(count * width, "little"), width)
+
+
+def _pack_coeffs(group, ctx, flat, width):
+    """One int per element of F_{p^d}[G] in flat, which holds |G| raw
+    coefficients per element in mixed-radix order (flat is left as it
+    is).  Field coordinate u starts at slot u T.  All slots go through
+    one conversion to bytes."""
+    src, T = _layout(group)
+    o, d = group.order, ctx.d
+    size = (d - 1) * T + len(src)  # slots per element
+    if size != o:  # field coordinates, or gaps between the axes
+        gap = [0] * (T - len(src))
+        slots = []
+        for e in range(0, len(flat), o):
+            coeffs = flat[e:e + o]
+            for u, c in enumerate([coeffs] if d == 1 else zip(*coeffs)):
+                if u:
+                    slots += gap
+                c = [*c, 0]
+                slots += [c[i] for i in src]
+        flat = slots
+    raw = _to_bytes(flat, width)
+    step = size * width
+    return [int.from_bytes(raw[i:i + step], "little")
+            for i in range(0, len(raw), step)]
+
+
+def _unpack_coeffs(group, ctx, xs, width, scale=None):
+    """The raw coefficients of the elements whose packed products are xs,
+    concatenated: fold each axis mod o_k, reduce x^w for w >= d along the
+    field modulus, then mod p.  With scale (|G| raw values per element),
+    each coefficient comes out times its scale value, still with one
+    reduction per value; those multiplications go to OPS."""
     _, T = _layout(group)
     d, p = ctx.d, ctx.p
     factors, count = group.factors, (2 * d - 1) * T
@@ -312,10 +342,14 @@ def _unpack(group, ctx, x, width):
         # the outermost axis folds on the integer itself; a folded slot
         # still sums at most |G| products per term, so it does not carry
         count = T // (2 * factors[-1] - 1) * factors[-1]
-        high = x >> (8 * width * count)
-        x += high - (high << (8 * width * count))
+        shift = 8 * width * count
+        mask = (1 << shift) - 1
+        xs = [(x & mask) + (x >> shift) for x in xs]
         factors = factors[:-1]
-    vals = _from_int(x, count, width)
+    size = count * width
+    vals = _from_bytes(b"".join([x.to_bytes(size, "little") for x in xs]),
+                       width)
+    # every axis folds whole blocks, so the elements never mix
     stride = 1
     for o in factors:
         wide, keep = (2 * o - 1) * stride, o * stride
@@ -327,21 +361,30 @@ def _unpack(group, ctx, x, width):
             folded += lo[len(hi):]
         vals, stride = folded, keep
     if d == 1:
-        return GroupAlgebraElement(group, ctx, tuple([v % p for v in vals]))
+        if scale is None:
+            return [v % p for v in vals]
+        OPS.add(len(vals))
+        return [v * s % p for v, s in zip(vals, scale)]
     o = group.order
-    power = [vals[w * o:(w + 1) * o] for w in range(2 * d - 1)]
-    for w in range(2 * d - 2, d - 1, -1):
-        for j, rj in enumerate(ctx._red[w - d]):
-            if rj:
-                power[j] = [u + rj * v for u, v in zip(power[j], power[w])]
-    return GroupAlgebraElement(group, ctx, tuple(
-        tuple(c % p for c in coeff) for coeff in zip(*power[:d])))
+    coords = []
+    for e in range(0, len(vals), (2 * d - 1) * o):
+        power = [vals[e + w * o:e + (w + 1) * o] for w in range(2 * d - 1)]
+        for w in range(2 * d - 2, d - 1, -1):
+            for j, rj in enumerate(ctx._red[w - d]):
+                if rj:
+                    power[j] = [u + rj * v
+                                for u, v in zip(power[j], power[w])]
+        coords += zip(*power[:d])
+    if scale is None:
+        return [tuple([c % p for c in coeff]) for coeff in coords]
+    # ctx.mul reduces its unreduced operand once and counts itself
+    return [ctx.mul(v, s) for v, s in zip(coords, scale)]
 
 
 def ga_mul_fast(a, b):
     """Product in K[G] by Kronecker substitution: a and b packed into one
-    int each (see `_pack`), one CPython big-int product (Karatsuba above
-    a size threshold), one unpacking.  Always equals ga_mul_naive.
+    int each (see `_pack_coeffs`), one CPython big-int product (Karatsuba
+    above a size threshold), one unpacking.  Always equals ga_mul_naive.
 
     Nominal cost, added to OPS: one multiplication and one addition per
     slot of the packed product, 2 (2d - 1) prod_k (2 o_k - 1)."""
@@ -353,7 +396,9 @@ def ga_mul_fast(a, b):
                                    (ctx.mul(a.coeffs[0], b.coeffs[0]),))
     width = _slot_width(G, ctx, 1)
     OPS.add(2 * (2 * ctx.d - 1) * _layout(G)[1])
-    return _unpack(G, ctx, _pack(a, width) * _pack(b, width), width)
+    x, y = _pack_coeffs(G, ctx, a.coeffs + b.coeffs, width)
+    return GroupAlgebraElement(
+        G, ctx, tuple(_unpack_coeffs(G, ctx, [x * y], width)))
 
 
 @dataclass(frozen=True)
@@ -468,9 +513,8 @@ def _build_plan(ctx, n, omega):
     beta_inv = [ctx.inv(beta[i]) for i in range(n)]
     group = AbelianGroup([3 * n - 2])
     width = _slot_width(group, ctx, 1)
-    chirp = GroupAlgebraElement(group, ctx,
-                                tuple(beta) + (ctx.zero,) * (n - 1))
-    return ("bluestein", beta_inv, group, width, _pack(chirp, width))
+    (chirp,) = _pack_coeffs(group, ctx, beta + [ctx.zero] * (n - 1), width)
+    return ("bluestein", beta_inv, group, width, chirp)
 
 
 def _run_bluestein(ctx, values, plan):
@@ -481,9 +525,9 @@ def _run_bluestein(ctx, values, plan):
     mul = ctx.mul
     # reversed beta_inv-weighted input, zero-padded to length t
     nvec = [mul(beta_inv[n - 1 - l], values[n - 1 - l]) for l in range(n)]
-    nvec = GroupAlgebraElement(group, ctx,
-                               tuple(nvec) + (ctx.zero,) * (2 * n - 2))
-    r = _unpack(group, ctx, chirp * _pack(nvec, width), width).coeffs
+    nvec += [ctx.zero] * (2 * n - 2)
+    (x,) = _pack_coeffs(group, ctx, nvec, width)
+    r = _unpack_coeffs(group, ctx, [chirp * x], width)
     OPS.add(2 * (2 * ctx.d - 1) * (3 * n - 2))
     return [mul(beta_inv[i], r[n - 1 + i]) for i in range(n)]
 
@@ -561,24 +605,3 @@ def ft_inverse(F: FourierImage) -> GroupAlgebraElement:
     for idx in range(G.order):
         coeffs[idx] = ctx.mul(scale, data[G.inverse_index(idx)])
     return GroupAlgebraElement(G, ctx, tuple(coeffs))
-
-
-# ---------------------------------------------------------- auxiliary prime
-
-
-def find_lifting_prime(order, exponent, p):
-    """Smallest prime p' = 1 mod order*(p-1)^2*t, t = least 2-power > 3e-3.
-
-    p' > order*(p-1)^2, so integer convolutions of mod-p lifts fit exactly;
-    order, exponent and t all divide p'-1, so F_{p'} has every needed root.
-    """
-    t = 1
-    while t <= 3 * exponent - 3:
-        t <<= 1
-    modulus = order * (p - 1) ** 2 * t
-    candidate = modulus + 1
-    for _ in range(10 ** 9):
-        if ff.is_probable_prime(candidate):
-            return candidate, t
-        candidate += modulus
-    raise SearchExhausted("no prime found for modulus %d" % modulus)

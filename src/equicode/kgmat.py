@@ -9,7 +9,10 @@ expand(a) . vec(b) = vec(a b) and expand(involution(a)) = expand(a)^t.
 Products (`kg_matmul`, `kg_apply`) use the Kronecker substitution of
 `galg.ga_mul_fast` and its packing helpers in every algebra: an output
 entry costs one sum of big-int products and one unpacking, and no
-transform runs.  Each matrix keeps its packed entries once computed.
+transform runs.  Both go through `_apply_packed`, a matrix times one
+packed column, which the decoder's black box also calls on raw
+coefficients.  Each matrix keeps its packed entries and its transpose
+once computed.
 
 Whenever K[G] is split (the exponent of G dividing q - 1, so also for the
 trivial group, where K[1] = K has one character) the Fourier transform
@@ -49,10 +52,11 @@ from .galg import (
     AbelianGroup,
     FourierImage,
     GroupAlgebraElement,
+    _elements,
     _layout,
-    _pack,
+    _pack_coeffs,
     _slot_width,
-    _unpack,
+    _unpack_coeffs,
     ft_group,
     ft_inverse,
     ga_mul_fast,
@@ -70,12 +74,15 @@ class KGMatrix:
     rows: int
     cols: int
     entries: tuple  # row-major GroupAlgebraElements
-    # omega -> per-character K-matrices (see _spectrum) and slot width ->
-    # packed rows (see _packed); memoization only
+    # omega -> per-character K-matrices (see _spectrum), slot width ->
+    # packed rows (see _packed) and the transpose, once built (see
+    # kg_transpose); memoization only
     _spectra: dict = dc_field(default_factory=dict, init=False,
                               compare=False, hash=False, repr=False)
     _packed: dict = dc_field(default_factory=dict, init=False,
                              compare=False, hash=False, repr=False)
+    _transposed: list = dc_field(default_factory=list, init=False,
+                                 compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
@@ -118,26 +125,36 @@ def kg_identity(group, ctx, n):
 
 
 def kg_transpose(m: KGMatrix) -> KGMatrix:
-    """Plain entrywise transpose; no involution is applied.  Cached
-    Fourier images carry over, transposed character by character."""
-    t = KGMatrix(m.group, m.field, m.cols, m.rows,
-                 tuple(m.entry(i, j)
-                       for j in range(m.cols) for i in range(m.rows)))
+    """Plain entrywise transpose; no involution is applied.  Built once
+    and kept on m, so its packed rows are packed once too.  Fourier
+    images cached on m carry over, transposed character by character."""
+    if not m._transposed:
+        m._transposed.append(KGMatrix(
+            m.group, m.field, m.cols, m.rows,
+            tuple(m.entry(i, j)
+                  for j in range(m.cols) for i in range(m.rows))))
+    t = m._transposed[0]
     for omega, spec in m._spectra.items():
-        t._spectra[omega] = [list(zip(*mat)) or [()] * m.cols
-                              for mat in spec]
+        if omega not in t._spectra:
+            t._spectra[omega] = [list(zip(*mat)) or [()] * m.cols
+                                  for mat in spec]
     return t
 
 
 def kg_matmul(a: KGMatrix, b: KGMatrix) -> KGMatrix:
-    """Matrix product through packed integers (see `_packed_product`)."""
+    """Matrix product through packed integers: b's packed columns, each
+    through `_apply_packed`."""
     if a.cols != b.rows:
         raise DimMismatch("inner dimensions %d and %d differ"
                           % (a.cols, b.rows))
     if a.group != b.group or a.field != b.field:
         raise Mismatch("entries live in different group algebras")
-    return KGMatrix(a.group, a.field, a.rows, b.cols,
-                    tuple(_packed_product(a, b)))
+    G, ctx = a.group, a.field
+    width = _slot_width(G, ctx, a.cols)
+    b_cols = list(zip(*_packed(b, width))) or [()] * b.cols
+    out = [_elements(G, ctx, _apply_packed(a, col, width)) for col in b_cols]
+    return KGMatrix(G, ctx, a.rows, b.cols, tuple(
+        out[j][i] for i in range(a.rows) for j in range(b.cols)))
 
 
 # --------------------------------------------------- packed (Kronecker) product
@@ -147,26 +164,28 @@ def _packed(m: KGMatrix, width):
     """m's entries packed at the given width, row by row; kept on m."""
     rows = m._packed.get(width)
     if rows is None:
-        flat = [_pack(x, width) for x in m.entries]
+        flat = _pack_coeffs(m.group, m.field,
+                            [c for x in m.entries for c in x.coeffs], width)
         rows = [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
         m._packed[width] = rows
     return rows
 
 
-def _packed_product(a: KGMatrix, b: KGMatrix):
-    """The entries of a . b, row-major: one packed integer per entry and,
-    per output entry, one sum of big-int products unpacked once.
+def _apply_packed(a: KGMatrix, col, width, scale=None):
+    """a times a column packed at width `_slot_width(G, K, a.cols)`, as the
+    raw coefficients of its rows, concatenated: per row one sum of big-int
+    products against a's packed rows, and one unpacking for all rows.
+    With scale (|G| raw values per row, concatenated), every coefficient
+    comes out times its scale value (see `galg._unpack_coeffs`).
 
     Nominal cost, added to OPS: one multiplication and one addition per
-    slot of every packed product, 2 a.rows a.cols b.cols (2d - 1) T with
-    T = prod_k (2 o_k - 1)."""
+    slot of every packed product, 2 a.rows a.cols (2d - 1) T with
+    T = prod_k (2 o_k - 1), plus rows |G| with scale."""
     G, ctx = a.group, a.field
-    width = _slot_width(G, ctx, a.cols)
-    b_cols = list(zip(*_packed(b, width))) or [()] * b.cols
-    _, T = _layout(G)
-    OPS.add(2 * a.rows * a.cols * b.cols * (2 * ctx.d - 1) * T)
-    return [_unpack(G, ctx, sum(map(int_mul, row, col)), width)
-            for row in _packed(a, width) for col in b_cols]
+    OPS.add(2 * a.rows * a.cols * (2 * ctx.d - 1) * _layout(G)[1])
+    return _unpack_coeffs(G, ctx, [sum(map(int_mul, row, col))
+                                   for row in _packed(a, width)],
+                          width, scale)
 
 
 def _split_root(group, ctx):
@@ -208,15 +227,17 @@ def kg_from_spectrum(group, ctx, omega, spec, rows, cols) -> KGMatrix:
 
 
 def kg_apply(a: KGMatrix, vec):
-    """Matrix times vector of GroupAlgebraElements, as `kg_matmul` with a
-    one-column matrix: OPS gets the nominal 2 rows cols (2d - 1) T field
-    operations of `_packed_product`."""
+    """Matrix times vector of GroupAlgebraElements through `_apply_packed`:
+    OPS gets its nominal 2 rows cols (2d - 1) T field operations."""
     if a.cols != len(vec):
         raise DimMismatch("matrix has %d columns, vector %d entries"
                           % (a.cols, len(vec)))
-    # building the column is also the check that vec lives in a's algebra
-    return _packed_product(a, KGMatrix(a.group, a.field, a.cols, 1,
-                                       tuple(vec)))
+    G, ctx = a.group, a.field
+    if any(x.group != G or x.field != ctx for x in vec):
+        raise Mismatch("entries live in different group algebras")
+    width = _slot_width(G, ctx, a.cols)
+    col = _pack_coeffs(G, ctx, [c for x in vec for c in x.coeffs], width)
+    return _elements(G, ctx, _apply_packed(a, col, width))
 
 
 def _matvec(ctx, m, x):

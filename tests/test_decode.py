@@ -41,7 +41,7 @@ from equicode.errors import (
     NotADenominatorCandidate,
     RankDeficient,
 )
-from equicode.ff import field_make, poly_divmod, poly_trim
+from equicode.ff import count_field_ops, field_make, poly_divmod, poly_trim
 from equicode.files import load_decoder, save_decoder
 from equicode.galg import (
     AbelianGroup,
@@ -187,23 +187,67 @@ def test_denominator_check_shape_errors():
         denominator_check(dd, r, unit_candidate(dd)[:-1])
 
 
-def test_denominator_operator_matches_dense_expansion():
-    code, dd = cyclic_pair()
-    ctx, o = code.field, 4
-    rng = random.Random(5)
-    r, _ = corrupt(code, encode(code, rand_message(code, rng)), 2, rng)
+def _operator_pairs():
+    rs9 = rs_degenerate_code(3, 8, 3, 2)
+    two = synth_split_code(5, 1, AbelianGroup([2, 2]), 6, 1)
+    return {"rs-f13": rs_pair(), "rs-f9": (rs9, make_rs_decoder_data(rs9)),
+            "cyclic-f13": cyclic_pair(),
+            "two-axis-f5": (two, make_split_decoder_data(two, 1))}
+
+
+# trivial group, extension field, one axis and two axes
+OPERATOR_PAIRS = _operator_pairs()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(OPERATOR_PAIRS)),
+       seed=st.integers(0, 2 ** 32), top=st.booleans())
+def test_denominator_operator_matches_dense_expansion(case, seed, top):
+    """op.apply is expand(R C1^t) . diag(r) . expand(E0) . x; with top,
+    r and x are all p - 1, so every packed slot is as large as it gets."""
+    code, dd = OPERATOR_PAIRS[case]
+    G, ctx, o = code.group, code.field, code.group.order
+    rng = random.Random(seed)
+    full = ctx.p - 1 if ctx.d == 1 else (ctx.p - 1,) * ctx.d
+    if top:
+        r = [GroupAlgebraElement(G, ctx, (full,) * o)] * code.n
+    else:
+        r = [ga_rand(G, ctx, rng) for _ in range(code.n)]
     rvec = [c for a in r for c in a.coeffs]
-    fold = _fold_matrix(dd, random.Random(55))
+    fold = _fold_matrix(dd, random.Random("fold/%d" % seed))
     folded = expand(kg_matmul(fold, kg_transpose(dd.c1))).matrix
-    e0x = [list(row) for row in expand(dd.e0).matrix]
+    e0x = expand(dd.e0).matrix
     scaled = [[ctx.mul(rvec[i], v) for v in row] for i, row in enumerate(e0x)]
     dense = gauss.matmul(ctx, [list(row) for row in folded], scaled)
-    op = _denominator_operator(dd, r, random.Random(55))
+    op = _denominator_operator(dd, r, random.Random("fold/%d" % seed))
     assert op.rows == op.cols == dd.e0.cols * o == len(dense)
     assert not op.has_transpose
-    for _ in range(10):
-        v = [ctx.rand(rng) for _ in range(op.cols)]
-        assert op.apply(v) == gauss.matvec(ctx, dense, v)
+    xs = [[full] * op.cols] if top else []
+    xs += [[ctx.rand(rng) for _ in range(op.cols)] for _ in range(3)]
+    for x in xs:
+        assert op.apply(x) == gauss.matvec(ctx, dense, x)
+
+
+@pytest.mark.parametrize("case", sorted(OPERATOR_PAIRS))
+def test_denominator_operator_apply_nominal_op_count(case):
+    """One apply counts the nominal field operations of its two packed
+    K[G] matrix-vector products and its n |G| pointwise products:
+    2 n k0 (2d - 1) T + n |G| + 2 k0 n (2d - 1) T, T = prod_k (2 o_k - 1)."""
+    code, dd = OPERATOR_PAIRS[case]
+    G, ctx = code.group, code.field
+    n, k0, d = code.n, dd.e0.cols, ctx.d
+    T = 1
+    for o in G.factors:
+        T *= 2 * o - 1
+    rng = random.Random(23)
+    r = [ga_rand(G, ctx, rng) for _ in range(n)]
+    op = _denominator_operator(dd, r, random.Random(24))
+    for _ in range(2):  # the first apply packs E0 and R C1^t
+        x = [ctx.rand(rng) for _ in range(op.cols)]
+        with count_field_ops() as counted:
+            op.apply(x)
+        assert counted.count == (2 * n * k0 * (2 * d - 1) * T + n * G.order
+                                 + 2 * k0 * n * (2 * d - 1) * T)
 
 
 def _zero_fold(dd, rng):

@@ -17,7 +17,6 @@ from equicode.galg import (
     ft_cyclic,
     ft_group,
     ft_inverse,
-    find_lifting_prime,
     ga_add,
     ga_from_ints,
     ga_involution,
@@ -332,14 +331,6 @@ def test_ft_inverse_characteristic_clash():
     img = FourierImage(G, K, K.one, (K.one, K.one))
     with pytest.raises(OrderDividesCharacteristic):
         ft_inverse(img)
-
-
-# ------------------------------------------------------------ prime lifting
-
-
-def test_find_lifting_prime_frozen():
-    assert find_lifting_prime(4, 4, 3) == (257, 16)
-    assert find_lifting_prime(6, 6, 2) == (97, 16)
 
 
 # ------------------------------------------------------------ fast product

@@ -175,6 +175,24 @@ def test_kg_apply_matches_entrywise_reference(case, rows, cols, seed):
         assert kgmat.kg_apply(rebuilt, vec) == kg_apply_reference(a, vec)
 
 
+def test_transpose_is_built_once():
+    """kg_transpose keeps its result on the matrix, so repeated checks
+    pack C^t once; a Fourier image computed on m afterwards still
+    carries over."""
+    rng = random.Random(22)
+    a = kg_rand(Z4, K5, rng, 2, 3)
+    t = kgmat.kg_transpose(a)
+    assert t == kgmat.KGMatrix(Z4, K5, 3, 2, tuple(
+        a.entry(i, j) for j in range(3) for i in range(2)))
+    vec = [ga_rand(Z4, K5, rng) for _ in range(2)]
+    assert kgmat.kg_apply(t, vec) == kg_apply_reference(t, vec)
+    assert kgmat.kg_transpose(a) is t and t._packed
+    omega = kgmat._split_root(Z4, K5)
+    spec = kgmat._spectrum(a, omega)
+    assert kgmat.kg_transpose(a)._spectra[omega] == [list(zip(*mat))
+                                                      for mat in spec]
+
+
 # (p, d, invariant factors, slot width at 9 columns): every coefficient
 # p - 1 makes every slot of the packed product as large as it can get
 WORST_CASES = {
