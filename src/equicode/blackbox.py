@@ -1,15 +1,17 @@
 """Randomized black-box linear algebra over finite fields.
 
 Berlekamp-Massey, Wiedemann-style solving and kernel sampling, and the dense
-Gaussian oracle that certifies them in tests.  Both Wiedemann drivers are
-Las Vegas: every candidate is re-verified by a fresh application of the
-operator, and a None return means "no luck within the attempt budget", never
-a certificate that no solution exists.
+Gaussian oracle that certifies them in tests.  Both Wiedemann drivers take
+square operators and are Las Vegas: every candidate is re-verified by a
+fresh application of the operator, and a None return means "no luck within
+the attempt budget", never a certificate that no solution exists.
 
 Over fields with fewer than 16 elements the drivers re-run the whole
 computation over an extension F_{q^l} with q^l >= 16 (random projections in
 a tiny field fail too often) and project the answer back; one extension
-apply costs l base applies.
+apply costs l base applies.  A prime base F_p lifts to FieldCtx(p, l, f)
+for a random irreducible f drawn from the driver's stream; an extension
+base (F_4, F_8, F_9) lifts to the polynomial tower _ExtensionContext.
 
 Over prime fields the scalar loops run on plain ints with one reduction
 per value; OPS gets the count the ctx calls would make.
@@ -18,34 +20,31 @@ per value; OPS gets the count the ctx calls would make.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from itertools import product
 from operator import mul
 
 from . import gauss
-from .errors import DimMismatch, DivisionByZero, Mismatch
-from .ff import (OPS, FieldCtx, poly_mod, poly_mul, poly_powmod,
+from .errors import DimMismatch, DivisionByZero
+from .ff import (OPS, FieldCtx, _zdivmod, poly_mod, poly_mul, poly_powmod,
                  poly_random_monic_irreducible)
 
 
 class BlackBoxOperator:
-    """A matrix known only through x -> Ax, and optionally y -> A^t y.
+    """A matrix known only through x -> Ax.
 
-    `calls` counts every black-box touch (transpose included) and is never
-    reset here; callers snapshot it around whatever they want to measure.
+    `calls` counts every black-box touch and is never reset here; callers
+    snapshot it around whatever they want to measure.
     """
 
-    __slots__ = ("ctx", "rows", "cols", "calls", "_fn", "_fn_t")
+    __slots__ = ("ctx", "rows", "cols", "calls", "_fn")
 
-    def __init__(self, ctx, rows, cols, apply_fn, apply_t_fn=None):
+    def __init__(self, ctx, rows, cols, apply_fn):
         self.ctx = ctx
         self.rows = rows
         self.cols = cols
         self._fn = apply_fn
-        self._fn_t = apply_t_fn
         self.calls = 0
-
-    @property
-    def has_transpose(self):
-        return self._fn_t is not None
 
     def apply(self, x):
         if len(x) != self.cols:
@@ -54,25 +53,11 @@ class BlackBoxOperator:
         self.calls += 1
         return self._fn(list(x))
 
-    def apply_t(self, y):
-        if self._fn_t is None:
-            raise Mismatch("operator has no transpose apply")
-        if len(y) != self.rows:
-            raise DimMismatch("transpose takes %d entries, got %d"
-                              % (self.rows, len(y)))
-        self.calls += 1
-        return self._fn_t(list(y))
-
 
 def operator_from_matrix(ctx, matrix):
-    rows = len(matrix)
-    cols = len(matrix[0])
     m = [list(r) for r in matrix]
-    mt = gauss.transpose(m)
-    return BlackBoxOperator(
-        ctx, rows, cols,
-        lambda x: gauss.matvec(ctx, m, x),
-        lambda y: gauss.matvec(ctx, mt, y))
+    return BlackBoxOperator(ctx, len(m), len(m[0]),
+                            lambda x: gauss.matvec(ctx, m, x))
 
 
 def dense_solve(ctx, matrix, b):
@@ -179,29 +164,38 @@ def _lift_degree(q):
     return ell
 
 
+@lru_cache(maxsize=None)
+def _irreducible_mod(p, f):
+    """Whether the monic f (a tuple of ints mod p, low degree first) is
+    irreducible over F_p, by trial division with every monic polynomial of
+    degree at most deg(f) / 2, at most 13 of them for a lift degree.
+    Same answer as ff.poly_is_irreducible."""
+    return all(_zdivmod(f, low + (1,), p)[1]
+               for k in range(1, (len(f) - 1) // 2 + 1)
+               for low in product(range(p), repeat=k))
+
+
 class _ExtensionContext:
-    """F_{q^ell} as base-field polynomials modulo a random irreducible.
+    """F_{q^d} over an extension base F_q, as base-field polynomials modulo
+    a random irreducible.
 
     Values are fixed-length tuples of base values, low-degree first, so
     equality is plain tuple equality.  Only the handful of operations the
     Wiedemann machinery needs are provided.
     """
 
-    __slots__ = ("base", "ell", "modulus", "zero", "one", "_card")
+    __slots__ = ("base", "d", "modulus", "zero", "one", "_card")
 
-    def __init__(self, base, ell, rng):
+    def __init__(self, base, d, rng):
         self.base = base
-        self.ell = ell
-        self.modulus = list(poly_random_monic_irreducible(base, ell, rng))
-        self.zero = (base.zero,) * ell
-        self.one = tuple([base.one] + [base.zero] * (ell - 1))
-        self._card = base.q ** ell
-
-    def lift(self, a):
-        return tuple([a] + [self.base.zero] * (self.ell - 1))
+        self.d = d
+        self.modulus = list(poly_random_monic_irreducible(base, d, rng))
+        self.zero = (base.zero,) * d
+        self.one = tuple([base.one] + [base.zero] * (d - 1))
+        self._card = base.q ** d
 
     def _pad(self, f):
-        return tuple(list(f) + [self.base.zero] * (self.ell - len(f)))
+        return tuple(list(f) + [self.base.zero] * (self.d - len(f)))
 
     def add(self, a, b):
         return tuple(self.base.add(x, y) for x, y in zip(a, b))
@@ -223,7 +217,7 @@ class _ExtensionContext:
                                      self.modulus, self.base))
 
     def rand(self, rng):
-        return tuple(self.base.rand(rng) for _ in range(self.ell))
+        return tuple(self.base.rand(rng) for _ in range(self.d))
 
     def rand_nonzero(self, rng):
         while True:
@@ -232,16 +226,30 @@ class _ExtensionContext:
                 return v
 
 
-def _componentwise(work, fn):
-    """Extend a base-field black box to extension scalars coordinatewise."""
-    ell = work.ell
+def _work_field(a: BlackBoxOperator, rng):
+    """The field the drivers run in and the operator's apply there: the
+    base field itself when it has at least 16 elements, else a random
+    extension of degree _lift_degree(q) drawn from rng, applied
+    coordinatewise."""
+    ctx = a.ctx
+    if ctx.q >= 16:
+        return ctx, a.apply
+    ell = _lift_degree(ctx.q)
+    if ctx.d == 1:
+        # the draws of poly_random_monic_irreducible(ctx, ell, rng)
+        while True:
+            f = tuple(rng.randrange(ctx.p) for _ in range(ell)) + (1,)
+            if _irreducible_mod(ctx.p, f):
+                break
+        work = FieldCtx(ctx.p, ell, f)
+    else:
+        work = _ExtensionContext(ctx, ell, rng)
 
-    def wrapped(x):
-        images = [fn([xi[c] for xi in x]) for c in range(ell)]
-        return [tuple(img[i] for img in images)
-                for i in range(len(images[0]))]
+    def lifted(x):
+        images = [a.apply([xi[c] for xi in x]) for c in range(ell)]
+        return list(zip(*images))
 
-    return wrapped
+    return work, lifted
 
 
 # ----------------------------------------------------- Wiedemann drivers
@@ -329,14 +337,12 @@ def wiedemann_solve(a: BlackBoxOperator, b, seed=0, max_attempts=40):
     if all(x == ctx.zero for x in b):
         return [ctx.zero] * n
     rng = random.Random(seed)
-    if ctx.q >= 16:
-        work = ctx
-        apply_fn = a.apply
+    work, apply_fn = _work_field(a, rng)
+    if work is ctx:
         wb = list(b)
     else:
-        work = _ExtensionContext(ctx, _lift_degree(ctx.q), rng)
-        apply_fn = _componentwise(work, a.apply)
-        wb = [work.lift(x) for x in b]
+        pad = (ctx.zero,) * (work.d - 1)
+        wb = [(x,) + pad for x in b]
     for _ in range(max_attempts):
         x = _solve_attempt(work, apply_fn, n, wb, rng)
         if x is None or apply_fn(x) != wb:
@@ -350,62 +356,31 @@ def wiedemann_solve(a: BlackBoxOperator, b, seed=0, max_attempts=40):
 
 
 def wiedemann_kernel_sample(a: BlackBoxOperator, seed=0, max_attempts=40):
-    """Verified nonzero kernel vector of the black box, or None.
+    """Verified nonzero kernel vector of a square black box, or None.
 
-    Square operators are preconditioned as A.D with a fresh random unit
-    diagonal per attempt; rectangular ones go through the square
-    A^t.D.A (which needs the transpose apply) and the candidate is checked
-    against A itself before anything is returned.
+    The operator is preconditioned as A.D with a fresh random unit diagonal
+    per attempt, and the candidate is checked against A itself before
+    anything is returned.
     """
+    if a.rows != a.cols:
+        raise DimMismatch("kernel sampling needs a square operator, got "
+                          "%dx%d" % (a.rows, a.cols))
     ctx = a.ctx
     n = a.cols
-    square = a.rows == a.cols
-    if not square and not a.has_transpose:
-        raise Mismatch("rectangular kernel sampling needs a transpose apply")
     rng = random.Random(seed)
-    if ctx.q >= 16:
-        work = ctx
-        fwd = a.apply
-        bwd = a.apply_t if a.has_transpose else None
-    else:
-        work = _ExtensionContext(ctx, _lift_degree(ctx.q), rng)
-        fwd = _componentwise(work, a.apply)
-        bwd = (_componentwise(work, a.apply_t)
-               if a.has_transpose else None)
-    wzero = [work.zero] * a.rows
+    work, fwd = _work_field(a, rng)
     for _ in range(max_attempts):
-        if square:
-            diag = [work.rand_nonzero(rng) for _ in range(n)]
-
-            def bb(x, _d=diag):
-                return fwd(_scale(work, _d, x))
-        else:
-            d1 = [work.rand_nonzero(rng) for _ in range(a.rows)]
-
-            def bb(x, _d=d1):
-                return bwd(_scale(work, _d, fwd(x)))
-        w = _kernel_attempt(work, bb, n, rng)
+        diag = [work.rand_nonzero(rng) for _ in range(n)]
+        w = _kernel_attempt(work, lambda x: fwd(_scale(work, diag, x)), n,
+                            rng)
         if w is None:
             continue
-        if square:
-            cand = _scale(work, diag, w)
-        else:
-            cand = w
-            if fwd(cand) != wzero:
-                continue
-        if work is not ctx:
-            comp = None
-            for c in range(work.ell):
-                candidate = [xi[c] for xi in cand]
-                if any(x != ctx.zero for x in candidate):
-                    comp = candidate
-                    break
-            if comp is None:
-                continue
-            cand = comp
-        if all(x == ctx.zero for x in cand):
+        cand = _scale(work, diag, w)
+        if work is not ctx:  # its first nonzero coordinate vector
+            cand = next((list(c) for c in zip(*cand)
+                         if any(v != ctx.zero for v in c)), None)
+        if (cand is None or all(v == ctx.zero for v in cand)
+                or a.apply(cand) != [ctx.zero] * n):
             continue
-        if a.apply(list(cand)) != [ctx.zero] * a.rows:
-            continue
-        return list(cand)
+        return cand
     return None

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import statistics
 import sys
@@ -347,6 +348,11 @@ def build_parser():
     return top
 
 
+# argparse builds a fresh Namespace per parse_args, so one parser serves
+# every main() call in a process; built on first use, not at import
+_parser = functools.cache(build_parser)
+
+
 _EXIT_CODES = (
     (ParseError, 1),
     (InvariantViolation, 2),
@@ -358,7 +364,7 @@ _EXIT_CODES = (
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors; fold those into the parse
         # failure code and keep 2 for invariant violations.

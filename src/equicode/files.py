@@ -19,7 +19,7 @@ from .code import EquivariantCode
 from .decode import DecoderData
 from .errors import EquicodeError, ParseError
 from .ff import FieldCtx, field_make, raw_from_obj, raw_to_obj
-from .galg import AbelianGroup, GroupAlgebraElement
+from .galg import AbelianGroup, GroupAlgebraElement, _elements
 from .kgmat import KGMatrix
 
 FORMAT_VERSION = 1
@@ -115,14 +115,32 @@ def matrix_to_obj(m: KGMatrix):
             "entries": [element_to_obj(a) for a in m.entries]}
 
 
+def _prime_coeffs(group, ctx, entries):
+    """All coefficients of prime-field entries mod p, in one pass, or None
+    unless every entry is a list of |G| plain ints."""
+    o = group.order
+    if not all(type(e) is list and len(e) == o for e in entries):
+        return None
+    flat = [c for e in entries for c in e]
+    if not all(type(c) is int for c in flat):  # type(True) is bool
+        return None
+    p = ctx.p
+    return [c % p for c in flat]
+
+
 def matrix_from_obj(group, ctx, obj) -> KGMatrix:
     rows = _int(_need(obj, "rows"), "rows")
     cols = _int(_need(obj, "cols"), "cols")
     entries = _need(obj, "entries")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ParseError("matrix wants %d entries" % (rows * cols))
-    return KGMatrix(group, ctx, rows, cols,
-                    tuple(element_from_obj(group, ctx, e) for e in entries))
+    flat = _prime_coeffs(group, ctx, entries) if ctx.d == 1 else None
+    if flat is not None:
+        elems = _elements(group, ctx, flat)
+    else:
+        # element_from_obj reports the first malformed entry
+        elems = [element_from_obj(group, ctx, e) for e in entries]
+    return KGMatrix(group, ctx, rows, cols, tuple(elems))
 
 
 # -------------------------------------------------------------- artifacts

@@ -89,8 +89,11 @@ class KGMatrix:
             raise InvariantViolation("entry count %d, expected %d"
                                      % (len(self.entries),
                                         self.rows * self.cols))
+        group, field = self.group, self.field
         for a in self.entries:
-            if a.group != self.group or a.field != self.field:
+            if a.group is group and a.field is field:
+                continue
+            if a.group != group or a.field != field:
                 raise Mismatch("entries live in different group algebras")
 
     def entry(self, i, j):

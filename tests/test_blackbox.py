@@ -1,9 +1,12 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
 
 from equicode import blackbox, ff, gauss
-from equicode.errors import DimMismatch, Mismatch
+from equicode.errors import DimMismatch
 
 K13 = ff.field_make(13)
 K257 = ff.field_make(257)
@@ -41,17 +44,9 @@ def test_operator_contract():
     assert lhs == rhs
     assert op.apply([K13.mul(c, a) for a in x]) == \
         [K13.mul(c, a) for a in op.apply(x)]
-    t = [K13.rand(rng) for _ in range(3)]
-    assert op.apply_t(t) == gauss.matvec(K13, gauss.transpose(m), t)
-    assert op.calls == 6
+    assert op.calls == 5
     with pytest.raises(DimMismatch):
-        op.apply(t)
-    with pytest.raises(DimMismatch):
-        op.apply_t(x)
-    bare = blackbox.BlackBoxOperator(K13, 2, 2, lambda v: v)
-    assert not bare.has_transpose
-    with pytest.raises(Mismatch):
-        bare.apply_t([K13.zero, K13.zero])
+        op.apply([K13.rand(rng) for _ in range(3)])
 
 
 def test_dense_oracle():
@@ -221,46 +216,84 @@ def test_kernel_sample_edge_operators():
     assert blackbox.wiedemann_kernel_sample(op, seed=1, max_attempts=6) is None
 
 
-def test_kernel_sample_rectangular():
+def test_kernel_sample_rejects_non_square():
     rng = random.Random(28)
-    # tall: 6x3 of rank 2, kernel dimension 1
-    while True:
-        cols = [[K257.rand(rng) for _ in range(6)] for _ in range(2)]
-        mix = [K257.rand_nonzero(rng) for _ in range(2)]
-        third = [K257.add(K257.mul(mix[0], a), K257.mul(mix[1], b))
-                 for a, b in zip(cols[0], cols[1])]
-        a = gauss.transpose(cols + [third])
-        if gauss.rank(K257, a) == 2:
-            break
-    op = blackbox.operator_from_matrix(K257, a)
-    w = blackbox.wiedemann_kernel_sample(op, seed=9)
-    assert w is not None
-    assert gauss.matvec(K257, a, w) == [K257.zero] * 6
-    # wide: 3x6 random, kernel dimension >= 3
-    a = rand_matrix(K257, rng, 3, 6)
-    op = blackbox.operator_from_matrix(K257, a)
-    w = blackbox.wiedemann_kernel_sample(op, seed=9)
-    assert w is not None
-    assert gauss.matvec(K257, a, w) == [K257.zero] * 3
-    assert any(x != K257.zero for x in w)
-    bare = blackbox.BlackBoxOperator(K257, 3, 6,
-                                     lambda x: [K257.zero] * 3)
-    with pytest.raises(Mismatch):
-        blackbox.wiedemann_kernel_sample(bare, seed=1)
+    for rows, cols in ((6, 3), (3, 6)):
+        op = blackbox.operator_from_matrix(
+            K257, rand_matrix(K257, rng, rows, cols))
+        with pytest.raises(DimMismatch):
+            blackbox.wiedemann_kernel_sample(op, seed=9)
+        assert op.calls == 0
 
 
 def test_kernel_sample_small_field_lift():
-    # F_3 lifts through F_27; columns proportional so the kernel is known
-    a = [[1, 2], [2, 1], [0, 0], [1, 2]]
-    op = blackbox.operator_from_matrix(K3, a)
-    w = blackbox.wiedemann_kernel_sample(op, seed=2)
-    assert w is not None
-    assert gauss.matvec(K3, a, w) == [0, 0, 0, 0]
-    assert any(x != 0 for x in w)
+    # F_3 lifts to F_27 and F_9 to F_729; each kernel is one-dimensional
     rng = random.Random(29)
-    a = rank_deficient_square(K9, rng, 4)
-    op = blackbox.operator_from_matrix(K9, a)
-    w = blackbox.wiedemann_kernel_sample(op, seed=4)
-    assert w is not None
-    assert gauss.matvec(K9, a, w) == [K9.zero] * 4
-    assert any(x != K9.zero for x in w)
+    for ctx, seed in ((K3, 2), (K9, 4)):
+        a = rank_deficient_square(ctx, rng, 4)
+        op = blackbox.operator_from_matrix(ctx, a)
+        w = blackbox.wiedemann_kernel_sample(op, seed=seed)
+        assert w is not None
+        assert gauss.matvec(ctx, a, w) == [ctx.zero] * 4
+        gen = blackbox.dense_kernel(ctx, a)[0]
+        pivot = next(i for i, x in enumerate(gen) if x != ctx.zero)
+        scale = ctx.mul(w[pivot], ctx.inv(gen[pivot]))
+        assert scale != ctx.zero
+        assert w == [ctx.mul(scale, x) for x in gen]
+
+
+def test_lift_irreducibility_matches_rabin():
+    # every monic candidate of each small degree, lift degrees included
+    for p in (2, 3, 5, 7, 11, 13):
+        prime = ff.field_make(p)
+        for deg in range(1, 5):
+            if p ** deg > 400:
+                break
+            for low in itertools.product(range(p), repeat=deg):
+                f = low + (1,)
+                assert blackbox._irreducible_mod(p, f) == \
+                    ff.poly_is_irreducible(list(f), prime), (p, f)
+
+
+# sha256 of the JSON list of (kernel sample, solution, operator calls) that
+# lift_records draws; recorded when the lift ran on the tower of ff.poly_*
+# helpers, so the lifted field must make the same random draws.
+LIFT_DIGESTS = {
+    2: "82216e9698eb2d253a7daf5c1e1bfba5659bbf1c6fc1929099bb4e4891682b84",
+    3: "7e5c2f5d530917a95431aadf3418d36efd899b1959b210dfcf0842833c87cef4",
+    5: "85b24d7c27768cca1a2c2a3b14872f8b1a0467adb00bfe99708ca9d63b5da18f",
+    7: "06b681b2c7f887eca66209f02ff0d43f6b38d540e3ed8034a26cf2648f31179c",
+    11: "9d3cce5cb82f79d915f48f27f88760072fb82462616ca254011deb456bdfcf34",
+    13: "c629fbf108d5deb7450efe0325f66267ac39290b614762c7bfde5209d08c1e88",
+}
+
+
+def lift_records(p):
+    """32 square operators over F_p, every other one singular (a repeated
+    row), each run through both drivers at a fixed seed."""
+    ctx = ff.field_make(p)
+    rng = random.Random("lift/%d/1" % p)
+    out = []
+    for trial in range(32):
+        n = rng.randrange(2, 7)
+        a = rand_matrix(ctx, rng, n, n)
+        if trial % 2 == 0:
+            a[-1] = list(a[rng.randrange(n - 1)])
+        if trial % 3 == 0:
+            b = gauss.matvec(ctx, a, [ctx.rand(rng) for _ in range(n)])
+        else:
+            b = [ctx.rand(rng) for _ in range(n)]
+        op = blackbox.operator_from_matrix(ctx, a)
+        k = blackbox.wiedemann_kernel_sample(op, seed=trial, max_attempts=6)
+        x = blackbox.wiedemann_solve(op, b, seed=trial, max_attempts=6)
+        out.append([k, x, op.calls])
+    return out
+
+
+@pytest.mark.parametrize("p", sorted(LIFT_DIGESTS))
+def test_small_prime_lift_pinned(p):
+    records = lift_records(p)
+    assert any(k is not None for k, _, _ in records)
+    assert any(x is not None for _, x, _ in records)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == LIFT_DIGESTS[p]

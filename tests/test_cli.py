@@ -1,11 +1,14 @@
 """Subprocess tests for the equicode command-line driver."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import equicode
+from equicode import cli
 from equicode.files import load_code, load_vector, save_code, save_vector
 from equicode.code import cyclic_cover_code, encode, genus2_example_code
 from equicode.galg import AbelianGroup, ga_from_ints
@@ -16,8 +19,15 @@ import warnings
 from equicode.errors import DegreeWindowWarning
 
 
+# the child imports the same equicode as the tests, installed or not
+SRC = os.path.dirname(os.path.dirname(equicode.__file__))
+
+
 def run_cli(*argv, env=None):
     cmd = [sys.executable, "-m", "equicode"] + [str(a) for a in argv]
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run(cmd, capture_output=True, text=True, env=env,
                           timeout=120)
 
@@ -247,6 +257,37 @@ def test_decode_beyond_radius_fails_or_is_sound(tmp_path):
         assert encode(code, msg) == cw
 
 
+def test_reused_parser_leaks_no_state(tmp_path, capsys):
+    """main() keeps one parser per process; a call made after another
+    writes the same bytes as the same call made alone."""
+    code_path, dec_path = tmp_path / "c.json", tmp_path / "d.json"
+    run_cli("gen", "rs", "--p", 13, "--n", 12, "--deg", 5,
+            "--out", code_path, "--decoder-out", dec_path)
+    word = tmp_path / "w.json"
+    run_cli("code", "encode", "--code", code_path,
+            "--message", "[[1],[2],[3],[4],[5],[6]]", "--out", word)
+    corrupt_file(word, [2, 9])
+    out, out_dec = tmp_path / "out.json", tmp_path / "out_dec.json"
+    gen = ["gen", "rs", "--p", 13, "--n", 12, "--deg", 5,
+           "--out", out, "--decoder-out", out_dec]
+    decode = ["decode", "--decoder", dec_path, "--received", "@%s" % word,
+              "--seed", 3, "--out", out]
+    calls = [gen + ["--deg-d0", 2], gen, decode + ["--trace"], decode]
+
+    def written(argv):
+        return [p.read_bytes() for p in (out, out_dec)[:1 + (argv[0] == "gen")]]
+
+    alone = []
+    for argv in calls:
+        r = run_cli(*argv)
+        assert r.returncode == 0, r.stderr
+        alone.append((written(argv), r.stderr))
+    assert alone[0] != alone[1] and alone[2] != alone[3]
+    for argv, want in zip(calls, alone):
+        assert cli.main([str(a) for a in argv]) == 0
+        assert (written(argv), capsys.readouterr().err) == want
+
+
 def test_decode_threads_flag(tmp_path):
     code_path, dec_path = tmp_path / "c.json", tmp_path / "d.json"
     run_cli("gen", "rs", "--p", 13, "--n", 12, "--deg", 5,
@@ -324,7 +365,6 @@ def test_json_errors_flag(tmp_path):
 
 
 def test_seed_env_fallback(tmp_path):
-    import os
     env = dict(os.environ)
     env["EQUICODE_SEED"] = "42"
     out = tmp_path / "s.json"

@@ -221,7 +221,6 @@ def test_denominator_operator_matches_dense_expansion(case, seed, top):
     dense = gauss.matmul(ctx, [list(row) for row in folded], scaled)
     op = _denominator_operator(dd, r, random.Random("fold/%d" % seed))
     assert op.rows == op.cols == dd.e0.cols * o == len(dense)
-    assert not op.has_transpose
     xs = [[full] * op.cols] if top else []
     xs += [[ctx.rand(rng) for _ in range(op.cols)] for _ in range(3)]
     for x in xs:
@@ -596,6 +595,28 @@ def entrywise_apply(a, vec):
     return out
 
 
+def entrywise_apply_packed(a, col, width, scale=None):
+    """kgmat._apply_packed through entrywise_apply: each packed column
+    entry is read back slot by slot (the layout of galg._pack_coeffs), and
+    the rows come out as raw coefficients, times scale when given."""
+    G, ctx = a.group, a.field
+    src, T = galg._layout(G)
+    where = [src.index(g) for g in range(G.order)]
+    size = (ctx.d - 1) * T + len(src)
+    vec = []
+    for x in col:
+        raw = x.to_bytes(size * width, "little")
+        slots = [int.from_bytes(raw[t * width:(t + 1) * width], "little")
+                 for t in range(size)]
+        coords = [[slots[u * T + t] for t in where] for u in range(ctx.d)]
+        coeffs = coords[0] if ctx.d == 1 else list(zip(*coords))
+        vec.append(GroupAlgebraElement(G, ctx, tuple(coeffs)))
+    flat = [c for y in entrywise_apply(a, vec) for c in y.coeffs]
+    if scale is not None:
+        flat = [ctx.mul(c, s) for c, s in zip(flat, scale)]
+    return flat
+
+
 @pytest.mark.parametrize("fixture", ["cyclic", "split", "rs"])
 def test_basic_decode_bit_equal_to_entrywise_apply(fixture, monkeypatch):
     if fixture == "rs":
@@ -613,9 +634,17 @@ def test_basic_decode_bit_equal_to_entrywise_apply(fixture, monkeypatch):
                 for seed, r in enumerate(words)]
     for module in (code_module, decode_module):
         monkeypatch.setattr(module, "kg_apply", entrywise_apply)
+    applied = []
+
+    def packed(*args, **kwargs):
+        applied.append(1)
+        return entrywise_apply_packed(*args, **kwargs)
+
+    monkeypatch.setattr(decode_module, "_apply_packed", packed)
     entrywise = [basic_decode(dd, r, seed=seed)
                  for seed, r in enumerate(words)]
     assert spectral == entrywise
+    assert applied  # the Wiedemann black box ran the reference
 
 
 @pytest.mark.parametrize("code", [

@@ -23,15 +23,18 @@ from equicode.files import (
     code_to_obj,
     decoder_from_obj,
     decoder_to_obj,
+    element_from_obj,
     load_code,
     load_decoder,
     load_vector,
+    matrix_from_obj,
     save_code,
     save_decoder,
     save_vector,
     vector_from_obj,
     vector_to_obj,
 )
+from equicode.ff import field_make
 from equicode.galg import AbelianGroup, ga_rand
 
 
@@ -180,6 +183,33 @@ def test_parse_error_cases(tmp_path):
         load_code(tmp_path / "junk.json")
     with pytest.raises(ParseError):
         load_code(tmp_path / "absent.json")
+
+
+def test_prime_field_matrix_loader_matches_entrywise():
+    """The one-pass prime-field loader gives the matrix, or the ParseError
+    message, that element_from_obj gives entry by entry."""
+    class Int(int):
+        pass
+
+    group, ctx = AbelianGroup([2]), field_make(5)
+
+    def entrywise(entries):
+        try:
+            return kgmat.KGMatrix(group, ctx, 1, len(entries), tuple(
+                element_from_obj(group, ctx, e) for e in entries))
+        except ParseError as e:
+            return str(e)
+
+    cases = [[[1, 2], [-3, 17]], [[1, Int(7)], [0, 0]], [[1, 2], 3],
+             [[1, 2], [3]], [[1, 2], [3, 4, 5]], [[1, True], [0, 0]],
+             [[1, 2], [3.0, 4]], [[1, "2"], [0, 0]], [[[1], 2], [0, 0]]]
+    for entries in cases:
+        obj = {"rows": 1, "cols": len(entries), "entries": entries}
+        try:
+            got = matrix_from_obj(group, ctx, obj)
+        except ParseError as e:
+            got = str(e)
+        assert got == entrywise(entries), entries
 
 
 def test_no_floats_or_bools_in_output():
