@@ -1,10 +1,10 @@
 """Randomized black-box linear algebra over finite fields.
 
-Berlekamp-Massey, Wiedemann-style solving and kernel sampling, and the dense
-Gaussian oracle that certifies them in tests.  Both Wiedemann drivers take
-square operators and are Las Vegas: every candidate is re-verified by a
-fresh application of the operator, and a None return means "no luck within
-the attempt budget", never a certificate that no solution exists.
+Berlekamp-Massey, Wiedemann-style solving and kernel sampling; tests
+certify them against dense elimination in `gauss`.  Both Wiedemann drivers
+take square operators and are Las Vegas: every candidate is re-verified by
+a fresh application of the operator, and a None return means "no luck
+within the attempt budget", never a certificate that no solution exists.
 
 Over fields with fewer than 16 elements the drivers re-run the whole
 computation over an extension F_{q^l} with q^l >= 16 (random projections in
@@ -58,15 +58,6 @@ def operator_from_matrix(ctx, matrix):
     m = [list(r) for r in matrix]
     return BlackBoxOperator(ctx, len(m), len(m[0]),
                             lambda x: gauss.matvec(ctx, m, x))
-
-
-def dense_solve(ctx, matrix, b):
-    """Exact elimination; certifies consistency (raises Inconsistent)."""
-    return gauss.solve(ctx, [list(r) for r in matrix], list(b))
-
-
-def dense_kernel(ctx, matrix):
-    return gauss.kernel_basis(ctx, [list(r) for r in matrix])
 
 
 # ------------------------------------------------------------ scalar loops

@@ -215,16 +215,8 @@ def cmd_decode(args):
     trace = None
     if args.trace:
         trace = lambda line: print("trace: %s" % line, file=sys.stderr)
-    # --threads N: seeds seed..seed+N-1 in turn, first success wins
-    last = seed + max(1, args.threads) - 1
-    for s in range(seed, last + 1):
-        try:
-            res = basic_decode(dd, r, seed=s,
-                               max_attempts=args.max_attempts, trace=trace)
-            break
-        except DecodeFail:
-            if s == last:
-                raise
+    res = basic_decode(dd, r, seed=seed, max_attempts=args.max_attempts,
+                       trace=trace)
     out = {"codeword": [files.element_to_obj(a) for a in res.codeword],
            "message": [files.element_to_obj(a) for a in res.message],
            "error": [files.element_to_obj(a) for a in res.error],
@@ -325,7 +317,6 @@ def build_parser():
     p.add_argument("--received", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-attempts", type=int, default=40)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_decode)

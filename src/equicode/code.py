@@ -33,11 +33,10 @@ from .errors import (
     DegreeWindowWarning,
     InvariantViolation,
     NotInImage,
-    NotSplit,
     RankDeficient,
     TooManyPoints,
 )
-from .ff import FieldCtx, field_make, root_of_unity
+from .ff import FieldCtx, field_make
 from .galg import AbelianGroup, GroupAlgebraElement
 from .kgmat import (
     KGMatrix,
@@ -48,6 +47,7 @@ from .kgmat import (
     kg_product_is_scalar,
     kg_transpose,
     split_kernel_and_inverse,
+    split_root,
 )
 
 
@@ -200,12 +200,12 @@ def _first_nonzero_points(ctx, n):
                         % (len(pts), n))
 
 
-def _split_code(ctx, group, omega, n, k, ev, meta):
+def _split_code(ctx, group, n, k, ev, meta):
     """The code with evaluation matrix ev whose C and I come from the split
     solver.  It certifies on the stored entries what `validate` would (E's
     rank through its kernel, C's rank, C^t E = 0 and I E = 1), so only the
     degree-window warnings are left to issue."""
-    chk, interp = split_kernel_and_inverse(ev, omega)
+    chk, interp = split_kernel_and_inverse(ev)
     code = EquivariantCode(ctx, group, n, k, ev, chk, interp, meta)
     _window_warnings(code)
     return code
@@ -232,7 +232,7 @@ def rs_degenerate_code(p, n, deg_e, d=1) -> EquivariantCode:
     G = AbelianGroup([])  # its one character is the identity
     ev = kg_from_rows([[GroupAlgebraElement(G, ctx, (v,)) for v in row]
                        for row in vand])
-    return _split_code(ctx, G, ctx.one, n, k, ev, meta)
+    return _split_code(ctx, G, n, k, ev, meta)
 
 
 def synth_split_code(p, d, group: AbelianGroup, n, k, seed=0) \
@@ -241,15 +241,9 @@ def synth_split_code(p, d, group: AbelianGroup, n, k, seed=0) \
     inverse Fourier transform.  No geometry behind it, so meta degree
     fields are None and decoders only promise self-consistency."""
     ctx = field_make(p, d)
-    if group.order % ctx.p == 0:
-        raise NotSplit("characteristic %d divides the group order %d"
-                       % (ctx.p, group.order))
-    if (ctx.q - 1) % group.exponent != 0:
-        raise NotSplit("F_%d has no elements of order %d"
-                       % (ctx.q, group.exponent))
+    split_root(group, ctx)
     if not 0 < k < n:
         raise RankDeficient("need 0 < k < n, got k=%d n=%d" % (k, n))
-    omega = root_of_unity(ctx, group.exponent)
     rng = random.Random(seed)
     o = group.order
     redraws = 0
@@ -263,8 +257,8 @@ def synth_split_code(p, d, group: AbelianGroup, n, k, seed=0) \
             if redraws > 10:
                 raise RankDeficient("no full-rank character table found")
         tables.append(m)
-    ev = kg_from_spectrum(group, ctx, omega, tables, n, k)
-    return _split_code(ctx, group, omega, n, k, ev,
+    ev = kg_from_spectrum(group, ctx, tables, n, k)
+    return _split_code(ctx, group, n, k, ev,
                        {"g_x": 0, "g_y": None, "deg_d": None,
                         "deg_e": None, "deg_p": None})
 
@@ -311,17 +305,15 @@ def cyclic_cover_code(p, d, order, n, k) -> EquivariantCode:
     ctx = field_make(p, d)
     o = int(order)
     G = AbelianGroup([o])
-    if (ctx.q - 1) % o != 0:
-        raise NotSplit("F_%d has no elements of order %d" % (ctx.q, o))
+    zeta = split_root(G, ctx)
     if not 0 < k < n:
         raise RankDeficient("need 0 < k < n, got k=%d n=%d" % (k, n))
     if n > (ctx.q - 1) // o:
         raise TooManyPoints("only %d disjoint orbits available, need %d"
                             % ((ctx.q - 1) // o, n))
-    zeta = root_of_unity(ctx, o)
     gen = ctx.generator()
     ys = [ctx.pow_(gen, i) for i in range(n)]
     ev = KGMatrix(G, ctx, n, k, cyclic_orbit_evaluation(ctx, G, zeta, ys, k))
-    return _split_code(ctx, G, zeta, n, k, ev,
+    return _split_code(ctx, G, n, k, ev,
                        {"g_x": 0, "g_y": 0, "deg_d": None,
                         "deg_e": k * o - 1, "deg_p": n})

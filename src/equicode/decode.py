@@ -54,21 +54,23 @@ from .errors import (
     Mismatch,
     NotADenominatorCandidate,
     NotInImage,
-    NotSplit,
     RankDeficient,
 )
 from .ff import OPS, root_of_unity
 from .galg import (GroupAlgebraElement, _elements, _pack_coeffs, _slot_width,
-                   ft_group, ga_mul_naive, ga_rand, ga_sigma, ga_sub)
+                   ga_mul_naive, ga_rand, ga_sigma, ga_sub)
 from .kgmat import (
     KGMatrix,
     _apply_packed,
+    _spectrum,
     expanded_rank,
     kg_apply,
+    kg_from_rows,
     kg_from_spectrum,
     kg_matmul,
     kg_transpose,
     split_kernel_and_inverse,
+    split_root,
 )
 
 
@@ -378,8 +380,7 @@ def make_rs_decoder_data(code: EquivariantCode, deg_d0=None) -> DecoderData:
                                "matrix of the expected points")
     G = code.group
     e0 = _trivial_kg(G, ctx, [row[:k0] for row in vand], n, k0)
-    c1, i1 = split_kernel_and_inverse(_trivial_kg(G, ctx, vand, n, k1),
-                                      ctx.one)
+    c1, i1 = split_kernel_and_inverse(_trivial_kg(G, ctx, vand, n, k1))
     if expanded_rank(e0) != k0:
         raise RankDeficient("denominator evaluation is not free")
     radius = min(deg_d0, n - deg_e - deg_d0 - 1)
@@ -415,7 +416,7 @@ def make_cyclic_decoder_data(code: EquivariantCode, k0) -> DecoderData:
                                                          ys, k0))
     e1 = KGMatrix(G, ctx, n, k1, cyclic_orbit_evaluation(ctx, G, zeta,
                                                          ys, k1))
-    c1, i1 = split_kernel_and_inverse(e1, zeta)
+    c1, i1 = split_kernel_and_inverse(e1)
     if expanded_rank(e0) != k0 * o:
         raise RankDeficient("denominator evaluation is not free")
     radius = min(k0 * o - 1, o * (n - k - k0))
@@ -437,12 +438,10 @@ def make_split_decoder_data(code: EquivariantCode, k0, seed=0) -> DecoderData:
     """
     G, ctx = code.group, code.field
     o, n, k = G.order, code.n, code.k
-    if G.order % ctx.p == 0 or (ctx.q - 1) % G.exponent != 0:
-        raise NotSplit("split decoder data needs a split group algebra")
+    split_root(G, ctx)
     if not 0 < k0 <= k:
         raise DegreeWindow("denominator rank must be in 1..k (columns are "
                            "taken from the evaluation matrix)")
-    omega = root_of_unity(ctx, G.exponent)
     rng = random.Random(seed)
     e0 = KGMatrix(G, ctx, n, k0,
                   tuple(code.evaluation.entry(i, j)
@@ -458,11 +457,8 @@ def make_split_decoder_data(code: EquivariantCode, k0, seed=0) -> DecoderData:
             for s in sigmas:
                 products.append([_pointwise(u, ga_mul_naive(s, w))
                                  for u, w in zip(cols0, cols)])
-    prod_hat = [[ft_group(q, omega).values for q in qs] for qs in products]
     spans = []
-    for chi in range(o):
-        rows = [[prod_hat[t][i][chi] for i in range(n)]
-                for t in range(len(products))]
+    for rows in _spectrum(kg_from_rows(products)):
         red, pivots = gauss.rref(ctx, rows)
         spans.append([list(red[r]) for r in range(len(pivots))])
     k1 = max(len(s) for s in spans)
@@ -475,10 +471,10 @@ def make_split_decoder_data(code: EquivariantCode, k0, seed=0) -> DecoderData:
             cand = [ctx.rand(rng) for _ in range(n)]
             if gauss.rank(ctx, span + [cand]) == len(span) + 1:
                 span.append(cand)
-    e1 = kg_from_spectrum(G, ctx, omega,
+    e1 = kg_from_spectrum(G, ctx,
                           [[tuple(v[i] for v in span) for i in range(n)]
                            for span in spans], n, k1)
-    c1, i1 = split_kernel_and_inverse(e1, omega)
+    c1, i1 = split_kernel_and_inverse(e1)
     c1t = kg_transpose(c1)
     for qs in products:
         if not all(s.is_zero() for s in kg_apply(c1t, qs)):

@@ -35,10 +35,6 @@ class NoSuchRoot(EquicodeError):
     """No element of the requested multiplicative order exists."""
 
 
-class SearchExhausted(EquicodeError):
-    """A bounded search ran out of its iteration budget."""
-
-
 # --- group algebra ------------------------------------------------------
 
 class Mismatch(EquicodeError):

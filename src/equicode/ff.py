@@ -9,8 +9,11 @@ irreducible modulus (coefficients listed low degree first).  Two layers:
 * FieldElement: a thin frozen wrapper with operator overloads for tests and
   for the public API.
 
-A module-level operation counter (OPS) can be switched on to measure how many
-field operations a computation performs; transforms report their work there.
+A module-level operation counter (OPS) measures how many field operations
+a computation performs; transforms report their work there.  It counts
+while any `count_field_ops()` block is open.  Blocks nest: each yields its
+own handle, whose count is the operations made inside that block, inner
+blocks included.
 """
 
 from __future__ import annotations
@@ -32,13 +35,15 @@ from .errors import (
 
 
 class OpCounter:
-    """Cheap operation counter; disabled by default."""
+    """Cheap operation counter: a running total, enabled while any
+    `count_field_ops()` block is open."""
 
-    __slots__ = ("enabled", "count")
+    __slots__ = ("enabled", "count", "blocks")
 
     def __init__(self):
         self.enabled = False
         self.count = 0
+        self.blocks = 0
 
     def add(self, n):
         if self.enabled:
@@ -48,18 +53,27 @@ class OpCounter:
 OPS = OpCounter()
 
 
+class OpCount:
+    """One `count_field_ops()` block's handle; .count is set when the
+    block closes."""
+
+    __slots__ = ("count",)
+
+
 @contextmanager
 def count_field_ops():
-    """Enable OPS inside the block; read .count after the block exits.
-
-    Not reentrant; intended for benchmarks and complexity assertions.
-    """
+    """Count field operations inside the block; read .count of the handle
+    after the block exits.  Blocks nest: each counts the operations made
+    inside it, inner blocks included."""
+    handle, start = OpCount(), OPS.count
+    OPS.blocks += 1
     OPS.enabled = True
-    OPS.count = 0
     try:
-        yield OPS
+        yield handle
     finally:
-        OPS.enabled = False
+        handle.count = OPS.count - start
+        OPS.blocks -= 1
+        OPS.enabled = OPS.blocks > 0
 
 
 # ---------------------------------------------------------------- primality

@@ -485,12 +485,11 @@ def _cyclic_plan(ctx, n, omega):
     else:
         if not _root_has_exact_order(ctx, omega, n):
             raise BadRootOrder("root does not have exact order %d" % n)
-        counting = OPS.enabled
-        OPS.enabled = False  # table building is setup, not per-call work
+        before = OPS.count  # table building is setup, not per-call work
         try:
             plan = _build_plan(ctx, n, omega)
         finally:
-            OPS.enabled = counting
+            OPS.count = before
     _PLAN_CACHE[key] = plan
     return plan
 

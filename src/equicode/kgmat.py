@@ -20,11 +20,13 @@ makes K[G] a product of copies of K, so a matrix is one K-matrix per
 character, and certification runs there: `expanded_rank` is the sum of the
 per-character ranks (the block DFT is invertible), and
 `kg_product_is_scalar` compares per-character products with a multiple of
-the identity.  Each matrix keeps its Fourier image once computed, always
-from its stored entries (`kg_from_spectrum` keeps none of the spectrum it
-is given), so these certifications check what gets saved.  Transposes
-carry the image over.  Non-split algebras expand densely or multiply
-through `kg_matmul`.
+the identity.  `split_root` decides whether K[G] is split and gives the
+one root every Fourier image is taken at; the root only fixes the order
+of the characters.  Each matrix keeps its one Fourier image once
+computed, always from its stored entries (`kg_from_spectrum` keeps none
+of the spectrum it is given), so these certifications check what gets
+saved.  Transposes carry the image over.  Non-split algebras expand
+densely or multiply through `kg_matmul`.
 
 On top of the expansion: invariant duality forms, the lifting of K-linear
 forms to K[G]-linear ones, equivariant projections onto free submodules,
@@ -74,10 +76,10 @@ class KGMatrix:
     rows: int
     cols: int
     entries: tuple  # row-major GroupAlgebraElements
-    # omega -> per-character K-matrices (see _spectrum), slot width ->
-    # packed rows (see _packed) and the transpose, once built (see
+    # the per-character K-matrices (see _spectrum), slot width -> packed
+    # rows (see _packed) and the transpose, each once built (see
     # kg_transpose); memoization only
-    _spectra: dict = dc_field(default_factory=dict, init=False,
+    _spectra: list = dc_field(default_factory=list, init=False,
                               compare=False, hash=False, repr=False)
     _packed: dict = dc_field(default_factory=dict, init=False,
                              compare=False, hash=False, repr=False)
@@ -129,18 +131,17 @@ def kg_identity(group, ctx, n):
 
 def kg_transpose(m: KGMatrix) -> KGMatrix:
     """Plain entrywise transpose; no involution is applied.  Built once
-    and kept on m, so its packed rows are packed once too.  Fourier
-    images cached on m carry over, transposed character by character."""
+    and kept on m, so its packed rows are packed once too.  A Fourier
+    image cached on m carries over, transposed character by character."""
     if not m._transposed:
         m._transposed.append(KGMatrix(
             m.group, m.field, m.cols, m.rows,
             tuple(m.entry(i, j)
                   for j in range(m.cols) for i in range(m.rows))))
     t = m._transposed[0]
-    for omega, spec in m._spectra.items():
-        if omega not in t._spectra:
-            t._spectra[omega] = [list(zip(*mat)) or [()] * m.cols
-                                  for mat in spec]
+    if m._spectra and not t._spectra:
+        t._spectra.append([list(zip(*mat)) or [()] * m.cols
+                           for mat in m._spectra[0]])
     return t
 
 
@@ -191,38 +192,49 @@ def _apply_packed(a: KGMatrix, col, width, scale=None):
                           width, scale)
 
 
-def _split_root(group, ctx):
-    """The root of unity the character-domain paths use, or None when K[G]
-    is not split.  The trivial group is split, with root 1."""
-    if (ctx.q - 1) % group.exponent != 0:
-        return None
+def _is_split(group, ctx):
+    """Whether K[G] is split: the exponent of G divides q - 1.  Then p does
+    not divide |G| either, since every prime factor of |G| divides the
+    exponent."""
+    return (ctx.q - 1) % group.exponent == 0
+
+
+def split_root(group, ctx):
+    """The root of unity every Fourier image over K[G] is taken at: a
+    primitive root of order the exponent of G (1 for the trivial group).
+    Raises NotSplit unless K[G] is split."""
+    if not _is_split(group, ctx):
+        raise NotSplit("F_%d has no elements of order %d"
+                       % (ctx.q, group.exponent))
     return root_of_unity(ctx, group.exponent)
 
 
-def _spectrum(a: KGMatrix, omega):
-    """Per-character K-matrices of a: spec[chi][i][j] = FT(a_ij)(chi).
-
-    Computed from the stored entries once per omega and kept on the matrix.
+def _spectrum(a: KGMatrix):
+    """Per-character K-matrices of a: spec[chi][i][j] = FT(a_ij)(chi), at
+    `split_root`.  Computed from the stored entries once and kept on the
+    matrix.
     """
-    spec = a._spectra.get(omega)
-    if spec is None:
+    if not a._spectra:
+        omega = split_root(a.group, a.field)
         hats = [ft_group(x, omega).values for x in a.entries]
         cols = a.cols
-        spec = [[tuple(h[chi] for h in hats[i * cols:(i + 1) * cols])
-                 for i in range(a.rows)]
-                for chi in range(a.group.order)]
-        a._spectra[omega] = spec
-    return spec
+        a._spectra.append(
+            [[tuple(h[chi] for h in hats[i * cols:(i + 1) * cols])
+              for i in range(a.rows)]
+             for chi in range(a.group.order)])
+    return a._spectra[0]
 
 
-def kg_from_spectrum(group, ctx, omega, spec, rows, cols) -> KGMatrix:
+def kg_from_spectrum(group, ctx, spec, rows, cols) -> KGMatrix:
     """The rows x cols matrix whose per-character K-matrices are spec.
 
     spec[chi][i][j] is entry (i, j) at character chi, in the layout
     `_spectrum` returns.  spec is not kept: the matrix's Fourier image is
     transformed from its entries when first needed, so a certification
-    never just re-reads its own input.
+    never just re-reads its own input.  Raises NotSplit unless K[G] is
+    split.
     """
+    omega = split_root(group, ctx)
     return KGMatrix(group, ctx, rows, cols, tuple(
         ft_inverse(FourierImage(group, ctx, omega,
                                 tuple(mat[i][j] for mat in spec)))
@@ -265,14 +277,13 @@ def kg_product_is_scalar(a: KGMatrix, b: KGMatrix, c) -> bool:
                           % (a.cols, b.rows))
     G, ctx = a.group, a.field
     zero = ctx.zero
-    omega = _split_root(G, ctx)
-    if omega is None:
+    if not _is_split(G, ctx):
         unit = GroupAlgebraElement(G, ctx, (c,) + (zero,) * (G.order - 1))
         z = ga_zero(G, ctx)
         return kg_matmul(a, b).entries == tuple(
             unit if i == j else z for i in range(a.rows)
             for j in range(b.cols))
-    for x, y in zip(_spectrum(a, omega), _spectrum(b, omega)):
+    for x, y in zip(_spectrum(a), _spectrum(b)):
         y_cols = list(zip(*y)) or [()] * b.cols
         for i, row in enumerate(x):
             # row i of x . y
@@ -332,10 +343,9 @@ def expand(m: KGMatrix) -> ExpandedMatrix:
 
 def expanded_rank(m: KGMatrix) -> int:
     """K-rank of expand(m); per character in the split case."""
-    omega = _split_root(m.group, m.field)
-    if omega is None:
+    if not _is_split(m.group, m.field):
         return gauss.rank(m.field, [list(r) for r in expand(m).matrix])
-    return sum(gauss.rank(m.field, mat) for mat in _spectrum(m, omega))
+    return sum(gauss.rank(m.field, mat) for mat in _spectrum(m))
 
 
 # ---------------------------------------------------------------- duality
@@ -535,26 +545,22 @@ def systematize(e: KGMatrix) -> SystematizeResult:
 # ------------------------------------------------------- split-case solver
 
 
-def split_kernel_and_inverse(e: KGMatrix, omega):
+def split_kernel_and_inverse(e: KGMatrix):
     """Kernel-checking and left-inverse matrices through the characters.
 
     In the split case the Fourier transform turns K[G] into K^order
     pointwise, so C and I come from one elimination of [e_chi^t | I] per
     character.  Returns (C, I) with C of full rank, C^t . e = 0 and
     I . e = identity, each checked on the stored entries of C and I.
+    Raises NotSplit unless K[G] is split.
     """
     n, k = e.rows, e.cols
     G = e.group
     ctx = e.field
-    if G.order % ctx.p == 0:
-        raise NotSplit("characteristic %d divides the group order %d"
-                       % (ctx.p, G.order))
-    if (ctx.q - 1) % G.exponent != 0:
-        raise NotSplit("F_%d has no elements of order %d"
-                       % (ctx.q, G.exponent))
+    split_root(G, ctx)
     c_spec, i_spec = [], []
     ident = gauss.identity(ctx, k)
-    for chi, e_chi in enumerate(_spectrum(e, omega)):
+    for chi, e_chi in enumerate(_spectrum(e)):
         kern, y = gauss.kernel_and_solution(ctx, gauss.transpose(e_chi),
                                             ident)
         if len(kern) != n - k:
@@ -565,8 +571,8 @@ def split_kernel_and_inverse(e: KGMatrix, omega):
         if y is None:
             raise RankDeficient("character %d: no left inverse" % chi)
         i_spec.append([tuple(row[i] for row in y) for i in range(k)])
-    c = kg_from_spectrum(G, ctx, omega, c_spec, n, n - k)
-    i_mat = kg_from_spectrum(G, ctx, omega, i_spec, k, n)
+    c = kg_from_spectrum(G, ctx, c_spec, n, n - k)
+    i_mat = kg_from_spectrum(G, ctx, i_spec, k, n)
     # the rank first: it keeps c's Fourier image on c, where its transpose
     # finds it; a C short of full rank has ker C^t larger than the image of e
     if expanded_rank(c) != (n - k) * G.order:

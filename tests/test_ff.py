@@ -236,6 +236,21 @@ def test_op_counter():
     assert ops.count == before
 
 
+def test_op_counter_nested_blocks():
+    K = ff.field_make(13)
+    with ff.count_field_ops() as outer:
+        K.mul(3, 4)
+        K.mul(3, 4)
+        with ff.count_field_ops() as inner:
+            K.mul(3, 4)
+        K.mul(3, 4)  # still counted: the outer block is open
+    K.mul(3, 4)
+    assert (outer.count, inner.count) == (4, 1)
+    with ff.count_field_ops() as again:
+        K.add(1, 2)
+    assert again.count == 1 and outer.count == 4
+
+
 def test_polynomial_helpers_over_prime_field():
     K = ff.field_make(5)
     f = [1, 2, 3]  # 3x^2 + 2x + 1

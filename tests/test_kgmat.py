@@ -4,7 +4,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from equicode import ff, gauss, kgmat
-from equicode.code import EquivariantCode, cyclic_cover_code, validate
+from equicode.code import (
+    EquivariantCode,
+    cyclic_cover_code,
+    genus2_example_code,
+    synth_split_code,
+    validate,
+)
+from equicode.decode import make_split_decoder_data
 from equicode.errors import (
     DimMismatch,
     InvariantViolation,
@@ -32,8 +39,6 @@ K5 = ff.field_make(5)
 Z2 = AbelianGroup([2])
 Z4 = AbelianGroup([4])
 Z2Z2 = AbelianGroup([2, 2])
-
-W5 = ff.root_of_unity(K5, 4)
 
 
 def kg_rand(group, ctx, rng, rows, cols):
@@ -163,13 +168,13 @@ def test_kg_apply_matches_entrywise_reference(case, rows, cols, seed):
         vec = [ga_rand(G, ctx, rng) for _ in range(cols)]
         assert kgmat.kg_apply(a, vec) == kg_apply_reference(a, vec)
     assert a == copy and hash(a) == before == hash(copy)
-    late = kgmat.kg_transpose(a)  # shares a's cached spectra
-    assert late._spectra.keys() == a._spectra.keys()
+    late = kgmat.kg_transpose(a)  # shares a's cached spectrum
+    assert len(late._spectra) == len(a._spectra) <= 1
     for t in (early, late, kgmat.kg_transpose(late)):
         vec = [ga_rand(G, ctx, rng) for _ in range(t.cols)]
         assert kgmat.kg_apply(t, vec) == kg_apply_reference(t, vec)
-    for omega, spec in a._spectra.items():
-        rebuilt = kgmat.kg_from_spectrum(G, ctx, omega, spec, rows, cols)
+    for spec in a._spectra:
+        rebuilt = kgmat.kg_from_spectrum(G, ctx, spec, rows, cols)
         assert rebuilt == a
         vec = [ga_rand(G, ctx, rng) for _ in range(cols)]
         assert kgmat.kg_apply(rebuilt, vec) == kg_apply_reference(a, vec)
@@ -187,10 +192,9 @@ def test_transpose_is_built_once():
     vec = [ga_rand(Z4, K5, rng) for _ in range(2)]
     assert kgmat.kg_apply(t, vec) == kg_apply_reference(t, vec)
     assert kgmat.kg_transpose(a) is t and t._packed
-    omega = kgmat._split_root(Z4, K5)
-    spec = kgmat._spectrum(a, omega)
-    assert kgmat.kg_transpose(a)._spectra[omega] == [list(zip(*mat))
-                                                      for mat in spec]
+    spec = kgmat._spectrum(a)
+    assert kgmat.kg_transpose(a)._spectra == [[list(zip(*mat))
+                                               for mat in spec]]
 
 
 # (p, d, invariant factors, slot width at 9 columns): every coefficient
@@ -461,7 +465,7 @@ def test_split_kernel_and_inverse_unit_column():
     one = ga_one(Z4, K5)
     z = ga_zero(Z4, K5)
     e = kgmat.kg_from_rows([[one], [z], [z]])
-    c, i_mat = kgmat.split_kernel_and_inverse(e, W5)
+    c, i_mat = kgmat.split_kernel_and_inverse(e)
     assert kgmat.kg_matmul(kgmat.kg_transpose(c), e) == \
         kgmat.kg_zero(Z4, K5, 2, 1)
     assert kgmat.kg_matmul(i_mat, e) == kgmat.kg_identity(Z4, K5, 1)
@@ -473,13 +477,12 @@ def test_split_kernel_and_inverse_unit_column():
 def test_split_kernel_and_inverse_random():
     rng = random.Random(19)
     # the trivial group is split too: K[1] = K, one character, omega = 1
-    for group, ctx, omega in ((Z4, K5, W5),
-                              (AbelianGroup([]), ff.field_make(13), 1)):
+    for group, ctx in ((Z4, K5), (AbelianGroup([]), ff.field_make(13))):
         done = 0
         while done < 8:
             e = kg_rand(group, ctx, rng, 4, 2)
             try:
-                c, i_mat = kgmat.split_kernel_and_inverse(e, omega)
+                c, i_mat = kgmat.split_kernel_and_inverse(e)
             except RankDeficient:
                 continue
             done += 1
@@ -492,14 +495,37 @@ def test_split_kernel_and_inverse_random():
 def test_split_kernel_and_inverse_errors():
     with pytest.raises(NotSplit):
         kgmat.split_kernel_and_inverse(
-            kgmat.kg_identity(AbelianGroup([3]), K3, 1), K3.one)
+            kgmat.kg_identity(AbelianGroup([3]), K3, 1))
     k7 = ff.field_make(7)
     with pytest.raises(NotSplit):
-        kgmat.split_kernel_and_inverse(kgmat.kg_identity(Z4, k7, 1), 1)
+        kgmat.split_kernel_and_inverse(kgmat.kg_identity(Z4, k7, 1))
     deficient = kgmat.kg_from_rows([[ga_from_ints(Z4, K5, (0, 1, 0, 1))],
                                     [ga_zero(Z4, K5)]])
     with pytest.raises(RankDeficient):
-        kgmat.split_kernel_and_inverse(deficient, W5)
+        kgmat.split_kernel_and_inverse(deficient)
+
+
+@pytest.mark.filterwarnings("ignore::equicode.errors.DegreeWindowWarning")
+@pytest.mark.parametrize("p, order", [(7, 4), (3, 3)],
+                         ids=["f7-z4-no-root", "f3-z3-p-divides-order"])
+def test_one_split_decision(p, order):
+    """K[G] is split only when the exponent of G divides q - 1; otherwise
+    every character-domain entry point raises NotSplit, and the rank comes
+    from the dense expansion."""
+    ctx, G = ff.field_make(p), AbelianGroup([order])
+    m = kg_rand(G, ctx, random.Random(p), 3, 2)
+    for call in (lambda: kgmat.split_root(G, ctx),
+                 lambda: kgmat.split_kernel_and_inverse(m),
+                 lambda: kgmat.kg_from_spectrum(
+                     G, ctx, [[(ctx.one,)]] * order, 1, 1),
+                 lambda: synth_split_code(p, 1, G, 4, 2),
+                 lambda: cyclic_cover_code(p, 1, order, 1, 1),
+                 # the genus-2 example lives over F_3[Z/4]
+                 lambda: make_split_decoder_data(genus2_example_code(), 1)):
+        with pytest.raises(NotSplit):
+            call()
+    dense = gauss.rank(ctx, [list(r) for r in kgmat.expand(m).matrix])
+    assert kgmat.expanded_rank(m) == dense
 
 
 def test_split_kernel_and_inverse_eliminates_once_per_character(
@@ -507,7 +533,6 @@ def test_split_kernel_and_inverse_eliminates_once_per_character(
     """C and I come from one rref of [E_chi^t | I] per character; the
     other rref per character is the rank of the stored C."""
     code = cyclic_cover_code(13, 1, 4, 3, 1)  # E is 3 x 1, C is 3 x 2
-    omega = ff.root_of_unity(code.field, 4)
     real = gauss.rref
     widths = []
 
@@ -516,7 +541,7 @@ def test_split_kernel_and_inverse_eliminates_once_per_character(
         return real(ctx, m)
 
     monkeypatch.setattr(gauss, "rref", counting)
-    kgmat.split_kernel_and_inverse(code.evaluation, omega)
+    kgmat.split_kernel_and_inverse(code.evaluation)
     assert widths == [3 + 1] * 4 + [2] * 4
 
 
@@ -525,7 +550,6 @@ def test_split_kernel_and_inverse_checks_the_rank_of_c(monkeypatch):
     check on the stored C catches it."""
     code = cyclic_cover_code(13, 1, 4, 3, 1)  # C's 6 entries come first
     G, ctx = code.group, code.field
-    omega = ff.root_of_unity(ctx, G.exponent)
     real = kgmat.ft_inverse
     calls = []
 
@@ -535,7 +559,7 @@ def test_split_kernel_and_inverse_checks_the_rank_of_c(monkeypatch):
 
     monkeypatch.setattr(kgmat, "ft_inverse", zeroing)
     with pytest.raises(InvariantViolation, match="full rank"):
-        kgmat.split_kernel_and_inverse(code.evaluation, omega)
+        kgmat.split_kernel_and_inverse(code.evaluation)
 
 
 def test_expanded_rank_examples():
@@ -580,8 +604,7 @@ def test_expanded_rank_matches_dense_rank(case, rows, cols, seed, deficient):
         spec = [low_rank(ctx, rng, rows, cols,
                          rng.randrange(min(rows, cols) + 1))
                 for _ in range(G.order)]
-        m = kgmat.kg_from_spectrum(G, ctx, ff.root_of_unity(ctx, G.exponent),
-                                   spec, rows, cols)
+        m = kgmat.kg_from_spectrum(G, ctx, spec, rows, cols)
     else:
         # last column a multiple of the first
         m = kg_rand(G, ctx, rng, rows, cols)
@@ -603,9 +626,8 @@ def test_certification_transforms_the_stored_entries(monkeypatch, bad_call):
     kg_from_spectrum was given."""
     code = cyclic_cover_code(13, 1, 4, 3, 1)  # C is 3 x 2, I is 1 x 3
     G, ctx = code.group, code.field
-    omega = ff.root_of_unity(ctx, G.exponent)
-    c_spec = kgmat._spectrum(code.check, omega)
-    i_spec = kgmat._spectrum(code.interp, omega)
+    c_spec = kgmat._spectrum(code.check)
+    i_spec = kgmat._spectrum(code.interp)
     real = kgmat.ft_inverse
     calls = []
 
@@ -619,10 +641,10 @@ def test_certification_transforms_the_stored_entries(monkeypatch, bad_call):
 
     monkeypatch.setattr(kgmat, "ft_inverse", faulty)
     with pytest.raises(InvariantViolation):
-        kgmat.split_kernel_and_inverse(code.evaluation, omega)
+        kgmat.split_kernel_and_inverse(code.evaluation)
     calls.clear()
-    chk = kgmat.kg_from_spectrum(G, ctx, omega, c_spec, 3, 2)
-    interp = kgmat.kg_from_spectrum(G, ctx, omega, i_spec, 1, 3)
+    chk = kgmat.kg_from_spectrum(G, ctx, c_spec, 3, 2)
+    interp = kgmat.kg_from_spectrum(G, ctx, i_spec, 1, 3)
     assert (chk, interp) != (code.check, code.interp)
     broken = EquivariantCode(ctx, G, 3, 1, code.evaluation, chk, interp,
                              code.meta)
