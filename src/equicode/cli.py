@@ -169,15 +169,20 @@ def cmd_bench_mul(args):
     return 0
 
 
+def _validate(code):
+    """validate(code), with its warnings printed to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        validate(code)
+    for w in caught:
+        print("warning: %s" % w.message, file=sys.stderr)
+
+
 def cmd_code(args):
     code = files.load_code(args.code)
     group, ctx = code.group, code.field
     if args.action == "validate":
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            validate(code)
-        for w in caught:
-            print("warning: %s" % w.message, file=sys.stderr)
+        _validate(code)
         print("ok")
         return 0
     if args.action == "encode":
@@ -208,6 +213,7 @@ def cmd_decode(args):
         if files.load_code(args.code) != dd.code:
             raise Mismatch("--code disagrees with the decoder's code")
     code = dd.code
+    _validate(code)
     group, ctx = code.group, code.field
     r = _load_elements(args.received, group, ctx, "--received")
     seed = _resolve_seed(args)

@@ -11,8 +11,9 @@ Bundled constructors:
   * genus2_example_code  -- a hand-sized 3x1 code over F_3[Z/4] from a
     genus-2 base curve, good for exactness checks (encode/check only: its
     basic radius is negative).
-  * rs_degenerate_code   -- trivial group, Vandermonde evaluation; the
-    classical Reed-Solomon case every decoder test cross-checks against.
+  * rs_degenerate_code   -- trivial group, Vandermonde evaluation (the
+    orbit evaluation below on the trivial cover Y = X); the classical
+    Reed-Solomon case every decoder test cross-checks against.
   * synth_split_code     -- random per-character data glued by inverse
     Fourier transform; no geometry, all algebraic invariants hold.
   * cyclic_cover_code    -- evaluation of low-degree polynomials on
@@ -212,8 +213,8 @@ def _split_code(ctx, group, n, k, ev, meta):
 
 
 def rs_degenerate_code(p, n, deg_e, d=1) -> EquivariantCode:
-    """Trivial-group Reed-Solomon code: Vandermonde evaluation at the first
-    n nonzero field elements, degree <= deg_e."""
+    """Trivial-group Reed-Solomon code, degree <= deg_e: the orbit (here
+    Vandermonde) evaluation at the first n nonzero field elements."""
     ctx = field_make(p, d)
     if n > ctx.q - 1:
         raise TooManyPoints("need %d distinct nonzero points in F_%d"
@@ -225,13 +226,11 @@ def rs_degenerate_code(p, n, deg_e, d=1) -> EquivariantCode:
         warnings.warn(DegreeWindowWarning(
             "degree %d leaves no checking capacity (n = %d)"
             % (deg_e, n)), stacklevel=2)
-    pts = _first_nonzero_points(ctx, n)
     k = deg_e + 1
-    vand = [[ctx.pow_(x, j) for j in range(k)] for x in pts]
-    meta = {"g_x": 0, "g_y": 0, "deg_d": deg_e, "deg_e": deg_e, "deg_p": n}
     G = AbelianGroup([])  # its one character is the identity
-    ev = kg_from_rows([[GroupAlgebraElement(G, ctx, (v,)) for v in row]
-                       for row in vand])
+    ev = KGMatrix(G, ctx, n, k, cyclic_orbit_evaluation(
+        ctx, G, ctx.one, _first_nonzero_points(ctx, n), k))
+    meta = {"g_x": 0, "g_y": 0, "deg_d": deg_e, "deg_e": deg_e, "deg_p": n}
     return _split_code(ctx, G, n, k, ev, meta)
 
 
@@ -268,8 +267,9 @@ def cyclic_orbit_evaluation(ctx, G: AbelianGroup, zeta, ys, rank):
     on the mu_o-orbits of the points ys, in the free basis
     w_l = sum_{j<o} y^(l*o+j).  Coefficient s of entry (i, l) is
     w_l(zeta^s y_i) = y_i^(l*o) (y_i^o - 1) / (zeta^s y_i - 1), a geometric
-    sum in closed form, or o where zeta^s y_i = 1.  Returns the flat entry
-    tuple for a KGMatrix."""
+    sum in closed form, or o where zeta^s y_i = 1; it does not depend on
+    rank.  For the trivial group and zeta = 1 it is y_i^l, the Vandermonde
+    matrix of `rs_degenerate_code`.  Returns the flat entry tuple."""
     o = G.order
     one, order = ctx.one, ctx.from_int(o)
     zpow = [ctx.pow_(zeta, t) for t in range(o)]

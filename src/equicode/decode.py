@@ -56,7 +56,7 @@ from .errors import (
     NotInImage,
     RankDeficient,
 )
-from .ff import OPS, root_of_unity
+from .ff import OPS
 from .galg import (GroupAlgebraElement, _elements, _pack_coeffs, _slot_width,
                    ga_mul_naive, ga_rand, ga_sigma, ga_sub)
 from .kgmat import (
@@ -319,32 +319,36 @@ def basic_decode(dd: DecoderData, r, seed=0, max_attempts=40,
 # ------------------------------------------------------- data constructors
 
 
-def _warn_degree_windows(code: EquivariantCode, deg_d0):
-    """Warn-only comfort windows on the base: g <= deg D0 <= n-1 and
-    2g - 1 <= deg D + deg D0 <= n - 1."""
-    g_x = code.meta.get("g_x")
-    deg_d = code.meta.get("deg_d")
-    if g_x is None or deg_d is None or deg_d0 is None:
-        return
-    n = code.n
-    if not g_x <= deg_d0 <= n - 1:
-        warnings.warn(DegreeWindowWarning(
-            "auxiliary degree %d outside [%d, %d]" % (deg_d0, g_x, n - 1)),
-            stacklevel=3)
-    if not 2 * g_x - 1 <= deg_d + deg_d0 <= n - 1:
-        warnings.warn(DegreeWindowWarning(
-            "product degree %d outside [%d, %d]"
-            % (deg_d + deg_d0, 2 * g_x - 1, n - 1)), stacklevel=3)
+def _orbit_decoder_data(code: EquivariantCode, ys, k0, k1) -> DecoderData:
+    """Decoder data of a code whose E is `cyclic_orbit_evaluation` of ys
+    (the Vandermonde matrix for the trivial group).  Entry (i, l) does not
+    depend on the rank, so E, E0 and E1 are the first k, k0 and k1 columns
+    of one evaluation.  Raises Mismatch unless the code's E is, and
+    RankDeficient unless E0 is free.  The radius is min(k0 o - 1,
+    (n - k1) o): a denominator has at most k0 o - 1 zeros, and the
+    product space leaves (n - k1) o checks."""
+    G, ctx, n, o = code.group, code.field, code.n, code.group.order
+    full = cyclic_orbit_evaluation(ctx, G, split_root(G, ctx), ys, k1)
 
+    def columns(cols):
+        return KGMatrix(G, ctx, n, cols, tuple(
+            full[i * k1 + j] for i in range(n) for j in range(cols)))
 
-def _trivial_kg(group, ctx, kmat, rows, cols):
-    entries = tuple(GroupAlgebraElement(group, ctx, (kmat[i][j],))
-                    for i in range(rows) for j in range(cols))
-    return KGMatrix(group, ctx, rows, cols, entries)
+    if columns(code.k) != code.evaluation:
+        raise Mismatch("evaluation matrix is not the orbit evaluation of "
+                       "the expected points")
+    e0 = columns(k0)
+    c1, i1 = split_kernel_and_inverse(KGMatrix(G, ctx, n, k1, full))
+    if expanded_rank(e0) != k0 * o:
+        raise RankDeficient("denominator evaluation is not free")
+    return DecoderData(code, e0, c1, i1, k0 * o - 1,
+                       min(k0 * o - 1, (n - k1) * o))
 
 
 def make_rs_decoder_data(code: EquivariantCode, deg_d0=None) -> DecoderData:
-    """Decoder data for a trivial-group Vandermonde code.
+    """Decoder data for a trivial-group Vandermonde code with genus-0
+    metadata and deg_e = k - 1: `_orbit_decoder_data` at k0 = deg_d0 + 1,
+    k1 = k + deg_d0.
 
     Default deg_d0 is the basic radius, which maximizes
     min(deg_d0, n - deg_e - deg_d0 - 1) -- the exact radius, matching the
@@ -356,71 +360,50 @@ def make_rs_decoder_data(code: EquivariantCode, deg_d0=None) -> DecoderData:
                            "supports encode/check only" % d_basic)
     if code.group.order != 1:
         raise Mismatch("this constructor handles trivial-group codes only")
-    if code.meta.get("g_x") != 0 or code.meta.get("deg_e") is None:
-        raise Mismatch("need genus-0 metadata with a known degree")
-    ctx, n = code.field, code.n
-    deg_e = code.meta["deg_e"]
+    n, k = code.n, code.k
+    if code.meta.get("g_x") != 0 or code.meta.get("deg_e") != k - 1:
+        raise Mismatch("need genus-0 metadata with deg_e = k - 1")
     if deg_d0 is None:
         deg_d0 = d_basic
-    if deg_d0 < 0 or deg_e + deg_d0 + 1 >= n:
+    if deg_d0 < 0 or k + deg_d0 >= n:
         raise DegreeWindow("auxiliary degree %d leaves no checking "
                            "capacity (deg E = %d, n = %d)"
-                           % (deg_d0, deg_e, n))
-    _warn_degree_windows(code, deg_d0)
-    if code.k >= 2:
+                           % (deg_d0, k - 1, n))
+    if k >= 2:
         pts = [code.evaluation.entry(i, 1).coeffs[0] for i in range(n)]
     else:
-        pts = _first_nonzero_points(ctx, n)
-    k0, k1 = deg_d0 + 1, deg_e + deg_d0 + 1
-    vand = [[ctx.pow_(x, j) for j in range(k1)] for x in pts]
-    for i in range(n):
-        for j in range(code.k):
-            if code.evaluation.entry(i, j).coeffs[0] != vand[i][j]:
-                raise Mismatch("evaluation matrix is not the Vandermonde "
-                               "matrix of the expected points")
-    G = code.group
-    e0 = _trivial_kg(G, ctx, [row[:k0] for row in vand], n, k0)
-    c1, i1 = split_kernel_and_inverse(_trivial_kg(G, ctx, vand, n, k1))
-    if expanded_rank(e0) != k0:
-        raise RankDeficient("denominator evaluation is not free")
-    radius = min(deg_d0, n - deg_e - deg_d0 - 1)
-    return DecoderData(code, e0, c1, i1, deg_d0, radius)
+        pts = _first_nonzero_points(code.field, n)
+    dd = _orbit_decoder_data(code, pts, deg_d0 + 1, k + deg_d0)
+    # the comfort window 2 g_x - 1 <= deg D + deg D0 <= n - 1 only warns;
+    # g_x <= deg D0 <= n - 1 already holds after the refusals above
+    deg_d = code.meta.get("deg_d")
+    if deg_d is not None and not -1 <= deg_d + deg_d0 <= n - 1:
+        warnings.warn(DegreeWindowWarning(
+            "product degree %d outside [-1, %d]" % (deg_d + deg_d0, n - 1)),
+            stacklevel=2)
+    return dd
 
 
 def make_cyclic_decoder_data(code: EquivariantCode, k0) -> DecoderData:
-    """Decoder data for a cyclic-cover code (exact radius).
+    """Decoder data for a cyclic-cover code (exact radius) on the points
+    of `cyclic_cover_code`, the field generator's powers.
 
     The denominator space is the rank-k0 polynomial module of degree
     < k0*o; the product space has rank k1 = k + k0.  Through the
     underlying Reed-Solomon structure the radius is
-    min(k0*o - 1, o*(n - k - k0)).
+    min(k0*o - 1, o*(n - k - k0)).  Raises NotSplit unless K[G] is split.
     """
-    G, ctx = code.group, code.field
-    o, n, k = G.order, code.n, code.k
+    G, ctx, n, k1 = code.group, code.field, code.n, code.k + k0
     if len(G.factors) != 1:
         raise Mismatch("cyclic-cover decoder needs a cyclic group")
     if not 0 < k0:
         raise DegreeWindow("auxiliary rank must be positive")
-    k1 = k + k0
     if k1 >= n:
         raise DegreeWindow("product rank %d leaves no checking capacity "
                            "(n = %d)" % (k1, n))
-    zeta = root_of_unity(ctx, o)
     gen = ctx.generator()
-    ys = [ctx.pow_(gen, i) for i in range(n)]
-    if code.evaluation.entries != cyclic_orbit_evaluation(ctx, G, zeta,
-                                                          ys, k):
-        raise Mismatch("evaluation matrix is not the cyclic-orbit "
-                       "evaluation of the expected points")
-    e0 = KGMatrix(G, ctx, n, k0, cyclic_orbit_evaluation(ctx, G, zeta,
-                                                         ys, k0))
-    e1 = KGMatrix(G, ctx, n, k1, cyclic_orbit_evaluation(ctx, G, zeta,
-                                                         ys, k1))
-    c1, i1 = split_kernel_and_inverse(e1)
-    if expanded_rank(e0) != k0 * o:
-        raise RankDeficient("denominator evaluation is not free")
-    radius = min(k0 * o - 1, o * (n - k - k0))
-    return DecoderData(code, e0, c1, i1, k0 * o - 1, radius)
+    return _orbit_decoder_data(code, [ctx.pow_(gen, i) for i in range(n)],
+                               k0, k1)
 
 
 def make_split_decoder_data(code: EquivariantCode, k0, seed=0) -> DecoderData:

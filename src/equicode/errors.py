@@ -1,7 +1,7 @@
 """Exception taxonomy shared by every module.
 
 All library errors derive from EquicodeError so callers can catch broadly;
-the CLI maps a few of them onto dedicated exit codes (see cli.EXIT_CODES).
+the CLI maps a few of them onto dedicated exit codes (see cli._EXIT_CODES).
 """
 
 

@@ -216,7 +216,9 @@ def _spectrum(a: KGMatrix):
     """
     if not a._spectra:
         omega = split_root(a.group, a.field)
-        hats = [ft_group(x, omega).values for x in a.entries]
+        # the trivial group's one character reads the coefficient itself
+        hats = ([x.coeffs for x in a.entries] if a.group.order == 1 else
+                [ft_group(x, omega).values for x in a.entries])
         cols = a.cols
         a._spectra.append(
             [[tuple(h[chi] for h in hats[i * cols:(i + 1) * cols])

@@ -141,6 +141,29 @@ def test_code_validate_zero_check_matrix_exits_two(tmp_path, split):
     assert "InvariantViolation" in r.stderr and "check matrix" in r.stderr
 
 
+@pytest.mark.parametrize("gen", [
+    ("rs", "--p", 13, "--n", 12, "--deg", 5),
+    ("cyclic", "--p", 13, "--order", 4, "--n", 3, "--k", 1, "--k0", 1),
+], ids=["rs", "cover"])
+def test_decode_zero_check_matrix_exits_two(tmp_path, gen):
+    # decode validates the code it loads: without that, the zero check
+    # passes every word to interpolation, which exits 3 (NotInImage)
+    code_path, dec_path = tmp_path / "c.json", tmp_path / "d.json"
+    r = run_cli("gen", *gen, "--out", code_path, "--decoder-out", dec_path)
+    assert r.returncode == 0, r.stderr
+    obj = json.loads(dec_path.read_text())
+    obj["code"]["check"]["entries"] = [
+        [0] * len(e) for e in obj["code"]["check"]["entries"]]
+    dec_path.write_text(json.dumps(obj))
+    n, o = obj["code"]["n"], 1 if gen[0] == "rs" else 4
+    word = [[1] + [0] * (o - 1)] + [[0] * o] * (n - 1)
+    r = run_cli("decode", "--decoder", dec_path, "--received",
+                json.dumps(word))
+    assert r.returncode == 2, r.stderr
+    assert "InvariantViolation" in r.stderr and "check matrix" in r.stderr
+    assert r.stdout == ""
+
+
 def test_code_interpolate_bad_word_exits_three(tmp_path):
     path = fixture_path(tmp_path)
     r = run_cli("code", "interpolate", "--code", path,

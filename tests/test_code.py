@@ -375,3 +375,16 @@ def test_cyclic_orbit_evaluation_matches_the_sum(p, d, order, n):
     ys = [ctx.pow_(gen, i) for i in range(n)]  # ys[0] = 1 hits zeta^0 y = 1
     assert cyclic_orbit_evaluation(ctx, G, zeta, ys, 3) == \
         orbit_evaluation_reference(ctx, G, zeta, ys, 3)
+
+
+@pytest.mark.parametrize("p, d", [(13, 1), (3, 2)])
+def test_trivial_group_orbit_evaluation_is_vandermonde(p, d):
+    """On the trivial cover with zeta = 1 the orbit basis is y^l, so the
+    evaluation is the Vandermonde matrix; rs_degenerate_code relies on
+    this."""
+    ctx, G = field_make(p, d), AbelianGroup([])
+    ys = [a for a in ctx.elements() if a != ctx.zero]  # includes y = 1
+    got = cyclic_orbit_evaluation(ctx, G, ctx.one, ys, 4)
+    assert got == tuple(GroupAlgebraElement(G, ctx, (ctx.pow_(y, l),))
+                        for y in ys for l in range(4))
+    assert rs_degenerate_code(p, len(ys), 3, d).evaluation.entries == got

@@ -39,6 +39,7 @@ from equicode.errors import (
     DimMismatch,
     Mismatch,
     NotADenominatorCandidate,
+    NotSplit,
     RankDeficient,
 )
 from equicode.ff import count_field_ops, field_make, poly_divmod, poly_trim
@@ -475,6 +476,19 @@ def test_rs_decoder_data_refusals():
         make_rs_decoder_data(cyclic_cover_code(13, 1, 4, 3, 1), 1)
 
 
+@pytest.mark.parametrize("deg_e", [0, 2])
+@pytest.mark.parametrize("deg_d0", [None, 0, 1])
+def test_rs_decoder_data_refuses_a_wrong_metadata_degree(deg_e, deg_d0):
+    # deg_e sizes the product space; trusting a wrong one claimed radius 5
+    # for this [12, 6] code (true radius 3) or failed with an IndexError
+    code = rs_degenerate_code(13, 12, 5)
+    wrong = type(code)(code.field, code.group, code.n, code.k,
+                       code.evaluation, code.check, code.interp,
+                       dict(code.meta, deg_e=deg_e))
+    with pytest.raises(Mismatch):
+        make_rs_decoder_data(wrong, deg_d0)
+
+
 def test_rs_decoder_data_zero_auxiliary_degree():
     code = rs_degenerate_code(13, 12, 5)
     dd = make_rs_decoder_data(code, deg_d0=0)
@@ -528,6 +542,26 @@ def test_cyclic_decoder_data_refusals():
     twofactor = synth_split_code(5, 1, AbelianGroup([2, 2]), 4, 2, seed=1)
     with pytest.raises(Mismatch):
         make_cyclic_decoder_data(twofactor, 1)
+
+
+def test_cyclic_decoder_data_evaluates_the_orbits_once(monkeypatch):
+    code = cyclic_cover_code(13, 1, 4, 3, 1)
+    calls = []
+    real = decode_module.cyclic_orbit_evaluation
+    monkeypatch.setattr(decode_module, "cyclic_orbit_evaluation",
+                        lambda *args: calls.append(args[-1]) or real(*args))
+    dd = make_cyclic_decoder_data(code, 1)
+    assert calls == [2]  # rank k1 = k + k0; E and E0 are its prefixes
+    assert dd.e0.entries == code.evaluation.entries
+
+
+def test_cyclic_decoder_data_on_a_non_split_code():
+    # F_3[Z/4] is not split: the root comes from split_root
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegreeWindowWarning)
+        g2 = genus2_example_code()
+    with pytest.raises(NotSplit):
+        make_cyclic_decoder_data(g2, 1)
 
 
 def test_split_decoder_data_on_cyclic_code():

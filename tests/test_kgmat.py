@@ -163,8 +163,10 @@ def test_kg_apply_matches_entrywise_reference(case, rows, cols, seed):
     a = kg_rand(G, ctx, rng, rows, cols)
     copy = kgmat.KGMatrix(G, ctx, rows, cols, a.entries)
     before = hash(a)
-    early = kgmat.kg_transpose(a)  # split: a's spectrum is computed here
-    for _ in range(2):  # the second apply reuses the cached spectra
+    if kgmat._is_split(G, ctx):
+        kgmat._spectrum(a)  # kept on a, checked by the round trip below
+    early = kgmat.kg_transpose(a)  # carries a's spectrum over
+    for _ in range(2):  # the second apply reuses the packed rows
         vec = [ga_rand(G, ctx, rng) for _ in range(cols)]
         assert kgmat.kg_apply(a, vec) == kg_apply_reference(a, vec)
     assert a == copy and hash(a) == before == hash(copy)
@@ -173,6 +175,7 @@ def test_kg_apply_matches_entrywise_reference(case, rows, cols, seed):
     for t in (early, late, kgmat.kg_transpose(late)):
         vec = [ga_rand(G, ctx, rng) for _ in range(t.cols)]
         assert kgmat.kg_apply(t, vec) == kg_apply_reference(t, vec)
+    assert len(a._spectra) == kgmat._is_split(G, ctx)
     for spec in a._spectra:
         rebuilt = kgmat.kg_from_spectrum(G, ctx, spec, rows, cols)
         assert rebuilt == a

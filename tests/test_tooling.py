@@ -25,6 +25,11 @@ def load_tracer():
     return module
 
 
+def package_trees():
+    for path in sorted((ROOT / "src" / "equicode").glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
 def test_traced_names_resolve():
     tracer = load_tracer()
     missing = [name for name, (modname, attr) in tracer.TRACED.items()
@@ -47,11 +52,30 @@ def test_kernel_sample_takes_the_operator_first():
 
 def test_package_imports_only_the_standard_library():
     imported = set()
-    for path in (ROOT / "src" / "equicode").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for _, tree in package_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imported.update(a.name.split(".")[0] for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported and imported <= sys.stdlib_module_names, \
         imported - sys.stdlib_module_names
+
+
+def test_package_has_no_assert_statements():
+    """python -O strips asserts, so none may stand in for a check."""
+    found = ["%s:%d" % (name, node.lineno)
+             for name, tree in package_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_only_the_cli_prints():
+    """stdout carries the CLI's artifacts; library code must not write to
+    it (or anywhere else) through print."""
+    found = ["%s:%d" % (name, node.lineno)
+             for name, tree in package_trees() if name != "cli.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    assert found == []
