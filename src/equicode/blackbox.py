@@ -6,12 +6,13 @@ take square operators and are Las Vegas: every candidate is re-verified by
 a fresh application of the operator, and a None return means "no luck
 within the attempt budget", never a certificate that no solution exists.
 
-Over fields with fewer than 16 elements the drivers re-run the whole
-computation over an extension F_{q^l} with q^l >= 16 (random projections in
-a tiny field fail too often) and project the answer back; one extension
-apply costs l base applies.  A prime base F_p lifts to FieldCtx(p, l, f)
-for a random irreducible f drawn from the driver's stream; an extension
-base (F_4, F_8, F_9) lifts to the polynomial tower _ExtensionContext.
+Over fields F_q = F_{p^d} with fewer than 16 elements the drivers re-run
+the whole computation over an extension F_{q^l} with q^l >= 16 (random
+projections in a tiny field fail too often) and project the answer back;
+one extension apply costs l base applies.  The extension is the flat
+FieldCtx(p, d l, f) for a random irreducible f drawn from the driver's
+stream; an extension base (F_4, F_8, F_9) embeds in it through a root of
+its own modulus.
 
 Over prime fields the scalar loops run on plain ints with one reduction
 per value; OPS gets the count the ctx calls would make.
@@ -25,9 +26,8 @@ from itertools import product
 from operator import mul
 
 from . import gauss
-from .errors import DimMismatch, DivisionByZero
-from .ff import (OPS, FieldCtx, _zdivmod, poly_mod, poly_mul, poly_powmod,
-                 poly_random_monic_irreducible)
+from .errors import DimMismatch
+from .ff import OPS, FieldCtx, _zdivmod
 
 
 class BlackBoxOperator:
@@ -65,7 +65,7 @@ def operator_from_matrix(ctx, matrix):
 
 def _prime(ctx):
     """p when ctx is a prime field (raw values are ints mod p), else None."""
-    return ctx.p if isinstance(ctx, FieldCtx) and ctx.d == 1 else None
+    return ctx.p if ctx.d == 1 else None
 
 
 def _dot(ctx, u, v, acc=None):
@@ -159,88 +159,76 @@ def _lift_degree(q):
 def _irreducible_mod(p, f):
     """Whether the monic f (a tuple of ints mod p, low degree first) is
     irreducible over F_p, by trial division with every monic polynomial of
-    degree at most deg(f) / 2, at most 13 of them for a lift degree.
+    degree at most deg(f) / 2, at most 14 of them for a lift degree.
     Same answer as ff.poly_is_irreducible."""
     return all(_zdivmod(f, low + (1,), p)[1]
                for k in range(1, (len(f) - 1) // 2 + 1)
                for low in product(range(p), repeat=k))
 
 
-class _ExtensionContext:
-    """F_{q^d} over an extension base F_q, as base-field polynomials modulo
-    a random irreducible.
+@lru_cache(maxsize=None)
+def _embedding(ctx, f):
+    """(down, up) between W = FieldCtx(p, d l, f) and l-tuples over the
+    extension base ctx = F_{p^d}.
 
-    Values are fixed-length tuples of base values, low-degree first, so
-    equality is plain tuple equality.  Only the handful of operations the
-    Wiedemann machinery needs are provided.
+    alpha, the first root of ctx.modulus in W, embeds F_q; the products
+    alpha^i x^r (i < d, r < l) are the rows of an F_p-basis M of W, so
+    x^0 .. x^(l-1) is a basis over F_q.  down(z) is z M^-1 cut into l base
+    values, and up inverts it.
     """
+    p, d = ctx.p, ctx.d
+    work = FieldCtx(p, len(f) - 1, f)
 
-    __slots__ = ("base", "d", "modulus", "zero", "one", "_card")
+    def is_root(z):
+        acc = work.zero
+        for c in reversed(ctx.modulus):
+            acc = work.add(work.mul(acc, z), work.from_int(c))
+        return acc == work.zero
 
-    def __init__(self, base, d, rng):
-        self.base = base
-        self.d = d
-        self.modulus = list(poly_random_monic_irreducible(base, d, rng))
-        self.zero = (base.zero,) * d
-        self.one = tuple([base.one] + [base.zero] * (d - 1))
-        self._card = base.q ** d
+    alpha = next(filter(is_root, work.elements()))
+    x = (0, 1) + (0,) * (work.d - 2)
+    rows = [work.mul(work.pow_(alpha, i), work.pow_(x, r))
+            for r in range(work.d // d) for i in range(d)]
+    up_cols = list(zip(*rows))
+    down_cols = list(zip(*gauss.inverse(FieldCtx(p, 1, (0, 1)), rows)))
 
-    def _pad(self, f):
-        return tuple(list(f) + [self.base.zero] * (self.d - len(f)))
+    def down(z):
+        c = [sum(map(mul, z, col)) % p for col in down_cols]
+        return [tuple(c[i:i + d]) for i in range(0, len(c), d)]
 
-    def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+    def up(v):
+        c = [ci for e in v for ci in e]
+        return tuple(sum(map(mul, c, col)) % p for col in up_cols)
 
-    def sub(self, a, b):
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(self.base.neg(x) for x in a)
-
-    def mul(self, a, b):
-        prod = poly_mul(list(a), list(b), self.base)
-        return self._pad(poly_mod(prod, self.modulus, self.base))
-
-    def inv(self, a):
-        if a == self.zero:
-            raise DivisionByZero("inverse of zero")
-        return self._pad(poly_powmod(list(a), self._card - 2,
-                                     self.modulus, self.base))
-
-    def rand(self, rng):
-        return tuple(self.base.rand(rng) for _ in range(self.d))
-
-    def rand_nonzero(self, rng):
-        while True:
-            v = self.rand(rng)
-            if v != self.zero:
-                return v
+    return down, up
 
 
 def _work_field(a: BlackBoxOperator, rng):
-    """The field the drivers run in and the operator's apply there: the
-    base field itself when it has at least 16 elements, else a random
-    extension of degree _lift_degree(q) drawn from rng, applied
-    coordinatewise."""
+    """(work, apply, down, up): the field the drivers run in and the
+    operator's apply there, with down/up between its values and l-tuples of
+    base values (None when no lift is needed).
+
+    The work field is the base itself when it has at least 16 elements.
+    Else it is FieldCtx(p, d l, f) for l = _lift_degree(q) and a random
+    irreducible f drawn from rng, and the apply runs on each of the l base
+    coordinates.  For a prime base down and up are `tuple`.
+    """
     ctx = a.ctx
     if ctx.q >= 16:
-        return ctx, a.apply
-    ell = _lift_degree(ctx.q)
-    if ctx.d == 1:
-        # the draws of poly_random_monic_irreducible(ctx, ell, rng)
-        while True:
-            f = tuple(rng.randrange(ctx.p) for _ in range(ell)) + (1,)
-            if _irreducible_mod(ctx.p, f):
-                break
-        work = FieldCtx(ctx.p, ell, f)
-    else:
-        work = _ExtensionContext(ctx, ell, rng)
+        return ctx, a.apply, None, None
+    degree = ctx.d * _lift_degree(ctx.q)
+    while True:
+        f = tuple(rng.randrange(ctx.p) for _ in range(degree)) + (1,)
+        if _irreducible_mod(ctx.p, f):
+            break
+    work = FieldCtx(ctx.p, degree, f)
+    down, up = (tuple, tuple) if ctx.d == 1 else _embedding(ctx, f)
 
     def lifted(x):
-        images = [a.apply([xi[c] for xi in x]) for c in range(ell)]
-        return list(zip(*images))
+        return [up(v) for v in
+                zip(*[a.apply(col) for col in zip(*map(down, x))])]
 
-    return work, lifted
+    return work, lifted, down, up
 
 
 # ----------------------------------------------------- Wiedemann drivers
@@ -328,18 +316,18 @@ def wiedemann_solve(a: BlackBoxOperator, b, seed=0, max_attempts=40):
     if all(x == ctx.zero for x in b):
         return [ctx.zero] * n
     rng = random.Random(seed)
-    work, apply_fn = _work_field(a, rng)
+    work, apply_fn, down, up = _work_field(a, rng)
     if work is ctx:
         wb = list(b)
     else:
-        pad = (ctx.zero,) * (work.d - 1)
-        wb = [(x,) + pad for x in b]
+        pad = (ctx.zero,) * (work.d // ctx.d - 1)
+        wb = [up((x,) + pad) for x in b]
     for _ in range(max_attempts):
         x = _solve_attempt(work, apply_fn, n, wb, rng)
         if x is None or apply_fn(x) != wb:
             continue
         if work is not ctx:
-            x = [xi[0] for xi in x]
+            x = [down(xi)[0] for xi in x]
             if a.apply(x) != list(b):
                 continue
         return x
@@ -359,7 +347,7 @@ def wiedemann_kernel_sample(a: BlackBoxOperator, seed=0, max_attempts=40):
     ctx = a.ctx
     n = a.cols
     rng = random.Random(seed)
-    work, fwd = _work_field(a, rng)
+    work, fwd, down, _ = _work_field(a, rng)
     for _ in range(max_attempts):
         diag = [work.rand_nonzero(rng) for _ in range(n)]
         w = _kernel_attempt(work, lambda x: fwd(_scale(work, diag, x)), n,
@@ -367,8 +355,8 @@ def wiedemann_kernel_sample(a: BlackBoxOperator, seed=0, max_attempts=40):
         if w is None:
             continue
         cand = _scale(work, diag, w)
-        if work is not ctx:  # its first nonzero coordinate vector
-            cand = next((list(c) for c in zip(*cand)
+        if work is not ctx:  # its first nonzero base-coordinate vector
+            cand = next((list(c) for c in zip(*map(down, cand))
                          if any(v != ctx.zero for v in c)), None)
         if (cand is None or all(v == ctx.zero for v in cand)
                 or a.apply(cand) != [ctx.zero] * n):

@@ -208,6 +208,9 @@ def cmd_code(args):
 
 
 def cmd_decode(args):
+    if args.max_attempts < 1:
+        raise ParseError("--max-attempts must be at least 1, got %d"
+                         % args.max_attempts)
     dd = files.load_decoder(args.decoder)
     if args.code:
         if files.load_code(args.code) != dd.code:

@@ -265,8 +265,9 @@ def basic_decode(dd: DecoderData, r, seed=0, max_attempts=40,
     Exact up to dd.radius errors for the geometric constructions; always
     sound (the returned triple is verified: c is a codeword, m encodes to
     c, r = c + error, and the error sits inside the denominator's zeros).
-    Raises DecodeFail when the retry budget runs out.  trace, if given, is
-    called with one line per pipeline stage.
+    The budget is max(1, max_attempts // 4) rounds of 4 fold attempts
+    each; raises DecodeFail when it runs out.  trace, if given, is called
+    with one line per pipeline stage.
     """
     log = trace if trace is not None else lambda line: None
     code = dd.code
@@ -361,8 +362,10 @@ def make_rs_decoder_data(code: EquivariantCode, deg_d0=None) -> DecoderData:
     if code.group.order != 1:
         raise Mismatch("this constructor handles trivial-group codes only")
     n, k = code.n, code.k
-    if code.meta.get("g_x") != 0 or code.meta.get("deg_e") != k - 1:
-        raise Mismatch("need genus-0 metadata with deg_e = k - 1")
+    if (code.meta.get("g_x"), code.meta.get("g_y"),
+            code.meta.get("deg_e")) != (0, 0, k - 1):
+        raise Mismatch("need genus-0 metadata (g_x = g_y = 0) with "
+                       "deg_e = k - 1")
     if deg_d0 is None:
         deg_d0 = d_basic
     if deg_d0 < 0 or k + deg_d0 >= n:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import (
     CompositeP,
@@ -165,128 +166,10 @@ def factorize(n: int) -> dict:
     return out
 
 
-# --------------------------------------------------- generic polynomial ops
+# ------------------------------------------------------ polynomials mod p
 #
-# Polynomials are lists of raw field values, low degree first, not
-# necessarily trimmed.  The ctx argument supplies the coefficient field, so
-# the same helpers serve Z/pZ modulus generation and extension towers.
-
-
-def poly_trim(f):
-    n = len(f)
-    while n > 0 and not _raw_truthy(f[n - 1]):
-        n -= 1
-    return f[:n]
-
-
-def _raw_truthy(v):
-    if isinstance(v, tuple):
-        return any(v)
-    return bool(v)
-
-
-def poly_add(f, g, ctx):
-    n = max(len(f), len(g))
-    zero = ctx.zero
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else zero
-        b = g[i] if i < len(g) else zero
-        out.append(ctx.add(a, b))
-    return out
-
-
-def poly_mul(f, g, ctx):
-    f = poly_trim(f)
-    g = poly_trim(g)
-    if not f or not g:
-        return []
-    out = [ctx.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if not _raw_truthy(a):
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
-    return out
-
-
-def poly_divmod(f, g, ctx):
-    f = poly_trim(list(f))
-    g = poly_trim(list(g))
-    if not g:
-        raise DivisionByZero("polynomial division by zero")
-    lead_inv = ctx.inv(g[-1])
-    q = [ctx.zero] * max(0, len(f) - len(g) + 1)
-    r = f
-    while len(r) >= len(g):
-        shift = len(r) - len(g)
-        c = ctx.mul(r[-1], lead_inv)
-        q[shift] = c
-        for i in range(len(g)):
-            r[shift + i] = ctx.sub(r[shift + i], ctx.mul(c, g[i]))
-        r = poly_trim(r)
-    return q, r
-
-
-def poly_mod(f, g, ctx):
-    return poly_divmod(f, g, ctx)[1]
-
-
-def poly_gcd(f, g, ctx):
-    f = poly_trim(list(f))
-    g = poly_trim(list(g))
-    while g:
-        f, g = g, poly_mod(f, g, ctx)
-    if f:
-        c = ctx.inv(f[-1])
-        f = [ctx.mul(a, c) for a in f]
-    return f
-
-
-def poly_powmod(base, e, modulus, ctx):
-    result = [ctx.one]
-    base = poly_mod(base, modulus, ctx)
-    while e > 0:
-        if e & 1:
-            result = poly_mod(poly_mul(result, base, ctx), modulus, ctx)
-        base = poly_mod(poly_mul(base, base, ctx), modulus, ctx)
-        e >>= 1
-    return result
-
-
-def poly_is_irreducible(f, ctx) -> bool:
-    """Rabin's test over the coefficient field of ctx (cardinality ctx.q)."""
-    f = poly_trim(list(f))
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    q = ctx.q
-    x = [ctx.zero, ctx.one]
-    # x^(q^n) == x mod f
-    xq = poly_powmod(x, q ** n, f, ctx)
-    if poly_trim(poly_add(xq, [ctx.zero, ctx.neg(ctx.one)], ctx)) != []:
-        return False
-    for r in factorize(n):
-        xqr = poly_powmod(x, q ** (n // r), f, ctx)
-        h = poly_trim(poly_add(xqr, [ctx.zero, ctx.neg(ctx.one)], ctx))
-        if poly_gcd(h, f, ctx) != [ctx.one]:
-            return False
-    return True
-
-
-def poly_random_monic_irreducible(ctx, degree, rng):
-    """Uniform-ish random monic irreducible of the given degree over ctx."""
-    while True:
-        f = [ctx.rand(rng) for _ in range(degree)] + [ctx.one]
-        if poly_is_irreducible(f, ctx):
-            return f
-
-
-# Plain mod-p list polynomials (int coefficients, low degree first).  Used
-# by FieldCtx.inv, where the ctx-parameterized helpers above would be
-# circular.
+# Lists of ints mod p, low degree first; _ztrim drops trailing zeros.  They
+# serve FieldCtx.inv and the irreducibility test behind every modulus.
 
 
 def _ztrim(f):
@@ -324,6 +207,36 @@ def _zdivmod(f, g, p):
             f[shift + i] = (f[shift + i] - c * g[i]) % p
         _ztrim(f)
     return q, f
+
+
+def _zpowmod(g, e, f, p):
+    """g^e mod f."""
+    result, g = [1], _zdivmod(g, f, p)[1]
+    while e:
+        if e & 1:
+            result = _zdivmod(_zmul(result, g, p), f, p)[1]
+        g = _zdivmod(_zmul(g, g, p), f, p)[1]
+        e >>= 1
+    return result
+
+
+def poly_is_irreducible(f, p) -> bool:
+    """Rabin's test for f (ints mod p, low degree first) over F_p."""
+    f = _ztrim([c % p for c in f])
+    n = len(f) - 1
+    if n <= 1:
+        return n == 1
+    x = [0, 1]
+    # x^(p^n) == x mod f, and x^(p^(n/r)) - x is prime to f for each r | n
+    if _zsub(_zpowmod(x, p ** n, f, p), x, p):
+        return False
+    for r in factorize(n):
+        g, h = f, _zsub(_zpowmod(x, p ** (n // r), f, p), x, p)
+        while h:
+            g, h = h, _zdivmod(g, h, p)[1]
+        if len(g) != 1:
+            return False
+    return True
 
 
 # -------------------------------------------------------------------- field
@@ -476,7 +389,7 @@ class FieldCtx:
     def rand_nonzero(self, rng):
         while True:
             v = self.rand(rng)
-            if _raw_truthy(v):
+            if v != self.zero:
                 return v
 
     def from_int(self, n):
@@ -487,13 +400,10 @@ class FieldCtx:
         return (v,) + (0,) * (self.d - 1)
 
     def elements(self):
-        """Iterate all q raw values (tiny fields only; used in tests)."""
+        """Iterate all q raw values (tiny fields only)."""
         if self.d == 1:
-            yield from range(self.p)
-            return
-        import itertools
-        for combo in itertools.product(range(self.p), repeat=self.d):
-            yield combo
+            return range(self.p)
+        return product(range(self.p), repeat=self.d)
 
     # --- multiplicative structure ------------------------------------------
 
@@ -517,7 +427,7 @@ class FieldCtx:
 
     def element_order(self, a):
         """Multiplicative order of a nonzero element."""
-        if not _raw_truthy(a):
+        if a == self.zero:
             raise DivisionByZero("order of zero is undefined")
         order = self.q - 1
         for r, m in self._factors_q1().items():
@@ -556,16 +466,18 @@ def root_of_unity(ctx: FieldCtx, order: int, seed: int = 0):
 
 def _default_modulus(p, d, seed=0):
     """Deterministic monic irreducible of degree d over Z/pZ."""
-    prime = FieldCtx(p, 1, (0, 1))  # modulus unused for d == 1
     # try sparse candidates x^d + c1*x + c0 first so small fields get
     # familiar moduli (F_9 lands on x^2 + 1, F_4 on x^2 + x + 1, ...)
     for c0 in range(1, p):
         for c1 in range(p):
             f = [c0, c1] + [0] * (d - 2) + [1]
-            if poly_is_irreducible(f, prime):
+            if poly_is_irreducible(f, p):
                 return f
     rng = random.Random(hash((p, d, seed)) & 0x7FFFFFFF)
-    return poly_random_monic_irreducible(prime, d, rng)
+    while True:
+        f = [rng.randrange(p) for _ in range(d)] + [1]
+        if poly_is_irreducible(f, p):
+            return f
 
 
 def field_make(p: int, d: int = 1, modulus=None, seed: int = 0) -> FieldCtx:
@@ -590,8 +502,7 @@ def field_make(p: int, d: int = 1, modulus=None, seed: int = 0) -> FieldCtx:
             "modulus has degree %d, field asked for %d" % (len(modulus) - 1, d))
     if modulus[-1] != 1:
         raise ReducibleModulus("modulus must be monic")
-    prime = FieldCtx(p, 1, (0, 1))
-    if not poly_is_irreducible(modulus, prime):
+    if not poly_is_irreducible(modulus, p):
         raise ReducibleModulus("modulus is reducible over F_%d" % p)
     return FieldCtx(p, d, modulus)
 
@@ -659,7 +570,7 @@ class FieldElement:
         return FieldElement(self.ctx, self.ctx.inv(self.value))
 
     def __bool__(self):
-        return _raw_truthy(self.value)
+        return self.value != self.ctx.zero
 
     def __repr__(self):
         return "FieldElement(%r, %r)" % (self.ctx, self.value)

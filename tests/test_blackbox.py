@@ -12,6 +12,8 @@ K13 = ff.field_make(13)
 K257 = ff.field_make(257)
 K9 = ff.field_make(3, 2)
 K3 = ff.field_make(3)
+K4 = ff.field_make(2, 2)
+K8 = ff.field_make(2, 3)
 
 
 def rand_matrix(ctx, rng, rows, cols):
@@ -155,7 +157,7 @@ def test_wiedemann_solve_30x30():
 
 def test_wiedemann_solve_agrees_with_dense():
     rng = random.Random(24)
-    for ctx in (K13, K257, K9):
+    for ctx in (K13, K257, K9, K4, K8):
         for trial in range(50):
             n = rng.randrange(2, 8)
             a = rand_matrix(ctx, rng, n, n)
@@ -188,7 +190,7 @@ def test_wiedemann_call_budget():
 
 def test_kernel_sample_rank_deficient():
     rng = random.Random(26)
-    for ctx in (K13, K257, K9):
+    for ctx in (K13, K257, K9, K4, K8):
         a = rank_deficient_square(ctx, rng, 6)
         basis = gauss.kernel_basis(ctx, a)
         assert len(basis) == 1
@@ -227,9 +229,10 @@ def test_kernel_sample_rejects_non_square():
 
 
 def test_kernel_sample_small_field_lift():
-    # F_3 lifts to F_27 and F_9 to F_729; each kernel is one-dimensional
+    # F_3 lifts to F_27, F_4 to F_16, F_8 to F_64 and F_9 to F_81; each
+    # kernel is one-dimensional
     rng = random.Random(29)
-    for ctx, seed in ((K3, 2), (K9, 4)):
+    for ctx, seed in ((K3, 2), (K9, 4), (K4, 6), (K8, 8)):
         a = rank_deficient_square(ctx, rng, 4)
         op = blackbox.operator_from_matrix(ctx, a)
         w = blackbox.wiedemann_kernel_sample(op, seed=seed)
@@ -245,19 +248,47 @@ def test_kernel_sample_small_field_lift():
 def test_lift_irreducibility_matches_rabin():
     # every monic candidate of each small degree, lift degrees included
     for p in (2, 3, 5, 7, 11, 13):
-        prime = ff.field_make(p)
-        for deg in range(1, 5):
+        for deg in range(1, 7):
             if p ** deg > 400:
                 break
             for low in itertools.product(range(p), repeat=deg):
                 f = low + (1,)
                 assert blackbox._irreducible_mod(p, f) == \
-                    ff.poly_is_irreducible(list(f), prime), (p, f)
+                    ff.poly_is_irreducible(list(f), p), (p, f)
+
+
+@pytest.mark.parametrize("ctx", [K4, K8, K9], ids=["F4", "F8", "F9"])
+def test_extension_base_embeds_in_the_work_field(ctx):
+    """Exhaustively, for several drawn work fields: up((a, 0, ..)) is a
+    ring homomorphism F_q -> W, down and up are mutually inverse, and down
+    is F_q-linear."""
+    elements = list(ctx.elements())
+    op = blackbox.operator_from_matrix(ctx, [[ctx.one]])
+    for seed in range(3):
+        work, _, down, up = blackbox._work_field(op, random.Random(seed))
+        assert isinstance(work, ff.FieldCtx) and work.q >= 16
+        ell = work.d // ctx.d
+        pad = (ctx.zero,) * (ell - 1)
+
+        def emb(a):
+            return up((a,) + pad)
+
+        assert (emb(ctx.zero), emb(ctx.one)) == (work.zero, work.one)
+        for a in elements:
+            for b in elements:
+                assert emb(ctx.add(a, b)) == work.add(emb(a), emb(b))
+                assert emb(ctx.mul(a, b)) == work.mul(emb(a), emb(b))
+        c = ctx.generator()
+        for z in work.elements():
+            coords = down(z)
+            assert len(coords) == ell and up(coords) == z
+            assert down(work.mul(emb(c), z)) == \
+                [ctx.mul(c, v) for v in coords]
 
 
 # sha256 of the JSON list of (kernel sample, solution, operator calls) that
-# lift_records draws; recorded when the lift ran on the tower of ff.poly_*
-# helpers, so the lifted field must make the same random draws.
+# lift_records draws; recorded when a prime base lifted through a polynomial
+# tower, so the lifted FieldCtx must make the same random draws.
 LIFT_DIGESTS = {
     2: "82216e9698eb2d253a7daf5c1e1bfba5659bbf1c6fc1929099bb4e4891682b84",
     3: "7e5c2f5d530917a95431aadf3418d36efd899b1959b210dfcf0842833c87cef4",

@@ -280,6 +280,22 @@ def test_decode_beyond_radius_fails_or_is_sound(tmp_path):
         assert encode(code, msg) == cw
 
 
+@pytest.mark.parametrize("attempts", [0, -1])
+def test_decode_nonpositive_max_attempts_is_a_parse_error(tmp_path,
+                                                          attempts):
+    code_path, dec_path = tmp_path / "c.json", tmp_path / "d.json"
+    run_cli("gen", "rs", "--p", 13, "--n", 12, "--deg", 5,
+            "--out", code_path, "--decoder-out", dec_path)
+    cw_path = tmp_path / "cw.json"
+    run_cli("code", "encode", "--code", code_path,
+            "--message", "[[1],[2],[3],[4],[5],[6]]", "--out", cw_path)
+    corrupt_file(cw_path, [2])
+    r = run_cli("--json-errors", "decode", "--decoder", dec_path,
+                "--received", "@%s" % cw_path, "--max-attempts", attempts)
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == "ParseError"
+
+
 def test_reused_parser_leaks_no_state(tmp_path, capsys):
     """main() keeps one parser per process; a call made after another
     writes the same bytes as the same call made alone."""

@@ -42,7 +42,7 @@ from equicode.errors import (
     NotSplit,
     RankDeficient,
 )
-from equicode.ff import count_field_ops, field_make, poly_divmod, poly_trim
+from equicode.ff import _zdivmod, count_field_ops, field_make
 from equicode.files import load_decoder, save_decoder
 from equicode.galg import (
     AbelianGroup,
@@ -133,12 +133,10 @@ def berlekamp_welch(pts, rvals, deg_f, e):
             continue
         evec = sol[:t] + [ctx.one]
         nvec = sol[t:]
-        q, rem = poly_divmod(nvec, evec, ctx)
-        if poly_trim(rem):
+        q, rem = _zdivmod(nvec, evec, ctx.p)
+        if rem:
             continue
-        if len(poly_trim(q)) > deg_f + 1:
-            continue
-        return list(q) + [ctx.zero] * (deg_f + 1 - len(q))
+        return q
     return None
 
 
@@ -476,15 +474,20 @@ def test_rs_decoder_data_refusals():
         make_rs_decoder_data(cyclic_cover_code(13, 1, 4, 3, 1), 1)
 
 
-@pytest.mark.parametrize("deg_e", [0, 2])
+# a wrong deg_e is named by its bare value
+@pytest.mark.parametrize("meta", [
+    pytest.param({"deg_e": 0}, id="0"), pytest.param({"deg_e": 2}, id="2"),
+    pytest.param({"g_y": None}, id="g_y=None"),
+    pytest.param({"g_y": 1}, id="g_y=1")])
 @pytest.mark.parametrize("deg_d0", [None, 0, 1])
-def test_rs_decoder_data_refuses_a_wrong_metadata_degree(deg_e, deg_d0):
+def test_rs_decoder_data_refuses_a_wrong_metadata_degree(meta, deg_d0):
     # deg_e sizes the product space; trusting a wrong one claimed radius 5
-    # for this [12, 6] code (true radius 3) or failed with an IndexError
+    # for this [12, 6] code (true radius 3) or failed with an IndexError.
+    # A missing g_y failed with a TypeError.
     code = rs_degenerate_code(13, 12, 5)
     wrong = type(code)(code.field, code.group, code.n, code.k,
                        code.evaluation, code.check, code.interp,
-                       dict(code.meta, deg_e=deg_e))
+                       dict(code.meta, **meta))
     with pytest.raises(Mismatch):
         make_rs_decoder_data(wrong, deg_d0)
 

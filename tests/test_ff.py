@@ -162,10 +162,9 @@ def test_division_by_zero():
 def test_default_modulus_is_irreducible():
     for p, d in [(2, 2), (2, 4), (3, 2), (3, 3), (5, 2), (13, 2)]:
         K = ff.field_make(p, d)
-        prime = ff.field_make(p)
         assert len(K.modulus) == d + 1
         assert K.modulus[-1] == 1
-        assert ff.poly_is_irreducible(list(K.modulus), prime)
+        assert ff.poly_is_irreducible(list(K.modulus), p)
 
 
 def test_ctx_equality_by_parameters():
@@ -252,19 +251,17 @@ def test_op_counter_nested_blocks():
 
 
 def test_polynomial_helpers_over_prime_field():
-    K = ff.field_make(5)
+    p = 5
     f = [1, 2, 3]  # 3x^2 + 2x + 1
     g = [4, 1]     # x + 4
-    prod = ff.poly_mul(f, g, K)
-    q, r = ff.poly_divmod(prod, g, K)
-    assert ff.poly_trim(q) == ff.poly_trim(f)
-    assert r == []
-    q2, r2 = ff.poly_divmod(f, g, K)
-    back = ff.poly_add(ff.poly_mul(q2, g, K), r2, K)
-    assert ff.poly_trim(back) == ff.poly_trim(f)
-    # gcd of f*g and g is monic g
-    gg = ff.poly_gcd(prod, g, K)
-    lead_inv = K.inv(g[-1])
-    assert gg == [K.mul(c, lead_inv) for c in g]
-    with pytest.raises(DivisionByZero):
-        ff.poly_divmod(f, [], K)
+    prod = ff._zmul(f, g, p)
+    q, r = ff._zdivmod(prod, g, p)
+    assert q == f and r == []
+    q2, r2 = ff._zdivmod(f, g, p)
+    assert ff._zsub(f, ff._zmul(q2, g, p), p) == r2 != []
+    # x^(p^2) == x modulo an irreducible quadratic
+    assert ff._zpowmod([0, 1], p ** 2, [2, 0, 1], p) == [0, 1]
+    assert ff._zpowmod(f, 0, [2, 0, 1], p) == [1]
+    assert ff.poly_is_irreducible([2, 0, 1], p)
+    assert not ff.poly_is_irreducible(prod, p)
+    assert not ff.poly_is_irreducible([3], p)

@@ -98,7 +98,9 @@ GOLDEN = {
     "rs9": (rs9, (
         "71f972bd85df5c7224b32469ef742ad053640cd2e1e2b85ec5a2590d54575afe",
         "60726f62f3e0e85ee8d8a671faad502a7d03f918bea9d28b0df76c7d9c29cd35",
-        "6ab6d6a8b78bd025eee58ae9bfd0c6af090b77ddfb5049bcd3092bb2a6ff7722",
+        # the decode output holds the sampled denominator, which follows
+        # the random stream of F_9's lift to F_81
+        "dfe687cab962f7ec9fd3f567437334eadd66ec11a01beda4b45add12591d3a86",
     )),
     "cyclic257": (cyclic257, (
         "5dbf7dc37384873ce68aab6af1b4deddd231c9bdf6939e177b7dd2f03b99c3ae",

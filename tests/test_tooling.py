@@ -1,4 +1,5 @@
-"""Guards for what the benchmark's tracer and the packaging rely on.
+"""Guards for what the benchmark's tracer and the packaging rely on, and
+for the package's one field type.
 
 perfbench/tracer.py wraps library functions by (module, attribute) and
 reads the kernel sampler's operator from its first argument; the runtime
@@ -79,3 +80,14 @@ def test_only_the_cli_prints():
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "print"]
     assert found == []
+
+
+def test_field_ctx_is_the_only_field_type():
+    """Every field the package computes in is a FieldCtx: no other class
+    carries its own field arithmetic (both mul and inv)."""
+    found = ["%s:%s" % (name, node.name)
+             for name, tree in package_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)
+             and {"mul", "inv"} <= {f.name for f in node.body
+                                    if isinstance(f, ast.FunctionDef)}]
+    assert found == ["ff.py:FieldCtx"]
