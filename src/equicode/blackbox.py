@@ -12,10 +12,8 @@ projections in a tiny field fail too often) and project the answer back;
 one extension apply costs l base applies.  The extension is the flat
 FieldCtx(p, d l, f) for a random irreducible f drawn from the driver's
 stream; an extension base (F_4, F_8, F_9) embeds in it through a root of
-its own modulus.
-
-Over prime fields the scalar loops run on plain ints with one reduction
-per value; OPS gets the count the ctx calls would make.
+its own modulus.  The scalar loops are the work field's vector operations
+(FieldCtx.dot, vmul and sub_scaled).
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from operator import mul
 
 from . import gauss
 from .errors import DimMismatch
-from .ff import OPS, FieldCtx, _zdivmod
+from .ff import FieldCtx, _zdivmod
 
 
 class BlackBoxOperator:
@@ -56,54 +54,11 @@ class BlackBoxOperator:
 
 def operator_from_matrix(ctx, matrix):
     m = [list(r) for r in matrix]
+    if not m or any(len(r) != len(m[0]) for r in m):
+        raise DimMismatch("operator needs a non-empty matrix with rows of "
+                          "equal length")
     return BlackBoxOperator(ctx, len(m), len(m[0]),
                             lambda x: gauss.matvec(ctx, m, x))
-
-
-# ------------------------------------------------------------ scalar loops
-
-
-def _prime(ctx):
-    """p when ctx is a prime field (raw values are ints mod p), else None."""
-    return ctx.p if ctx.d == 1 else None
-
-
-def _dot(ctx, u, v, acc=None):
-    """acc + sum u_i v_i (acc defaults to zero)."""
-    p = _prime(ctx)
-    if p is not None:
-        OPS.add(2 * len(u))
-        return ((acc or 0) + sum(map(mul, u, v))) % p
-    if acc is None:
-        acc = ctx.zero
-    for x, y in zip(u, v):
-        acc = ctx.add(acc, ctx.mul(x, y))
-    return acc
-
-
-def _scale(ctx, diag, x):
-    """The entrywise product diag * x."""
-    p = _prime(ctx)
-    if p is not None:
-        OPS.add(len(x))
-        return [d * v % p for d, v in zip(diag, x)]
-    return [ctx.mul(d, v) for d, v in zip(diag, x)]
-
-
-def _sub_scaled(ctx, y, a, x):
-    """y - a x, entrywise."""
-    p = _prime(ctx)
-    if p is not None:
-        OPS.add(2 * len(x))
-        return [(u - a * v) % p for u, v in zip(y, x)]
-    return [ctx.sub(u, ctx.mul(a, v)) for u, v in zip(y, x)]
-
-
-def _combine(ctx, coeffs, vecs):
-    """sum_i coeffs[i] vecs[i]; zero coefficients cost nothing.  The
-    callers' coefficients come from a minimal polynomial, never all zero."""
-    cs, vs = zip(*[(c, v) for c, v in zip(coeffs, vecs) if c != ctx.zero])
-    return [_dot(ctx, cs, col) for col in zip(*vs)]
 
 
 # ------------------------------------------------------- Berlekamp-Massey
@@ -123,7 +78,7 @@ def berlekamp_massey(ctx, seq):
     m = 1
     bb = ctx.one
     for i, s in enumerate(seq):
-        d = _dot(ctx, c[1:length + 1], seq[i - length:i][::-1], s)
+        d = ctx.dot(c[1:length + 1], seq[i - length:i][::-1], s)
         if d == zero:
             m += 1
             continue
@@ -131,7 +86,7 @@ def berlekamp_massey(ctx, seq):
         if len(c) < len(b) + m:
             c = c + [zero] * (len(b) + m - len(c))
         prev = list(c) if 2 * length <= i else None
-        c[m:m + len(b)] = _sub_scaled(ctx, c[m:m + len(b)], coef, b)
+        c[m:m + len(b)] = ctx.sub_scaled(c[m:m + len(b)], coef, b)
         if prev is not None:
             length = i + 1 - length
             b = prev
@@ -234,6 +189,13 @@ def _work_field(a: BlackBoxOperator, rng):
 # ----------------------------------------------------- Wiedemann drivers
 
 
+def _combine(ctx, coeffs, vecs):
+    """sum_i coeffs[i] vecs[i]; zero coefficients cost nothing.  The
+    callers' coefficients come from a minimal polynomial, never all zero."""
+    cs, vs = zip(*[(c, v) for c, v in zip(coeffs, vecs) if c != ctx.zero])
+    return [ctx.dot(cs, col) for col in zip(*vs)]
+
+
 def _solve_attempt(ctx, apply_fn, n, b, rng):
     """One Las Vegas round for (A.D) x' = b; returns D x' or None.
 
@@ -244,19 +206,19 @@ def _solve_attempt(ctx, apply_fn, n, b, rng):
     diag = [ctx.rand_nonzero(rng) for _ in range(n)]
     u = [ctx.rand(rng) for _ in range(n)]
     krylov = [list(b)]
-    seq = [_dot(ctx, u, b)]
+    seq = [ctx.dot(u, b)]
     for _ in range(2 * n - 1):
         prev = krylov[-1]
-        nxt = apply_fn(_scale(ctx, diag, prev))
+        nxt = apply_fn(ctx.vmul(diag, prev))
         krylov.append(nxt)
-        seq.append(_dot(ctx, u, nxt))
+        seq.append(ctx.dot(u, nxt))
     mp = berlekamp_massey(ctx, seq)
     if len(mp) == 1 or mp[0] == ctx.zero:
         return None
     scale = ctx.inv(ctx.neg(mp[0]))
     coeffs = [c if c == ctx.zero else ctx.mul(scale, c) for c in mp[1:]]
     y = _combine(ctx, coeffs, krylov)
-    return _scale(ctx, diag, y)
+    return ctx.vmul(diag, y)
 
 
 def _kernel_attempt(ctx, apply_fn, n, rng):
@@ -270,16 +232,16 @@ def _kernel_attempt(ctx, apply_fn, n, rng):
         return None
     u = [ctx.rand(rng) for _ in range(n)]
     krylov = [v]
-    seq = [_dot(ctx, u, v)]
+    seq = [ctx.dot(u, v)]
     first = apply_fn(v)
     if all(x == ctx.zero for x in first):
         return v
     krylov.append(first)
-    seq.append(_dot(ctx, u, first))
+    seq.append(ctx.dot(u, first))
     for _ in range(2 * n - 2):
         nxt = apply_fn(krylov[-1])
         krylov.append(nxt)
-        seq.append(_dot(ctx, u, nxt))
+        seq.append(ctx.dot(u, nxt))
     mp = berlekamp_massey(ctx, seq)
     s = 0
     while s < len(mp) and mp[s] == ctx.zero:
@@ -300,10 +262,12 @@ def _kernel_attempt(ctx, apply_fn, n, rng):
 def wiedemann_solve(a: BlackBoxOperator, b, seed=0, max_attempts=40):
     """Random solution of Ax = b for a square black box, or None.
 
-    Per attempt the operator is touched at most 3n + 2 deg(minimal
-    polynomial) times (in fact 2n with the Krylov cache, plus one verify).
-    None reports failure for these seeds only; inconsistency can only be
-    certified densely.
+    Per attempt the operator is touched at most 2n l + 1 times, l the lift
+    degree (1 when the base has at least 16 elements): 2n - 1 work-field
+    applies for the Krylov sequence and one to verify, each costing l base
+    applies, plus one base apply when a lifted candidate is verified on `a`
+    itself.  None reports failure for these seeds only; inconsistency can
+    only be certified densely.
     """
     if a.rows != a.cols:
         raise DimMismatch("solve needs a square operator, got %dx%d"
@@ -350,11 +314,11 @@ def wiedemann_kernel_sample(a: BlackBoxOperator, seed=0, max_attempts=40):
     work, fwd, down, _ = _work_field(a, rng)
     for _ in range(max_attempts):
         diag = [work.rand_nonzero(rng) for _ in range(n)]
-        w = _kernel_attempt(work, lambda x: fwd(_scale(work, diag, x)), n,
+        w = _kernel_attempt(work, lambda x: fwd(work.vmul(diag, x)), n,
                             rng)
         if w is None:
             continue
-        cand = _scale(work, diag, w)
+        cand = work.vmul(diag, w)
         if work is not ctx:  # its first nonzero base-coordinate vector
             cand = next((list(c) for c in zip(*map(down, cand))
                          if any(v != ctx.zero for v in c)), None)

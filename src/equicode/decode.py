@@ -56,7 +56,6 @@ from .errors import (
     NotInImage,
     RankDeficient,
 )
-from .ff import OPS
 from .galg import (GroupAlgebraElement, _elements, _pack_coeffs, _slot_width,
                    ga_mul_naive, ga_rand, ga_sigma, ga_sub)
 from .kgmat import (
@@ -127,17 +126,9 @@ def basic_radius(code: EquivariantCode):
 
 def _pointwise(a: GroupAlgebraElement, b: GroupAlgebraElement):
     """Coefficientwise product: the residue-algebra multiplication, which
-    is NOT the group-algebra convolution.  Over prime fields: plain ints,
-    one reduction per value, counted in OPS in bulk."""
-    ctx = a.field
-    if ctx.d == 1:
-        p = ctx.p
-        OPS.add(a.group.order)
-        return GroupAlgebraElement(a.group, ctx, tuple(
-            [x * y % p for x, y in zip(a.coeffs, b.coeffs)]))
-    return GroupAlgebraElement(
-        a.group, ctx,
-        tuple(ctx.mul(x, y) for x, y in zip(a.coeffs, b.coeffs)))
+    is NOT the group-algebra convolution."""
+    return GroupAlgebraElement(a.group, a.field,
+                               tuple(a.field.vmul(a.coeffs, b.coeffs)))
 
 
 def denominator_values(dd: DecoderData, x):

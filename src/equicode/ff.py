@@ -5,7 +5,10 @@ irreducible modulus (coefficients listed low degree first).  Two layers:
 
 * raw values: an int in [0, p) when d == 1, else a tuple of d ints.  All the
   heavy inner loops elsewhere in the package work on raw values through a
-  FieldCtx, which keeps the arithmetic allocation-free.
+  FieldCtx, which keeps the arithmetic allocation-free.  Its vector
+  operations (dot, vmul, sub_scaled) are the one place that knows the
+  prime-field shortcut: plain ints, one reduction per value, and the count
+  the per-value calls would make added to OPS in bulk.
 * FieldElement: a thin frozen wrapper with operator overloads for tests and
   for the public API.
 
@@ -22,6 +25,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
+from operator import mul as int_mul
 
 from .errors import (
     CompositeP,
@@ -345,6 +349,34 @@ class FieldCtx:
                 for j in range(d):
                     prod[j] += c * row[j]
         return tuple(prod[j] % p for j in range(d))
+
+    # --- raw vectors (see the module docstring for the prime-field path)
+
+    def dot(self, u, v, acc=None):
+        """acc + sum u_i v_i (acc defaults to zero)."""
+        if self.d == 1:
+            OPS.add(2 * len(u))
+            return ((acc or 0) + sum(map(int_mul, u, v))) % self.p
+        acc = self.zero if acc is None else acc
+        for x, y in zip(u, v):
+            acc = self.add(acc, self.mul(x, y))
+        return acc
+
+    def vmul(self, u, v):
+        """The entrywise product u * v."""
+        if self.d == 1:
+            OPS.add(len(u))
+            p = self.p
+            return [x * y % p for x, y in zip(u, v)]
+        return [self.mul(x, y) for x, y in zip(u, v)]
+
+    def sub_scaled(self, y, a, x):
+        """y - a x, entrywise."""
+        if self.d == 1:
+            OPS.add(2 * len(x))
+            p = self.p
+            return [(u - a * v) % p for u, v in zip(y, x)]
+        return [self.sub(u, self.mul(a, v)) for u, v in zip(y, x)]
 
     def inv(self, a):
         if OPS.enabled:

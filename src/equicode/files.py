@@ -131,6 +131,8 @@ def _prime_coeffs(group, ctx, entries):
 def matrix_from_obj(group, ctx, obj) -> KGMatrix:
     rows = _int(_need(obj, "rows"), "rows")
     cols = _int(_need(obj, "cols"), "cols")
+    if rows < 0 or cols < 0:
+        raise ParseError("matrix is %dx%d" % (rows, cols))
     entries = _need(obj, "entries")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ParseError("matrix wants %d entries" % (rows * cols))

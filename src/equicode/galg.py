@@ -333,8 +333,8 @@ def _unpack_coeffs(group, ctx, xs, width, scale=None):
     """The raw coefficients of the elements whose packed products are xs,
     concatenated: fold each axis mod o_k, reduce x^w for w >= d along the
     field modulus, then mod p.  With scale (|G| raw values per element),
-    each coefficient comes out times its scale value, still with one
-    reduction per value; those multiplications go to OPS."""
+    each coefficient comes out times its scale value through ctx.vmul,
+    still with one reduction per value."""
     _, T = _layout(group)
     d, p = ctx.d, ctx.p
     factors, count = group.factors, (2 * d - 1) * T
@@ -361,10 +361,8 @@ def _unpack_coeffs(group, ctx, xs, width, scale=None):
             folded += lo[len(hi):]
         vals, stride = folded, keep
     if d == 1:
-        if scale is None:
-            return [v % p for v in vals]
-        OPS.add(len(vals))
-        return [v * s % p for v, s in zip(vals, scale)]
+        return ([v % p for v in vals] if scale is None
+                else ctx.vmul(vals, scale))
     o = group.order
     coords = []
     for e in range(0, len(vals), (2 * d - 1) * o):
@@ -377,8 +375,7 @@ def _unpack_coeffs(group, ctx, xs, width, scale=None):
         coords += zip(*power[:d])
     if scale is None:
         return [tuple([c % p for c in coeff]) for coeff in coords]
-    # ctx.mul reduces its unreduced operand once and counts itself
-    return [ctx.mul(v, s) for v, s in zip(coords, scale)]
+    return ctx.vmul(coords, scale)  # reduces the unreduced coords once
 
 
 def ga_mul_fast(a, b):

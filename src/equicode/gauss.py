@@ -84,9 +84,7 @@ def rref(ctx, m):
         m[r] = [ctx.mul(inv, x) for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c] != ctx.zero:
-                f = m[i][c]
-                m[i] = [ctx.sub(x, ctx.mul(f, y))
-                        for x, y in zip(m[i], m[r])]
+                m[i] = ctx.sub_scaled(m[i], m[i][c], m[r])
         pivots.append(c)
         r += 1
         if r == rows:

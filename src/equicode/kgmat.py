@@ -87,6 +87,9 @@ class KGMatrix:
                                  compare=False, hash=False, repr=False)
 
     def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
+            raise InvariantViolation("matrix is %dx%d"
+                                     % (self.rows, self.cols))
         if len(self.entries) != self.rows * self.cols:
             raise InvariantViolation("entry count %d, expected %d"
                                      % (len(self.entries),
@@ -257,16 +260,6 @@ def kg_apply(a: KGMatrix, vec):
     return _elements(G, ctx, _apply_packed(a, col, width))
 
 
-def _matvec(ctx, m, x):
-    """K-matrix times vector.  Over prime fields: plain int dot products,
-    one reduction per output value, counted in OPS in bulk."""
-    if ctx.d == 1:
-        p = ctx.p
-        OPS.add(2 * len(m) * len(x))
-        return [sum(map(int_mul, row, x)) % p for row in m]
-    return gauss.matvec(ctx, m, x)
-
-
 def kg_product_is_scalar(a: KGMatrix, b: KGMatrix, c) -> bool:
     """Whether a . b is the raw field value c times the identity (c zero:
     the zero matrix).
@@ -289,8 +282,8 @@ def kg_product_is_scalar(a: KGMatrix, b: KGMatrix, c) -> bool:
         y_cols = list(zip(*y)) or [()] * b.cols
         for i, row in enumerate(x):
             # row i of x . y
-            if _matvec(ctx, y_cols, row) != [c if i == j else zero
-                                             for j in range(b.cols)]:
+            if [ctx.dot(col, row) for col in y_cols] != [
+                    c if i == j else zero for j in range(b.cols)]:
                 return False
     return True
 
@@ -364,12 +357,8 @@ class DualityContext:
     def base_form(self, w, f):
         if len(w) != self.blocks or len(f) != self.blocks:
             raise DimMismatch("vectors must have %d blocks" % self.blocks)
-        ctx = self.field
-        acc = ctx.zero
-        for wi, fi in zip(w, f):
-            for x, y in zip(wi.coeffs, fi.coeffs):
-                acc = ctx.add(acc, ctx.mul(x, y))
-        return acc
+        return self.field.dot([x for wi in w for x in wi.coeffs],
+                              [y for fi in f for y in fi.coeffs])
 
     def right_act(self, w, sidx):
         """(w . tau)_{i,g} = w_{i, g tau}."""

@@ -328,3 +328,10 @@ def test_small_prime_lift_pinned(p):
     assert any(x is not None for _, x, _ in records)
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == LIFT_DIGESTS[p]
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[1], [2, 3]], []],
+                         ids=["short-row", "long-row", "empty"])
+def test_operator_from_matrix_needs_a_rectangular_matrix(matrix):
+    with pytest.raises(DimMismatch):
+        blackbox.operator_from_matrix(K13, matrix)

@@ -296,6 +296,25 @@ def test_decode_nonpositive_max_attempts_is_a_parse_error(tmp_path,
     assert json.loads(r.stdout)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("action", ["validate", "encode"])
+def test_code_with_negative_dimensions_is_a_parse_error(tmp_path, action):
+    """n = k = -1 with -1x-1 matrices of one entry (and a -1x0 check)
+    matches every entry count, but is no matrix."""
+    code_path = tmp_path / "c.json"
+    run_cli("gen", "rs", "--p", 13, "--n", 4, "--deg", 1, "--out", code_path)
+    obj = json.loads(code_path.read_text())
+    entry = obj["evaluation"]["entries"][0]
+    obj.update(n=-1, k=-1,
+               evaluation={"rows": -1, "cols": -1, "entries": [entry]},
+               interp={"rows": -1, "cols": -1, "entries": [entry]},
+               check={"rows": -1, "cols": 0, "entries": []})
+    code_path.write_text(json.dumps(obj))
+    r = run_cli("--json-errors", "code", action, "--code", code_path,
+                "--message", "[[1]]")
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == "ParseError"
+
+
 def test_reused_parser_leaks_no_state(tmp_path, capsys):
     """main() keeps one parser per process; a call made after another
     writes the same bytes as the same call made alone."""

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equicode import ff
 from equicode.errors import (
@@ -265,3 +266,47 @@ def test_polynomial_helpers_over_prime_field():
     assert ff.poly_is_irreducible([2, 0, 1], p)
     assert not ff.poly_is_irreducible(prod, p)
     assert not ff.poly_is_irreducible([3], p)
+
+
+VECTOR_FIELDS = [ff.field_make(13), ff.field_make(3, 2), ff.field_make(13, 2)]
+
+
+def counted(fn, *args):
+    with ff.count_field_ops() as ops:
+        value = fn(*args)
+    return value, ops.count
+
+
+def per_value_dot(ctx, u, v, acc):
+    acc = ctx.zero if acc is None else acc
+    for x, y in zip(u, v):
+        acc = ctx.add(acc, ctx.mul(x, y))
+    return acc
+
+
+@pytest.mark.parametrize("ctx", VECTOR_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_vector_ops_match_the_per_value_calls(ctx, data):
+    """dot, vmul and sub_scaled give the value and the op count of the
+    per-value add/mul/sub loop, on prime and extension fields alike."""
+    value = st.sampled_from(list(ctx.elements()))
+    n = data.draw(st.integers(0, 8), label="n")
+    u, v, y = (data.draw(st.lists(value, min_size=n, max_size=n), label=name)
+               for name in "uvy")
+    a = data.draw(value, label="a")
+    acc = data.draw(st.none() | value, label="acc")
+    args = (u, v) if acc is None else (u, v, acc)
+    assert counted(ctx.dot, *args) == counted(per_value_dot, ctx, u, v, acc)
+    assert counted(ctx.vmul, u, v) == counted(
+        lambda: [ctx.mul(x, z) for x, z in zip(u, v)])
+    assert counted(ctx.sub_scaled, y, a, v) == counted(
+        lambda: [ctx.sub(w, ctx.mul(a, x)) for w, x in zip(y, v)])
+
+
+@pytest.mark.parametrize("ctx", VECTOR_FIELDS, ids=repr)
+def test_vector_ops_on_empty_vectors(ctx):
+    assert counted(ctx.dot, [], []) == (ctx.zero, 0)
+    assert counted(ctx.dot, [], [], ctx.one) == (ctx.one, 0)
+    assert counted(ctx.vmul, [], []) == ([], 0)
+    assert counted(ctx.sub_scaled, [], ctx.one, []) == ([], 0)

@@ -61,6 +61,11 @@ def test_kgmatrix_invariants():
     one = ga_one(Z4, K5)
     with pytest.raises(InvariantViolation):
         kgmat.KGMatrix(Z4, K5, 2, 2, (one, one, one))
+    # negative dimensions whose product matches the entry count
+    with pytest.raises(InvariantViolation):
+        kgmat.KGMatrix(Z4, K5, -1, -1, (one,))
+    with pytest.raises(InvariantViolation):
+        kgmat.KGMatrix(Z4, K5, -1, 0, ())
     with pytest.raises(Mismatch):
         kgmat.KGMatrix(Z4, K5, 1, 2, (one, ga_one(Z2, K5)))
     m = kgmat.kg_identity(Z4, K5, 2)

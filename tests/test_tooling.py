@@ -1,5 +1,6 @@
 """Guards for what the benchmark's tracer and the packaging rely on, and
-for the package's one field type.
+for the package's one field type and the few places that test its
+degree.
 
 perfbench/tracer.py wraps library functions by (module, attribute) and
 reads the kernel sampler's operator from its first argument; the runtime
@@ -91,3 +92,42 @@ def test_field_ctx_is_the_only_field_type():
              and {"mul", "inv"} <= {f.name for f in node.body
                                     if isinstance(f, ast.FunctionDef)}]
     assert found == ["ff.py:FieldCtx"]
+
+
+# Functions outside ff that may branch on the field degree: the packed
+# coefficient layouts and the transform plan, the packed prime-field
+# elimination, the parsers of raw values, and the choice of a lift.
+DEGREE_TESTS_ALLOWED = {
+    "blackbox._work_field",
+    "cli._load_elements",
+    "files.matrix_from_obj",
+    "galg._build_plan",
+    "galg._pack_coeffs",
+    "galg._unpack_coeffs",
+    "gauss.rref",
+}
+
+
+def degree_tests(tree, where=None):
+    """The enclosing function of every comparison of `d` or `<x>.d`
+    with 1, once per comparison."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, ast.Compare):
+            sides = [child.left] + child.comparators
+            if (any(isinstance(s, ast.Constant) and s.value == 1
+                    for s in sides)
+                    and any(isinstance(s, ast.Attribute) and s.attr == "d"
+                            or isinstance(s, ast.Name) and s.id == "d"
+                            for s in sides)):
+                yield where
+        inner = child.name if isinstance(child, ast.FunctionDef) else where
+        yield from degree_tests(child, inner)
+
+
+def test_field_degree_is_tested_only_where_allowed():
+    """The prime-field shortcut for raw vectors lives in FieldCtx (dot,
+    vmul, sub_scaled); no other function forks on d == 1 unless listed."""
+    found = {"%s.%s" % (name[:-3], fn)
+             for name, tree in package_trees() if name != "ff.py"
+             for fn in degree_tests(tree)}
+    assert found == DEGREE_TESTS_ALLOWED
