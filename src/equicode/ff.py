@@ -518,10 +518,11 @@ def field_make(p: int, d: int = 1, modulus=None, seed: int = 0) -> FieldCtx:
     modulus is a sequence of d+1 ints, low degree first, monic.  When omitted
     and d > 1 a deterministic irreducible is generated.
     """
-    if p < 2 or not is_probable_prime(p):
-        raise CompositeP("p = %d is not prime" % p)
-    if d < 1:
-        raise DegreeMismatch("extension degree must be >= 1, got %d" % d)
+    if not isinstance(p, int) or p < 2 or not is_probable_prime(p):
+        raise CompositeP("p = %r is not a prime int" % (p,))
+    if not isinstance(d, int) or d < 1:
+        raise DegreeMismatch("extension degree must be an int >= 1, got %r"
+                             % (d,))
     if d == 1:
         if modulus is not None and [c % p for c in modulus] != [0, 1]:
             raise DegreeMismatch("prime field takes no modulus")

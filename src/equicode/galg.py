@@ -10,11 +10,10 @@ above a size threshold) and one unpacking.
 
 Fourier transforms over K serve the split case (exponent e of G dividing
 q - 1), where matrices are built and certified character by character.
-A cyclic transform of length n has one plan: a radix-2 NTT over a prime
-field when n is a power of two, and otherwise Bluestein's chirp, whose
-convolution is one packed product.  Everything here is a pure function of
-immutable values; plans (twiddle tables, packed chirps) are cached per
-(field, length, root).
+Every cyclic transform is Bluestein's chirp, whose convolution is one
+packed product.  Everything here is a pure function of immutable values;
+plans (chirp weights and the packed chirp) are cached per (field, length,
+root).
 """
 
 from __future__ import annotations
@@ -39,10 +38,11 @@ class AbelianGroup:
     __slots__ = ("factors", "order", "exponent", "_inv_perm")
 
     def __init__(self, invariant_factors):
-        factors = tuple(int(o) for o in invariant_factors)
+        factors = tuple(invariant_factors)
         for i, o in enumerate(factors):
-            if o < 2:
-                raise InvariantViolation("invariant factor %d < 2" % o)
+            if not isinstance(o, int) or o < 2:
+                raise InvariantViolation(
+                    "invariant factor %r is not an int >= 2" % (o,))
             if i + 1 < len(factors) and factors[i + 1] % o != 0:
                 raise InvariantViolation(
                     "invariant factors must form a divisibility chain, "
@@ -142,8 +142,10 @@ def _elements(group, ctx, flat):
 
 
 def ga_from_ints(group, ctx, ints):
-    return GroupAlgebraElement(group, ctx,
-                               tuple(ctx.from_int(n) for n in ints))
+    ints = tuple(ints)
+    if not all(isinstance(n, int) for n in ints):
+        raise InvariantViolation("coefficients must be ints, got %r" % (ints,))
+    return GroupAlgebraElement(group, ctx, tuple(map(ctx.from_int, ints)))
 
 
 def ga_zero(group, ctx):
@@ -426,123 +428,59 @@ def _root_has_exact_order(ctx, omega, n):
     return True
 
 
-def _bit_reverse_inplace(a):
-    n = len(a)
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            a[i], a[j] = a[j], a[i]
-
-
-def _ntt_prime(a, p, wtab):
-    """In-place radix-2 transform of int list a, len a 2-power; wtab[j]=w^j."""
-    n = len(a)
-    _bit_reverse_inplace(a)
-    length = 2
-    while length <= n:
-        step = n // length
-        half = length >> 1
-        for start in range(0, n, length):
-            widx = 0
-            for k in range(start, start + half):
-                u = a[k]
-                v = a[k + half] * wtab[widx] % p
-                a[k] = (u + v) % p
-                a[k + half] = (u - v) % p
-                widx += step
-        length <<= 1
-    if OPS.enabled:
-        OPS.count += 3 * (n >> 1) * (n.bit_length() - 1)
-    return a
-
-
-def _power_table(ctx, w, count):
-    out = [ctx.one]
-    cur = ctx.one
-    for _ in range(count - 1):
-        cur = ctx.mul(cur, w)
-        out.append(cur)
-    return out
-
-
 def _cyclic_plan(ctx, n, omega):
+    """Bluestein's chirp for one (field, length, root), n >= 2, as
+    (beta_inv, group, width, chirp): out_j = binv_j (b * nrev)_{n-1+j}
+    with b_i = omega^(i(i-1)/2), and the convolution is one packed product
+    in K[Z/t], t = 3n - 2, where the zero-padded operands are short enough
+    that no index wraps around.  Checking the root and building the plan
+    are set-up, so neither counts in OPS."""
     key = (ctx, n, omega)
     plan = _PLAN_CACHE.get(key)
     if plan is not None:
         return plan
-    if n == 1:
-        if omega != ctx.one:
-            raise BadRootOrder("a first root of unity must be 1")
-        plan = ("identity",)
-    else:
+    before = OPS.count
+    try:
         if not _root_has_exact_order(ctx, omega, n):
             raise BadRootOrder("root does not have exact order %d" % n)
-        before = OPS.count  # table building is setup, not per-call work
-        try:
-            plan = _build_plan(ctx, n, omega)
-        finally:
-            OPS.count = before
-    _PLAN_CACHE[key] = plan
-    return plan
-
-
-def _build_plan(ctx, n, omega):
-    """The plan for one (field, length, root), n >= 2: a radix-2 NTT over
-    a prime field when n is a power of two, Bluestein's chirp otherwise."""
-    if ctx.d == 1 and n & (n - 1) == 0:
-        return ("ntt", _power_table(ctx, omega, n >> 1))
-    # Bluestein: out_j = binv_j * (b * nrev)_{n-1+j} with b_i = w^{i(i-1)/2};
-    # the convolution is one packed product in K[Z/t], t = 3n - 2, where the
-    # zero-padded operands are short enough that no index wraps around
-    beta = [ctx.one]
-    cur = ctx.one
-    wk = ctx.one
-    for i in range(2 * n - 2):
-        cur = ctx.mul(cur, wk)      # beta_{i+1} = beta_i * omega^i
-        wk = ctx.mul(wk, omega)
-        beta.append(cur)
-    beta_inv = [ctx.inv(beta[i]) for i in range(n)]
+        beta = [ctx.one]
+        cur = ctx.one
+        wk = ctx.one
+        for i in range(2 * n - 2):
+            cur = ctx.mul(cur, wk)      # beta_{i+1} = beta_i * omega^i
+            wk = ctx.mul(wk, omega)
+            beta.append(cur)
+        beta_inv = [ctx.inv(b) for b in beta[:n]]
+    finally:
+        OPS.count = before
     group = AbelianGroup([3 * n - 2])
     width = _slot_width(group, ctx, 1)
     (chirp,) = _pack_coeffs(group, ctx, beta + [ctx.zero] * (n - 1), width)
-    return ("bluestein", beta_inv, group, width, chirp)
+    plan = _PLAN_CACHE[key] = (beta_inv, group, width, chirp)
+    return plan
 
 
 def _run_bluestein(ctx, values, plan):
-    """The Bluestein plan's transform.  Nominal cost of the packed
-    product, added to OPS: 2 (2d - 1) (3n - 2)."""
-    _, beta_inv, group, width, chirp = plan
+    """The plan's transform of values.  Nominal cost, added to OPS: the
+    packed product's 2 (2d - 1) (3n - 2) and the 2n weightings."""
+    beta_inv, group, width, chirp = plan
     n = len(values)
-    mul = ctx.mul
-    # reversed beta_inv-weighted input, zero-padded to length t
-    nvec = [mul(beta_inv[n - 1 - l], values[n - 1 - l]) for l in range(n)]
-    nvec += [ctx.zero] * (2 * n - 2)
+    # the beta_inv-weighted input, reversed and zero-padded to length t
+    nvec = ctx.vmul(beta_inv, values)[::-1] + [ctx.zero] * (2 * n - 2)
     (x,) = _pack_coeffs(group, ctx, nvec, width)
     r = _unpack_coeffs(group, ctx, [chirp * x], width)
     OPS.add(2 * (2 * ctx.d - 1) * (3 * n - 2))
-    return [mul(beta_inv[i], r[n - 1 + i]) for i in range(n)]
-
-
-def _ft_cyclic_raw(ctx, values, plan):
-    kind = plan[0]
-    if kind == "identity":
-        return list(values)
-    if kind == "ntt":
-        return _ntt_prime(list(values), ctx.p, plan[1])
-    return _run_bluestein(ctx, values, plan)
+    return ctx.vmul(beta_inv, r[n - 1:2 * n - 1])
 
 
 def ft_cyclic(ctx, values, omega):
     """DFT of length len(values): out_j = sum_i omega^(ij) values_i."""
     n = len(values)
-    if n == 0:
-        return []
-    return _ft_cyclic_raw(ctx, values, _cyclic_plan(ctx, n, omega))
+    if n <= 1:
+        if n and omega != ctx.one:
+            raise BadRootOrder("a first root of unity must be 1")
+        return list(values)
+    return _run_bluestein(ctx, values, _cyclic_plan(ctx, n, omega))
 
 
 # ------------------------------------------------------- group transforms
@@ -556,12 +494,9 @@ def _axis_transform(ctx, data, group, omega_axis):
         plan = _cyclic_plan(ctx, o, omega_axis[ax])
         block = stride * o
         for start in range(0, order, block):
-            for off in range(stride):
-                base = start + off
-                strand = [data[base + t * stride] for t in range(o)]
-                strand = _ft_cyclic_raw(ctx, strand, plan)
-                for t in range(o):
-                    data[base + t * stride] = strand[t]
+            for base in range(start, start + stride):
+                strand = slice(base, start + block, stride)
+                data[strand] = _run_bluestein(ctx, data[strand], plan)
         stride = block
     return data
 
@@ -597,7 +532,5 @@ def ft_inverse(F: FourierImage) -> GroupAlgebraElement:
     data = _axis_transform(ctx, list(F.values), G,
                            _axis_roots(ctx, G, F.omega))
     scale = ctx.inv(ctx.from_int(G.order))
-    coeffs = [None] * G.order
-    for idx in range(G.order):
-        coeffs[idx] = ctx.mul(scale, data[G.inverse_index(idx)])
-    return GroupAlgebraElement(G, ctx, tuple(coeffs))
+    return GroupAlgebraElement(G, ctx, tuple(ctx.vmul(
+        [scale] * G.order, [data[G.inverse_index(i)] for i in range(G.order)])))

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from equicode import ff, galg
 from equicode.errors import (
     BadRootOrder,
+    CompositeP,
+    DegreeMismatch,
     InvariantViolation,
     Mismatch,
     OrderDividesCharacteristic,
@@ -99,6 +101,27 @@ def test_group_validation():
         AbelianGroup([4, 2])
     AbelianGroup([2, 2])
     AbelianGroup([3, 9])
+
+
+NON_INT_PARAMETERS = {
+    "p-float": (lambda: ff.field_make(13.0), CompositeP),
+    "p-str": (lambda: ff.field_make("13"), CompositeP),
+    "d-float": (lambda: ff.field_make(3, 2.0), DegreeMismatch),
+    "d-str": (lambda: ff.field_make(3, "2"), DegreeMismatch),
+    "factor-float": (lambda: AbelianGroup([2.5]), InvariantViolation),
+    "factor-str": (lambda: AbelianGroup(["3"]), InvariantViolation),
+    "coeff-float": (lambda: ga_from_ints(AbelianGroup([2]), ff.field_make(13),
+                                         [1.5, 2]), InvariantViolation),
+    "coeff-str": (lambda: ga_from_ints(AbelianGroup([2]), ff.field_make(13),
+                                       ["1", 2]), InvariantViolation),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_INT_PARAMETERS))
+def test_constructors_refuse_non_int_parameters(case):
+    build, error = NON_INT_PARAMETERS[case]
+    with pytest.raises(error):
+        build()
 
 
 # ----------------------------------------------------- coefficient algebra
@@ -198,12 +221,15 @@ def test_ft_cyclic_delta_and_ones():
 
 @pytest.mark.parametrize("p,d,n", [
     (5, 1, 4),       # power of two
-    (13, 1, 6),      # Bluestein, small
-    (13, 1, 12),     # Bluestein, small and composite
-    (769, 1, 48),    # Bluestein, 3-byte slots
-    (67, 1, 33),     # Bluestein, 2-byte slots
-    (7, 2, 48),      # Bluestein over an extension field
-    (3, 2, 8),       # Bluestein, extension field and a power of two
+    (12289, 1, 32),  # power of two, 5-byte slots
+    (17, 1, 8),      # power of two, 2-byte slots
+    (5, 1, 2),       # the shortest transform
+    (13, 1, 6),      # small
+    (13, 1, 12),     # small and composite
+    (769, 1, 48),    # 3-byte slots
+    (67, 1, 33),     # 2-byte slots
+    (7, 2, 48),      # an extension field
+    (3, 2, 8),       # an extension field and a power of two
     (3, 4, 16),      # the same over F_81
 ])
 def test_ft_cyclic_vs_direct(p, d, n):
@@ -216,18 +242,30 @@ def test_ft_cyclic_vs_direct(p, d, n):
 
 
 @pytest.mark.parametrize("p,d,n,kind", [
-    (12289, 1, 32, "ntt"),
-    (17, 1, 8, "ntt"),
-    (5, 1, 2, "ntt"),
     (13, 1, 6, "bluestein"),
     (13, 1, 12, "bluestein"),
-    (3, 2, 8, "bluestein"),   # extension fields take no NTT
+    (3, 2, 8, "bluestein"),   # extension fields take the same chirp
     (3, 4, 16, "bluestein"),
     (13, 1, 1, "identity"),
 ])
 def test_cyclic_plan_kind(p, d, n, kind):
+    """Length 1 is the identity and builds no plan; every longer length
+    caches Bluestein's chirp, a convolution in K[Z/(3n - 2)] weighted by
+    beta_i^-1 = omega^(-i(i-1)/2)."""
     K = ff.field_make(p, d)
-    assert galg._cyclic_plan(K, n, ff.root_of_unity(K, n))[0] == kind
+    w = ff.root_of_unity(K, n)
+    rng = random.Random(n * 1000 + p)
+    values = [K.rand(rng) for _ in range(n)]
+    galg._PLAN_CACHE.clear()
+    out = ft_cyclic(K, values, w)
+    if kind == "identity":
+        assert out == values and not galg._PLAN_CACHE
+        return
+    beta_inv, group, _, _ = galg._PLAN_CACHE[(K, n, w)]
+    assert group == AbelianGroup([3 * n - 2])
+    assert [K.mul(b, K.pow_(w, i * (i - 1) // 2))
+            for i, b in enumerate(beta_inv)] == [K.one] * n
+    assert out == dft_oracle(K, n, w, values)
 
 
 def test_ft_cyclic_bad_root():
@@ -240,6 +278,7 @@ def test_ft_cyclic_bad_root():
         ft_cyclic(K, [1, 2, 3, 4], 12)
     with pytest.raises(BadRootOrder):
         ft_cyclic(K, [7], 2)
+    assert ft_cyclic(K, [7], 1) == [7]
 
 
 # --------------------------------------------------------- group transform
@@ -305,15 +344,15 @@ def test_convolution_theorem(factors, p, d):
 
 
 def test_ft_group_bad_root():
-    # (p, d, invariant factors, order of the wrong root), each plan kind;
-    # the plan of the last axis, whose root is omega itself, rejects it
+    # (p, d, invariant factors, order of the wrong root); the plan of the
+    # last axis, whose root is omega itself, rejects it
     cases = [
-        (13, 1, [2, 6], 2),    # NTT and Bluestein axes: -1 has order 2
-        (13, 1, [6], 3),       # Bluestein plan
-        (17, 1, [8], 4),       # NTT plan
-        (3, 2, [8], 4),        # Bluestein plan over an extension field
-        (97, 1, [48], 24),     # Bluestein plan, 3-byte slots
-        (12289, 1, [96], 48),  # Bluestein plan, 5-byte slots
+        (13, 1, [2, 6], 2),    # two axes: -1 has order 2
+        (13, 1, [6], 3),
+        (17, 1, [8], 4),       # a prime-field power of two
+        (3, 2, [8], 4),        # an extension field
+        (97, 1, [48], 24),     # 3-byte slots
+        (12289, 1, [96], 48),  # 5-byte slots
     ]
     for p, d, factors, order in cases:
         K = ff.field_make(p, d)
@@ -322,6 +361,37 @@ def test_ft_group_bad_root():
         ft_group(ga_one(G, K), ff.root_of_unity(K, G.exponent))
         with pytest.raises(BadRootOrder):
             ft_group(ga_one(G, K), ff.root_of_unity(K, order))
+
+
+# (p, d, invariant factors) -> count_field_ops() of one ft_group and of
+# one ft_inverse.  Over F_p an axis of order o costs (|G| / o) (8 o - 4):
+# per strand, 2 o weightings and the packed product's nominal 2 (3 o - 2);
+# its root omega^(e / o) costs pow_'s popcount(e / o) + bit length of e / o
+# multiplications.  ft_inverse adds one inversion and |G| scalings.  Over
+# F_9 a strand costs 2 o + 2 * 3 (3 o - 2).
+FT_OP_COUNTS = {
+    (12289, 1, (32,)): (254, 287),   # (8 * 32 - 4) + 2
+    (13, 1, (2, 6)): (166, 179),     # 6 * 12 + 2 * 44 + (4 + 2)
+    (3, 2, (8,)): (150, 159),        # 16 + 6 * 22 + 2
+}
+
+
+@pytest.mark.parametrize("p,d,factors", list(FT_OP_COUNTS))
+def test_ft_op_counts(p, d, factors):
+    """Pinned counts, the same whether the plans are cold or warm: the
+    root check and plan building are set-up and stay off the count."""
+    K, G = ff.field_make(p, d), AbelianGroup(factors)
+    a = ga_rand(G, K, random.Random(7))
+    img = ft_group(a, ff.root_of_unity(K, G.exponent))
+    counts = []
+    for call in (lambda: ft_group(a, img.omega), lambda: ft_inverse(img)):
+        galg._PLAN_CACHE.clear()
+        for _ in range(2):  # a cold plan, then a warm one
+            with ff.count_field_ops() as ops:
+                call()
+            counts.append(ops.count)
+    forward, inverse = FT_OP_COUNTS[(p, d, factors)]
+    assert counts == [forward, forward, inverse, inverse]
 
 
 def test_ft_inverse_characteristic_clash():

@@ -1,9 +1,10 @@
-"""Guards for what the benchmark's tracer and the packaging rely on, and
-for the package's one field type and the few places that test its
-degree.
+"""Guards for what the benchmark's tracer, its cache reset and the
+packaging rely on, and for the package's one field type and the few
+places that test its degree.
 
 perfbench/tracer.py wraps library functions by (module, attribute) and
-reads the kernel sampler's operator from its first argument; the runtime
+reads the kernel sampler's operator from its first argument;
+perfbench/run.py empties the module-level *_CACHE dicts; the runtime
 is stdlib-only (pyproject requires Python >= 3.10, which has
 sys.stdlib_module_names).
 """
@@ -95,13 +96,12 @@ def test_field_ctx_is_the_only_field_type():
 
 
 # Functions outside ff that may branch on the field degree: the packed
-# coefficient layouts and the transform plan, the packed prime-field
-# elimination, the parsers of raw values, and the choice of a lift.
+# coefficient layouts, the packed prime-field elimination, the parsers of
+# raw values, and the choice of a lift.
 DEGREE_TESTS_ALLOWED = {
     "blackbox._work_field",
     "cli._load_elements",
     "files.matrix_from_obj",
-    "galg._build_plan",
     "galg._pack_coeffs",
     "galg._unpack_coeffs",
     "gauss.rref",
@@ -131,3 +131,26 @@ def test_field_degree_is_tested_only_where_allowed():
              for name, tree in package_trees() if name != "ff.py"
              for fn in degree_tests(tree)}
     assert found == DEGREE_TESTS_ALLOWED
+
+
+def test_module_level_dicts_are_caches():
+    """perfbench/run.py's reset_caches empties the module-level dicts named
+    *_CACHE so that set-up starts cold; an empty dict bound at module level
+    under any other name would keep its entries across set-ups."""
+    found = []
+    for name, tree in package_trees():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if (isinstance(value, ast.Dict) and not value.keys
+                    or isinstance(value, ast.Call)
+                    and isinstance(value.func, ast.Name)
+                    and value.func.id == "dict"):
+                found += ["%s:%s" % (name, ast.unparse(t)) for t in targets
+                          if not (isinstance(t, ast.Name)
+                                  and t.id.endswith("_CACHE"))]
+    assert found == []
