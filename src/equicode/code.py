@@ -38,7 +38,7 @@ from .errors import (
     TooManyPoints,
 )
 from .ff import FieldCtx, field_make
-from .galg import AbelianGroup, GroupAlgebraElement
+from .galg import AbelianGroup, ga_from_ints
 from .kgmat import (
     KGMatrix,
     expanded_rank,
@@ -172,7 +172,7 @@ def genus2_example_code() -> EquivariantCode:
     G = AbelianGroup([4])
 
     def ga(*ints):
-        return GroupAlgebraElement(G, ctx, tuple(ints))
+        return ga_from_ints(G, ctx, ints)
 
     e12 = ga(1, 2, 2, 2)
     e13 = ga(2, 2, 2, 1)
@@ -269,11 +269,12 @@ def cyclic_orbit_evaluation(ctx, G: AbelianGroup, zeta, ys, rank):
     w_l(zeta^s y_i) = y_i^(l*o) (y_i^o - 1) / (zeta^s y_i - 1), a geometric
     sum in closed form, or o where zeta^s y_i = 1; it does not depend on
     rank.  For the trivial group and zeta = 1 it is y_i^l, the Vandermonde
-    matrix of `rs_degenerate_code`.  Returns the flat entry tuple."""
+    matrix of `rs_degenerate_code`.  Returns the raw coefficients,
+    row-major, |G| per entry (a `KGMatrix`'s coeffs)."""
     o = G.order
     one, order = ctx.one, ctx.from_int(o)
     zpow = [ctx.pow_(zeta, t) for t in range(o)]
-    entries = []
+    coeffs = []
     for y in ys:
         yo = ctx.pow_(y, o)
         num = ctx.sub(yo, one)
@@ -285,10 +286,9 @@ def cyclic_orbit_evaluation(ctx, G: AbelianGroup, zeta, ys, rank):
                         else ctx.mul(num, ctx.inv(ctx.sub(x, one))))
         lead = one  # y^(l*o)
         for _ in range(rank):
-            entries.append(GroupAlgebraElement(
-                G, ctx, tuple(ctx.mul(lead, v) for v in sums)))
+            coeffs += [ctx.mul(lead, v) for v in sums]
             lead = ctx.mul(lead, yo)
-    return tuple(entries)
+    return tuple(coeffs)
 
 
 def cyclic_cover_code(p, d, order, n, k) -> EquivariantCode:
@@ -303,8 +303,8 @@ def cyclic_cover_code(p, d, order, n, k) -> EquivariantCode:
     basic radius for deg_e = k*order - 1 and genus 0.
     """
     ctx = field_make(p, d)
-    o = int(order)
-    G = AbelianGroup([o])
+    G = AbelianGroup([order])
+    o = G.order
     zeta = split_root(G, ctx)
     if not 0 < k < n:
         raise RankDeficient("need 0 < k < n, got k=%d n=%d" % (k, n))

@@ -57,10 +57,12 @@ from .errors import (
     RankDeficient,
 )
 from .galg import (GroupAlgebraElement, _elements, _pack_coeffs, _slot_width,
-                   ga_mul_naive, ga_rand, ga_sigma, ga_sub)
+                   ga_mul_naive, ga_sigma, ga_sub)
 from .kgmat import (
     KGMatrix,
     _apply_packed,
+    _blocks,
+    _leading_columns,
     _spectrum,
     expanded_rank,
     kg_apply,
@@ -151,11 +153,12 @@ def denominator_check(dd: DecoderData, r, x) -> bool:
 
 
 def _fold_matrix(dd: DecoderData, rng) -> KGMatrix:
-    """A random k0 x (n-k1) K[G] matrix: the fold of the extended checks."""
+    """A random k0 x (n-k1) K[G] matrix: the fold of the extended checks,
+    drawn row-major, |G| values per entry."""
     G, ctx = dd.code.group, dd.code.field
     rows, cols = dd.e0.cols, dd.c1.cols
-    return KGMatrix(G, ctx, rows, cols,
-                    tuple(ga_rand(G, ctx, rng) for _ in range(rows * cols)))
+    return KGMatrix(G, ctx, rows, cols, tuple(
+        ctx.rand(rng) for _ in range(rows * cols * G.order)))
 
 
 def _denominator_operator(dd: DecoderData, r, rng) -> BlackBoxOperator:
@@ -238,11 +241,12 @@ def _error_system(code: EquivariantCode, zeros):
     which is C_{i,j}: the K-matrix taking error values on the zeros to the
     syndrome, built without expanding the rest of C^t.
     """
-    G = code.group
+    G, check = code.group, code.check
     shift = {s: G.quotients(s) for s in {s for _, s in zeros}}
+    entries = _blocks(check)
     sub = []
-    for j in range(code.check.cols):
-        blocks = [(code.check.entry(i, j).coeffs, shift[s]) for i, s in zeros]
+    for j in range(check.cols):
+        blocks = [(entries[i * check.cols + j], shift[s]) for i, s in zeros]
         for g in range(G.order):
             sub.append([c[t[g]] for c, t in blocks])
     return sub
@@ -320,17 +324,13 @@ def _orbit_decoder_data(code: EquivariantCode, ys, k0, k1) -> DecoderData:
     (n - k1) o): a denominator has at most k0 o - 1 zeros, and the
     product space leaves (n - k1) o checks."""
     G, ctx, n, o = code.group, code.field, code.n, code.group.order
-    full = cyclic_orbit_evaluation(ctx, G, split_root(G, ctx), ys, k1)
-
-    def columns(cols):
-        return KGMatrix(G, ctx, n, cols, tuple(
-            full[i * k1 + j] for i in range(n) for j in range(cols)))
-
-    if columns(code.k) != code.evaluation:
+    full = KGMatrix(G, ctx, n, k1, cyclic_orbit_evaluation(
+        ctx, G, split_root(G, ctx), ys, k1))
+    if _leading_columns(full, code.k) != code.evaluation:
         raise Mismatch("evaluation matrix is not the orbit evaluation of "
                        "the expected points")
-    e0 = columns(k0)
-    c1, i1 = split_kernel_and_inverse(KGMatrix(G, ctx, n, k1, full))
+    e0 = _leading_columns(full, k0)
+    c1, i1 = split_kernel_and_inverse(full)
     if expanded_rank(e0) != k0 * o:
         raise RankDeficient("denominator evaluation is not free")
     return DecoderData(code, e0, c1, i1, k0 * o - 1,
@@ -364,7 +364,7 @@ def make_rs_decoder_data(code: EquivariantCode, deg_d0=None) -> DecoderData:
                            "capacity (deg E = %d, n = %d)"
                            % (deg_d0, k - 1, n))
     if k >= 2:
-        pts = [code.evaluation.entry(i, 1).coeffs[0] for i in range(n)]
+        pts = [a.coeffs[0] for a in code.evaluation.col(1)]
     else:
         pts = _first_nonzero_points(code.field, n)
     dd = _orbit_decoder_data(code, pts, deg_d0 + 1, k + deg_d0)
@@ -420,17 +420,15 @@ def make_split_decoder_data(code: EquivariantCode, k0, seed=0) -> DecoderData:
         raise DegreeWindow("denominator rank must be in 1..k (columns are "
                            "taken from the evaluation matrix)")
     rng = random.Random(seed)
-    e0 = KGMatrix(G, ctx, n, k0,
-                  tuple(code.evaluation.entry(i, j)
-                        for i in range(n) for j in range(k0)))
+    e0 = _leading_columns(code.evaluation, k0)
     if expanded_rank(e0) != k0 * o:
         raise RankDeficient("leading evaluation columns are not free")
     sigmas = [ga_sigma(G, ctx, t) for t in range(o)]
     products = []
     for a in range(k0):
-        cols0 = [e0.entry(i, a) for i in range(n)]
+        cols0 = e0.col(a)
         for b in range(k):
-            cols = [code.evaluation.entry(i, b) for i in range(n)]
+            cols = code.evaluation.col(b)
             for s in sigmas:
                 products.append([_pointwise(u, ga_mul_naive(s, w))
                                  for u, w in zip(cols0, cols)])

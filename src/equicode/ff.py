@@ -32,6 +32,7 @@ from .errors import (
     CtxMismatch,
     DegreeMismatch,
     DivisionByZero,
+    InvariantViolation,
     NoSuchRoot,
     ReducibleModulus,
 )
@@ -613,7 +614,11 @@ def elem(ctx: FieldCtx, value) -> FieldElement:
     """Wrap an int (any d) or a coordinate sequence (d > 1) as an element."""
     if isinstance(value, int):
         return FieldElement(ctx, ctx.from_int(value))
-    coords = [int(c) % ctx.p for c in value]
+    if not (isinstance(value, (list, tuple))
+            and all(isinstance(c, int) for c in value)):
+        raise InvariantViolation("field value must be an int or a sequence "
+                                 "of ints, got %r" % (value,))
+    coords = [c % ctx.p for c in value]
     if len(coords) != ctx.d:
         raise DegreeMismatch(
             "expected %d coordinates, got %d" % (ctx.d, len(coords)))

@@ -19,8 +19,8 @@ from .code import EquivariantCode
 from .decode import DecoderData
 from .errors import EquicodeError, ParseError
 from .ff import FieldCtx, field_make, raw_from_obj, raw_to_obj
-from .galg import AbelianGroup, GroupAlgebraElement, _elements
-from .kgmat import KGMatrix
+from .galg import AbelianGroup, GroupAlgebraElement
+from .kgmat import KGMatrix, _blocks
 
 FORMAT_VERSION = 1
 
@@ -100,19 +100,24 @@ def element_to_obj(a: GroupAlgebraElement):
     return [raw_to_obj(a.field, c) for c in a.coeffs]
 
 
-def element_from_obj(group, ctx, obj) -> GroupAlgebraElement:
+def _raw_coeffs(group, ctx, obj):
+    """The raw coefficients an element's object lists."""
     if not isinstance(obj, list) or len(obj) != group.order:
         raise ParseError("element must list %d coefficients" % group.order)
     try:
-        coeffs = tuple(raw_from_obj(ctx, c) for c in obj)
+        return tuple(raw_from_obj(ctx, c) for c in obj)
     except TypeError as e:
         raise ParseError(str(e))
-    return GroupAlgebraElement(group, ctx, coeffs)
+
+
+def element_from_obj(group, ctx, obj) -> GroupAlgebraElement:
+    return GroupAlgebraElement(group, ctx, _raw_coeffs(group, ctx, obj))
 
 
 def matrix_to_obj(m: KGMatrix):
     return {"rows": m.rows, "cols": m.cols,
-            "entries": [element_to_obj(a) for a in m.entries]}
+            "entries": [[raw_to_obj(m.field, c) for c in b]
+                        for b in _blocks(m)]}
 
 
 def _prime_coeffs(group, ctx, entries):
@@ -137,12 +142,10 @@ def matrix_from_obj(group, ctx, obj) -> KGMatrix:
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ParseError("matrix wants %d entries" % (rows * cols))
     flat = _prime_coeffs(group, ctx, entries) if ctx.d == 1 else None
-    if flat is not None:
-        elems = _elements(group, ctx, flat)
-    else:
-        # element_from_obj reports the first malformed entry
-        elems = [element_from_obj(group, ctx, e) for e in entries]
-    return KGMatrix(group, ctx, rows, cols, tuple(elems))
+    if flat is None:
+        # entry by entry, reporting the first malformed one
+        flat = [c for e in entries for c in _raw_coeffs(group, ctx, e)]
+    return KGMatrix(group, ctx, rows, cols, tuple(flat))
 
 
 # -------------------------------------------------------------- artifacts

@@ -158,6 +158,9 @@ def ga_one(group, ctx):
 
 def ga_sigma(group, ctx, idx):
     """The basis element for the group element with the given index."""
+    if not isinstance(idx, int) or not 0 <= idx < group.order:
+        raise InvariantViolation("group index %r is not in range(%d)"
+                                 % (idx, group.order))
     coeffs = [ctx.zero] * group.order
     coeffs[idx] = ctx.one
     return GroupAlgebraElement(group, ctx, tuple(coeffs))
@@ -194,8 +197,8 @@ def ga_scale(a, c):
         if c.ctx != ctx:
             raise Mismatch("scalar from a different field")
         c = c.value
-    elif isinstance(c, int):
-        c = ctx.from_int(c)
+    else:
+        c = ff.elem(ctx, c).value
     return GroupAlgebraElement(a.group, ctx,
                                tuple(ctx.mul(c, x) for x in a.coeffs))
 

@@ -1,9 +1,11 @@
 """Linear algebra over the group algebra K[G].
 
-A KGMatrix is a dense matrix of GroupAlgebraElements.  The bridge to plain
-K-linear algebra is `expand`, which replaces every entry by the circulant
-block of multiplication by that entry in the group basis (the regular
-representation): block[g, h] = entry_{g h^{-1}}.  With that convention
+A KGMatrix is a dense matrix over K[G] stored as one row-major tuple of
+raw field values, |G| per entry; `entry`, `row` and `col` build elements
+on demand.  The bridge to plain K-linear algebra is `expand`, which
+replaces every entry by the circulant block of multiplication by that
+entry in the group basis (the regular representation): block[g, h] =
+entry_{g h^{-1}}.  With that convention
 expand(a) . vec(b) = vec(a b) and expand(involution(a)) = expand(a)^t.
 
 Products (`kg_matmul`, `kg_apply`) use the Kronecker substitution of
@@ -62,9 +64,7 @@ from .galg import (
     ft_group,
     ft_inverse,
     ga_mul_fast,
-    ga_one,
     ga_sub,
-    ga_zero,
 )
 from .ff import OPS, FieldCtx, root_of_unity
 
@@ -75,7 +75,7 @@ class KGMatrix:
     field: FieldCtx
     rows: int
     cols: int
-    entries: tuple  # row-major GroupAlgebraElements
+    coeffs: tuple  # row-major raw values, |G| per entry
     # the per-character K-matrices (see _spectrum), slot width -> packed
     # rows (see _packed) and the transpose, each once built (see
     # kg_transpose); memoization only
@@ -90,46 +90,64 @@ class KGMatrix:
         if self.rows < 0 or self.cols < 0:
             raise InvariantViolation("matrix is %dx%d"
                                      % (self.rows, self.cols))
-        if len(self.entries) != self.rows * self.cols:
-            raise InvariantViolation("entry count %d, expected %d"
-                                     % (len(self.entries),
-                                        self.rows * self.cols))
-        group, field = self.group, self.field
-        for a in self.entries:
-            if a.group is group and a.field is field:
-                continue
-            if a.group != group or a.field != field:
-                raise Mismatch("entries live in different group algebras")
+        want = self.rows * self.cols * self.group.order
+        if len(self.coeffs) != want:
+            raise InvariantViolation("coefficient count %d, expected %d"
+                                     % (len(self.coeffs), want))
 
     def entry(self, i, j):
-        return self.entries[i * self.cols + j]
+        o = self.group.order
+        start = (i * self.cols + j) * o
+        return GroupAlgebraElement(self.group, self.field,
+                                   self.coeffs[start:start + o])
 
     def row(self, i):
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
+        return [self.entry(i, j) for j in range(self.cols)]
 
     def col(self, j):
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+        return [self.entry(i, j) for i in range(self.rows)]
+
+
+def _blocks(m: KGMatrix):
+    """m's entries as raw coefficient tuples, row-major."""
+    o, c = m.group.order, m.coeffs
+    return [c[s:s + o] for s in range(0, len(c), o)]
+
+
+def _leading_columns(m: KGMatrix, cols) -> KGMatrix:
+    """The first cols columns of m."""
+    size, keep = m.cols * m.group.order, cols * m.group.order
+    return KGMatrix(m.group, m.field, m.rows, cols, tuple(
+        x for i in range(m.rows) for x in m.coeffs[i * size:i * size + keep]))
 
 
 def kg_from_rows(rows):
-    entries = tuple(a for row in rows for a in row)
+    entries = [a for row in rows for a in row]
     if not entries:
         raise InvariantViolation("kg_from_rows needs at least one entry")
-    return KGMatrix(entries[0].group, entries[0].field,
-                    len(rows), len(rows[0]), entries)
+    group, field = entries[0].group, entries[0].field
+    if any(a.group != group or a.field != field for a in entries):
+        raise Mismatch("entries live in different group algebras")
+    return KGMatrix(group, field, len(rows), len(rows[0]),
+                    tuple(c for a in entries for c in a.coeffs))
 
 
 def kg_zero(group, ctx, rows, cols):
-    z = ga_zero(group, ctx)
-    return KGMatrix(group, ctx, rows, cols, (z,) * (rows * cols))
+    return KGMatrix(group, ctx, rows, cols,
+                    (ctx.zero,) * (rows * cols * group.order))
+
+
+def _scalar_coeffs(group, ctx, rows, cols, c):
+    """Raw coefficients of the raw value c times the rows x cols identity."""
+    z = (ctx.zero,) * group.order
+    unit = (c,) + z[1:]
+    return tuple(x for i in range(rows) for j in range(cols)
+                 for x in (unit if i == j else z))
 
 
 def kg_identity(group, ctx, n):
-    one = ga_one(group, ctx)
-    z = ga_zero(group, ctx)
-    return KGMatrix(group, ctx, n, n, tuple(one if i == j else z
-                                            for i in range(n)
-                                            for j in range(n)))
+    return KGMatrix(group, ctx, n, n,
+                    _scalar_coeffs(group, ctx, n, n, ctx.one))
 
 
 def kg_transpose(m: KGMatrix) -> KGMatrix:
@@ -137,10 +155,11 @@ def kg_transpose(m: KGMatrix) -> KGMatrix:
     and kept on m, so its packed rows are packed once too.  A Fourier
     image cached on m carries over, transposed character by character."""
     if not m._transposed:
+        blocks = _blocks(m)
         m._transposed.append(KGMatrix(
             m.group, m.field, m.cols, m.rows,
-            tuple(m.entry(i, j)
-                  for j in range(m.cols) for i in range(m.rows))))
+            tuple(x for j in range(m.cols) for b in blocks[j::m.cols]
+                  for x in b)))
     t = m._transposed[0]
     if m._spectra and not t._spectra:
         t._spectra.append([list(zip(*mat)) or [()] * m.cols
@@ -156,12 +175,13 @@ def kg_matmul(a: KGMatrix, b: KGMatrix) -> KGMatrix:
                           % (a.cols, b.rows))
     if a.group != b.group or a.field != b.field:
         raise Mismatch("entries live in different group algebras")
-    G, ctx = a.group, a.field
+    G, ctx, o = a.group, a.field, a.group.order
     width = _slot_width(G, ctx, a.cols)
     b_cols = list(zip(*_packed(b, width))) or [()] * b.cols
-    out = [_elements(G, ctx, _apply_packed(a, col, width)) for col in b_cols]
+    out = [_apply_packed(a, col, width) for col in b_cols]
     return KGMatrix(G, ctx, a.rows, b.cols, tuple(
-        out[j][i] for i in range(a.rows) for j in range(b.cols)))
+        x for s in range(0, a.rows * o, o) for col in out
+        for x in col[s:s + o]))
 
 
 # --------------------------------------------------- packed (Kronecker) product
@@ -171,8 +191,7 @@ def _packed(m: KGMatrix, width):
     """m's entries packed at the given width, row by row; kept on m."""
     rows = m._packed.get(width)
     if rows is None:
-        flat = _pack_coeffs(m.group, m.field,
-                            [c for x in m.entries for c in x.coeffs], width)
+        flat = _pack_coeffs(m.group, m.field, m.coeffs, width)
         rows = [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
         m._packed[width] = rows
     return rows
@@ -218,15 +237,16 @@ def _spectrum(a: KGMatrix):
     matrix.
     """
     if not a._spectra:
-        omega = split_root(a.group, a.field)
+        G, ctx, cols = a.group, a.field, a.cols
+        omega = split_root(G, ctx)
         # the trivial group's one character reads the coefficient itself
-        hats = ([x.coeffs for x in a.entries] if a.group.order == 1 else
-                [ft_group(x, omega).values for x in a.entries])
-        cols = a.cols
+        hats = (_blocks(a) if G.order == 1 else
+                [ft_group(x, omega).values
+                 for x in _elements(G, ctx, a.coeffs)])
         a._spectra.append(
             [[tuple(h[chi] for h in hats[i * cols:(i + 1) * cols])
               for i in range(a.rows)]
-             for chi in range(a.group.order)])
+             for chi in range(G.order)])
     return a._spectra[0]
 
 
@@ -241,9 +261,9 @@ def kg_from_spectrum(group, ctx, spec, rows, cols) -> KGMatrix:
     """
     omega = split_root(group, ctx)
     return KGMatrix(group, ctx, rows, cols, tuple(
-        ft_inverse(FourierImage(group, ctx, omega,
-                                tuple(mat[i][j] for mat in spec)))
-        for i in range(rows) for j in range(cols)))
+        x for i in range(rows) for j in range(cols)
+        for x in ft_inverse(FourierImage(
+            group, ctx, omega, tuple(mat[i][j] for mat in spec))).coeffs))
 
 
 def kg_apply(a: KGMatrix, vec):
@@ -273,11 +293,8 @@ def kg_product_is_scalar(a: KGMatrix, b: KGMatrix, c) -> bool:
     G, ctx = a.group, a.field
     zero = ctx.zero
     if not _is_split(G, ctx):
-        unit = GroupAlgebraElement(G, ctx, (c,) + (zero,) * (G.order - 1))
-        z = ga_zero(G, ctx)
-        return kg_matmul(a, b).entries == tuple(
-            unit if i == j else z for i in range(a.rows)
-            for j in range(b.cols))
+        return kg_matmul(a, b).coeffs == _scalar_coeffs(G, ctx, a.rows,
+                                                        b.cols, c)
     for x, y in zip(_spectrum(a), _spectrum(b)):
         y_cols = list(zip(*y)) or [()] * b.cols
         for i, row in enumerate(x):
@@ -308,32 +325,13 @@ class ExpandedMatrix:
         return self.block_cols * self.group.order
 
 
-def circulant(a: GroupAlgebraElement):
-    """The group-order square K-matrix of multiplication by a."""
-    G = a.group
-    o = G.order
-    rows = []
-    for g in range(o):
-        row = [None] * o
-        for h in range(o):
-            row[h] = a.coeffs[G.compose(g, G.inverse_index(h))]
-        rows.append(tuple(row))
-    return rows
-
-
 def expand(m: KGMatrix) -> ExpandedMatrix:
-    G = m.group
-    o = G.order
-    blocks = [[circulant(m.entry(i, j)) for j in range(m.cols)]
-              for i in range(m.rows)]
-    out = []
-    for i in range(m.rows):
-        for g in range(o):
-            row = []
-            for j in range(m.cols):
-                row.extend(blocks[i][j][g])
-            out.append(tuple(row))
-    return ExpandedMatrix(G, m.field, m.rows, m.cols, tuple(out))
+    G, cols, entries = m.group, m.cols, _blocks(m)
+    # row (i, g), column (j, h): coefficient g h^{-1} of entry (i, j)
+    quot = [G.quotients(h) for h in range(G.order)]
+    return ExpandedMatrix(G, m.field, m.rows, cols, tuple(
+        tuple(a[q[g]] for a in entries[i * cols:(i + 1) * cols] for q in quot)
+        for i in range(m.rows) for g in range(G.order)))
 
 
 def expanded_rank(m: KGMatrix) -> int:
@@ -396,17 +394,13 @@ def phi_G(values, group, ctx) -> KGMatrix:
     the result is the 1 x L matrix w with (w . n) at sigma equal to the form
     at sigma^{-1} n.  Identity coefficient of w . n recovers the K-form.
     """
-    L = len(values)
-    entries = []
-    for j in range(L):
-        col = values[j]
+    coeffs = []
+    for j, col in enumerate(values):
         if len(col) != group.order:
             raise DimMismatch("form block %d has %d values, need %d"
                               % (j, len(col), group.order))
-        entries.append(GroupAlgebraElement(
-            group, ctx,
-            tuple(col[group.inverse_index(s)] for s in range(group.order))))
-    return KGMatrix(group, ctx, 1, L, tuple(entries))
+        coeffs += [col[group.inverse_index(s)] for s in range(group.order)]
+    return KGMatrix(group, ctx, 1, len(values), tuple(coeffs))
 
 
 # -------------------------------------------------------------- projection
@@ -438,17 +432,15 @@ def equivariant_projection(v: KGMatrix, support_rows=None) -> KGMatrix:
         y = gauss.inverse(ctx, minor)
     except Inconsistent:
         raise NotFree("chosen support rows give a singular minor")
-    entries = []
+    coeffs = []
     for i in range(v.cols):
         # dual form of basis column (i, identity), zero off the support
         psi = [ctx.zero] * (v.rows * o)
         for pos, s in enumerate(support):
             psi[s] = y[i * o][pos]
         for j in range(v.rows):
-            entries.append(GroupAlgebraElement(
-                G, ctx,
-                tuple(psi[j * o + G.inverse_index(s)] for s in range(o))))
-    p = KGMatrix(G, ctx, v.cols, v.rows, tuple(entries))
+            coeffs += [psi[j * o + G.inverse_index(s)] for s in range(o)]
+    p = KGMatrix(G, ctx, v.cols, v.rows, tuple(coeffs))
     if kg_matmul(p, v) != kg_identity(G, ctx, v.cols):
         raise InvariantViolation("projection failed to invert the basis")
     return p
@@ -461,7 +453,7 @@ def ga_unit_inverse(a: GroupAlgebraElement):
     """Inverse of a unit of K[G], or None when a is not invertible."""
     G = a.group
     ctx = a.field
-    mat = [list(r) for r in circulant(a)]
+    mat = [list(r) for r in expand(kg_from_rows([[a]])).matrix]
     e0 = [ctx.one] + [ctx.zero] * (G.order - 1)
     try:
         x = gauss.solve(ctx, mat, e0)
@@ -518,19 +510,13 @@ def systematize(e: KGMatrix) -> SystematizeResult:
                 continue
             for row in work:
                 row[c2] = ga_sub(row[c2], ga_mul_fast(row[step], f))
-    e_sys = kg_from_rows(work)
-    one = ga_one(G, ctx)
-    z = ga_zero(G, ctx)
-    check_rows = []
-    for i in range(k):
-        check_rows.append([work[k + j][i] for j in range(n - k)])
-    for j in range(n - k):
-        check_rows.append([(-one if j == l else z) for l in range(n - k)])
-    interp_rows = [[one if i == j else z for j in range(n)] for i in range(k)]
-    return SystematizeResult(e_sys, tuple(perm),
-                             kg_from_rows(check_rows) if n > k
-                             else kg_zero(G, ctx, n, 0),
-                             kg_from_rows(interp_rows))
+    b_t = tuple(c for i in range(k) for j in range(k, n)
+                for c in work[j][i].coeffs)
+    minus_i = _scalar_coeffs(G, ctx, n - k, n - k, ctx.neg(ctx.one))
+    return SystematizeResult(
+        kg_from_rows(work), tuple(perm),
+        KGMatrix(G, ctx, n, n - k, b_t + minus_i),
+        KGMatrix(G, ctx, k, n, _scalar_coeffs(G, ctx, k, n, ctx.one)))
 
 
 # ------------------------------------------------------- split-case solver

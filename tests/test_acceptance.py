@@ -84,10 +84,10 @@ def test_criterion_01_fixture_exactness():
     def body():
         code = quiet_fixture()
         assert code.field.q == 3 and code.group.factors == (4,)
-        got = tuple(e.coeffs for e in code.evaluation.entries)
+        got = tuple(e.coeffs for e in code.evaluation.col(0))
         assert got == ((1, 0, 0, 0), (1, 2, 2, 2), (2, 2, 2, 1)), got
         ct_e = kg_matmul(kg_transpose(code.check), code.evaluation)
-        assert all(e.is_zero() for e in ct_e.entries)
+        assert all(e.is_zero() for e in ct_e.col(0))
         i_e = kg_matmul(code.interp, code.evaluation)
         assert i_e == kg_identity(code.group, code.field, 1)
         with warnings.catch_warnings():

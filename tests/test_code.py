@@ -61,14 +61,14 @@ def test_genus2_matrices_frozen():
     assert code.field is K3 or code.field == K3
     assert code.group == Z4
     assert (code.n, code.k) == (3, 1)
-    assert code.evaluation.entries == (ga3(1, 0, 0, 0), ga3(1, 2, 2, 2),
-                                       ga3(2, 2, 2, 1))
+    assert code.evaluation.col(0) == [ga3(1, 0, 0, 0), ga3(1, 2, 2, 2),
+                                      ga3(2, 2, 2, 1)]
     e12, e13 = ga3(1, 2, 2, 2), ga3(2, 2, 2, 1)
-    assert code.check.entries == (e12, e13,
-                                  ga3(2, 0, 0, 0), ga3(0, 0, 0, 0),
-                                  ga3(0, 0, 0, 0), ga3(2, 0, 0, 0))
-    assert code.interp.entries == (ga3(1, 0, 0, 0), ga3(0, 0, 0, 0),
-                                   ga3(0, 0, 0, 0))
+    assert [code.check.row(i) for i in range(3)] == [
+        [e12, e13], [ga3(2, 0, 0, 0), ga3(0, 0, 0, 0)],
+        [ga3(0, 0, 0, 0), ga3(2, 0, 0, 0)]]
+    assert code.interp.row(0) == [ga3(1, 0, 0, 0), ga3(0, 0, 0, 0),
+                                  ga3(0, 0, 0, 0)]
     assert code.meta == {"g_x": 2, "g_y": 5, "deg_d": 2, "deg_e": 8,
                          "deg_p": 3}
     assert expanded_rank(code.evaluation) == 4
@@ -152,12 +152,10 @@ def test_interpolate_rejects_corrupted_word():
 
 def test_validate_names_broken_identity():
     code = quiet_genus2()
-    coeffs = list(code.evaluation.entries[1].coeffs)
-    coeffs[0] = K3.add(coeffs[0], K3.one)
-    entries = list(code.evaluation.entries)
-    entries[1] = GroupAlgebraElement(Z4, K3, tuple(coeffs))
+    coeffs = list(code.evaluation.coeffs)
+    coeffs[4] = K3.add(coeffs[4], K3.one)  # coefficient 0 of entry (1, 0)
     broken = EquivariantCode(K3, Z4, 3, 1,
-                             KGMatrix(Z4, K3, 3, 1, tuple(entries)),
+                             KGMatrix(Z4, K3, 3, 1, tuple(coeffs)),
                              code.check, code.interp, dict(code.meta))
     with pytest.raises(InvariantViolation) as info:
         validate(broken)
@@ -219,7 +217,7 @@ def test_synth_split_code_invariants():
     assert validate(code) == []
     assert code.meta["deg_d"] is None and code.meta["deg_e"] is None
     again = synth_split_code(5, 1, Z4, 4, 2, seed=1)
-    assert again.evaluation.entries == code.evaluation.entries
+    assert again.evaluation.coeffs == code.evaluation.coeffs
 
 
 def test_synth_split_code_rejections():
@@ -360,7 +358,7 @@ def orbit_evaluation_reference(ctx, G, zeta, ys, rank):
                     acc = ctx.add(acc, ctx.mul(zpow[(s * j) % o],
                                                ypow[l * o + j]))
                 coeffs.append(acc)
-            entries.append(GroupAlgebraElement(G, ctx, tuple(coeffs)))
+            entries += coeffs
     return tuple(entries)
 
 
@@ -385,6 +383,5 @@ def test_trivial_group_orbit_evaluation_is_vandermonde(p, d):
     ctx, G = field_make(p, d), AbelianGroup([])
     ys = [a for a in ctx.elements() if a != ctx.zero]  # includes y = 1
     got = cyclic_orbit_evaluation(ctx, G, ctx.one, ys, 4)
-    assert got == tuple(GroupAlgebraElement(G, ctx, (ctx.pow_(y, l),))
-                        for y in ys for l in range(4))
-    assert rs_degenerate_code(p, len(ys), 3, d).evaluation.entries == got
+    assert got == tuple(ctx.pow_(y, l) for y in ys for l in range(4))
+    assert rs_degenerate_code(p, len(ys), 3, d).evaluation.coeffs == got

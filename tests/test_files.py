@@ -35,7 +35,8 @@ from equicode.files import (
     vector_to_obj,
 )
 from equicode.ff import field_make
-from equicode.galg import AbelianGroup, ga_rand
+from equicode.galg import (AbelianGroup, GroupAlgebraElement, _elements,
+                           _pack_coeffs, _slot_width, ga_rand)
 
 
 def quiet_genus2():
@@ -108,6 +109,38 @@ def test_decoder_round_trip_inline(tmp_path):
         assert loaded == dd
         save_decoder(path, loaded)
         assert path.read_bytes() == first
+
+
+def test_loads_and_products_build_no_elements(tmp_path, monkeypatch):
+    """A KGMatrix holds raw coefficients, so loading decoder files and the
+    packed products, transposes and applies on what was loaded never
+    build a GroupAlgebraElement."""
+    decoders = [make_rs_decoder_data(rs_degenerate_code(13, 12, 5)),
+                make_rs_decoder_data(rs_degenerate_code(3, 8, 3, d=2)),
+                make_cyclic_decoder_data(cyclic_cover_code(13, 1, 4, 3, 1), 1)]
+    for idx, dd in enumerate(decoders):
+        save_decoder(tmp_path / ("dec%d.json" % idx), dd)
+
+    def refuse(self):
+        raise AssertionError("built a GroupAlgebraElement")
+
+    monkeypatch.setattr(GroupAlgebraElement, "__post_init__", refuse)
+    results = []
+    for idx, dd in enumerate(decoders):
+        loaded = load_decoder(tmp_path / ("dec%d.json" % idx))
+        G, ctx, e0 = loaded.code.group, loaded.code.field, loaded.e0
+        c1t = kgmat.kg_transpose(loaded.c1)
+        width = _slot_width(G, ctx, e0.cols)
+        col = _pack_coeffs(G, ctx, loaded.i1.coeffs[:e0.cols * G.order], width)
+        results.append((loaded, kgmat.kg_matmul(c1t, e0),
+                        kgmat._apply_packed(e0, col, width)))
+    monkeypatch.undo()
+    for dd, (loaded, product, applied) in zip(decoders, results):
+        assert loaded == dd
+        assert product == kgmat.kg_matmul(kgmat.kg_transpose(dd.c1), dd.e0)
+        x = dd.i1.row(0)[:dd.e0.cols]
+        assert _elements(dd.code.group, dd.code.field, applied) == \
+            kgmat.kg_apply(dd.e0, x)
 
 
 def test_decoder_code_ref(tmp_path):
@@ -195,8 +228,8 @@ def test_prime_field_matrix_loader_matches_entrywise():
 
     def entrywise(entries):
         try:
-            return kgmat.KGMatrix(group, ctx, 1, len(entries), tuple(
-                element_from_obj(group, ctx, e) for e in entries))
+            return kgmat.kg_from_rows(
+                [[element_from_obj(group, ctx, e) for e in entries]])
         except ParseError as e:
             return str(e)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from equicode import ff, galg
+from equicode.code import cyclic_cover_code
 from equicode.errors import (
     BadRootOrder,
     CompositeP,
@@ -114,6 +115,26 @@ NON_INT_PARAMETERS = {
                                          [1.5, 2]), InvariantViolation),
     "coeff-str": (lambda: ga_from_ints(AbelianGroup([2]), ff.field_make(13),
                                        ["1", 2]), InvariantViolation),
+    "scale-float": (lambda: ga_scale(ga_one(AbelianGroup([2]),
+                                            ff.field_make(13)), 1.5),
+                    InvariantViolation),
+    "scale-str": (lambda: ga_scale(ga_one(AbelianGroup([2]),
+                                          ff.field_make(3, 2)), "12"),
+                  InvariantViolation),
+    "elem-float": (lambda: ff.elem(ff.field_make(13), 1.5),
+                   InvariantViolation),
+    "elem-str": (lambda: ff.elem(ff.field_make(3, 2), "12"),
+                 InvariantViolation),
+    "sigma-float": (lambda: ga_sigma(AbelianGroup([2]), ff.field_make(13),
+                                     2.0), InvariantViolation),
+    "sigma-too-large": (lambda: ga_sigma(AbelianGroup([4]),
+                                         ff.field_make(13), 5),
+                        InvariantViolation),
+    "sigma-negative": (lambda: ga_sigma(AbelianGroup([4]),
+                                        ff.field_make(13), -1),
+                       InvariantViolation),
+    "cover-order-float": (lambda: cyclic_cover_code(12289, 1, 32.7, 8, 2),
+                          InvariantViolation),
 }
 
 
@@ -144,6 +165,11 @@ def test_ga_scale():
     a = ga_from_ints(G, K, [1, 2, 3, 4])
     assert ga_scale(a, 2) == ga_from_ints(G, K, [2, 4, 6 % 5, 8 % 5])
     assert ga_scale(a, ff.elem(K, 0)) == ga_zero(G, K)
+    # a raw value of F_9 scales like the FieldElement wrapping it
+    K9 = ff.field_make(3, 2)
+    b = ga_from_ints(G, K9, [1, 2, 0, 1])
+    assert ga_scale(b, (0, 1)) == ga_scale(b, ff.elem(K9, [0, 1])) == \
+        GroupAlgebraElement(G, K9, ((0, 1), (0, 2), (0, 0), (0, 1)))
 
 
 def test_ga_mismatch():

@@ -41,10 +41,16 @@ Z4 = AbelianGroup([4])
 Z2Z2 = AbelianGroup([2, 2])
 
 
+def flat(elements):
+    """The raw coefficients of elements, concatenated: a KGMatrix's
+    coeffs."""
+    return tuple(c for a in elements for c in a.coeffs)
+
+
 def kg_rand(group, ctx, rng, rows, cols):
     return kgmat.KGMatrix(group, ctx, rows, cols,
-                          tuple(ga_rand(group, ctx, rng)
-                                for _ in range(rows * cols)))
+                          flat(ga_rand(group, ctx, rng)
+                               for _ in range(rows * cols)))
 
 
 # The 3x1 evaluation column that the code-construction tests build on; its
@@ -59,16 +65,23 @@ def eval_column_f3z4():
 
 def test_kgmatrix_invariants():
     one = ga_one(Z4, K5)
+    # |G| raw values per entry: three entries' worth, or one element
+    # object per entry, is not a 2x2 matrix
     with pytest.raises(InvariantViolation):
-        kgmat.KGMatrix(Z4, K5, 2, 2, (one, one, one))
-    # negative dimensions whose product matches the entry count
+        kgmat.KGMatrix(Z4, K5, 2, 2, flat([one] * 3))
     with pytest.raises(InvariantViolation):
-        kgmat.KGMatrix(Z4, K5, -1, -1, (one,))
+        kgmat.KGMatrix(Z4, K5, 2, 2, (one,) * 4)
+    # negative dimensions whose product matches the coefficient count
+    with pytest.raises(InvariantViolation):
+        kgmat.KGMatrix(Z4, K5, -1, -1, one.coeffs)
     with pytest.raises(InvariantViolation):
         kgmat.KGMatrix(Z4, K5, -1, 0, ())
     with pytest.raises(Mismatch):
-        kgmat.KGMatrix(Z4, K5, 1, 2, (one, ga_one(Z2, K5)))
+        kgmat.kg_from_rows([[one, ga_one(Z2, K5)]])
+    with pytest.raises(Mismatch):
+        kgmat.kg_from_rows([[one], [ga_one(Z4, K3)]])
     m = kgmat.kg_identity(Z4, K5, 2)
+    assert m.coeffs == flat([one, ga_zero(Z4, K5), ga_zero(Z4, K5), one])
     assert m.entry(0, 0) == one and m.entry(0, 1).is_zero()
     assert m.row(0) == [one, ga_zero(Z4, K5)]
     assert m.col(1) == [ga_zero(Z4, K5), one]
@@ -127,7 +140,7 @@ def test_kg_matmul_identities():
         kgmat.kg_matmul(a, kg_rand(Z4, K5, rng, 2, 2))
     vec = [ga_rand(Z4, K5, rng) for _ in range(3)]
     out = kgmat.kg_apply(a, vec)
-    expected = kgmat.kg_matmul(a, kgmat.KGMatrix(Z4, K5, 3, 1, tuple(vec)))
+    expected = kgmat.kg_matmul(a, kgmat.kg_from_rows([[x] for x in vec]))
     assert out == expected.col(0)
     with pytest.raises(DimMismatch):
         kgmat.kg_apply(a, vec[:2])
@@ -166,7 +179,7 @@ def test_kg_apply_matches_entrywise_reference(case, rows, cols, seed):
     ctx, G = ff.field_make(p, d), AbelianGroup(factors)
     rng = random.Random(seed)
     a = kg_rand(G, ctx, rng, rows, cols)
-    copy = kgmat.KGMatrix(G, ctx, rows, cols, a.entries)
+    copy = kgmat.KGMatrix(G, ctx, rows, cols, a.coeffs)
     before = hash(a)
     if kgmat._is_split(G, ctx):
         kgmat._spectrum(a)  # kept on a, checked by the round trip below
@@ -195,8 +208,7 @@ def test_transpose_is_built_once():
     rng = random.Random(22)
     a = kg_rand(Z4, K5, rng, 2, 3)
     t = kgmat.kg_transpose(a)
-    assert t == kgmat.KGMatrix(Z4, K5, 3, 2, tuple(
-        a.entry(i, j) for j in range(3) for i in range(2)))
+    assert t == kgmat.kg_from_rows([a.col(j) for j in range(3)])
     vec = [ga_rand(Z4, K5, rng) for _ in range(2)]
     assert kgmat.kg_apply(t, vec) == kg_apply_reference(t, vec)
     assert kgmat.kg_transpose(a) is t and t._packed
@@ -227,7 +239,7 @@ def test_kg_apply_worst_case_slots(case):
     full = GroupAlgebraElement(G, ctx, (top,) * G.order)
     assert kgmat._slot_width(G, ctx, 9) == width
     for cols in (1, 9):
-        a = kgmat.KGMatrix(G, ctx, 2, cols, (full,) * (2 * cols))
+        a = kgmat.KGMatrix(G, ctx, 2, cols, full.coeffs * (2 * cols))
         vec = [full] * cols
         assert kgmat.kg_apply(a, vec) == kg_apply_reference(a, vec)
 
@@ -250,7 +262,7 @@ def test_kg_matmul_matches_naive_reference(case, rows, inner, cols, seed):
                 acc = ga_add(acc, ga_mul_naive(a.entry(i, t), b.entry(t, j)))
             want.append(acc)
     assert kgmat.kg_matmul(a, b) == kgmat.KGMatrix(G, ctx, rows, cols,
-                                                   tuple(want))
+                                                   flat(want))
 
 
 @pytest.mark.parametrize("p, d, factors, ops", [
@@ -318,7 +330,7 @@ def test_phi_g_unit_and_recovery():
     assert w.entry(0, 0) == ga_one(Z4, K5)
     assert w.entry(0, 1).is_zero()
     z = kgmat.phi_G([[0] * 4, [0] * 4], Z4, K5)
-    assert all(a.is_zero() for a in z.entries)
+    assert all(a.is_zero() for a in z.row(0))
     with pytest.raises(DimMismatch):
         kgmat.phi_G([[1, 0]], Z4, K5)
     rng = random.Random(15)

@@ -1,6 +1,7 @@
 """Guards for what the benchmark's tracer, its cache reset and the
-packaging rely on, and for the package's one field type and the few
-places that test its degree.
+packaging rely on, and for the package's one field type, the few
+places that test its degree and the one representation of K[G]
+matrices.
 
 perfbench/tracer.py wraps library functions by (module, attribute) and
 reads the kernel sampler's operator from its first argument;
@@ -131,6 +132,53 @@ def test_field_degree_is_tested_only_where_allowed():
              for name, tree in package_trees() if name != "ff.py"
              for fn in degree_tests(tree)}
     assert found == DEGREE_TESTS_ALLOWED
+
+
+# Functions of kgmat, files and code that may build GroupAlgebraElements
+# from raw values: the on-demand accessor, kg_apply and the transform in
+# _spectrum (both take elements), the element-level duality and unit
+# helpers, the vector loader and the hand-written fixture.  A KGMatrix
+# itself holds raw values.
+ELEMENT_BUILDERS = {"GroupAlgebraElement", "_elements", "ga_from_ints",
+                    "ga_one", "ga_rand", "ga_sigma", "ga_zero"}
+ELEMENT_BUILDS_ALLOWED = {
+    "code.genus2_example_code.ga",
+    "files.element_from_obj",
+    "kgmat.DualityContext.left_act",
+    "kgmat.DualityContext.right_act",
+    "kgmat.KGMatrix.entry",
+    "kgmat._spectrum",
+    "kgmat.duality_form",
+    "kgmat.ga_unit_inverse",
+    "kgmat.kg_apply",
+}
+
+
+def element_builds(tree, where):
+    """The qualified name of the enclosing function of every call to one
+    of ELEMENT_BUILDERS."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            if name in ELEMENT_BUILDERS:
+                yield where
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = "%s.%s" % (where, child.name)
+        yield from element_builds(child, inner)
+
+
+def test_kg_matrices_stay_raw():
+    """KGMatrix keeps one row-major tuple of raw coefficients; loading,
+    products and transposes work on it.  Only the listed functions of
+    kgmat, files and code build elements, so a second representation of
+    K[G] matrices cannot come back unnoticed."""
+    found = {fn for name, tree in package_trees()
+             if name in ("kgmat.py", "files.py", "code.py")
+             for fn in element_builds(tree, name[:-3])}
+    assert found == ELEMENT_BUILDS_ALLOWED
 
 
 def test_module_level_dicts_are_caches():
