@@ -19,12 +19,13 @@ is checked against A itself, so an unlucky R or kernel draw costs a
 retry, never a wrong answer; decode failures are reported as DecodeFail
 after the retry budget, not as silent miscorrections.
 
-One apply (one Krylov step) stays on packed integers from the flat input
-to the flat output and builds no K[G] object: the k0 coefficient blocks
-of x are packed, the n sums against E0's packed rows are unpacked to raw
-slot values and multiplied by r's coefficients with one reduction per
-value (the pointwise product), the results are packed at the slot width
-of R C1^t, and its k0 sums are unpacked straight into the output list.
+The decoder computes on raw coefficients only, through `kgmat._apply`,
+the one raw matrix-vector product.  One apply (one Krylov step) is
+_apply(R C1^t, _apply(E0, x, r)): the pointwise product by r is taken
+while E0 x is unpacked, with one reduction per value.
+`denominator_check` applies C1^t and `pade_numerator` I1 to the same
+product (E0 x) * r, and `denominator_zeros` scans E0 x.  K[G] elements
+appear only where the public functions return them.
 """
 
 from __future__ import annotations
@@ -56,20 +57,19 @@ from .errors import (
     NotInImage,
     RankDeficient,
 )
-from .galg import (GroupAlgebraElement, _elements, _pack_coeffs, _slot_width,
-                   ga_mul_naive, ga_sigma, ga_sub)
+from .galg import GroupAlgebraElement, _elements, ga_sub
 from .kgmat import (
     KGMatrix,
-    _apply_packed,
+    _apply,
     _blocks,
+    _flat,
     _leading_columns,
     _spectrum,
     expanded_rank,
-    kg_apply,
-    kg_from_rows,
     kg_from_spectrum,
     kg_matmul,
     kg_transpose,
+    kg_zero,
     split_kernel_and_inverse,
     split_root,
 )
@@ -126,30 +126,23 @@ def basic_radius(code: EquivariantCode):
     return (code.n * code.group.order - deg_e - 1 - g_y) // 2
 
 
-def _pointwise(a: GroupAlgebraElement, b: GroupAlgebraElement):
-    """Coefficientwise product: the residue-algebra multiplication, which
-    is NOT the group-algebra convolution."""
-    return GroupAlgebraElement(a.group, a.field,
-                               tuple(a.field.vmul(a.coeffs, b.coeffs)))
-
-
-def denominator_values(dd: DecoderData, x):
-    """Values of the candidate denominator at all n places."""
-    return kg_apply(dd.e0, list(x))
+def _product(dd: DecoderData, r, x):
+    """(E0 x) * r coefficientwise (the residue-algebra multiplication, NOT
+    the group-algebra convolution), as raw coefficients: one K[G]-matrix
+    application, multiplied by r while it is unpacked.  r is checked as a
+    vector of the residue module, I1's domain."""
+    return _apply(dd.e0, _flat(dd.e0, x), _flat(dd.i1, r))
 
 
 def denominator_check(dd: DecoderData, r, x) -> bool:
     """True iff a0 = E0.x is a denominator of r: (E0 x) * r passes the
     product-space check C1^t.  Cost: two K[G]-matrix applications plus n
     pointwise products."""
-    if len(r) != dd.code.n or len(x) != dd.e0.cols:
-        raise DimMismatch("received length %d / candidate length %d"
-                          % (len(r), len(x)))
+    u = _product(dd, r, x)
     if all(a.is_zero() for a in x):
         raise NotADenominatorCandidate("the zero function is not allowed")
-    v = denominator_values(dd, x)
-    u = [_pointwise(vi, ri) for vi, ri in zip(v, r)]
-    return all(s.is_zero() for s in kg_apply(kg_transpose(dd.c1), u))
+    zero = dd.code.field.zero
+    return all(c == zero for c in _apply(kg_transpose(dd.c1), u))
 
 
 def _fold_matrix(dd: DecoderData, rng) -> KGMatrix:
@@ -171,17 +164,11 @@ def _denominator_operator(dd: DecoderData, r, rng) -> BlackBoxOperator:
     ker A lies in ker B, and a draw from ker B that is not in ker A fails
     denominator_check, so an unlucky R costs a retry, never a wrong
     answer."""
-    G, ctx = dd.code.group, dd.code.field
-    o, e0, k0 = G.order, dd.e0, dd.e0.cols
+    e0, size = dd.e0, dd.e0.cols * dd.code.group.order
     rc = kg_matmul(_fold_matrix(dd, rng), kg_transpose(dd.c1))
-    w0, w1 = _slot_width(G, ctx, k0), _slot_width(G, ctx, rc.cols)
-    scale = [c for a in r for c in a.coeffs]
-
-    def apply_fn(xs):
-        u = _apply_packed(e0, _pack_coeffs(G, ctx, xs, w0), w0, scale)
-        return _apply_packed(rc, _pack_coeffs(G, ctx, u, w1), w1)
-
-    return BlackBoxOperator(ctx, k0 * o, k0 * o, apply_fn)
+    scale = _flat(dd.i1, r)
+    return BlackBoxOperator(dd.code.field, size, size,
+                            lambda xs: _apply(rc, _apply(e0, xs, scale)))
 
 
 def find_denominator(dd: DecoderData, r, seed=0, max_attempts=40):
@@ -217,21 +204,17 @@ def pade_numerator(dd: DecoderData, r, x) -> PadeApproximant:
     has full rank n - k1, so its kernel IS the product space)."""
     if not denominator_check(dd, r, x):
         raise CheckFailed("candidate is not a denominator of this word")
-    v = denominator_values(dd, x)
-    u = [_pointwise(vi, ri) for vi, ri in zip(v, r)]
-    a1 = kg_apply(dd.i1, u)
-    return PadeApproximant(tuple(x), tuple(a1))
+    a1 = _apply(dd.i1, _product(dd, r, x))
+    return PadeApproximant(tuple(x), tuple(
+        _elements(dd.code.group, dd.code.field, a1)))
 
 
 def denominator_zeros(dd: DecoderData, x):
-    """(place, group index) pairs where the denominator values vanish."""
-    zeros = []
-    for i, vi in enumerate(denominator_values(dd, x)):
-        z = vi.field.zero
-        for s, c in enumerate(vi.coeffs):
-            if c == z:
-                zeros.append((i, s))
-    return zeros
+    """(place, group index) pairs where the denominator values E0 x
+    vanish."""
+    o, zero = dd.code.group.order, dd.code.field.zero
+    values = _apply(dd.e0, _flat(dd.e0, x))
+    return [divmod(i, o) for i, c in enumerate(values) if c == zero]
 
 
 def _error_system(code: EquivariantCode, zeros):
@@ -423,17 +406,16 @@ def make_split_decoder_data(code: EquivariantCode, k0, seed=0) -> DecoderData:
     e0 = _leading_columns(code.evaluation, k0)
     if expanded_rank(e0) != k0 * o:
         raise RankDeficient("leading evaluation columns are not free")
-    sigmas = [ga_sigma(G, ctx, t) for t in range(o)]
-    products = []
-    for a in range(k0):
-        cols0 = e0.col(a)
-        for b in range(k):
-            cols = code.evaluation.col(b)
-            for s in sigmas:
-                products.append([_pointwise(u, ga_mul_naive(s, w))
-                                 for u, w in zip(cols0, cols)])
+    # row (a, b, s): place i holds E0_{i,a} * (s E_{i,b}), coefficientwise;
+    # coefficient g of s w is w_{g s^{-1}}
+    ev, ev0 = _blocks(code.evaluation), _blocks(e0)
+    shifts = [G.quotients(s) for s in range(o)]
+    products = KGMatrix(G, ctx, k0 * k * o, n, tuple(
+        x for a in range(k0) for b in range(k) for q in shifts
+        for i in range(n) for x in ctx.vmul(
+            ev0[i * k0 + a], [ev[i * k + b][t] for t in q])))
     spans = []
-    for rows in _spectrum(kg_from_rows(products)):
+    for rows in _spectrum(products):
         red, pivots = gauss.rref(ctx, rows)
         spans.append([list(red[r]) for r in range(len(pivots))])
     k1 = max(len(s) for s in spans)
@@ -450,8 +432,7 @@ def make_split_decoder_data(code: EquivariantCode, k0, seed=0) -> DecoderData:
                           [[tuple(v[i] for v in span) for i in range(n)]
                            for span in spans], n, k1)
     c1, i1 = split_kernel_and_inverse(e1)
-    c1t = kg_transpose(c1)
-    for qs in products:
-        if not all(s.is_zero() for s in kg_apply(c1t, qs)):
-            raise InvariantViolation("product-space closure failed")
+    if kg_matmul(kg_transpose(c1), kg_transpose(products)) != kg_zero(
+            G, ctx, n - k1, products.rows):
+        raise InvariantViolation("product-space closure failed")
     return DecoderData(code, e0, c1, i1, None, 0)

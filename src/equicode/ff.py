@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from operator import mul as int_mul
 
 from .errors import (
@@ -412,6 +412,17 @@ class FieldCtx:
             a = self.mul(a, a)
             e >>= 1
         return result
+
+    def are_raw(self, values):
+        """Whether every one of values is a raw value of this field, by
+        passes in C over the types, lengths and range (bools refused)."""
+        if self.d > 1:
+            if set(map(type, values)) - {tuple} or \
+                    set(map(len, values)) - {self.d}:
+                return False
+            values = list(chain.from_iterable(values))
+        return not (set(map(type, values)) - {int}) and (
+            not values or 0 <= min(values) and max(values) < self.p)
 
     def rand(self, rng):
         if self.d == 1:

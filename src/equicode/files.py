@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 
 from .code import EquivariantCode
 from .decode import DecoderData
@@ -121,13 +122,14 @@ def matrix_to_obj(m: KGMatrix):
 
 
 def _prime_coeffs(group, ctx, entries):
-    """All coefficients of prime-field entries mod p, in one pass, or None
-    unless every entry is a list of |G| plain ints."""
-    o = group.order
-    if not all(type(e) is list and len(e) == o for e in entries):
+    """All coefficients of prime-field entries mod p, checked by passes in
+    C over their types and lengths, or None unless every entry is a list
+    of |G| plain ints."""
+    if set(map(type, entries)) - {list} or \
+            set(map(len, entries)) - {group.order}:
         return None
-    flat = [c for e in entries for c in e]
-    if not all(type(c) is int for c in flat):  # type(True) is bool
+    flat = list(chain.from_iterable(entries))
+    if set(map(type, flat)) - {int}:  # type(True) is bool
         return None
     p = ctx.p
     return [c % p for c in flat]

@@ -1,20 +1,24 @@
 """Linear algebra over the group algebra K[G].
 
 A KGMatrix is a dense matrix over K[G] stored as one row-major tuple of
-raw field values, |G| per entry; `entry`, `row` and `col` build elements
+raw field values, |G| per entry, each checked to be a raw value of the
+field when the matrix is built; `entry`, `row` and `col` build elements
 on demand.  The bridge to plain K-linear algebra is `expand`, which
 replaces every entry by the circulant block of multiplication by that
 entry in the group basis (the regular representation): block[g, h] =
 entry_{g h^{-1}}.  With that convention
 expand(a) . vec(b) = vec(a b) and expand(involution(a)) = expand(a)^t.
 
-Products (`kg_matmul`, `kg_apply`) use the Kronecker substitution of
-`galg.ga_mul_fast` and its packing helpers in every algebra: an output
-entry costs one sum of big-int products and one unpacking, and no
-transform runs.  Both go through `_apply_packed`, a matrix times one
-packed column, which the decoder's black box also calls on raw
-coefficients.  Each matrix keeps its packed entries and its transpose
-once computed.
+Products use the Kronecker substitution of `galg.ga_mul_fast` and its
+packing helpers in every algebra: an output entry costs one sum of big-int
+products and one unpacking, and no transform runs.  There is one raw
+matrix-vector product, `_apply`: a matrix times a column of raw
+coefficients, packed at the matrix's one slot width, giving raw
+coefficients.  `kg_matmul` runs it on each column of its right factor,
+`kg_apply` on a vector of elements, flattened, and the decoder on raw
+coefficients throughout, so no module but this one and galg knows a slot
+width.  Each matrix keeps its packed rows and its transpose once
+computed.
 
 Whenever K[G] is split (the exponent of G dividing q - 1, so also for the
 trivial group, where K[1] = K has one character) the Fourier transform
@@ -76,12 +80,12 @@ class KGMatrix:
     rows: int
     cols: int
     coeffs: tuple  # row-major raw values, |G| per entry
-    # the per-character K-matrices (see _spectrum), slot width -> packed
-    # rows (see _packed) and the transpose, each once built (see
-    # kg_transpose); memoization only
+    # the per-character K-matrices (see _spectrum), the packed rows (see
+    # _apply) and the transpose, each once built (see kg_transpose);
+    # memoization only
     _spectra: list = dc_field(default_factory=list, init=False,
                               compare=False, hash=False, repr=False)
-    _packed: dict = dc_field(default_factory=dict, init=False,
+    _packed: list = dc_field(default_factory=list, init=False,
                              compare=False, hash=False, repr=False)
     _transposed: list = dc_field(default_factory=list, init=False,
                                  compare=False, hash=False, repr=False)
@@ -94,6 +98,9 @@ class KGMatrix:
         if len(self.coeffs) != want:
             raise InvariantViolation("coefficient count %d, expected %d"
                                      % (len(self.coeffs), want))
+        if not self.field.are_raw(self.coeffs):
+            raise InvariantViolation("coefficients are not raw values of %r"
+                                     % (self.field,))
 
     def entry(self, i, j):
         o = self.group.order
@@ -168,17 +175,16 @@ def kg_transpose(m: KGMatrix) -> KGMatrix:
 
 
 def kg_matmul(a: KGMatrix, b: KGMatrix) -> KGMatrix:
-    """Matrix product through packed integers: b's packed columns, each
-    through `_apply_packed`."""
+    """Matrix product through packed integers: a applied to each of b's
+    columns, sliced from its transpose, through `_apply`."""
     if a.cols != b.rows:
         raise DimMismatch("inner dimensions %d and %d differ"
                           % (a.cols, b.rows))
     if a.group != b.group or a.field != b.field:
         raise Mismatch("entries live in different group algebras")
     G, ctx, o = a.group, a.field, a.group.order
-    width = _slot_width(G, ctx, a.cols)
-    b_cols = list(zip(*_packed(b, width))) or [()] * b.cols
-    out = [_apply_packed(a, col, width) for col in b_cols]
+    size, b_cols = b.rows * o, kg_transpose(b).coeffs
+    out = [_apply(a, b_cols[j * size:(j + 1) * size]) for j in range(b.cols)]
     return KGMatrix(G, ctx, a.rows, b.cols, tuple(
         x for s in range(0, a.rows * o, o) for col in out
         for x in col[s:s + o]))
@@ -187,31 +193,27 @@ def kg_matmul(a: KGMatrix, b: KGMatrix) -> KGMatrix:
 # --------------------------------------------------- packed (Kronecker) product
 
 
-def _packed(m: KGMatrix, width):
-    """m's entries packed at the given width, row by row; kept on m."""
-    rows = m._packed.get(width)
-    if rows is None:
-        flat = _pack_coeffs(m.group, m.field, m.coeffs, width)
-        rows = [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
-        m._packed[width] = rows
-    return rows
-
-
-def _apply_packed(a: KGMatrix, col, width, scale=None):
-    """a times a column packed at width `_slot_width(G, K, a.cols)`, as the
-    raw coefficients of its rows, concatenated: per row one sum of big-int
-    products against a's packed rows, and one unpacking for all rows.
-    With scale (|G| raw values per row, concatenated), every coefficient
-    comes out times its scale value (see `galg._unpack_coeffs`).
+def _apply(a: KGMatrix, flat, scale=None):
+    """a times a column of raw coefficients (a.cols |G| values), as the raw
+    coefficients of its rows, concatenated: the column is packed at
+    `_slot_width(G, K, a.cols)`, as are a's rows (once, kept on a), then
+    per row one sum of big-int products and one unpacking for all rows.  With
+    scale (|G| raw values per row, concatenated), every coefficient comes
+    out times its scale value (see `galg._unpack_coeffs`).
 
     Nominal cost, added to OPS: one multiplication and one addition per
     slot of every packed product, 2 a.rows a.cols (2d - 1) T with
     T = prod_k (2 o_k - 1), plus rows |G| with scale."""
     G, ctx = a.group, a.field
+    width = _slot_width(G, ctx, a.cols)
+    if not a._packed:
+        packed = _pack_coeffs(G, ctx, a.coeffs, width)
+        a._packed.extend(packed[i * a.cols:(i + 1) * a.cols]
+                         for i in range(a.rows))
+    col = _pack_coeffs(G, ctx, flat, width)
     OPS.add(2 * a.rows * a.cols * (2 * ctx.d - 1) * _layout(G)[1])
     return _unpack_coeffs(G, ctx, [sum(map(int_mul, row, col))
-                                   for row in _packed(a, width)],
-                          width, scale)
+                                   for row in a._packed], width, scale)
 
 
 def _is_split(group, ctx):
@@ -266,18 +268,21 @@ def kg_from_spectrum(group, ctx, spec, rows, cols) -> KGMatrix:
             group, ctx, omega, tuple(mat[i][j] for mat in spec))).coeffs))
 
 
-def kg_apply(a: KGMatrix, vec):
-    """Matrix times vector of GroupAlgebraElements through `_apply_packed`:
-    OPS gets its nominal 2 rows cols (2d - 1) T field operations."""
+def _flat(a: KGMatrix, vec):
+    """The raw coefficients of vec, a.cols elements of a's K[G],
+    concatenated: a column that `_apply` takes."""
     if a.cols != len(vec):
         raise DimMismatch("matrix has %d columns, vector %d entries"
                           % (a.cols, len(vec)))
-    G, ctx = a.group, a.field
-    if any(x.group != G or x.field != ctx for x in vec):
+    if any(x.group != a.group or x.field != a.field for x in vec):
         raise Mismatch("entries live in different group algebras")
-    width = _slot_width(G, ctx, a.cols)
-    col = _pack_coeffs(G, ctx, [c for x in vec for c in x.coeffs], width)
-    return _elements(G, ctx, _apply_packed(a, col, width))
+    return [c for x in vec for c in x.coeffs]
+
+
+def kg_apply(a: KGMatrix, vec):
+    """Matrix times vector of GroupAlgebraElements through `_apply`: OPS
+    gets its nominal 2 rows cols (2d - 1) T field operations."""
+    return _elements(a.group, a.field, _apply(a, _flat(a, vec)))
 
 
 def kg_product_is_scalar(a: KGMatrix, b: KGMatrix, c) -> bool:
@@ -308,36 +313,19 @@ def kg_product_is_scalar(a: KGMatrix, b: KGMatrix, c) -> bool:
 # ------------------------------------------------------------- expansion
 
 
-@dataclass(frozen=True)
-class ExpandedMatrix:
-    group: AbelianGroup
-    field: FieldCtx
-    block_rows: int
-    block_cols: int
-    matrix: tuple  # tuple of row tuples, raw K-values
-
-    @property
-    def rows(self):
-        return self.block_rows * self.group.order
-
-    @property
-    def cols(self):
-        return self.block_cols * self.group.order
-
-
-def expand(m: KGMatrix) -> ExpandedMatrix:
+def expand(m: KGMatrix):
+    """The rows rows |G| x cols |G| K-matrix of m, as a list of rows."""
     G, cols, entries = m.group, m.cols, _blocks(m)
     # row (i, g), column (j, h): coefficient g h^{-1} of entry (i, j)
     quot = [G.quotients(h) for h in range(G.order)]
-    return ExpandedMatrix(G, m.field, m.rows, cols, tuple(
-        tuple(a[q[g]] for a in entries[i * cols:(i + 1) * cols] for q in quot)
-        for i in range(m.rows) for g in range(G.order)))
+    return [[a[q[g]] for a in entries[i * cols:(i + 1) * cols] for q in quot]
+            for i in range(m.rows) for g in range(G.order)]
 
 
 def expanded_rank(m: KGMatrix) -> int:
     """K-rank of expand(m); per character in the split case."""
     if not _is_split(m.group, m.field):
-        return gauss.rank(m.field, [list(r) for r in expand(m).matrix])
+        return gauss.rank(m.field, expand(m))
     return sum(gauss.rank(m.field, mat) for mat in _spectrum(m))
 
 
@@ -419,7 +407,7 @@ def equivariant_projection(v: KGMatrix, support_rows=None) -> KGMatrix:
     ctx = v.field
     o = G.order
     need = v.cols * o
-    x = [list(row) for row in expand(v).matrix]
+    x = expand(v)
     if support_rows is None:
         _, pivots = gauss.rref(ctx, gauss.transpose(x))
         support = list(pivots)
@@ -453,7 +441,7 @@ def ga_unit_inverse(a: GroupAlgebraElement):
     """Inverse of a unit of K[G], or None when a is not invertible."""
     G = a.group
     ctx = a.field
-    mat = [list(r) for r in expand(kg_from_rows([[a]])).matrix]
+    mat = expand(kg_from_rows([[a]]))
     e0 = [ctx.one] + [ctx.zero] * (G.order - 1)
     try:
         x = gauss.solve(ctx, mat, e0)

@@ -23,7 +23,6 @@ from equicode.decode import (
     basic_decode,
     basic_radius,
     denominator_check,
-    denominator_values,
     denominator_zeros,
     find_denominator,
     make_cyclic_decoder_data,
@@ -52,8 +51,8 @@ from equicode.galg import (
     ga_rand,
     ga_zero,
 )
-from equicode.kgmat import (KGMatrix, expand, kg_matmul, kg_transpose,
-                            kg_zero)
+from equicode.kgmat import (KGMatrix, expand, kg_apply, kg_matmul,
+                            kg_transpose, kg_zero)
 
 K13 = field_make(13)
 
@@ -203,7 +202,11 @@ OPERATOR_PAIRS = _operator_pairs()
        seed=st.integers(0, 2 ** 32), top=st.booleans())
 def test_denominator_operator_matches_dense_expansion(case, seed, top):
     """op.apply is expand(R C1^t) . diag(r) . expand(E0) . x; with top,
-    r and x are all p - 1, so every packed slot is as large as it gets."""
+    r and x are all p - 1, so every packed slot is as large as it gets.
+    denominator_check, pade_numerator and denominator_zeros agree with the
+    unfolded A = expand(C1^t) . diag(r) . expand(E0), with expand(I1) on
+    the same product and with the zeros of expand(E0) . x, on r and on a
+    codeword, for which every candidate is a denominator."""
     code, dd = OPERATOR_PAIRS[case]
     G, ctx, o = code.group, code.field, code.group.order
     rng = random.Random(seed)
@@ -214,16 +217,43 @@ def test_denominator_operator_matches_dense_expansion(case, seed, top):
         r = [ga_rand(G, ctx, rng) for _ in range(code.n)]
     rvec = [c for a in r for c in a.coeffs]
     fold = _fold_matrix(dd, random.Random("fold/%d" % seed))
-    folded = expand(kg_matmul(fold, kg_transpose(dd.c1))).matrix
-    e0x = expand(dd.e0).matrix
+    folded = expand(kg_matmul(fold, kg_transpose(dd.c1)))
+    e0x = expand(dd.e0)
     scaled = [[ctx.mul(rvec[i], v) for v in row] for i, row in enumerate(e0x)]
-    dense = gauss.matmul(ctx, [list(row) for row in folded], scaled)
+    dense = gauss.matmul(ctx, folded, scaled)
     op = _denominator_operator(dd, r, random.Random("fold/%d" % seed))
     assert op.rows == op.cols == dd.e0.cols * o == len(dense)
     xs = [[full] * op.cols] if top else []
     xs += [[ctx.rand(rng) for _ in range(op.cols)] for _ in range(3)]
     for x in xs:
         assert op.apply(x) == gauss.matvec(ctx, dense, x)
+    # a candidate that vanishes at the first k0 o - 1 coordinates at least
+    xs.append(gauss.kernel_basis(ctx, e0x[:op.cols - 1])[0])
+    zero = ctx.zero
+    cw = encode(code, rand_message(code, rng))
+    for word in (r, cw):
+        wvec = [c for a in word for c in a.coeffs]
+        prod = [[ctx.mul(wvec[i], v) for v in row]
+                for i, row in enumerate(e0x)]
+        unfolded = gauss.matmul(ctx, expand(kg_transpose(dd.c1)), prod)
+        interp = gauss.matmul(ctx, expand(dd.i1), prod)
+        for xv in xs:
+            x = galg._elements(G, ctx, xv)
+            passes = set(gauss.matvec(ctx, unfolded, xv)) == {zero}
+            assert denominator_check(dd, word, x) == passes
+            assert passes or word is r
+            if passes:
+                pade = pade_numerator(dd, word, x)
+                assert pade.a0 == tuple(x)
+                assert [c for a in pade.a1 for c in a.coeffs] == \
+                    gauss.matvec(ctx, interp, xv)
+            else:
+                with pytest.raises(CheckFailed):
+                    pade_numerator(dd, word, x)
+    for xv in xs:
+        values = gauss.matvec(ctx, e0x, xv)
+        assert denominator_zeros(dd, galg._elements(G, ctx, xv)) == \
+            [divmod(i, o) for i, v in enumerate(values) if v == zero]
 
 
 @pytest.mark.parametrize("case", sorted(OPERATOR_PAIRS))
@@ -374,7 +404,7 @@ def test_find_denominator_matches_classical_locator():
             for coef in reversed(loc):
                 acc = K13.add(K13.mul(acc, xp), coef)
             locvals.append(acc)
-        vals = [a.coeffs[0] for a in denominator_values(dd, x)]
+        vals = [a.coeffs[0] for a in kg_apply(dd.e0, x)]
         # the vanishing space has K-dimension 1 here, so values must be
         # proportional to the locator's
         pivot = next(i for i, v in enumerate(locvals) if v != K13.zero)
@@ -630,26 +660,15 @@ def entrywise_apply(a, vec):
     return out
 
 
-def entrywise_apply_packed(a, col, width, scale=None):
-    """kgmat._apply_packed through entrywise_apply: each packed column
-    entry is read back slot by slot (the layout of galg._pack_coeffs), and
-    the rows come out as raw coefficients, times scale when given."""
-    G, ctx = a.group, a.field
-    src, T = galg._layout(G)
-    where = [src.index(g) for g in range(G.order)]
-    size = (ctx.d - 1) * T + len(src)
-    vec = []
-    for x in col:
-        raw = x.to_bytes(size * width, "little")
-        slots = [int.from_bytes(raw[t * width:(t + 1) * width], "little")
-                 for t in range(size)]
-        coords = [[slots[u * T + t] for t in where] for u in range(ctx.d)]
-        coeffs = coords[0] if ctx.d == 1 else list(zip(*coords))
-        vec.append(GroupAlgebraElement(G, ctx, tuple(coeffs)))
-    flat = [c for y in entrywise_apply(a, vec) for c in y.coeffs]
+def entrywise_apply_flat(a, flat, scale=None):
+    """kgmat._apply through entrywise_apply: the raw column is cut into
+    elements, and the rows come out as raw coefficients, times scale when
+    given."""
+    vec = galg._elements(a.group, a.field, flat)
+    out = [c for y in entrywise_apply(a, vec) for c in y.coeffs]
     if scale is not None:
-        flat = [ctx.mul(c, s) for c, s in zip(flat, scale)]
-    return flat
+        out = [a.field.mul(c, s) for c, s in zip(out, scale)]
+    return out
 
 
 @pytest.mark.parametrize("fixture", ["cyclic", "split", "rs"])
@@ -667,15 +686,14 @@ def test_basic_decode_bit_equal_to_entrywise_apply(fixture, monkeypatch):
         words.append(corrupt(code, cw, trial % 4, rng)[0])
     spectral = [basic_decode(dd, r, seed=seed)
                 for seed, r in enumerate(words)]
-    for module in (code_module, decode_module):
-        monkeypatch.setattr(module, "kg_apply", entrywise_apply)
+    monkeypatch.setattr(code_module, "kg_apply", entrywise_apply)
     applied = []
 
-    def packed(*args, **kwargs):
+    def reference(*args, **kwargs):
         applied.append(1)
-        return entrywise_apply_packed(*args, **kwargs)
+        return entrywise_apply_flat(*args, **kwargs)
 
-    monkeypatch.setattr(decode_module, "_apply_packed", packed)
+    monkeypatch.setattr(decode_module, "_apply", reference)
     entrywise = [basic_decode(dd, r, seed=seed)
                  for seed, r in enumerate(words)]
     assert spectral == entrywise
@@ -689,7 +707,7 @@ def test_basic_decode_bit_equal_to_entrywise_apply(fixture, monkeypatch):
 ], ids=["cyclic", "two-axis", "rs"])
 def test_error_system_is_the_expanded_check_at_the_zeros(code):
     o = code.group.order
-    ct = expand(kg_transpose(code.check)).matrix
+    ct = expand(kg_transpose(code.check))
     rng = random.Random(18)
     places = [(i, s) for i in range(code.n) for s in range(o)]
     for size in (0, 1, len(places) // 3, len(places)):

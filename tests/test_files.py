@@ -36,7 +36,7 @@ from equicode.files import (
 )
 from equicode.ff import field_make
 from equicode.galg import (AbelianGroup, GroupAlgebraElement, _elements,
-                           _pack_coeffs, _slot_width, ga_rand)
+                           ga_rand)
 
 
 def quiet_genus2():
@@ -128,12 +128,11 @@ def test_loads_and_products_build_no_elements(tmp_path, monkeypatch):
     results = []
     for idx, dd in enumerate(decoders):
         loaded = load_decoder(tmp_path / ("dec%d.json" % idx))
-        G, ctx, e0 = loaded.code.group, loaded.code.field, loaded.e0
-        c1t = kgmat.kg_transpose(loaded.c1)
-        width = _slot_width(G, ctx, e0.cols)
-        col = _pack_coeffs(G, ctx, loaded.i1.coeffs[:e0.cols * G.order], width)
-        results.append((loaded, kgmat.kg_matmul(c1t, e0),
-                        kgmat._apply_packed(e0, col, width)))
+        e0 = loaded.e0
+        col = loaded.i1.coeffs[:e0.cols * loaded.code.group.order]
+        results.append((loaded,
+                        kgmat.kg_matmul(kgmat.kg_transpose(loaded.c1), e0),
+                        kgmat._apply(e0, col)))
     monkeypatch.undo()
     for dd, (loaded, product, applied) in zip(decoders, results):
         assert loaded == dd

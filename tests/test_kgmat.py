@@ -87,16 +87,47 @@ def test_kgmatrix_invariants():
     assert m.col(1) == [ga_zero(Z4, K5), one]
 
 
+K13 = ff.field_make(13)
+F9 = ff.field_make(3, 2)
+
+
+@pytest.mark.parametrize("group, ctx, coeffs", [
+    # out of range: its slots overflowed, so kg_apply of it to (1, 2, 3, 4)
+    # gave (9, 3, 11, 3) instead of (1, 2, 3, 4)
+    (Z4, K13, (10 ** 6, 0, 0, 0)),
+    (Z4, K13, (-1, 0, 0, 0)),  # packing raised a bare OverflowError
+    (Z4, K13, (ga_one(Z4, K13), 0, 0, 0)),  # a bare TypeError
+    (Z4, K13, (1.0, 0, 0, 0)),  # a bare TypeError
+    (AbelianGroup([]), K13, (ga_one(AbelianGroup([]), K13),)),
+    (Z2, K13, (True, 0)),
+    (Z2, F9, ((0, 1), [0, 1])),
+    (Z2, F9, ((0, 1), (0, 1, 0))),
+    (Z2, F9, ((0, 1), (3, 0))),
+    (Z2, F9, ((0, 1), 1)),
+], ids=["big", "negative", "element", "float", "trivial-element", "bool",
+        "f9-list", "f9-long", "f9-big", "f9-int"])
+def test_kgmatrix_refuses_non_raw_values(group, ctx, coeffs):
+    with pytest.raises(InvariantViolation):
+        kgmat.KGMatrix(group, ctx, 1, 1, coeffs)
+
+
+def test_kgmatrix_takes_raw_values():
+    m = kgmat.KGMatrix(Z4, K13, 1, 1, (12, 0, 0, 0))
+    vec = [ga_from_ints(Z4, K13, (1, 2, 3, 4))]
+    assert kgmat.kg_apply(m, vec) == [ga_from_ints(Z4, K13, (12, 11, 10, 9))]
+    assert kgmat.KGMatrix(Z2, F9, 1, 1, ((0, 2), (2, 2))).coeffs[1] == (2, 2)
+    assert kgmat.KGMatrix(Z2, F9, 1, 0, ()).cols == 0
+
+
 def test_expand_identity_and_shift():
     em = kgmat.expand(kgmat.kg_identity(Z4, K5, 1))
-    assert [list(r) for r in em.matrix] == gauss.identity(K5, 4)
+    assert em == gauss.identity(K5, 4)
     # multiplication by sigma permutes the group basis cyclically
-    em = kgmat.expand(kgmat.kg_from_rows([[ga_sigma(Z4, K5, 1)]]))
-    perm = [list(r) for r in em.matrix]
+    perm = kgmat.expand(kgmat.kg_from_rows([[ga_sigma(Z4, K5, 1)]]))
     for g in range(4):
         for h in range(4):
             assert perm[g][h] == (1 if g == (h + 1) % 4 else 0)
-    assert em.rows == 4 and em.cols == 4
+    assert len(perm) == 4 and len(perm[0]) == 4
 
 
 def test_expand_action_and_multiplicativity():
@@ -106,15 +137,14 @@ def test_expand_action_and_multiplicativity():
             a = ga_rand(group, K5, rng)
             b = ga_rand(group, K5, rng)
             em = kgmat.expand(kgmat.kg_from_rows([[a]]))
-            lhs = gauss.matvec(K5, em.matrix, list(b.coeffs))
+            lhs = gauss.matvec(K5, em, list(b.coeffs))
             assert tuple(lhs) == ga_mul_naive(a, b).coeffs
     for _ in range(5):
         a = kg_rand(Z4, K5, rng, 2, 2)
         b = kg_rand(Z4, K5, rng, 2, 2)
-        lhs = kgmat.expand(kgmat.kg_matmul(a, b)).matrix
-        rhs = gauss.matmul(K5, [list(r) for r in kgmat.expand(a).matrix],
-                           [list(r) for r in kgmat.expand(b).matrix])
-        assert [list(r) for r in lhs] == rhs
+        lhs = kgmat.expand(kgmat.kg_matmul(a, b))
+        rhs = gauss.matmul(K5, kgmat.expand(a), kgmat.expand(b))
+        assert lhs == rhs
 
 
 def test_expand_involution_transpose_law():
@@ -123,10 +153,8 @@ def test_expand_involution_transpose_law():
         for _ in range(35):
             a = ga_rand(group, K5, rng)
             em = kgmat.expand(kgmat.kg_from_rows([[ga_involution(a)]]))
-            et = gauss.transpose(
-                [list(r) for r in
-                 kgmat.expand(kgmat.kg_from_rows([[a]])).matrix])
-            assert [list(r) for r in em.matrix] == et
+            et = gauss.transpose(kgmat.expand(kgmat.kg_from_rows([[a]])))
+            assert em == et
 
 
 def test_kg_matmul_identities():
@@ -544,7 +572,7 @@ def test_one_split_decision(p, order):
                  lambda: make_split_decoder_data(genus2_example_code(), 1)):
         with pytest.raises(NotSplit):
             call()
-    dense = gauss.rank(ctx, [list(r) for r in kgmat.expand(m).matrix])
+    dense = gauss.rank(ctx, kgmat.expand(m))
     assert kgmat.expanded_rank(m) == dense
 
 
@@ -633,7 +661,7 @@ def test_expanded_rank_matches_dense_rank(case, rows, cols, seed, deficient):
             m = kgmat.kg_from_rows(
                 [m.row(i)[:-1] + [ga_mul_naive(m.entry(i, 0), x)]
                  for i in range(rows)])
-    dense = gauss.rank(ctx, [list(r) for r in kgmat.expand(m).matrix])
+    dense = gauss.rank(ctx, kgmat.expand(m))
     assert kgmat.expanded_rank(m) == dense
     if spec is not None:
         assert dense == sum(gauss.rank(ctx, mat) for mat in spec)

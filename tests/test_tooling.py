@@ -1,7 +1,7 @@
 """Guards for what the benchmark's tracer, its cache reset and the
 packaging rely on, and for the package's one field type, the few
-places that test its degree and the one representation of K[G]
-matrices.
+places that test its degree, the one representation of K[G]
+matrices and the one raw matrix-vector product.
 
 perfbench/tracer.py wraps library functions by (module, attribute) and
 reads the kernel sampler's operator from its first argument;
@@ -134,15 +134,19 @@ def test_field_degree_is_tested_only_where_allowed():
     assert found == DEGREE_TESTS_ALLOWED
 
 
-# Functions of kgmat, files and code that may build GroupAlgebraElements
-# from raw values: the on-demand accessor, kg_apply and the transform in
-# _spectrum (both take elements), the element-level duality and unit
-# helpers, the vector loader and the hand-written fixture.  A KGMatrix
-# itself holds raw values.
+# Functions of kgmat, files, code and decode that may build
+# GroupAlgebraElements from raw values: the on-demand accessor, kg_apply
+# and the transform in _spectrum (both take elements), the element-level
+# duality and unit helpers, the vector loader, the hand-written fixture
+# and the decoder's public returns.  A KGMatrix itself holds raw values,
+# and the decoder computes on raw coefficients.
 ELEMENT_BUILDERS = {"GroupAlgebraElement", "_elements", "ga_from_ints",
                     "ga_one", "ga_rand", "ga_sigma", "ga_zero"}
 ELEMENT_BUILDS_ALLOWED = {
     "code.genus2_example_code.ga",
+    "decode.basic_decode",
+    "decode.find_denominator",
+    "decode.pade_numerator",
     "files.element_from_obj",
     "kgmat.DualityContext.left_act",
     "kgmat.DualityContext.right_act",
@@ -172,13 +176,34 @@ def element_builds(tree, where):
 
 def test_kg_matrices_stay_raw():
     """KGMatrix keeps one row-major tuple of raw coefficients; loading,
-    products and transposes work on it.  Only the listed functions of
-    kgmat, files and code build elements, so a second representation of
-    K[G] matrices cannot come back unnoticed."""
+    products, transposes and the decoder's checks work on it.  Only the
+    listed functions of kgmat, files, code and decode build elements, so
+    a second representation of K[G] matrices or vectors cannot come back
+    unnoticed."""
     found = {fn for name, tree in package_trees()
-             if name in ("kgmat.py", "files.py", "code.py")
+             if name in ("kgmat.py", "files.py", "code.py", "decode.py")
              for fn in element_builds(tree, name[:-3])}
     assert found == ELEMENT_BUILDS_ALLOWED
+
+
+PACKING_HELPERS = {"_slot_width", "_pack_coeffs", "_unpack_coeffs"}
+
+
+def test_only_galg_and_kgmat_know_the_packing():
+    """Slot widths and packed layouts stay inside galg (elements) and
+    kgmat (`_apply`, the one raw matrix-vector product); every other
+    module hands raw coefficients to those."""
+    found = set()
+    for name, tree in package_trees():
+        if name in ("galg.py", "kgmat.py"):
+            continue
+        for node in ast.walk(tree):
+            used = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if used in PACKING_HELPERS:
+                found.add("%s:%s" % (name, used))
+    assert found == set()
 
 
 def test_module_level_dicts_are_caches():
