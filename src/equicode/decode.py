@@ -165,7 +165,8 @@ def _denominator_operator(dd: DecoderData, r, rng) -> BlackBoxOperator:
     denominator_check, so an unlucky R costs a retry, never a wrong
     answer."""
     e0, size = dd.e0, dd.e0.cols * dd.code.group.order
-    rc = kg_matmul(_fold_matrix(dd, rng), kg_transpose(dd.c1))
+    # R C1^t = (C1 R^t)^t, as K[G] commutes; C1 keeps its packed rows
+    rc = kg_transpose(kg_matmul(dd.c1, kg_transpose(_fold_matrix(dd, rng))))
     scale = _flat(dd.i1, r)
     return BlackBoxOperator(dd.code.field, size, size,
                             lambda xs: _apply(rc, _apply(e0, xs, scale)))

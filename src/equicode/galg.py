@@ -10,10 +10,11 @@ above a size threshold) and one unpacking.
 
 Fourier transforms over K serve the split case (exponent e of G dividing
 q - 1), where matrices are built and certified character by character.
-Every cyclic transform is Bluestein's chirp, whose convolution is one
-packed product.  Everything here is a pure function of immutable values;
-plans (chirp weights and the packed chirp) are cached per (field, length,
-root).
+They run on flat raw lists, |G| values per element, and every cyclic
+transform is Bluestein's chirp: all strands of an axis share one packing
+and one unpacking.  Everything here is a pure function of immutable
+values; plans (chirp weights and the packed chirp) are cached per
+(field, length, root).
 """
 
 from __future__ import annotations
@@ -416,19 +417,16 @@ class FourierImage:
     omega: object
     values: tuple
 
+    def __post_init__(self):
+        if len(self.values) != self.group.order:
+            raise Mismatch("need %d values" % self.group.order)
+        if not self.field.are_raw((self.omega, *self.values)):
+            raise InvariantViolation("values and root must be raw values")
+
 
 # ------------------------------------------------------------ cyclic plans
 
 _PLAN_CACHE = {}
-
-
-def _root_has_exact_order(ctx, omega, n):
-    if ctx.pow_(omega, n) != ctx.one:
-        return False
-    for r in ff.factorize(n):
-        if ctx.pow_(omega, n // r) == ctx.one:
-            return False
-    return True
 
 
 def _cyclic_plan(ctx, n, omega):
@@ -444,7 +442,7 @@ def _cyclic_plan(ctx, n, omega):
         return plan
     before = OPS.count
     try:
-        if not _root_has_exact_order(ctx, omega, n):
+        if omega == ctx.zero or ctx.element_order(omega) != n:
             raise BadRootOrder("root does not have exact order %d" % n)
         beta = [ctx.one]
         cur = ctx.one
@@ -464,16 +462,22 @@ def _cyclic_plan(ctx, n, omega):
 
 
 def _run_bluestein(ctx, values, plan):
-    """The plan's transform of values.  Nominal cost, added to OPS: the
-    packed product's 2 (2d - 1) (3n - 2) and the 2n weightings."""
+    """The plan's transform of each length-n strand of values, concatenated:
+    one packing, one product by the chirp per strand, one unpacking.
+    Nominal cost per strand, added to OPS: the packed product's
+    2 (2d - 1) (3n - 2) and the 2n weightings."""
     beta_inv, group, width, chirp = plan
-    n = len(values)
-    # the beta_inv-weighted input, reversed and zero-padded to length t
-    nvec = ctx.vmul(beta_inv, values)[::-1] + [ctx.zero] * (2 * n - 2)
-    (x,) = _pack_coeffs(group, ctx, nvec, width)
-    r = _unpack_coeffs(group, ctx, [chirp * x], width)
-    OPS.add(2 * (2 * ctx.d - 1) * (3 * n - 2))
-    return ctx.vmul(beta_inv, r[n - 1:2 * n - 1])
+    n, t = len(beta_inv), group.order
+    weights = beta_inv * (len(values) // n)
+    weighted, pad = ctx.vmul(weights, values), [ctx.zero] * (2 * n - 2)
+    # each strand beta_inv-weighted, reversed and zero-padded to length t
+    xs = _pack_coeffs(group, ctx, [x for s in range(0, len(values), n)
+                                   for x in weighted[s:s + n][::-1] + pad],
+                      width)
+    r = _unpack_coeffs(group, ctx, [chirp * x for x in xs], width)
+    OPS.add(len(xs) * 2 * (2 * ctx.d - 1) * t)
+    return ctx.vmul(weights, [x for s in range(n - 1, len(r), t)
+                              for x in r[s:s + n]])
 
 
 def ft_cyclic(ctx, values, omega):
@@ -489,51 +493,49 @@ def ft_cyclic(ctx, values, omega):
 # ------------------------------------------------------- group transforms
 
 
-def _axis_transform(ctx, data, group, omega_axis):
-    """Apply the cyclic transform along each invariant-factor axis in turn."""
-    order = group.order
+def _transform(ctx, data, group, omega):
+    """The Fourier images of the elements in data, |G| raw values each, in
+    place: per axis, all strands of all elements go through one
+    `_run_bluestein`.  The last axis takes omega itself as its root, so
+    its plan checks that omega has exact order e (BadRootOrder otherwise)."""
+    if not ctx.are_raw((omega,)):
+        raise InvariantViolation("root %r is not a raw value" % (omega,))
     stride = 1
-    for ax, o in enumerate(group.factors):
-        plan = _cyclic_plan(ctx, o, omega_axis[ax])
-        block = stride * o
-        for start in range(0, order, block):
-            for base in range(start, start + stride):
-                strand = slice(base, start + block, stride)
-                data[strand] = _run_bluestein(ctx, data[strand], plan)
-        stride = block
+    for o in group.factors:
+        plan = _cyclic_plan(ctx, o, ctx.pow_(omega, group.exponent // o))
+        # data[b::stride] is every strand at offset b, one after another
+        size = len(data) // stride
+        out = _run_bluestein(ctx, [x for b in range(stride)
+                                   for x in data[b::stride]], plan)
+        for b in range(stride):
+            data[b::stride] = out[b * size:(b + 1) * size]
+        stride *= o
     return data
 
 
-def _axis_roots(ctx, group, omega):
-    e = group.exponent
-    return [ctx.pow_(omega, e // o) for o in group.factors]
+def _inverse_transform(ctx, data, group, omega):
+    """The elements whose Fourier images data holds (|G| raw values each):
+    the dual-group transform, then 1/|G| and ι on each element."""
+    o = group.order
+    if ctx.from_int(o) == ctx.zero:
+        raise OrderDividesCharacteristic(
+            "group order %d vanishes in characteristic %d" % (o, ctx.p))
+    data = _transform(ctx, data, group, omega)
+    inv = [group.inverse_index(i) for i in range(o)]
+    return ctx.vmul([ctx.inv(ctx.from_int(o))] * len(data),
+                    [data[e + i] for e in range(0, len(data), o) for i in inv])
 
 
 def ft_group(a, omega):
     """Evaluate a on every character of G; needs omega of exact order e."""
-    G = a.group
-    ctx = a.field
-    if not G.factors:
-        if omega != ctx.one:
-            raise BadRootOrder("trivial group takes omega = 1")
-        return FourierImage(G, ctx, omega, a.coeffs)
-    # the last axis has order e and root omega itself, so building its
-    # plan checks the exact order (BadRootOrder otherwise)
-    data = _axis_transform(ctx, list(a.coeffs), G, _axis_roots(ctx, G, omega))
-    return FourierImage(G, ctx, omega, tuple(data))
+    G, ctx = a.group, a.field
+    if not G.factors and omega != ctx.one:
+        raise BadRootOrder("trivial group takes omega = 1")
+    return FourierImage(G, ctx, omega,
+                        tuple(_transform(ctx, list(a.coeffs), G, omega)))
 
 
 def ft_inverse(F: FourierImage) -> GroupAlgebraElement:
     """Inverse transform: dual-group transform, scale by 1/order, then ι."""
-    G = F.group
-    ctx = F.field
-    if ctx.from_int(G.order) == ctx.zero:
-        raise OrderDividesCharacteristic(
-            "group order %d vanishes in characteristic %d" % (G.order, ctx.p))
-    if not G.factors:
-        return GroupAlgebraElement(G, ctx, F.values)
-    data = _axis_transform(ctx, list(F.values), G,
-                           _axis_roots(ctx, G, F.omega))
-    scale = ctx.inv(ctx.from_int(G.order))
-    return GroupAlgebraElement(G, ctx, tuple(ctx.vmul(
-        [scale] * G.order, [data[G.inverse_index(i)] for i in range(G.order)])))
+    return GroupAlgebraElement(F.group, F.field, tuple(_inverse_transform(
+        F.field, list(F.values), F.group, F.omega)))

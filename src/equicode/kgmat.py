@@ -28,11 +28,13 @@ per-character ranks (the block DFT is invertible), and
 `kg_product_is_scalar` compares per-character products with a multiple of
 the identity.  `split_root` decides whether K[G] is split and gives the
 one root every Fourier image is taken at; the root only fixes the order
-of the characters.  Each matrix keeps its one Fourier image once
-computed, always from its stored entries (`kg_from_spectrum` keeps none
-of the spectrum it is given), so these certifications check what gets
-saved.  Transposes carry the image over.  Non-split algebras expand
-densely or multiply through `kg_matmul`.
+of the characters.  A matrix's image is one `galg._transform` of its raw
+coefficients, and `kg_from_spectrum` is one `galg._inverse_transform`.
+Each matrix keeps its one Fourier image once computed, always from its
+stored entries (`kg_from_spectrum` keeps none of the spectrum it is
+given), so these certifications check what gets saved.  Transposes
+carry the image over.  Non-split algebras expand densely or multiply
+through `kg_matmul`.
 
 On top of the expansion: invariant duality forms, the lifting of K-linear
 forms to K[G]-linear ones, equivariant projections onto free submodules,
@@ -58,15 +60,14 @@ from .errors import (
 )
 from .galg import (
     AbelianGroup,
-    FourierImage,
     GroupAlgebraElement,
     _elements,
+    _inverse_transform,
     _layout,
     _pack_coeffs,
     _slot_width,
+    _transform,
     _unpack_coeffs,
-    ft_group,
-    ft_inverse,
     ga_mul_fast,
     ga_sub,
 )
@@ -235,20 +236,15 @@ def split_root(group, ctx):
 
 def _spectrum(a: KGMatrix):
     """Per-character K-matrices of a: spec[chi][i][j] = FT(a_ij)(chi), at
-    `split_root`.  Computed from the stored entries once and kept on the
-    matrix.
+    `split_root`.  One `_transform` of the stored entries, computed once
+    and kept on the matrix.
     """
     if not a._spectra:
-        G, ctx, cols = a.group, a.field, a.cols
-        omega = split_root(G, ctx)
-        # the trivial group's one character reads the coefficient itself
-        hats = (_blocks(a) if G.order == 1 else
-                [ft_group(x, omega).values
-                 for x in _elements(G, ctx, a.coeffs)])
-        a._spectra.append(
-            [[tuple(h[chi] for h in hats[i * cols:(i + 1) * cols])
-              for i in range(a.rows)]
-             for chi in range(G.order)])
+        G, ctx, o = a.group, a.field, a.group.order
+        hats = _transform(ctx, list(a.coeffs), G, split_root(G, ctx))
+        size = a.cols * o  # values per row
+        a._spectra.append([[tuple(hats[i * size + chi:(i + 1) * size:o])
+                            for i in range(a.rows)] for chi in range(o)])
     return a._spectra[0]
 
 
@@ -261,11 +257,11 @@ def kg_from_spectrum(group, ctx, spec, rows, cols) -> KGMatrix:
     never just re-reads its own input.  Raises NotSplit unless K[G] is
     split.
     """
-    omega = split_root(group, ctx)
-    return KGMatrix(group, ctx, rows, cols, tuple(
-        x for i in range(rows) for j in range(cols)
-        for x in ft_inverse(FourierImage(
-            group, ctx, omega, tuple(mat[i][j] for mat in spec))).coeffs))
+    if len(spec) != group.order:
+        raise Mismatch("need %d characters, got %d" % (group.order, len(spec)))
+    return KGMatrix(group, ctx, rows, cols, tuple(_inverse_transform(
+        ctx, [mat[i][j] for i in range(rows) for j in range(cols)
+              for mat in spec], group, split_root(group, ctx))))
 
 
 def _flat(a: KGMatrix, vec):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equicode import code as code_module, decode as decode_module, galg, gauss
+from equicode import kgmat
 from equicode.code import (
     cyclic_cover_code,
     encode,
@@ -276,6 +277,31 @@ def test_denominator_operator_apply_nominal_op_count(case):
             op.apply(x)
         assert counted.count == (2 * n * k0 * (2 * d - 1) * T + n * G.order
                                  + 2 * k0 * n * (2 * d - 1) * T)
+
+
+def test_fold_attempts_pack_c1_once(monkeypatch):
+    """Each operator forms R C1^t as (C1 R^t)^t (K[G] is commutative), so
+    C1's rows are packed once and kept on dd.c1: a second fold packs only
+    the k0 columns of its own R^t."""
+    code, dd = cyclic_pair()
+    o, k0 = code.group.order, dd.e0.cols
+    packed = []
+    real = kgmat._pack_coeffs
+
+    def counting(group, ctx, flat, width):
+        packed.append(len(flat))
+        return real(group, ctx, flat, width)
+
+    monkeypatch.setattr(kgmat, "_pack_coeffs", counting)
+    rng = random.Random(5)
+    r = [ga_rand(code.group, code.field, rng) for _ in range(code.n)]
+    counts = []
+    for seed in (1, 2):
+        packed.clear()
+        _denominator_operator(dd, r, random.Random(seed))
+        counts.append(list(packed))
+    column = dd.c1.cols * o
+    assert counts == [[len(dd.c1.coeffs)] + [column] * k0, [column] * k0]
 
 
 def _zero_fold(dd, rng):
@@ -728,7 +754,7 @@ def test_basic_decode_runs_no_transform(monkeypatch, tmp_path):
     msg = rand_message(code, rng)
     r, _ = corrupt(code, encode(code, msg), dd.radius, rng)
     calls = []
-    for name in ("ft_group", "ft_inverse"):
+    for name in ("ft_group", "ft_inverse", "_transform"):
         real = getattr(galg, name)
 
         def counting(*args, real=real, name=name):

@@ -420,6 +420,25 @@ def test_ft_op_counts(p, d, factors):
     assert counts == [forward, forward, inverse, inverse]
 
 
+def test_fourier_image_checks_its_contents():
+    """An image holds |G| raw values of its field and a raw root, so
+    neither ft_inverse nor ft_group works on a short, long or out-of-range
+    image."""
+    K, G = ff.field_make(13), AbelianGroup([4])
+    w = ff.root_of_unity(K, 4)
+    for values in ((1, 2, 3, 4, 5), (1, 2, 3)):
+        with pytest.raises(Mismatch):
+            ft_inverse(FourierImage(G, K, w, values))
+    for values in ((1, 2, 3, 14), (1.5, 2, 3, 4)):
+        with pytest.raises(InvariantViolation):
+            ft_inverse(FourierImage(G, K, w, values))
+    a = ga_from_ints(G, K, [1, 2, 3, 4])
+    for omega in (None, w + 13):  # w + 13 has order 4 mod 13
+        with pytest.raises(InvariantViolation):
+            ft_group(a, omega)
+    assert ft_group(a, w).omega == w
+
+
 def test_ft_inverse_characteristic_clash():
     K = ff.field_make(2, 4, modulus=[1, 1, 0, 0, 1])
     G = AbelianGroup([2])

@@ -24,6 +24,7 @@ from equicode.errors import (
 from equicode.galg import (
     AbelianGroup,
     GroupAlgebraElement,
+    ft_group,
     ga_add,
     ga_from_ints,
     ga_involution,
@@ -227,6 +228,50 @@ def test_kg_apply_matches_entrywise_reference(case, rows, cols, seed):
         assert rebuilt == a
         vec = [ga_rand(G, ctx, rng) for _ in range(cols)]
         assert kgmat.kg_apply(rebuilt, vec) == kg_apply_reference(a, vec)
+
+
+# (p, d, invariant factors): split algebras over prime and extension
+# fields, from the trivial group up to three axes
+TRANSFORM_CASES = {
+    "trivial-group": (13, 1, []),
+    "one-axis": (13, 1, [4]),
+    "two-axes": (13, 1, [2, 6]),
+    "three-axes": (13, 1, [2, 2, 6]),
+    "extension-one-axis": (3, 2, [8]),
+    "extension-two-axes": (3, 2, [2, 4]),
+}
+
+
+@pytest.mark.parametrize("case", list(TRANSFORM_CASES))
+@settings(max_examples=15, deadline=None)
+@given(rows=st.integers(0, 3), cols=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32))
+@example(rows=2, cols=0, seed=0)  # the check matrix of an n == k code
+@example(rows=0, cols=2, seed=0)
+def test_spectrum_matches_entrywise_transform(case, rows, cols, seed):
+    """One transform of all of a matrix's entries gives each entry's own
+    Fourier image, and kg_from_spectrum brings the matrix back."""
+    p, d, factors = TRANSFORM_CASES[case]
+    ctx, G = ff.field_make(p, d), AbelianGroup(factors)
+    m = kg_rand(G, ctx, random.Random(seed), rows, cols)
+    omega = kgmat.split_root(G, ctx)
+    spec = kgmat._spectrum(m)
+    assert len(spec) == G.order
+    for chi, mat in enumerate(spec):
+        assert mat == [tuple(ft_group(m.entry(i, j), omega).values[chi]
+                             for j in range(cols)) for i in range(rows)]
+    assert kgmat.kg_from_spectrum(G, ctx, spec, rows, cols) == m
+
+
+def test_kg_from_spectrum_needs_one_matrix_per_character():
+    """A spectrum with a character too few or too many is refused, not
+    cut to |G| values per entry."""
+    one = [[(K5.one,)]]
+    for count in (3, 5):
+        with pytest.raises(Mismatch):
+            kgmat.kg_from_spectrum(Z4, K5, one * count, 1, 1)
+    assert kgmat.kg_from_spectrum(Z4, K5, one * 4, 1, 1) == \
+        kgmat.kg_identity(Z4, K5, 1)
 
 
 def test_transpose_is_built_once():
@@ -596,16 +641,17 @@ def test_split_kernel_and_inverse_eliminates_once_per_character(
 def test_split_kernel_and_inverse_checks_the_rank_of_c(monkeypatch):
     """A C whose stored entries are all zero passes C^t E = 0; the rank
     check on the stored C catches it."""
-    code = cyclic_cover_code(13, 1, 4, 3, 1)  # C's 6 entries come first
-    G, ctx = code.group, code.field
-    real = kgmat.ft_inverse
+    code = cyclic_cover_code(13, 1, 4, 3, 1)  # C is transformed first
+    ctx = code.field
+    real = kgmat._inverse_transform
     calls = []
 
-    def zeroing(image):
-        calls.append(image)
-        return ga_zero(G, ctx) if len(calls) <= 6 else real(image)
+    def zeroing(ctx_, data, group, omega):
+        calls.append(data)
+        return ([ctx.zero] * len(data) if len(calls) == 1
+                else real(ctx_, data, group, omega))
 
-    monkeypatch.setattr(kgmat, "ft_inverse", zeroing)
+    monkeypatch.setattr(kgmat, "_inverse_transform", zeroing)
     with pytest.raises(InvariantViolation, match="full rank"):
         kgmat.split_kernel_and_inverse(code.evaluation)
 
@@ -667,7 +713,7 @@ def test_expanded_rank_matches_dense_rank(case, rows, cols, seed, deficient):
         assert dense == sum(gauss.rank(ctx, mat) for mat in spec)
 
 
-@pytest.mark.parametrize("bad_call", [0, 6], ids=["check", "interp"])
+@pytest.mark.parametrize("bad_call", [0, 1], ids=["check", "interp"])
 def test_certification_transforms_the_stored_entries(monkeypatch, bad_call):
     """An inverse transform that corrupts one coefficient is caught: the
     checks read the image of the entries, not the spectrum that
@@ -676,18 +722,17 @@ def test_certification_transforms_the_stored_entries(monkeypatch, bad_call):
     G, ctx = code.group, code.field
     c_spec = kgmat._spectrum(code.check)
     i_spec = kgmat._spectrum(code.interp)
-    real = kgmat.ft_inverse
+    real = kgmat._inverse_transform
     calls = []
 
-    def faulty(image):
-        out = real(image)
+    def faulty(ctx_, data, group, omega):
+        out = real(ctx_, data, group, omega)
         calls.append(out)
         if len(calls) - 1 != bad_call:
             return out
-        coeffs = (ctx.add(out.coeffs[0], ctx.one),) + out.coeffs[1:]
-        return GroupAlgebraElement(G, ctx, coeffs)
+        return [ctx.add(out[0], ctx.one)] + out[1:]
 
-    monkeypatch.setattr(kgmat, "ft_inverse", faulty)
+    monkeypatch.setattr(kgmat, "_inverse_transform", faulty)
     with pytest.raises(InvariantViolation):
         kgmat.split_kernel_and_inverse(code.evaluation)
     calls.clear()

@@ -1,7 +1,8 @@
 """Guards for what the benchmark's tracer, its cache reset and the
 packaging rely on, and for the package's one field type, the few
 places that test its degree, the one representation of K[G]
-matrices and the one raw matrix-vector product.
+matrices, the one raw matrix-vector product and the one transform
+path.
 
 perfbench/tracer.py wraps library functions by (module, attribute) and
 reads the kernel sampler's operator from its first argument;
@@ -136,10 +137,11 @@ def test_field_degree_is_tested_only_where_allowed():
 
 # Functions of kgmat, files, code and decode that may build
 # GroupAlgebraElements from raw values: the on-demand accessor, kg_apply
-# and the transform in _spectrum (both take elements), the element-level
-# duality and unit helpers, the vector loader, the hand-written fixture
-# and the decoder's public returns.  A KGMatrix itself holds raw values,
-# and the decoder computes on raw coefficients.
+# (it takes elements), the element-level duality and unit helpers, the
+# vector loader, the hand-written fixture and the decoder's public
+# returns.  A KGMatrix itself holds raw values, its Fourier image is
+# transformed on raw values, and the decoder computes on raw
+# coefficients.
 ELEMENT_BUILDERS = {"GroupAlgebraElement", "_elements", "ga_from_ints",
                     "ga_one", "ga_rand", "ga_sigma", "ga_zero"}
 ELEMENT_BUILDS_ALLOWED = {
@@ -151,27 +153,26 @@ ELEMENT_BUILDS_ALLOWED = {
     "kgmat.DualityContext.left_act",
     "kgmat.DualityContext.right_act",
     "kgmat.KGMatrix.entry",
-    "kgmat._spectrum",
     "kgmat.duality_form",
     "kgmat.ga_unit_inverse",
     "kgmat.kg_apply",
 }
 
 
-def element_builds(tree, where):
+def callers(tree, where, names):
     """The qualified name of the enclosing function of every call to one
-    of ELEMENT_BUILDERS."""
+    of names."""
     for child in ast.iter_child_nodes(tree):
         if isinstance(child, ast.Call):
             func = child.func
             name = func.id if isinstance(func, ast.Name) else \
                 getattr(func, "attr", None)
-            if name in ELEMENT_BUILDERS:
+            if name in names:
                 yield where
         inner = where
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             inner = "%s.%s" % (where, child.name)
-        yield from element_builds(child, inner)
+        yield from callers(child, inner, names)
 
 
 def test_kg_matrices_stay_raw():
@@ -182,8 +183,19 @@ def test_kg_matrices_stay_raw():
     unnoticed."""
     found = {fn for name, tree in package_trees()
              if name in ("kgmat.py", "files.py", "code.py", "decode.py")
-             for fn in element_builds(tree, name[:-3])}
+             for fn in callers(tree, name[:-3], ELEMENT_BUILDERS)}
     assert found == ELEMENT_BUILDS_ALLOWED
+
+
+def test_one_transform_path():
+    """Every group transform goes through `galg._transform` (all strands of
+    an axis in one Bluestein run) and every single cyclic one through
+    `ft_cyclic`; nothing else builds a plan or runs the chirp, so a
+    second transform path cannot come back unnoticed."""
+    found = {fn for name, tree in package_trees()
+             for fn in callers(tree, name[:-3],
+                               {"_cyclic_plan", "_run_bluestein"})}
+    assert found == {"galg._transform", "galg.ft_cyclic"}
 
 
 PACKING_HELPERS = {"_slot_width", "_pack_coeffs", "_unpack_coeffs"}
