@@ -5,27 +5,27 @@ certify them against dense elimination in `gauss`.  Both Wiedemann drivers
 take square operators and are Las Vegas: every candidate is re-verified by
 a fresh application of the operator, and a None return means "no luck
 within the attempt budget", never a certificate that no solution exists.
+Each attempt builds its Krylov sequence in `_minimal_polynomial`.
 
 Over fields F_q = F_{p^d} with fewer than 16 elements the drivers re-run
 the whole computation over an extension F_{q^l} with q^l >= 16 (random
 projections in a tiny field fail too often) and project the answer back;
 one extension apply costs l base applies.  The extension is the flat
-FieldCtx(p, d l, f) for a random irreducible f drawn from the driver's
-stream; an extension base (F_4, F_8, F_9) embeds in it through a root of
-its own modulus.  The scalar loops are the work field's vector operations
-(FieldCtx.dot, vmul and sub_scaled).
+FieldCtx(p, d l, f) for a random f from the driver's stream that passes
+Rabin's test; an extension base (F_4, F_8, F_9) embeds in it through a
+root of its own modulus.  The scalar loops are the work field's vector
+operations (FieldCtx.dot, vmul and sub_scaled).
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import product
 from operator import mul
 
 from . import gauss
 from .errors import DimMismatch
-from .ff import FieldCtx, _zdivmod
+from .ff import FieldCtx, poly_is_irreducible
 
 
 class BlackBoxOperator:
@@ -110,15 +110,7 @@ def _lift_degree(q):
     return ell
 
 
-@lru_cache(maxsize=None)
-def _irreducible_mod(p, f):
-    """Whether the monic f (a tuple of ints mod p, low degree first) is
-    irreducible over F_p, by trial division with every monic polynomial of
-    degree at most deg(f) / 2, at most 14 of them for a lift degree.
-    Same answer as ff.poly_is_irreducible."""
-    return all(_zdivmod(f, low + (1,), p)[1]
-               for k in range(1, (len(f) - 1) // 2 + 1)
-               for low in product(range(p), repeat=k))
+_irreducible = lru_cache(maxsize=None)(poly_is_irreducible)
 
 
 @lru_cache(maxsize=None)
@@ -174,7 +166,7 @@ def _work_field(a: BlackBoxOperator, rng):
     degree = ctx.d * _lift_degree(ctx.q)
     while True:
         f = tuple(rng.randrange(ctx.p) for _ in range(degree)) + (1,)
-        if _irreducible_mod(ctx.p, f):
+        if _irreducible(f, ctx.p):
             break
     work = FieldCtx(ctx.p, degree, f)
     down, up = (tuple, tuple) if ctx.d == 1 else _embedding(ctx, f)
@@ -196,29 +188,30 @@ def _combine(ctx, coeffs, vecs):
     return [ctx.dot(cs, col) for col in zip(*vs)]
 
 
+def _minimal_polynomial(ctx, apply_fn, krylov, u, n):
+    """Extend krylov in place to 2n vectors, each apply_fn of the last, and
+    return the minimal polynomial of their projections on u."""
+    while len(krylov) < 2 * n:
+        krylov.append(apply_fn(krylov[-1]))
+    return berlekamp_massey(ctx, [ctx.dot(u, x) for x in krylov])
+
+
 def _solve_attempt(ctx, apply_fn, n, b, rng):
     """One Las Vegas round for (A.D) x' = b; returns D x' or None.
 
-    Krylov vectors are cached while the projected sequence is generated, so
-    building the candidate from the minimal polynomial costs no further
-    applies: 2n-1 for the sequence, nothing for the combination.
+    Applies: 2n - 1 of A.D, for the Krylov sequence from b; the candidate
+    combines cached vectors and costs none.
     """
     diag = [ctx.rand_nonzero(rng) for _ in range(n)]
     u = [ctx.rand(rng) for _ in range(n)]
     krylov = [list(b)]
-    seq = [ctx.dot(u, b)]
-    for _ in range(2 * n - 1):
-        prev = krylov[-1]
-        nxt = apply_fn(ctx.vmul(diag, prev))
-        krylov.append(nxt)
-        seq.append(ctx.dot(u, nxt))
-    mp = berlekamp_massey(ctx, seq)
+    mp = _minimal_polynomial(ctx, lambda x: apply_fn(ctx.vmul(diag, x)),
+                             krylov, u, n)
     if len(mp) == 1 or mp[0] == ctx.zero:
         return None
     scale = ctx.inv(ctx.neg(mp[0]))
     coeffs = [c if c == ctx.zero else ctx.mul(scale, c) for c in mp[1:]]
-    y = _combine(ctx, coeffs, krylov)
-    return ctx.vmul(diag, y)
+    return ctx.vmul(diag, _combine(ctx, coeffs, krylov))
 
 
 def _kernel_attempt(ctx, apply_fn, n, rng):
@@ -226,26 +219,19 @@ def _kernel_attempt(ctx, apply_fn, n, rng):
 
     Splits the minimal polynomial of a random Krylov sequence as
     lambda^s g(lambda) with g(0) != 0 and walks g(B)v forward until it dies.
+    Applies: one to v, which ends the attempt if it kills v; else 2n - 2
+    more for the sequence and at most s for the walk.
     """
     v = [ctx.rand(rng) for _ in range(n)]
     if all(x == ctx.zero for x in v):
         return None
     u = [ctx.rand(rng) for _ in range(n)]
-    krylov = [v]
-    seq = [ctx.dot(u, v)]
     first = apply_fn(v)
     if all(x == ctx.zero for x in first):
         return v
-    krylov.append(first)
-    seq.append(ctx.dot(u, first))
-    for _ in range(2 * n - 2):
-        nxt = apply_fn(krylov[-1])
-        krylov.append(nxt)
-        seq.append(ctx.dot(u, nxt))
-    mp = berlekamp_massey(ctx, seq)
-    s = 0
-    while s < len(mp) and mp[s] == ctx.zero:
-        s += 1
+    krylov = [v, first]
+    mp = _minimal_polynomial(ctx, apply_fn, krylov, u, n)
+    s = next((i for i, c in enumerate(mp) if c != ctx.zero), len(mp))
     if s == 0 or s >= len(mp):
         return None
     w = _combine(ctx, mp[s:], krylov)

@@ -41,6 +41,7 @@ from .ff import FieldCtx, field_make
 from .galg import AbelianGroup, ga_from_ints
 from .kgmat import (
     KGMatrix,
+    _require_ints,
     expanded_rank,
     kg_apply,
     kg_from_rows,
@@ -215,6 +216,7 @@ def _split_code(ctx, group, n, k, ev, meta):
 def rs_degenerate_code(p, n, deg_e, d=1) -> EquivariantCode:
     """Trivial-group Reed-Solomon code, degree <= deg_e: the orbit (here
     Vandermonde) evaluation at the first n nonzero field elements."""
+    _require_ints(n=n, deg_e=deg_e)
     ctx = field_make(p, d)
     if n > ctx.q - 1:
         raise TooManyPoints("need %d distinct nonzero points in F_%d"
@@ -239,6 +241,7 @@ def synth_split_code(p, d, group: AbelianGroup, n, k, seed=0) \
     """Random split-case code: per-character full-rank data glued back by
     inverse Fourier transform.  No geometry behind it, so meta degree
     fields are None and decoders only promise self-consistency."""
+    _require_ints(n=n, k=k)
     ctx = field_make(p, d)
     split_root(group, ctx)
     if not 0 < k < n:
@@ -302,6 +305,7 @@ def cyclic_cover_code(p, d, order, n, k) -> EquivariantCode:
     correction radius is (n*order - k*order) // 2 -- which is exactly the
     basic radius for deg_e = k*order - 1 and genus 0.
     """
+    _require_ints(n=n, k=k)
     ctx = field_make(p, d)
     G = AbelianGroup([order])
     o = G.order

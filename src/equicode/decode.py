@@ -64,6 +64,7 @@ from .kgmat import (
     _blocks,
     _flat,
     _leading_columns,
+    _require_ints,
     _spectrum,
     expanded_rank,
     kg_from_spectrum,
@@ -343,6 +344,7 @@ def make_rs_decoder_data(code: EquivariantCode, deg_d0=None) -> DecoderData:
                        "deg_e = k - 1")
     if deg_d0 is None:
         deg_d0 = d_basic
+    _require_ints(deg_d0=deg_d0)
     if deg_d0 < 0 or k + deg_d0 >= n:
         raise DegreeWindow("auxiliary degree %d leaves no checking "
                            "capacity (deg E = %d, n = %d)"
@@ -371,6 +373,7 @@ def make_cyclic_decoder_data(code: EquivariantCode, k0) -> DecoderData:
     underlying Reed-Solomon structure the radius is
     min(k0*o - 1, o*(n - k - k0)).  Raises NotSplit unless K[G] is split.
     """
+    _require_ints(k0=k0)
     G, ctx, n, k1 = code.group, code.field, code.n, code.k + k0
     if len(G.factors) != 1:
         raise Mismatch("cyclic-cover decoder needs a cyclic group")
@@ -397,6 +400,7 @@ def make_split_decoder_data(code: EquivariantCode, k0, seed=0) -> DecoderData:
     Without degrees there is no radius claim: decodes are self-consistent
     only.
     """
+    _require_ints(k0=k0)
     G, ctx = code.group, code.field
     o, n, k = G.order, code.n, code.k
     split_root(G, ctx)

@@ -286,7 +286,7 @@ class FieldCtx:
                 cur = nxt
                 rows.append(tuple(cur))
             self._red = tuple(rows)
-        self._gen_cache = {}
+        self._gen_cache = None
         self._root_cache = {}
         self._q1_factors = None
 
@@ -456,18 +456,17 @@ class FieldCtx:
             self._q1_factors = factorize(self.q - 1)
         return self._q1_factors
 
-    def generator(self, seed=0):
+    def generator(self):
         """A generator of the multiplicative group, found by seeded search."""
-        if seed in self._gen_cache:
-            return self._gen_cache[seed]
-        rng = random.Random(seed)
-        q1 = self.q - 1
-        factors = self._factors_q1()
-        while True:
+        if self._gen_cache is None:
+            rng = random.Random(0)
+            q1 = self.q - 1
+            factors = self._factors_q1()
             g = self.rand_nonzero(rng)
-            if all(self.pow_(g, q1 // r) != self.one for r in factors):
-                self._gen_cache[seed] = g
-                return g
+            while any(self.pow_(g, q1 // r) == self.one for r in factors):
+                g = self.rand_nonzero(rng)
+            self._gen_cache = g
+        return self._gen_cache
 
     def element_order(self, a):
         """Multiplicative order of a nonzero element."""
@@ -483,11 +482,11 @@ class FieldCtx:
         return order
 
 
-def root_of_unity(ctx: FieldCtx, order: int, seed: int = 0):
+def root_of_unity(ctx: FieldCtx, order: int):
     """A raw element of exact multiplicative order `order`.
 
     Raises NoSuchRoot unless order divides q - 1.  Deterministic for a fixed
-    (ctx, order, seed).
+    (ctx, order).
     """
     if order <= 0:
         raise NoSuchRoot("order must be positive, got %d" % order)
@@ -495,20 +494,16 @@ def root_of_unity(ctx: FieldCtx, order: int, seed: int = 0):
         return ctx.one
     if (ctx.q - 1) % order != 0:
         raise NoSuchRoot("no element of order %d in F_%d" % (order, ctx.q))
-    key = (order, seed)
-    cached = ctx._root_cache.get(key)
-    if cached is not None:
-        return cached
-    g = ctx.generator(seed)
-    w = ctx.pow_(g, (ctx.q - 1) // order)
-    ctx._root_cache[key] = w
-    return w
+    if order not in ctx._root_cache:
+        ctx._root_cache[order] = ctx.pow_(ctx.generator(),
+                                          (ctx.q - 1) // order)
+    return ctx._root_cache[order]
 
 
 # ------------------------------------------------------------- construction
 
 
-def _default_modulus(p, d, seed=0):
+def _default_modulus(p, d):
     """Deterministic monic irreducible of degree d over Z/pZ."""
     # try sparse candidates x^d + c1*x + c0 first so small fields get
     # familiar moduli (F_9 lands on x^2 + 1, F_4 on x^2 + x + 1, ...)
@@ -517,14 +512,15 @@ def _default_modulus(p, d, seed=0):
             f = [c0, c1] + [0] * (d - 2) + [1]
             if poly_is_irreducible(f, p):
                 return f
-    rng = random.Random(hash((p, d, seed)) & 0x7FFFFFFF)
+    # one fixed stream, so a field's default modulus never changes
+    rng = random.Random(hash((p, d, 0)) & 0x7FFFFFFF)
     while True:
         f = [rng.randrange(p) for _ in range(d)] + [1]
         if poly_is_irreducible(f, p):
             return f
 
 
-def field_make(p: int, d: int = 1, modulus=None, seed: int = 0) -> FieldCtx:
+def field_make(p: int, d: int = 1, modulus=None) -> FieldCtx:
     """Build F_{p^d}; validates primality and the supplied modulus.
 
     modulus is a sequence of d+1 ints, low degree first, monic.  When omitted
@@ -540,7 +536,7 @@ def field_make(p: int, d: int = 1, modulus=None, seed: int = 0) -> FieldCtx:
             raise DegreeMismatch("prime field takes no modulus")
         return FieldCtx(p, 1, (0, 1))
     if modulus is None:
-        modulus = _default_modulus(p, d, seed)
+        modulus = _default_modulus(p, d)
     modulus = [c % p for c in modulus]
     if len(modulus) != d + 1:
         raise DegreeMismatch(

@@ -74,6 +74,13 @@ from .galg import (
 from .ff import OPS, FieldCtx, root_of_unity
 
 
+def _require_ints(**sizes):
+    """InvariantViolation unless every size is an int."""
+    for name, v in sizes.items():
+        if not isinstance(v, int):
+            raise InvariantViolation("%s must be an int, got %r" % (name, v))
+
+
 @dataclass(frozen=True)
 class KGMatrix:
     group: AbelianGroup
@@ -92,6 +99,7 @@ class KGMatrix:
                                  compare=False, hash=False, repr=False)
 
     def __post_init__(self):
+        _require_ints(rows=self.rows, cols=self.cols)
         if self.rows < 0 or self.cols < 0:
             raise InvariantViolation("matrix is %dx%d"
                                      % (self.rows, self.cols))

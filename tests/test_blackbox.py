@@ -245,16 +245,32 @@ def test_kernel_sample_small_field_lift():
         assert w == [ctx.mul(scale, x) for x in gen]
 
 
+def _divides(g, f, p):
+    """Whether the monic g divides f over F_p (ints, low degree first)."""
+    r = list(f)
+    for shift in range(len(f) - len(g), -1, -1):
+        c = r[shift + len(g) - 1]
+        for i, gi in enumerate(g):
+            r[shift + i] = (r[shift + i] - c * gi) % p
+    return not any(r)
+
+
 def test_lift_irreducibility_matches_rabin():
-    # every monic candidate of each small degree, lift degrees included
+    """The lift draws its modulus with ff.poly_is_irreducible (Rabin's
+    test).  On every monic candidate of each small degree, lift degrees
+    included, it agrees with trial division by every monic polynomial of
+    degree at most deg(f) / 2."""
     for p in (2, 3, 5, 7, 11, 13):
         for deg in range(1, 7):
             if p ** deg > 400:
                 break
             for low in itertools.product(range(p), repeat=deg):
                 f = low + (1,)
-                assert blackbox._irreducible_mod(p, f) == \
-                    ff.poly_is_irreducible(list(f), p), (p, f)
+                trial = not any(
+                    _divides(g + (1,), f, p)
+                    for k in range(1, deg // 2 + 1)
+                    for g in itertools.product(range(p), repeat=k))
+                assert ff.poly_is_irreducible(list(f), p) == trial, (p, f)
 
 
 @pytest.mark.parametrize("ctx", [K4, K8, K9], ids=["F4", "F8", "F9"])

@@ -4,7 +4,7 @@ import time
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from equicode import code as code_module, decode as decode_module, galg, gauss
 from equicode import kgmat
@@ -201,13 +201,15 @@ OPERATOR_PAIRS = _operator_pairs()
 @settings(max_examples=60, deadline=None)
 @given(case=st.sampled_from(sorted(OPERATOR_PAIRS)),
        seed=st.integers(0, 2 ** 32), top=st.booleans())
+@example(case="two-axis-f5", seed=2773, top=False)  # draws a zero candidate
 def test_denominator_operator_matches_dense_expansion(case, seed, top):
     """op.apply is expand(R C1^t) . diag(r) . expand(E0) . x; with top,
     r and x are all p - 1, so every packed slot is as large as it gets.
     denominator_check, pade_numerator and denominator_zeros agree with the
     unfolded A = expand(C1^t) . diag(r) . expand(E0), with expand(I1) on
     the same product and with the zeros of expand(E0) . x, on r and on a
-    codeword, for which every candidate is a denominator."""
+    codeword, for which every candidate is a denominator.  A random
+    candidate can be zero, which denominator_check refuses."""
     code, dd = OPERATOR_PAIRS[case]
     G, ctx, o = code.group, code.field, code.group.order
     rng = random.Random(seed)
@@ -240,6 +242,10 @@ def test_denominator_operator_matches_dense_expansion(case, seed, top):
         interp = gauss.matmul(ctx, expand(dd.i1), prod)
         for xv in xs:
             x = galg._elements(G, ctx, xv)
+            if set(xv) == {zero}:
+                with pytest.raises(NotADenominatorCandidate):
+                    denominator_check(dd, word, x)
+                continue
             passes = set(gauss.matvec(ctx, unfolded, xv)) == {zero}
             assert denominator_check(dd, word, x) == passes
             assert passes or word is r

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from equicode import ff, galg
-from equicode.code import cyclic_cover_code
+from equicode.code import (cyclic_cover_code, rs_degenerate_code,
+                           synth_split_code)
+from equicode.decode import (make_cyclic_decoder_data, make_rs_decoder_data,
+                             make_split_decoder_data)
 from equicode.errors import (
     BadRootOrder,
     CompositeP,
@@ -32,6 +35,7 @@ from equicode.galg import (
     ga_sub,
     ga_zero,
 )
+from equicode.kgmat import KGMatrix
 
 
 def dft_oracle(ctx, n, omega, values):
@@ -135,6 +139,28 @@ NON_INT_PARAMETERS = {
                        InvariantViolation),
     "cover-order-float": (lambda: cyclic_cover_code(12289, 1, 32.7, 8, 2),
                           InvariantViolation),
+    "rs-n-float": (lambda: rs_degenerate_code(13, 12.0, 5),
+                   InvariantViolation),
+    "rs-deg-float": (lambda: rs_degenerate_code(13, 12, 5.0),
+                     InvariantViolation),
+    "cover-n-float": (lambda: cyclic_cover_code(12289, 1, 32, 8.0, 2),
+                      InvariantViolation),
+    "cover-k-float": (lambda: cyclic_cover_code(12289, 1, 32, 8, 2.0),
+                      InvariantViolation),
+    "split-n-float": (lambda: synth_split_code(13, 1, AbelianGroup([2]), 4.0,
+                                               2), InvariantViolation),
+    "split-k-float": (lambda: synth_split_code(13, 1, AbelianGroup([2]), 4,
+                                               2.0), InvariantViolation),
+    "rs-decoder-float": (lambda: make_rs_decoder_data(
+        rs_degenerate_code(13, 12, 5), 2.0), InvariantViolation),
+    "cyclic-decoder-float": (lambda: make_cyclic_decoder_data(
+        cyclic_cover_code(13, 1, 4, 3, 1), 2.0), InvariantViolation),
+    "split-decoder-float": (lambda: make_split_decoder_data(
+        synth_split_code(5, 1, AbelianGroup([2, 2]), 6, 1), 1.0),
+                            InvariantViolation),
+    "kg-matrix-rows-float": (lambda: KGMatrix(
+        AbelianGroup([]), ff.field_make(13), 1.0, 1, (1,)),
+                             InvariantViolation),
 }
 
 

@@ -1,8 +1,8 @@
 """Guards for what the benchmark's tracer, its cache reset and the
 packaging rely on, and for the package's one field type, the few
 places that test its degree, the one representation of K[G]
-matrices, the one raw matrix-vector product and the one transform
-path.
+matrices, the one raw matrix-vector product, the one transform path
+and the one Krylov routine.
 
 perfbench/tracer.py wraps library functions by (module, attribute) and
 reads the kernel sampler's operator from its first argument;
@@ -198,6 +198,32 @@ def test_one_transform_path():
     assert found == {"galg._transform", "galg.ft_cyclic"}
 
 
+def names_used(tree):
+    """Every name, attribute and imported name in tree."""
+    return {node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else
+            node.name if isinstance(node, ast.alias) else None
+            for node in ast.walk(tree)}
+
+
+POLYNOMIAL_HELPERS = {"_ztrim", "_zsub", "_zmul", "_zdivmod", "_zpowmod"}
+
+
+def test_one_krylov_routine():
+    """Both Wiedemann drivers build their Krylov sequence and its minimal
+    polynomial in `blackbox._minimal_polynomial`, the one caller of
+    berlekamp_massey.  blackbox tests a lift modulus only with
+    ff.poly_is_irreducible, so it uses none of ff's polynomial helpers
+    and a second irreducibility test cannot come back unnoticed."""
+    trees = dict(package_trees())
+    found = {fn for name, tree in trees.items()
+             for fn in callers(tree, name[:-3], {"berlekamp_massey"})}
+    assert found == {"blackbox._minimal_polynomial"}
+    used = names_used(trees["blackbox.py"])
+    assert used & POLYNOMIAL_HELPERS == set()
+    assert "poly_is_irreducible" in used
+
+
 PACKING_HELPERS = {"_slot_width", "_pack_coeffs", "_unpack_coeffs"}
 
 
@@ -205,16 +231,9 @@ def test_only_galg_and_kgmat_know_the_packing():
     """Slot widths and packed layouts stay inside galg (elements) and
     kgmat (`_apply`, the one raw matrix-vector product); every other
     module hands raw coefficients to those."""
-    found = set()
-    for name, tree in package_trees():
-        if name in ("galg.py", "kgmat.py"):
-            continue
-        for node in ast.walk(tree):
-            used = (node.id if isinstance(node, ast.Name) else
-                    node.attr if isinstance(node, ast.Attribute) else
-                    node.name if isinstance(node, ast.alias) else None)
-            if used in PACKING_HELPERS:
-                found.add("%s:%s" % (name, used))
+    found = {"%s:%s" % (name, used) for name, tree in package_trees()
+             if name not in ("galg.py", "kgmat.py")
+             for used in names_used(tree) & PACKING_HELPERS}
     assert found == set()
 
 
