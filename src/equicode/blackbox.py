@@ -1,20 +1,23 @@
 """Randomized black-box linear algebra over finite fields.
 
-Berlekamp-Massey, Wiedemann-style solving and kernel sampling; tests
+Wiedemann-style solving and kernel sampling, and Berlekamp-Massey; tests
 certify them against dense elimination in `gauss`.  Both Wiedemann drivers
 take square operators and are Las Vegas: every candidate is re-verified by
 a fresh application of the operator, and a None return means "no luck
 within the attempt budget", never a certificate that no solution exists.
-Each attempt builds its Krylov sequence in `_minimal_polynomial`.
+Each attempt builds its Krylov vectors v, Bv, .., B^n v in
+`_minimal_polynomial` (n applies of the n x n operator B) and finds v's
+minimal polynomial exactly, as their first linear dependency, by one
+packed `gauss.rref`; no random projection is involved.
 
 Over fields F_q = F_{p^d} with fewer than 16 elements the drivers re-run
 the whole computation over an extension F_{q^l} with q^l >= 16 (random
-projections in a tiny field fail too often) and project the answer back;
-one extension apply costs l base applies.  The extension is the flat
-FieldCtx(p, d l, f) for a random f from the driver's stream that passes
-Rabin's test; an extension base (F_4, F_8, F_9) embeds in it through a
-root of its own modulus.  The scalar loops are the work field's vector
-operations (FieldCtx.dot, vmul and sub_scaled).
+vectors and diagonals in a tiny field fail too often) and project the
+answer back; one extension apply costs l base applies.  The extension is
+the flat FieldCtx(p, d l, f) for a random f from the driver's stream that
+passes Rabin's test; an extension base (F_4, F_8, F_9) embeds in it
+through a root of its own modulus.  The scalar loops are the work field's
+vector operations (FieldCtx.dot, vmul and sub_scaled).
 """
 
 from __future__ import annotations
@@ -188,26 +191,32 @@ def _combine(ctx, coeffs, vecs):
     return [ctx.dot(cs, col) for col in zip(*vs)]
 
 
-def _minimal_polynomial(ctx, apply_fn, krylov, u, n):
-    """Extend krylov in place to 2n vectors, each apply_fn of the last, and
-    return the minimal polynomial of their projections on u."""
-    while len(krylov) < 2 * n:
+def _minimal_polynomial(ctx, apply_fn, krylov, n):
+    """Extend krylov in place to n + 1 vectors, each apply_fn of the last,
+    and return the minimal polynomial of krylov[0] (monic, low-first).
+
+    It is their first linear dependency: the first column j of their
+    elimination that is not a pivot, which exists because n + 1 vectors
+    of length n are dependent; columns 0 .. j - 1 are pivots, so column j
+    holds the coefficients that combine them into krylov[j]."""
+    while len(krylov) <= n:
         krylov.append(apply_fn(krylov[-1]))
-    return berlekamp_massey(ctx, [ctx.dot(u, x) for x in krylov])
+    red, pivots = gauss.rref(ctx, list(zip(*krylov)))
+    j = next((j for j, c in enumerate(pivots) if c != j), len(pivots))
+    return [ctx.neg(red[r][j]) for r in range(j)] + [ctx.one]
 
 
 def _solve_attempt(ctx, apply_fn, n, b, rng):
     """One Las Vegas round for (A.D) x' = b; returns D x' or None.
 
-    Applies: 2n - 1 of A.D, for the Krylov sequence from b; the candidate
+    Applies: n of A.D, for the Krylov vectors from b; the candidate
     combines cached vectors and costs none.
     """
     diag = [ctx.rand_nonzero(rng) for _ in range(n)]
-    u = [ctx.rand(rng) for _ in range(n)]
     krylov = [list(b)]
     mp = _minimal_polynomial(ctx, lambda x: apply_fn(ctx.vmul(diag, x)),
-                             krylov, u, n)
-    if len(mp) == 1 or mp[0] == ctx.zero:
+                             krylov, n)
+    if mp[0] == ctx.zero:
         return None
     scale = ctx.inv(ctx.neg(mp[0]))
     coeffs = [c if c == ctx.zero else ctx.mul(scale, c) for c in mp[1:]]
@@ -217,26 +226,23 @@ def _solve_attempt(ctx, apply_fn, n, b, rng):
 def _kernel_attempt(ctx, apply_fn, n, rng):
     """Try for a nonzero w with apply(w) = 0; the return is verified.
 
-    Splits the minimal polynomial of a random Krylov sequence as
-    lambda^s g(lambda) with g(0) != 0 and walks g(B)v forward until it dies.
-    Applies: one to v, which ends the attempt if it kills v; else 2n - 2
-    more for the sequence and at most s for the walk.
+    Splits the minimal polynomial of a random v as lambda^s g(lambda) with
+    g(0) != 0 and walks g(B)v, which is nonzero by minimality, forward
+    until it dies.  Applies: one to v, which ends the attempt if it kills
+    v; else n - 1 more for the Krylov vectors and s for the walk.
     """
     v = [ctx.rand(rng) for _ in range(n)]
     if all(x == ctx.zero for x in v):
         return None
-    u = [ctx.rand(rng) for _ in range(n)]
     first = apply_fn(v)
     if all(x == ctx.zero for x in first):
         return v
     krylov = [v, first]
-    mp = _minimal_polynomial(ctx, apply_fn, krylov, u, n)
-    s = next((i for i, c in enumerate(mp) if c != ctx.zero), len(mp))
-    if s == 0 or s >= len(mp):
+    mp = _minimal_polynomial(ctx, apply_fn, krylov, n)
+    s = next(i for i, c in enumerate(mp) if c != ctx.zero)
+    if s == 0:
         return None
     w = _combine(ctx, mp[s:], krylov)
-    if all(x == ctx.zero for x in w):
-        return None
     for _ in range(s):
         nxt = apply_fn(w)
         if all(x == ctx.zero for x in nxt):
@@ -248,9 +254,9 @@ def _kernel_attempt(ctx, apply_fn, n, rng):
 def wiedemann_solve(a: BlackBoxOperator, b, seed=0, max_attempts=40):
     """Random solution of Ax = b for a square black box, or None.
 
-    Per attempt the operator is touched at most 2n l + 1 times, l the lift
-    degree (1 when the base has at least 16 elements): 2n - 1 work-field
-    applies for the Krylov sequence and one to verify, each costing l base
+    Per attempt the operator is touched at most (n + 1) l + 1 times, l the
+    lift degree (1 when the base has at least 16 elements): n work-field
+    applies for the Krylov vectors and one to verify, each costing l base
     applies, plus one base apply when a lifted candidate is verified on `a`
     itself.  None reports failure for these seeds only; inconsistency can
     only be certified densely.
@@ -289,7 +295,10 @@ def wiedemann_kernel_sample(a: BlackBoxOperator, seed=0, max_attempts=40):
 
     The operator is preconditioned as A.D with a fresh random unit diagonal
     per attempt, and the candidate is checked against A itself before
-    anything is returned.
+    anything is returned.  Per attempt the operator is touched at most
+    (n + s) l + 1 times: n work-field applies for the Krylov vectors and s
+    for the walk, s <= n the multiplicity of the root 0 of the minimal
+    polynomial (1 when the zero eigenvalue is simple), plus the check.
     """
     if a.rows != a.cols:
         raise DimMismatch("kernel sampling needs a square operator, got "

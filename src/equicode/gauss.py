@@ -2,11 +2,13 @@
 
 Matrices are lists of rows of raw field values.  `rref` is Gauss-Jordan
 elimination with the first nonzero entry as pivot, which is all exact
-arithmetic needs.  Over prime fields it runs on packed columns: a column is
-one int with a fixed-width slot per row, a pivot costs one big-int
-multiply-add per later column it touches, and slots are reduced mod p only
-when read (delayed reduction, as in FFLAS-FFPACK).  Extension fields run the
-same elimination through the FieldCtx calls.
+arithmetic needs.  It runs on packed columns over every field: a column is
+one int with a block of fixed-width slots per row, a pivot costs one big-int
+multiply-add per later column it touches, and slots are reduced only when
+read (delayed reduction, as in FFLAS-FFPACK).  Over F_p a block is one slot.
+Over F_{p^d} it is 2d - 1 slots, the d coordinates of a value and d - 1 zero
+slots that a product with a d-coordinate factor fills; a block is read by
+folding x^w for w >= d along the field modulus, then mod p.
 """
 
 from __future__ import annotations
@@ -63,89 +65,98 @@ def _dot(ctx, u, v):
 
 
 def rref(ctx, m):
-    """Reduced row echelon form; returns (new matrix, pivot column list)."""
-    if ctx.d == 1:
-        return _rref_packed(ctx, m)
-    m = [list(row) for row in m]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c] != ctx.zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ctx.inv(m[r][c])
-        m[r] = [ctx.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != ctx.zero:
-                m[i] = ctx.sub_scaled(m[i], m[i][c], m[r])
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    """Reduced row echelon form; returns (new matrix, pivot column list).
 
-
-def _rref_packed(ctx, m):
-    """`rref` over F_p on one int per column, row i in slot i.
-
+    Runs on packed columns, row i in slot i (see the module docstring).
     Rows are never moved: `order` maps echelon positions to slots.  A
     pivot on slot t turns column c into the unit at t, and every later
-    column with x = (its slot t) != 0 gets one big-int update
-    col += (-inv x) F, where F is column c with slot t set to piv - 1
-    (so slot t becomes inv x and slot i loses inv x c_i).  The factor is
-    taken in [1, p - 1], so slots only grow: each column gets at most one
-    update of at most (p - 1)^2 per slot per pivot, which the slot width
-    holds, and slots are reduced mod p only when read.  OPS gets the
-    count the ctx calls of the extension-field loop would make.
+    column whose slot t holds x != 0 gets one big-int update from F,
+    column c with slot t set to piv - 1: over F_p col += (-inv x) F, with
+    the factor in [1, p - 1]; over F_{p^d} col += x f for f = -inv F,
+    packed once per pivot.  Either way slot t becomes inv x and slot i
+    loses inv x c_i.  Slots only grow, each by at most d (p - 1)^2 per
+    pivot, which the slot width holds, and are reduced only when read.
+    OPS gets the count the per-cell loop of ctx calls would make.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if not cols:
         return [list(row) for row in m], []
-    p = ctx.p
-    bound = (p - 1) + min(rows, cols) * (p - 1) ** 2
+    p, d, zero = ctx.p, ctx.d, ctx.zero
+    bound = (p - 1) + min(rows, cols) * d * (p - 1) ** 2
     width = max(8, -(-bound.bit_length() // 8))  # 8: the 64-bit array path
-    bits = 8 * width
+    size = 2 * d - 1  # slots per value
+    bits = 8 * width * size
     mask = (1 << bits) - 1
-    packed = [_to_int(col, width) for col in zip(*m)]
+    if d == 1:
+        packed = [_to_int(col, width) for col in zip(*m)]
+    else:
+        packed = [_pack(col, width) for col in zip(*m)]
     order = list(range(rows))
     out = []
     pivots = []
     r = 0
     for c in range(cols):
-        vals = [v % p for v in _from_int(packed[c], rows, width)]
+        slots = _from_int(packed[c], rows * size, width)
+        vals = [v % p for v in slots] if d == 1 else _reduce(ctx, slots)
         out.append(vals)
         if r == rows:
             continue
         for pos in range(r, rows):
-            if vals[order[pos]]:
+            if vals[order[pos]] != zero:
                 break
         else:
             continue
         order[r], order[pos] = order[pos], order[r]
         t = order[r]
-        inv = pow(vals[t], -1, p)
-        OPS.add(1 + cols + 2 * cols * (rows - vals.count(0) - 1))
-        vals[t] -= 1
-        f = _to_int(vals, width)
+        inv = ctx.inv(vals[t])
+        OPS.add(cols + 2 * cols * (rows - vals.count(zero) - 1))
         shift = t * bits
-        for j in range(c + 1, cols):
-            x = (packed[j] >> shift & mask) % p
-            if x:
-                packed[j] += (p - inv * x % p) * f
-        out[c] = [0] * rows
-        out[c][t] = 1
+        if d == 1:
+            vals[t] -= 1
+            f = _to_int(vals, width)
+            for j in range(c + 1, cols):
+                x = (packed[j] >> shift & mask) % p
+                if x:
+                    packed[j] += (p - inv * x % p) * f
+        else:
+            vals[t] = ((vals[t][0] - 1) % p,) + vals[t][1:]
+            neg_inv = _to_int([-e % p for e in inv], width)
+            f = _pack(_reduce(ctx, _from_int(_pack(vals, width) * neg_inv,
+                                             rows * size, width)), width)
+            for j in range(c + 1, cols):
+                x = _reduce(ctx, _from_int(packed[j] >> shift & mask, size,
+                                           width))[0]
+                if x != zero:
+                    packed[j] += _to_int(x, width) * f
+        out[c] = [zero] * rows
+        out[c][t] = ctx.one
         pivots.append(c)
         r += 1
     by_slot = list(zip(*out))
     return [list(by_slot[t]) for t in order], pivots
+
+
+def _pack(vals, width):
+    """F_{p^d} values packed in blocks of 2d - 1 slots: the d coordinates
+    and d - 1 zero slots, so a product with a packed d-coordinate factor
+    stays inside each block."""
+    pad = (0,) * (len(vals[0]) - 1)
+    return _to_int([e for v in vals for e in v + pad], width)
+
+
+def _reduce(ctx, slots):
+    """The F_{p^d} values of slots, blocks of 2d - 1 unreduced polynomial
+    coefficients: x^w for w >= d folds along the field modulus (as in
+    FieldCtx.mul), then each coordinate is taken mod p."""
+    d, p = ctx.d, ctx.p
+    size = 2 * d - 1
+    power = [slots[w::size] for w in range(size)]
+    for w in range(size - 1, d - 1, -1):
+        for j, rj in enumerate(ctx._red[w - d]):
+            if rj:
+                power[j] = [u + rj * v for u, v in zip(power[j], power[w])]
+    return [tuple([c % p for c in v]) for v in zip(*power[:d])]
 
 
 def rank(ctx, m):

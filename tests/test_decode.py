@@ -395,8 +395,8 @@ def test_find_denominator_results_are_verified(which, word_seed, seed,
 
 def test_kernel_sample_applies_once_per_krylov_step(monkeypatch):
     # N = 256 at the radius: the square operator has side k0 * o = 64, so
-    # one sample costs 2 * 64 - 1 Krylov applies, one to walk the kernel
-    # vector out and one verify (the rectangular A^t D A took 258)
+    # one sample costs 64 Krylov applies (65 vectors), one to walk the
+    # kernel vector out and one verify
     code = cyclic_cover_code(12289, 1, 32, 8, 2)
     dd = make_cyclic_decoder_data(code, 2)
     r = _radius_word(code, dd, random.Random(1))
@@ -411,7 +411,7 @@ def test_kernel_sample_applies_once_per_krylov_step(monkeypatch):
     monkeypatch.setattr(decode_module, "wiedemann_kernel_sample", counted)
     x = find_denominator(dd, r, seed=1, max_attempts=4)
     assert x is not None
-    assert calls == [129]
+    assert calls == [66]
 
 
 def test_find_denominator_matches_classical_locator():

@@ -116,12 +116,11 @@ def test_rref_field_op_count(case):
 
 
 def rref_reference(ctx, m):
-    """The per-cell elimination over F_p that gauss.rref replaced: one
-    reduction per cell, OPS counted as the ctx calls would count it."""
+    """The per-cell elimination that gauss.rref replaced, through the
+    FieldCtx calls over every field: each call counts itself in OPS."""
     m = [list(row) for row in m]
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    p = ctx.p
     pivots = []
     r = 0
     for c in range(cols):
@@ -134,13 +133,10 @@ def rref_reference(ctx, m):
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = ctx.inv(m[r][c])
-        m[r] = [inv * x % p for x in m[r]]
-        ff.OPS.add(cols)
+        m[r] = [ctx.mul(inv, x) for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c] != ctx.zero:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-                ff.OPS.add(2 * cols)
+                m[i] = ctx.sub_scaled(m[i], m[i][c], m[r])
         pivots.append(c)
         r += 1
         if r == rows:
@@ -157,29 +153,41 @@ def assert_rref_matches_reference(ctx, m):
     assert ops.count == ref_ops.count
 
 
-RREF_PRIMES = (2, 3, 13, 12289, 2 ** 31 - 1, 2 ** 61 - 1)
+# (p, d): prime fields up to 2^61 - 1 and F_4, F_9, F_169, F_343
+RREF_FIELDS = ((2, 1), (3, 1), (13, 1), (12289, 1), (2 ** 31 - 1, 1),
+               (2 ** 61 - 1, 1), (2, 2), (3, 2), (13, 2), (7, 3))
+
+
+def top(ctx):
+    """The value with every coefficient p - 1."""
+    return ctx.p - 1 if ctx.d == 1 else (ctx.p - 1,) * ctx.d
 
 
 @st.composite
-def prime_matrices(draw):
+def field_matrices(draw):
     """Shapes from 0 x k and k x 0 to tall and wide; entries drawn from a
-    pool so that zeros, p - 1 and repeated rows (rank deficiency) occur."""
-    p = draw(st.sampled_from(RREF_PRIMES))
+    pool so that zeros, ones, every coefficient p - 1 and repeated rows
+    (rank deficiency) occur, or else every entry is the top value."""
+    ctx = ff.field_make(*draw(st.sampled_from(RREF_FIELDS)))
+    p, d = ctx.p, ctx.d
     rows = draw(st.integers(0, 9))
     cols = draw(st.integers(0, 9)) if rows else 0
-    value = st.one_of(st.sampled_from((0, 1, p - 1)),
-                      st.integers(0, p - 1))
+    coeff = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+    rand = coeff if d == 1 else st.tuples(*[coeff] * d)
+    value = st.one_of(st.sampled_from((ctx.zero, ctx.one, top(ctx))), rand)
+    if draw(st.integers(0, 9)) == 0:
+        value = st.just(top(ctx))
     m = [[draw(value) for _ in range(cols)] for _ in range(rows)]
     for i in range(1, rows):
         if draw(st.booleans()) and draw(st.booleans()):
             j = draw(st.integers(0, i - 1))
-            f = draw(st.integers(0, p - 1))
-            m[i] = [f * x % p for x in m[j]]
-    return ff.field_make(p), m
+            f = draw(rand)
+            m[i] = [ctx.mul(f, x) for x in m[j]]
+    return ctx, m
 
 
-@settings(max_examples=300, deadline=None)
-@given(prime_matrices())
+@settings(max_examples=400, deadline=None)
+@given(field_matrices())
 def test_rref_matches_per_cell_reference(case):
     ctx, m = case
     assert_rref_matches_reference(ctx, m)
@@ -198,3 +206,32 @@ def test_rref_slots_near_their_bound(p, rows, cols):
     assert_rref_matches_reference(
         ctx, [[0 if i == j else p - 1 for j in range(cols)]
               for i in range(rows)])
+
+
+@pytest.mark.parametrize("p, d", [(2 ** 31 - 1, 2), (2 ** 61 - 1, 2),
+                                  (13, 2), (7, 3)])
+@pytest.mark.parametrize("rows, cols", [(2, 2), (2, 5), (5, 2), (6, 6)])
+def test_rref_extension_slots_near_their_bound(p, d, rows, cols):
+    """The same shapes over F_{p^d} with every coefficient p - 1: a fresh
+    slot can reach (p - 1) + d (p - 1)^2, a d-term sum per product.  Over
+    F_169 and F_343 the slots are 8 bytes, far above the bound, so those
+    cases check the block layout and its reduction along the modulus."""
+    ctx = ff.field_make(p, d)
+    t = top(ctx)
+    assert_rref_matches_reference(ctx, [[t] * cols for _ in range(rows)])
+    assert_rref_matches_reference(
+        ctx, [[ctx.zero if i == j else t for j in range(cols)]
+              for i in range(rows)])
+
+
+@pytest.mark.parametrize("p, d", [(4294967291, 2), (4294967291, 3),
+                                  (2 ** 61 - 1, 2)])
+def test_rref_extension_block_reaches_its_bound(p, d):
+    """[[piv, x]] with x = top and 1/piv = (0, p - 1, .., p - 1): the one
+    update adds x (1/piv - 1) to x's block, both factors with every
+    coefficient p - 1, so slot d - 1 reaches (p - 1) + d (p - 1)^2, the
+    bound at one pivot.  For p just below 2^32 that needs 9 bytes only
+    because of the factor d."""
+    ctx = ff.field_make(p, d)
+    piv = ctx.inv((0,) + (p - 1,) * (d - 1))
+    assert_rref_matches_reference(ctx, [[piv, top(ctx)]])

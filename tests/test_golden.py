@@ -99,8 +99,8 @@ GOLDEN = {
         "71f972bd85df5c7224b32469ef742ad053640cd2e1e2b85ec5a2590d54575afe",
         "60726f62f3e0e85ee8d8a671faad502a7d03f918bea9d28b0df76c7d9c29cd35",
         # the decode output holds the sampled denominator, which follows
-        # the random stream of F_9's lift to F_81
-        "dfe687cab962f7ec9fd3f567437334eadd66ec11a01beda4b45add12591d3a86",
+        # the random stream of F_9's lift to F_81 and the attempts' draws
+        "2cb7e36fa636c5463f9db67293c806018f9f3c50b3210ecba498ef573c14d221",
     )),
     "cyclic257": (cyclic257, (
         "5dbf7dc37384873ce68aab6af1b4deddd231c9bdf6939e177b7dd2f03b99c3ae",
