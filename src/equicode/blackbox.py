@@ -5,10 +5,13 @@ certify them against dense elimination in `gauss`.  Both Wiedemann drivers
 take square operators and are Las Vegas: every candidate is re-verified by
 a fresh application of the operator, and a None return means "no luck
 within the attempt budget", never a certificate that no solution exists.
-Each attempt builds its Krylov vectors v, Bv, .., B^n v in
-`_minimal_polynomial` (n applies of the n x n operator B) and finds v's
-minimal polynomial exactly, as their first linear dependency, by one
-packed `gauss.rref`; no random projection is involved.
+Each attempt builds its Krylov vectors v, Bv, .. in `_minimal_polynomial`
+and finds v's minimal polynomial exactly, as their first linear
+dependency, with `gauss.first_dependency`, which eliminates the vectors as
+they come and stops at B^deg(mp) v: deg(mp) <= n applies of the n x n
+operator B, and no random projection.  The decoder does not use this
+module: it finds denominators by a first dependency among the columns of
+its folded condition (see `decode.find_denominator`).
 
 Over fields F_q = F_{p^d} with fewer than 16 elements the drivers re-run
 the whole computation over an extension F_{q^l} with q^l >= 16 (random
@@ -192,25 +195,27 @@ def _combine(ctx, coeffs, vecs):
 
 
 def _minimal_polynomial(ctx, apply_fn, krylov, n):
-    """Extend krylov in place to n + 1 vectors, each apply_fn of the last,
-    and return the minimal polynomial of krylov[0] (monic, low-first).
+    """Extend krylov in place, each vector apply_fn of the last, up to
+    their first linear dependency, and return it: the minimal polynomial
+    of krylov[0] (monic, low-first).
 
-    It is their first linear dependency: the first column j of their
-    elimination that is not a pivot, which exists because n + 1 vectors
-    of length n are dependent; columns 0 .. j - 1 are pivots, so column j
-    holds the coefficients that combine them into krylov[j]."""
-    while len(krylov) <= n:
-        krylov.append(apply_fn(krylov[-1]))
-    red, pivots = gauss.rref(ctx, list(zip(*krylov)))
-    j = next((j for j, c in enumerate(pivots) if c != j), len(pivots))
-    return [ctx.neg(red[r][j]) for r in range(j)] + [ctx.one]
+    `gauss.first_dependency` pulls the vectors one at a time and stops at
+    vector deg(mp), so the extension costs deg(mp) - len(krylov) + 1
+    applies; a dependency exists among n + 1 vectors of length n."""
+    def stream():
+        for j in range(n + 1):
+            if j == len(krylov):
+                krylov.append(apply_fn(krylov[-1]))
+            yield krylov[j]
+
+    return gauss.first_dependency(ctx, stream(), n)
 
 
 def _solve_attempt(ctx, apply_fn, n, b, rng):
     """One Las Vegas round for (A.D) x' = b; returns D x' or None.
 
-    Applies: n of A.D, for the Krylov vectors from b; the candidate
-    combines cached vectors and costs none.
+    Applies: deg(mp) <= n of A.D, for the Krylov vectors from b; the
+    candidate combines cached vectors and costs none.
     """
     diag = [ctx.rand_nonzero(rng) for _ in range(n)]
     krylov = [list(b)]
@@ -227,9 +232,10 @@ def _kernel_attempt(ctx, apply_fn, n, rng):
     """Try for a nonzero w with apply(w) = 0; the return is verified.
 
     Splits the minimal polynomial of a random v as lambda^s g(lambda) with
-    g(0) != 0 and walks g(B)v, which is nonzero by minimality, forward
-    until it dies.  Applies: one to v, which ends the attempt if it kills
-    v; else n - 1 more for the Krylov vectors and s for the walk.
+    g(0) != 0 and returns B^(s-1) g(B) v, a combination of the cached
+    Krylov vectors: it is nonzero by minimality, and B kills it because
+    B^s g(B) v = mp(B) v = 0.  Applies: one to v, which ends the attempt
+    if it kills v; else deg(mp) in all, at most n.
     """
     v = [ctx.rand(rng) for _ in range(n)]
     if all(x == ctx.zero for x in v):
@@ -242,24 +248,18 @@ def _kernel_attempt(ctx, apply_fn, n, rng):
     s = next(i for i, c in enumerate(mp) if c != ctx.zero)
     if s == 0:
         return None
-    w = _combine(ctx, mp[s:], krylov)
-    for _ in range(s):
-        nxt = apply_fn(w)
-        if all(x == ctx.zero for x in nxt):
-            return w
-        w = nxt
-    return None
+    return _combine(ctx, [ctx.zero] * (s - 1) + mp[s:], krylov)
 
 
 def wiedemann_solve(a: BlackBoxOperator, b, seed=0, max_attempts=40):
     """Random solution of Ax = b for a square black box, or None.
 
     Per attempt the operator is touched at most (n + 1) l + 1 times, l the
-    lift degree (1 when the base has at least 16 elements): n work-field
-    applies for the Krylov vectors and one to verify, each costing l base
-    applies, plus one base apply when a lifted candidate is verified on `a`
-    itself.  None reports failure for these seeds only; inconsistency can
-    only be certified densely.
+    lift degree (1 when the base has at least 16 elements): deg(mp) <= n
+    work-field applies for the Krylov vectors and one to verify, each
+    costing l base applies, plus one base apply when a lifted candidate is
+    verified on `a` itself.  None reports failure for these seeds only;
+    inconsistency can only be certified densely.
     """
     if a.rows != a.cols:
         raise DimMismatch("solve needs a square operator, got %dx%d"
@@ -296,9 +296,8 @@ def wiedemann_kernel_sample(a: BlackBoxOperator, seed=0, max_attempts=40):
     The operator is preconditioned as A.D with a fresh random unit diagonal
     per attempt, and the candidate is checked against A itself before
     anything is returned.  Per attempt the operator is touched at most
-    (n + s) l + 1 times: n work-field applies for the Krylov vectors and s
-    for the walk, s <= n the multiplicity of the root 0 of the minimal
-    polynomial (1 when the zero eigenvalue is simple), plus the check.
+    n l + 1 times: deg(mp) <= n work-field applies for the Krylov vectors,
+    each costing l base applies, plus the check.
     """
     if a.rows != a.cols:
         raise DimMismatch("kernel sampling needs a square operator, got "

@@ -10,22 +10,25 @@ with few errors, every denominator vanishes on the error support, so its
 zero set locates the errors and a small dense solve recovers them.
 
 The denominator condition "a0 * r lands in the product space" is one
-K-linear system A whose matrix is never formed: it is applied factor by
-factor (evaluate a0, multiply pointwise by r, apply the extended check).
-A has more rows than columns, so a random K[G] matrix R folds the checks
-to the square B = R A, which the randomized black-box kernel sampler
-runs with one apply per step.  ker A lies in ker B, and every candidate
-is checked against A itself, so an unlucky R or kernel draw costs a
-retry, never a wrong answer; decode failures are reported as DecodeFail
-after the retry budget, not as silent miscorrections.
+K-linear system A = expand(C1^t) . diag(r) . expand(E0) whose matrix is
+never formed.  A has more rows than columns, so a random K[G] matrix R
+folds the checks to the square B = R A, of side k0 |G|.  B's columns are
+made one at a time and eliminated as they come; the first that depends
+on the ones before it gives a kernel vector of B (`find_denominator`).
+With t errors B has rank at most t, so at most t + 1 columns are made.
+ker A lies in ker B, and every candidate is checked against A itself,
+so an unlucky R costs a retry, never a wrong answer; decode failures
+are reported as DecodeFail after the retry budget, not as silent
+miscorrections.
 
 The decoder computes on raw coefficients only, through `kgmat._apply`,
-the one raw matrix-vector product.  One apply (one Krylov step) is
-_apply(R C1^t, _apply(E0, x, r)): the pointwise product by r is taken
-while E0 x is unpacked, with one reduction per value.
-`denominator_check` applies C1^t and `pade_numerator` I1 to the same
-product (E0 x) * r, and `denominator_zeros` scans E0 x.  K[G] elements
-appear only where the public functions return them.
+the one raw matrix-vector product.  Column (b, h) of B is one apply,
+_apply(R C1^t, r * (column b of E0 translated by h)): expand(E0)'s
+column is a re-indexing of E0's, so only the second stage of A runs.
+`denominator_check` applies C1^t and `pade_numerator` I1 to the product
+(E0 x) * r, taken while E0 x is unpacked, with one reduction per value,
+and `denominator_zeros` scans E0 x.  K[G] elements appear only where the
+public functions return them.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import warnings
 from dataclasses import dataclass
 
 from . import gauss
-from .blackbox import BlackBoxOperator, wiedemann_kernel_sample
 from .code import (
     EquivariantCode,
     _check_shapes,
@@ -155,44 +157,50 @@ def _fold_matrix(dd: DecoderData, rng) -> KGMatrix:
         ctx.rand(rng) for _ in range(rows * cols * G.order)))
 
 
-def _denominator_operator(dd: DecoderData, r, rng) -> BlackBoxOperator:
-    """The folded denominator condition as a square matrix-free operator.
+def _denominator_columns(dd: DecoderData, r, rng):
+    """The columns of the folded denominator condition, one at a time.
 
     The condition itself, A = expand(C1^t) . diag(r) . expand(E0), is
     (n-k1)o x k0 o.  A random k0 x (n-k1) K[G] matrix R drawn from rng
-    folds it to the square B = expand(R C1^t) . diag(r) . expand(E0),
-    which the kernel sampler runs with one apply per Krylov step.
-    ker A lies in ker B, and a draw from ker B that is not in ker A fails
-    denominator_check, so an unlucky R costs a retry, never a wrong
-    answer."""
-    e0, size = dd.e0, dd.e0.cols * dd.code.group.order
+    folds it to the square B = expand(R C1^t) . diag(r) . expand(E0); R
+    C1^t is formed here, the columns as they are pulled.  Column (b, h) of
+    expand(E0), for the coefficient index b o + h, is column b of E0 with
+    every entry translated by h (coefficient g is coefficient g h^{-1}),
+    so column (b, h) of B costs one apply of R C1^t to r times it."""
+    G, ctx, k0 = dd.code.group, dd.code.field, dd.e0.cols
     # R C1^t = (C1 R^t)^t, as K[G] commutes; C1 keeps its packed rows
     rc = kg_transpose(kg_matmul(dd.c1, kg_transpose(_fold_matrix(dd, rng))))
-    scale = _flat(dd.i1, r)
-    return BlackBoxOperator(dd.code.field, size, size,
-                            lambda xs: _apply(rc, _apply(e0, xs, scale)))
+    e0, scale = _blocks(dd.e0), _flat(dd.i1, r)
+    return (_apply(rc, ctx.vmul([a[g] for a in e0[b::k0] for g in q], scale))
+            for b in range(k0) for q in map(G.quotients, range(G.order)))
 
 
 def find_denominator(dd: DecoderData, r, seed=0, max_attempts=40):
-    """Sample a verified denominator of r, or None.
+    """Find a verified denominator of r, or None.
 
-    Each attempt folds the checks with a fresh R (from its own stream, not
-    the sampler's) and takes one kernel sample of the square operator.
-    None means every attempt came up empty: either no denominator exists
-    (too many errors) or the draws were unlucky.  Any non-None return
-    passes denominator_check.
+    Each attempt folds the checks with a fresh R (from its own stream) and
+    eliminates B's columns as they come (`gauss.first_dependency`); the
+    first column that depends on the ones before it gives a kernel vector
+    of B, exact and deterministic per R.  When r is a codeword plus an
+    error of expanded weight t, A = expand(C1^t) . diag(error) .
+    expand(E0) has rank at most t, and so has B, so the search stops
+    after at most t + 1 of its k0 o columns.  ker A lies in ker B, and a
+    vector of ker B outside ker A fails denominator_check, so an unlucky R
+    costs a retry, never a wrong answer.  None means every attempt came up
+    empty: either no denominator exists (too many errors) or the folds
+    were unlucky.  Any non-None return passes denominator_check.
     """
     if len(r) != dd.code.n:
         raise DimMismatch("received word has length %d, expected %d"
                           % (len(r), dd.code.n))
+    G, ctx = dd.code.group, dd.code.field
+    size = dd.e0.cols * G.order
     for attempt in range(max_attempts):
-        op = _denominator_operator(
-            dd, r, random.Random("fold/%d/%d" % (seed, attempt)))
-        raw = wiedemann_kernel_sample(op, seed=seed * max_attempts + attempt,
-                                      max_attempts=1)
-        if raw is None:
+        coeffs = gauss.first_dependency(ctx, _denominator_columns(
+            dd, r, random.Random("fold/%d/%d" % (seed, attempt))), size)
+        if coeffs is None:
             continue
-        x = _elements(dd.code.group, dd.code.field, raw)
+        x = _elements(G, ctx, coeffs + [ctx.zero] * (size - len(coeffs)))
         if denominator_check(dd, r, x):
             return x
     return None

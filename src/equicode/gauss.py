@@ -137,11 +137,82 @@ def rref(ctx, m):
     return [list(by_slot[t]) for t in order], pivots
 
 
+def first_dependency(ctx, columns, rows):
+    """The first linear dependency among the columns that the iterable
+    yields (each `rows` raw values): [c_0, .., c_j] with c_j = 1 and
+    sum c_i col_i = 0, or None when every column is independent of the
+    ones before it.  No column after col_j is pulled.
+
+    Each column is packed as `rref` packs it, with a unit in slot
+    rows + j of an identity block below, and reduced as it arrives against
+    the pivots so far, in order (left-looking): pivot k keeps its reduced
+    column F_k, nonzero in slot t_k and zero at every earlier pivot slot,
+    as f_k = -F_k / F_k[t_k], and x in slot t_k of a column gets
+    col += x f_k, which clears slot t_k.  A column that reduces to zero
+    above the identity block has its coefficients in it.  Pivot slots are
+    chosen as in `rref`, with the same slot bound at min(rows, cols) = rows
+    pivots.  OPS gets the count the per-cell `rref` would make on the
+    columns pulled: by the time a column becomes a pivot, the identity
+    block holds minus the coefficients of its reduced form on the earlier
+    pivot columns.
+    """
+    p, d, zero = ctx.p, ctx.d, ctx.zero
+    bound = (p - 1) + rows * d * (p - 1) ** 2
+    # no 8-byte floor as in rref: a column is unpacked once, but every
+    # pivot costs a pass over it
+    width = -(-bound.bit_length() // 8)
+    size = 2 * d - 1  # slots per value
+    bits = 8 * width * size
+    mask = (1 << bits) - 1
+    order = list(range(rows))
+    pivots = []  # (slot t_k's shift, f_k) per pivot
+    cells = 0  # nonzeros off the pivot of every pivot column, for OPS
+    j = -1
+    for j, col in enumerate(columns):
+        if len(col) != rows:
+            raise DimMismatch("column %d has %d entries, expected %d"
+                              % (j, len(col), rows))
+        v = (_to_int(col, width) if d == 1 else _pack(col, width)) \
+            + (1 << (rows + j) * bits)
+        for shift, f in pivots:
+            if d == 1:
+                x = (v >> shift & mask) % p
+                if x:
+                    v += x * f
+            else:
+                x = _reduce(ctx, _from_int(v >> shift & mask, size,
+                                           width))[0]
+                if x != zero:
+                    v += _to_int(x, width) * f
+        slots = _from_int(v, (rows + j + 1) * size, width)
+        vals = [s % p for s in slots] if d == 1 else _reduce(ctx, slots)
+        r = len(pivots)
+        for pos in range(r, rows):
+            if vals[order[pos]] != zero:
+                break
+        else:
+            OPS.add((j + 1) * (r + 2 * cells))
+            return vals[rows:]
+        order[r], order[pos] = order[pos], order[r]
+        t = order[r]
+        cells += len(vals) - vals.count(zero) - 2  # not the unit, the pivot
+        if d == 1:
+            neg_inv = p - ctx.inv(vals[t])
+            f = _to_int([neg_inv * e % p for e in vals], width)
+        else:
+            neg_inv = _to_int([-e % p for e in ctx.inv(vals[t])], width)
+            f = _pack(_reduce(ctx, _from_int(_pack(vals, width) * neg_inv,
+                                             len(vals) * size, width)), width)
+        pivots.append((t * bits, f))
+    OPS.add((j + 1) * (len(pivots) + 2 * cells))
+    return None
+
+
 def _pack(vals, width):
     """F_{p^d} values packed in blocks of 2d - 1 slots: the d coordinates
     and d - 1 zero slots, so a product with a packed d-coordinate factor
     stays inside each block."""
-    pad = (0,) * (len(vals[0]) - 1)
+    pad = (0,) * (len(vals[0]) - 1) if vals else ()
     return _to_int([e for v in vals for e in v + pad], width)
 
 

@@ -18,7 +18,7 @@ from equicode.code import (
 )
 from equicode.decode import (
     DecodeResult,
-    _denominator_operator,
+    _denominator_columns,
     _error_system,
     _fold_matrix,
     basic_decode,
@@ -203,7 +203,8 @@ OPERATOR_PAIRS = _operator_pairs()
        seed=st.integers(0, 2 ** 32), top=st.booleans())
 @example(case="two-axis-f5", seed=2773, top=False)  # draws a zero candidate
 def test_denominator_operator_matches_dense_expansion(case, seed, top):
-    """op.apply is expand(R C1^t) . diag(r) . expand(E0) . x; with top,
+    """The streamed columns are those of the folded condition
+    expand(R C1^t) . diag(r) . expand(E0), in coefficient order; with top,
     r and x are all p - 1, so every packed slot is as large as it gets.
     denominator_check, pade_numerator and denominator_zeros agree with the
     unfolded A = expand(C1^t) . diag(r) . expand(E0), with expand(I1) on
@@ -224,14 +225,15 @@ def test_denominator_operator_matches_dense_expansion(case, seed, top):
     e0x = expand(dd.e0)
     scaled = [[ctx.mul(rvec[i], v) for v in row] for i, row in enumerate(e0x)]
     dense = gauss.matmul(ctx, folded, scaled)
-    op = _denominator_operator(dd, r, random.Random("fold/%d" % seed))
-    assert op.rows == op.cols == dd.e0.cols * o == len(dense)
-    xs = [[full] * op.cols] if top else []
-    xs += [[ctx.rand(rng) for _ in range(op.cols)] for _ in range(3)]
-    for x in xs:
-        assert op.apply(x) == gauss.matvec(ctx, dense, x)
+    cols = list(_denominator_columns(dd, r,
+                                     random.Random("fold/%d" % seed)))
+    size = dd.e0.cols * o
+    assert len(cols) == size == len(dense)
+    assert cols == gauss.transpose(dense)
+    xs = [[full] * size] if top else []
+    xs += [[ctx.rand(rng) for _ in range(size)] for _ in range(3)]
     # a candidate that vanishes at the first k0 o - 1 coordinates at least
-    xs.append(gauss.kernel_basis(ctx, e0x[:op.cols - 1])[0])
+    xs.append(gauss.kernel_basis(ctx, e0x[:size - 1])[0])
     zero = ctx.zero
     cw = encode(code, rand_message(code, rng))
     for word in (r, cw):
@@ -265,9 +267,9 @@ def test_denominator_operator_matches_dense_expansion(case, seed, top):
 
 @pytest.mark.parametrize("case", sorted(OPERATOR_PAIRS))
 def test_denominator_operator_apply_nominal_op_count(case):
-    """One apply counts the nominal field operations of its two packed
-    K[G] matrix-vector products and its n |G| pointwise products:
-    2 n k0 (2d - 1) T + n |G| + 2 k0 n (2d - 1) T, T = prod_k (2 o_k - 1)."""
+    """One column counts the nominal field operations of its n |G|
+    pointwise products and its packed K[G] matrix-vector product:
+    n |G| + 2 k0 n (2d - 1) T, T = prod_k (2 o_k - 1)."""
     code, dd = OPERATOR_PAIRS[case]
     G, ctx = code.group, code.field
     n, k0, d = code.n, dd.e0.cols, ctx.d
@@ -276,17 +278,15 @@ def test_denominator_operator_apply_nominal_op_count(case):
         T *= 2 * o - 1
     rng = random.Random(23)
     r = [ga_rand(G, ctx, rng) for _ in range(n)]
-    op = _denominator_operator(dd, r, random.Random(24))
-    for _ in range(2):  # the first apply packs E0 and R C1^t
-        x = [ctx.rand(rng) for _ in range(op.cols)]
+    columns = _denominator_columns(dd, r, random.Random(24))
+    for _ in range(2):  # the first column packs R C1^t
         with count_field_ops() as counted:
-            op.apply(x)
-        assert counted.count == (2 * n * k0 * (2 * d - 1) * T + n * G.order
-                                 + 2 * k0 * n * (2 * d - 1) * T)
+            next(columns)
+        assert counted.count == n * G.order + 2 * k0 * n * (2 * d - 1) * T
 
 
 def test_fold_attempts_pack_c1_once(monkeypatch):
-    """Each operator forms R C1^t as (C1 R^t)^t (K[G] is commutative), so
+    """Each fold forms R C1^t as (C1 R^t)^t (K[G] is commutative), so
     C1's rows are packed once and kept on dd.c1: a second fold packs only
     the k0 columns of its own R^t."""
     code, dd = cyclic_pair()
@@ -304,7 +304,7 @@ def test_fold_attempts_pack_c1_once(monkeypatch):
     counts = []
     for seed in (1, 2):
         packed.clear()
-        _denominator_operator(dd, r, random.Random(seed))
+        _denominator_columns(dd, r, random.Random(seed))
         counts.append(list(packed))
     column = dd.c1.cols * o
     assert counts == [[len(dd.c1.coeffs)] + [column] * k0, [column] * k0]
@@ -321,8 +321,8 @@ def _radius_word(code, dd, rng):
 
 
 def test_zero_fold_costs_retries_not_a_wrong_answer(monkeypatch):
-    # R = 0 makes B = 0: every vector is in ker B, and the sampler's
-    # draws are random vectors that denominator_check turns away
+    # R = 0 makes B = 0: its first column is a dependency, and the unit
+    # vector it gives is turned away by denominator_check on every attempt
     code = cyclic_cover_code(257, 1, 16, 8, 2)
     dd = make_cyclic_decoder_data(code, 2)
     r = _radius_word(code, dd, random.Random(12))
@@ -372,46 +372,75 @@ SMALL_FIELD_PAIRS = _small_field_pairs()
        weight=st.integers(0, 3))
 def test_find_denominator_results_are_verified(which, word_seed, seed,
                                                 weight):
+    """Every column an attempt pulls is that column of expand(R) times the
+    unfolded A = expand(C1^t) . diag(r) . expand(E0), for the attempt's
+    R; the columns before the last are independent.  A returned x passes
+    denominator_check and lies in the kernel of the last attempt's B,
+    with its last nonzero coefficient one, at the last column pulled."""
     code, dd = SMALL_FIELD_PAIRS[which]
+    ctx = code.field
     rng = random.Random(word_seed)
     r, _ = corrupt(code, encode(code, rand_message(code, rng)),
                    min(weight, dd.radius), rng)
-    ops = []
-    real = decode_module._denominator_operator
+    folds, pulled = [], []
+    real_fold = decode_module._fold_matrix
+    real_columns = decode_module._denominator_columns
 
-    def recording(*args):
-        ops.append(real(*args))
-        return ops[-1]
+    def recording_fold(*args):
+        folds.append(real_fold(*args))
+        return folds[-1]
+
+    def recording_columns(*args):
+        pulled.append([])
+        for col in real_columns(*args):
+            pulled[-1].append(col)
+            yield col
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decode_module, "_denominator_operator", recording)
+        mp.setattr(decode_module, "_fold_matrix", recording_fold)
+        mp.setattr(decode_module, "_denominator_columns", recording_columns)
         x = find_denominator(dd, r, seed=seed, max_attempts=4)
+    rvec = [c for a in r for c in a.coeffs]
+    prod = [[ctx.mul(rvec[i], v) for v in row]
+            for i, row in enumerate(expand(dd.e0))]
+    unfolded = gauss.matmul(ctx, expand(kg_transpose(dd.c1)), prod)
+    assert len(folds) == len(pulled) >= 1
+    for fold, cols in zip(folds, pulled):
+        b = gauss.matmul(ctx, expand(fold), unfolded)
+        assert cols == gauss.transpose(b)[:len(cols)]
+        assert gauss.rank(ctx, cols[:-1]) == len(cols) - 1
     if x is None:
         return
     assert denominator_check(dd, r, x)
     flat = [c for a in x for c in a.coeffs]
-    assert ops[-1].apply(flat) == [code.field.zero] * ops[-1].rows
+    last = max(i for i, c in enumerate(flat) if c != ctx.zero)
+    assert flat[last] == ctx.one and last == len(pulled[-1]) - 1
+    assert gauss.matvec(ctx, b, flat) == [ctx.zero] * len(flat)
 
 
-def test_kernel_sample_applies_once_per_krylov_step(monkeypatch):
-    # N = 256 at the radius: the square operator has side k0 * o = 64, so
-    # one sample costs 64 Krylov applies (65 vectors), one to walk the
-    # kernel vector out and one verify
+def test_column_search_stops_at_the_first_dependency(monkeypatch):
+    # N = 256: B has side k0 o = 64 and rank at most the error count, so
+    # a word at the radius t = 63 pulls all 64 columns per fold attempt,
+    # and a word with 15 errors at most 16
     code = cyclic_cover_code(12289, 1, 32, 8, 2)
     dd = make_cyclic_decoder_data(code, 2)
-    r = _radius_word(code, dd, random.Random(1))
-    calls = []
-    real = decode_module.wiedemann_kernel_sample
+    pulled = []
+    real = decode_module._denominator_columns
 
-    def counted(op, **kwargs):
-        res = real(op, **kwargs)
-        calls.append(op.calls)
-        return res
+    def counted(*args):
+        pulled.append(0)
+        for col in real(*args):
+            pulled[-1] += 1
+            yield col
 
-    monkeypatch.setattr(decode_module, "wiedemann_kernel_sample", counted)
-    x = find_denominator(dd, r, seed=1, max_attempts=4)
-    assert x is not None
-    assert calls == [66]
+    monkeypatch.setattr(decode_module, "_denominator_columns", counted)
+    rng = random.Random(1)
+    for t, most in ((dd.radius, 64), (15, 16)):
+        pulled.clear()
+        r, _ = corrupt(code, encode(code, rand_message(code, rng)), t, rng)
+        assert find_denominator(dd, r, seed=1, max_attempts=4) is not None
+        assert pulled and max(pulled) <= most
+        assert t < dd.radius or pulled == [64] * len(pulled)
 
 
 def test_find_denominator_matches_classical_locator():
@@ -729,7 +758,7 @@ def test_basic_decode_bit_equal_to_entrywise_apply(fixture, monkeypatch):
     entrywise = [basic_decode(dd, r, seed=seed)
                  for seed, r in enumerate(words)]
     assert spectral == entrywise
-    assert applied  # the Wiedemann black box ran the reference
+    assert applied  # the denominator's column search ran the reference
 
 
 @pytest.mark.parametrize("code", [

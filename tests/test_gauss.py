@@ -235,3 +235,81 @@ def test_rref_extension_block_reaches_its_bound(p, d):
     ctx = ff.field_make(p, d)
     piv = ctx.inv((0,) + (p - 1,) * (d - 1))
     assert_rref_matches_reference(ctx, [[piv, top(ctx)]])
+
+
+def assert_first_dependency_matches_reference(ctx, m):
+    """gauss.first_dependency on m's columns is the per-cell rref's first
+    non-pivot column, as coefficients ending in one, or None when every
+    column is a pivot; its OPS count is the reference's on the columns it
+    pulled."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    red, pivots = rref_reference(ctx, m)
+    j = next((j for j, c in enumerate(pivots) if c != j), len(pivots))
+    if j < cols:
+        want = [ctx.neg(red[r][j]) for r in range(j)] + [ctx.one]
+        m = [row[:j + 1] for row in m]
+    else:
+        want = None
+    with ff.count_field_ops() as ops:
+        got = gauss.first_dependency(ctx, iter(gauss.transpose(m)), rows)
+    with ff.count_field_ops() as ref_ops:
+        rref_reference(ctx, m)
+    assert got == want
+    assert ops.count == ref_ops.count
+
+
+@settings(max_examples=400, deadline=None)
+@given(field_matrices())
+def test_first_dependency_matches_per_cell_reference(case):
+    ctx, m = case
+    assert_first_dependency_matches_reference(ctx, m)
+
+
+@pytest.mark.parametrize("p, d", RREF_FIELDS)
+def test_first_dependency_of_a_zero_column_and_of_a_full_rank_stream(p, d):
+    """A zero first column is a dependency by itself, [1]; with no rows,
+    so is every first column.  Independent columns, the identity's and
+    a random full-rank matrix's, give None."""
+    ctx = ff.field_make(p, d)
+    rng = random.Random("first/%d/%d" % (p, d))
+    rest = [[ctx.rand(rng) for _ in range(4)] for _ in range(2)]
+    assert gauss.first_dependency(ctx, iter([[ctx.zero] * 4] + rest),
+                                  4) == [ctx.one]
+    assert gauss.first_dependency(ctx, iter([[], []]), 0) == [ctx.one]
+    assert gauss.first_dependency(ctx, iter([]), 3) is None
+    assert gauss.first_dependency(
+        ctx, iter(gauss.identity(ctx, 5)), 5) is None
+    while True:
+        m = rand_matrix(ctx, rng, 6, 4)
+        if gauss.rank(ctx, m) == 4:
+            break
+    assert gauss.first_dependency(ctx, iter(gauss.transpose(m)), 6) is None
+    assert_first_dependency_matches_reference(ctx, m)
+
+
+@pytest.mark.parametrize("p, d", [(2 ** 31 - 1, 2), (2 ** 61 - 1, 2),
+                                  (13, 2), (7, 3)])
+@pytest.mark.parametrize("rows, cols", [(2, 2), (2, 5), (5, 2), (6, 6)])
+def test_first_dependency_slots_near_their_bound(p, d, rows, cols):
+    """The shapes of test_rref_extension_slots_near_their_bound, every
+    coefficient p - 1, through the identity block as well."""
+    ctx = ff.field_make(p, d)
+    t = top(ctx)
+    assert_first_dependency_matches_reference(
+        ctx, [[t] * cols for _ in range(rows)])
+    assert_first_dependency_matches_reference(
+        ctx, [[ctx.zero if i == j else t for j in range(cols)]
+              for i in range(rows)])
+
+
+def test_first_dependency_pulls_no_column_past_the_dependency():
+    """The third column is the sum of the first two, and the stream fails
+    when asked for a fourth; a column of the wrong length is refused."""
+    def stream():
+        yield from ([1, 2, 0], [0, 1, 1], [1, 3, 1])
+        raise AssertionError("pulled past the first dependency")
+
+    assert gauss.first_dependency(K13, stream(), 3) == [12, 12, 1]
+    with pytest.raises(DimMismatch):
+        gauss.first_dependency(K13, iter([[1, 2], [3]]), 2)

@@ -2,10 +2,11 @@
 
 Each fixture writes its code and decoder files, corrupts one codeword at
 fixed positions and decodes it through the CLI.  The digests pin the bytes
-of all three artifacts, so a refactor that changes any matrix, any kernel
-draw or the decode loop's choice of seeds shows up here.  A second digest
-pins only the decoded codeword, message and error: those are unique within
-the radius, so it holds across changes that draw a different denominator.
+of all three artifacts, so a refactor that changes any matrix, the
+denominator search or the decode loop's choice of seeds shows up here.  A
+second digest pins only the decoded codeword, message and error: those
+are unique within the radius, so it holds across changes that find a
+different denominator.
 """
 
 import hashlib
@@ -93,24 +94,24 @@ GOLDEN = {
     "rs13": (rs13, (
         "7058f0755c6545e0166505ca94aca3230433e13ffdfedf0608cc4e5e2c3dbb6f",
         "cbe2d4de761e5163b8c9cc3a44eca05047767a79cc2fab6eaf4b927c2f4c2f2a",
-        "14f237b2592e722592e6ffa23dc21e0225ab8bd78d20c70c61ad6a73e6752b96",
+        "868f7ef8192c2abf21f3eceea38d6a6c1689972403f9e4a619baf1aa3be0b09b",
     )),
     "rs9": (rs9, (
         "71f972bd85df5c7224b32469ef742ad053640cd2e1e2b85ec5a2590d54575afe",
         "60726f62f3e0e85ee8d8a671faad502a7d03f918bea9d28b0df76c7d9c29cd35",
-        # the decode output holds the sampled denominator, which follows
-        # the random stream of F_9's lift to F_81 and the attempts' draws
-        "2cb7e36fa636c5463f9db67293c806018f9f3c50b3210ecba498ef573c14d221",
+        # the decode output holds the denominator, the first column
+        # dependency of the condition folded by the attempts' random R
+        "c546b6bdb83bc5a7a2f06a91b3ac6c8b62e61966a15311bbfbf476bd4648913b",
     )),
     "cyclic257": (cyclic257, (
         "5dbf7dc37384873ce68aab6af1b4deddd231c9bdf6939e177b7dd2f03b99c3ae",
         "e771d950960fd30143517476bf4252825d7474206cd1600fdffea22bf7a9cad1",
-        "7001871665811877a0f3675a4e2110e5dfd2dde86c2eb68016880b2a78894d8c",
+        "370c0a57697ec8480482ff1efaaf968b561966b4d20f73dadb5a9c2b64338a92",
     )),
     "split13": (split13, (
         "278f564292fdfbb374226f15d0a6bceaa19952664dcc9216555da383dc2c616b",
         "8939fde8fc2fb7d6a29792a2e4bca74e910678f9566770ef7b6bee30988c5d87",
-        "70c134cffe792eb71b7b6013c2a1da497b74dbdaa04072573fcab3f8c8670632",
+        "9a8c0e321dbbfb559b996f97df4722b747bd95c5ff5070e87db1168a6d830c42",
     )),
     "synth13": (synth13, (
         "f094aab5ce210dc116521afcdadd57658e3888661d3dfdb7eabd6bbc3ff28cc4",

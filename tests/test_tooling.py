@@ -1,8 +1,8 @@
 """Guards for what the benchmark's tracer, its cache reset and the
 packaging rely on, and for the package's one field type, the few
 places that test its degree, the one representation of K[G]
-matrices, the one raw matrix-vector product, the one transform path
-and the one Krylov routine.
+matrices, the one raw matrix-vector product, the one transform path,
+the one Krylov routine and the one first-dependency routine.
 
 perfbench/tracer.py wraps library functions by (module, attribute) and
 reads the kernel sampler's operator from its first argument;
@@ -98,7 +98,7 @@ def test_field_ctx_is_the_only_field_type():
 
 
 # Functions outside ff that may branch on the field degree: the packed
-# coefficient layouts, the packed elimination, the parsers of raw values,
+# coefficient layouts, the packed eliminations, the parsers of raw values,
 # and the choice of a lift.
 DEGREE_TESTS_ALLOWED = {
     "blackbox._work_field",
@@ -106,6 +106,7 @@ DEGREE_TESTS_ALLOWED = {
     "files.matrix_from_obj",
     "galg._pack_coeffs",
     "galg._unpack_coeffs",
+    "gauss.first_dependency",
     "gauss.rref",
 }
 
@@ -212,7 +213,8 @@ POLYNOMIAL_HELPERS = {"_ztrim", "_zsub", "_zmul", "_zdivmod", "_zpowmod"}
 def test_one_krylov_routine():
     """Both Wiedemann attempts build their Krylov vectors and minimal
     polynomial in `blackbox._minimal_polynomial`, which is blackbox's one
-    caller of gauss.rref; nothing in the package calls berlekamp_massey,
+    caller of gauss.first_dependency; blackbox calls no gauss.rref, and
+    nothing in the package calls berlekamp_massey,
     which stays public because the benchmark's tracer wraps it by name.
     blackbox tests a lift modulus only with ff.poly_is_irreducible, so it
     uses none of ff's polynomial helpers and a second irreducibility test
@@ -221,14 +223,35 @@ def test_one_krylov_routine():
     found = set(callers(trees["blackbox.py"], "blackbox",
                         {"_minimal_polynomial"}))
     assert found == {"blackbox._solve_attempt", "blackbox._kernel_attempt"}
-    found = set(callers(trees["blackbox.py"], "blackbox", {"rref"}))
+    found = set(callers(trees["blackbox.py"], "blackbox",
+                        {"first_dependency"}))
     assert found == {"blackbox._minimal_polynomial"}
+    assert set(callers(trees["blackbox.py"], "blackbox", {"rref"})) == set()
     found = {fn for name, tree in trees.items()
              for fn in callers(tree, name[:-3], {"berlekamp_massey"})}
     assert found == set()
     used = names_used(trees["blackbox.py"])
     assert used & POLYNOMIAL_HELPERS == set()
     assert "poly_is_irreducible" in used
+
+
+def test_one_first_dependency_routine():
+    """gauss.first_dependency is called only by the Krylov routine and by
+    the decoder's column search, and decode names nothing that blackbox
+    defines: denominators come from the columns of the folded condition,
+    not from a black-box kernel sample."""
+    trees = dict(package_trees())
+    found = {fn for name, tree in trees.items()
+             for fn in callers(tree, name[:-3], {"first_dependency"})}
+    assert found == {"blackbox._minimal_polynomial",
+                     "decode.find_denominator"}
+    body = trees["blackbox.py"].body
+    defined = {node.name for node in body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    assert "wiedemann_kernel_sample" in defined
+    assert names_used(trees["decode.py"]) & (defined | {"blackbox"}) == set()
 
 
 PACKING_HELPERS = {"_slot_width", "_pack_coeffs", "_unpack_coeffs"}
