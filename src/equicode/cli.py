@@ -325,7 +325,8 @@ def build_parser():
     p.add_argument("--code")
     p.add_argument("--received", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-attempts", type=int, default=40)
+    p.add_argument("--max-attempts", type=int, default=40,
+                   help="folds the denominator search may draw")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_decode)

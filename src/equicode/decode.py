@@ -16,10 +16,10 @@ folds the checks to the square B = R A, of side k0 |G|.  B's columns are
 made one at a time and eliminated as they come; the first that depends
 on the ones before it gives a kernel vector of B (`find_denominator`).
 With t errors B has rank at most t, so at most t + 1 columns are made.
-ker A lies in ker B, and every candidate is checked against A itself,
-so an unlucky R costs a retry, never a wrong answer; decode failures
-are reported as DecodeFail after the retry budget, not as silent
-miscorrections.
+ker A lies in ker B, so a B of full rank proves that r has no
+denominator, and a candidate that passes the check against A itself is
+A's own first column dependency, whatever R was: a decode's outcome is a
+function of r, and a fold decides only how many candidates are refused.
 
 The decoder computes on raw coefficients only, through `kgmat._apply`,
 the one raw matrix-vector product.  Column (b, h) of B is one apply,
@@ -171,25 +171,32 @@ def _denominator_columns(dd: DecoderData, r, rng):
     # R C1^t = (C1 R^t)^t, as K[G] commutes; C1 keeps its packed rows
     rc = kg_transpose(kg_matmul(dd.c1, kg_transpose(_fold_matrix(dd, rng))))
     e0, scale = _blocks(dd.e0), _flat(dd.i1, r)
+    shifts = [G.quotients(h) for h in range(G.order)]
     return (_apply(rc, ctx.vmul([a[g] for a in e0[b::k0] for g in q], scale))
-            for b in range(k0) for q in map(G.quotients, range(G.order)))
+            for b in range(k0) for q in shifts)
+
+
+def _require_search_args(seed, max_attempts):
+    _require_ints(seed=seed, max_attempts=max_attempts)
+    if max_attempts < 1:
+        raise InvariantViolation("max_attempts must be at least 1")
 
 
 def find_denominator(dd: DecoderData, r, seed=0, max_attempts=40):
     """Find a verified denominator of r, or None.
 
-    Each attempt folds the checks with a fresh R (from its own stream) and
-    eliminates B's columns as they come (`gauss.first_dependency`); the
-    first column that depends on the ones before it gives a kernel vector
-    of B, exact and deterministic per R.  When r is a codeword plus an
-    error of expanded weight t, A = expand(C1^t) . diag(error) .
-    expand(E0) has rank at most t, and so has B, so the search stops
-    after at most t + 1 of its k0 o columns.  ker A lies in ker B, and a
-    vector of ker B outside ker A fails denominator_check, so an unlucky R
-    costs a retry, never a wrong answer.  None means every attempt came up
-    empty: either no denominator exists (too many errors) or the folds
-    were unlucky.  Any non-None return passes denominator_check.
+    Each attempt folds the checks with a fresh R (stream
+    fold/<seed>/<attempt>) and eliminates B's columns as they come
+    (`gauss.first_dependency`) up to the first that depends on the ones
+    before it, which gives a kernel vector of B.  With t errors B has rank
+    at most t, so at most t + 1 of its k0 o columns are made.  ker A lies
+    in ker B: a B of full rank proves that r has no denominator and ends
+    the search, and a candidate that passes denominator_check is A's own
+    first column dependency, the same for every R.  Only a refused
+    candidate draws the next fold.  None means either that certificate
+    or max_attempts refused candidates.
     """
+    _require_search_args(seed, max_attempts)
     if len(r) != dd.code.n:
         raise DimMismatch("received word has length %d, expected %d"
                           % (len(r), dd.code.n))
@@ -199,7 +206,7 @@ def find_denominator(dd: DecoderData, r, seed=0, max_attempts=40):
         coeffs = gauss.first_dependency(ctx, _denominator_columns(
             dd, r, random.Random("fold/%d/%d" % (seed, attempt))), size)
         if coeffs is None:
-            continue
+            return None
         x = _elements(G, ctx, coeffs + [ctx.zero] * (size - len(coeffs)))
         if denominator_check(dd, r, x):
             return x
@@ -247,16 +254,18 @@ def _error_system(code: EquivariantCode, zeros):
 
 def basic_decode(dd: DecoderData, r, seed=0, max_attempts=40,
                  trace=None) -> DecodeResult:
-    """Correct r to a codeword: locate errors at the zeros of a sampled
+    """Correct r to a codeword: locate errors at the zeros of a verified
     denominator, then solve for the error values densely.
 
     Exact up to dd.radius errors for the geometric constructions; always
     sound (the returned triple is verified: c is a codeword, m encodes to
     c, r = c + error, and the error sits inside the denominator's zeros).
-    The budget is max(1, max_attempts // 4) rounds of 4 fold attempts
-    each; raises DecodeFail when it runs out.  trace, if given, is called
-    with one line per pipeline stage.
+    One denominator search (budget: max_attempts folds), one error solve,
+    one verification; DecodeFail names the stage that failed: "denominator
+    search", "error values" or "verification".  trace, if given, is
+    called with one line per pipeline stage.
     """
+    _require_search_args(seed, max_attempts)
     log = trace if trace is not None else lambda line: None
     code = dd.code
     G, ctx, o = code.group, code.field, code.group.order
@@ -268,41 +277,30 @@ def basic_decode(dd: DecoderData, r, seed=0, max_attempts=40,
         zero = GroupAlgebraElement(G, ctx, (ctx.zero,) * o)
         return DecodeResult(tuple(r), tuple(m), (zero,) * code.n, None, ())
     log("syndrome nonzero, searching denominators")
-    target = [c for a in syndrome for c in a.coeffs]
-    rounds = max(1, max_attempts // 4)
-    for attempt in range(rounds):
-        x = find_denominator(dd, r, seed=seed * rounds + attempt,
-                             max_attempts=4)
-        if x is None:
-            log("round %d: no verified denominator" % attempt)
-            continue
-        zeros = denominator_zeros(dd, x)
-        log("round %d: denominator vanishes at %d points"
-            % (attempt, len(zeros)))
-        cols = [i * o + s for i, s in zeros]
-        sub = _error_system(code, zeros)
-        try:
-            sol = gauss.solve(ctx, sub, target)
-        except Inconsistent:
-            log("round %d: support system inconsistent" % attempt)
-            continue
-        evec = [ctx.zero] * (code.n * o)
-        for c, value in zip(cols, sol):
-            evec[c] = value
-        err = _elements(G, ctx, evec)
-        cw = [ga_sub(ri, ei) for ri, ei in zip(r, err)]
-        if not all(s.is_zero() for s in parity_check(code, cw)):
-            log("round %d: corrected word fails the parity check" % attempt)
-            continue
-        try:
-            m = interpolate(code, cw)
-        except NotInImage:
-            log("round %d: corrected word not in the image" % attempt)
-            continue
-        log("decoded: %d expanded error positions" % len(cols))
-        return DecodeResult(tuple(cw), tuple(m), tuple(err), tuple(x),
-                            tuple(zeros))
-    raise DecodeFail("no consistent correction within %d rounds" % rounds)
+    x = find_denominator(dd, r, seed=seed, max_attempts=max_attempts)
+    if x is None:
+        raise DecodeFail("denominator search: none in %d folds" % max_attempts)
+    zeros = denominator_zeros(dd, x)
+    log("denominator vanishes at %d points" % len(zeros))
+    try:
+        sol = gauss.solve(ctx, _error_system(code, zeros),
+                          [c for a in syndrome for c in a.coeffs])
+    except Inconsistent:
+        raise DecodeFail("error values: inconsistent system") from None
+    evec = [ctx.zero] * (code.n * o)
+    for (i, s), value in zip(zeros, sol):
+        evec[i * o + s] = value
+    err = _elements(G, ctx, evec)
+    cw = [ga_sub(ri, ei) for ri, ei in zip(r, err)]
+    if not all(s.is_zero() for s in parity_check(code, cw)):
+        raise DecodeFail("verification: parity check failed")
+    try:
+        m = interpolate(code, cw)
+    except NotInImage:
+        raise DecodeFail("verification: not in the image") from None
+    log("decoded: %d expanded error positions" % len(zeros))
+    return DecodeResult(tuple(cw), tuple(m), tuple(err), tuple(x),
+                        tuple(zeros))
 
 
 # ------------------------------------------------------- data constructors

@@ -37,6 +37,7 @@ from equicode.errors import (
     DegreeWindow,
     DegreeWindowWarning,
     DimMismatch,
+    InvariantViolation,
     Mismatch,
     NotADenominatorCandidate,
     NotSplit,
@@ -441,6 +442,122 @@ def test_column_search_stops_at_the_first_dependency(monkeypatch):
         assert find_denominator(dd, r, seed=1, max_attempts=4) is not None
         assert pulled and max(pulled) <= most
         assert t < dd.radius or pulled == [64] * len(pulled)
+
+
+def _unfolded_condition(dd, r):
+    """A = expand(C1^t) . diag(r) . expand(E0), densely."""
+    ctx = dd.code.field
+    rvec = [c for a in r for c in a.coeffs]
+    prod = [[ctx.mul(rvec[i], v) for v in row]
+            for i, row in enumerate(expand(dd.e0))]
+    return gauss.matmul(ctx, expand(kg_transpose(dd.c1)), prod)
+
+
+def _first_column_dependency(ctx, a):
+    """[c_0, .., c_j, 0, ..] with c_j = 1 and sum c_i col_i = 0 for the
+    first column j of a that depends on the ones before it, or None."""
+    cols = gauss.transpose(a)
+    for j in range(len(cols)):
+        if gauss.rank(ctx, cols[:j + 1]) == j:
+            (v,) = gauss.kernel_basis(ctx, gauss.transpose(cols[:j + 1]))
+            inv = ctx.inv(v[j])
+            return [ctx.mul(c, inv) for c in v] + [ctx.zero] * (
+                len(cols) - j - 1)
+    return None
+
+
+@pytest.mark.parametrize("pair", [rs_pair, cyclic_pair])
+def test_find_denominator_is_the_first_dependency_of_a(pair):
+    # ker A lies in ker B for every fold R, so a verified candidate is A's
+    # own first column dependency and a B of full rank certifies that A
+    # has none: the search returns the same thing for every seed.  The
+    # RS pair's A is 3 x 4, so only the cyclic pair's can have full rank
+    code, dd = pair()
+    ctx = code.field
+    rng = random.Random(14)
+    radius = dd.radius
+    found = {True: 0, False: 0}
+    for t in (max(1, radius // 4), radius, radius + 1, radius + 2,
+              radius + 3):
+        for _ in range(3):
+            r, _ = corrupt(code, encode(code, rand_message(code, rng)), t,
+                           rng)
+            want = _first_column_dependency(ctx, _unfolded_condition(dd, r))
+            found[want is None] += 1
+            for seed in range(6):
+                x = find_denominator(dd, r, seed=seed)
+                got = None if x is None else [c for a in x for c in a.coeffs]
+                assert got == want, (t, seed)
+    assert found[False] > 0
+    assert pair is rs_pair or found[True] > 0
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(decode_module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(decode_module, name, counted)
+    return calls
+
+
+def test_decode_without_a_denominator_draws_one_fold(monkeypatch):
+    # beyond the radius of the cyclic pair A is square and mostly of full
+    # rank: the first fold's B proves that no denominator exists
+    code, dd = cyclic_pair()
+    rng = random.Random(15)
+    while True:
+        r, _ = corrupt(code, encode(code, rand_message(code, rng)),
+                       dd.radius + 1, rng)
+        if _first_column_dependency(code.field,
+                                    _unfolded_condition(dd, r)) is None:
+            break
+    folds = _counting(monkeypatch, "_fold_matrix")
+    with pytest.raises(DecodeFail, match="denominator search"):
+        basic_decode(dd, r, seed=2)
+    assert folds == ["_fold_matrix"]
+
+
+def test_decode_with_a_wrong_denominator_solves_once(monkeypatch):
+    # RS [12, 6] over F_13 with 4 errors: A is 3 x 4, so a denominator
+    # always exists, but its zeros may not carry the error
+    code, dd = rs_pair()
+    rng = random.Random(16)
+    solves = _counting(monkeypatch, "_error_system")
+    failed = 0
+    for _ in range(10):
+        r, _ = corrupt(code, encode(code, rand_message(code, rng)), 4, rng)
+        solves.clear()
+        try:
+            audit(dd, r, basic_decode(dd, r, seed=3))
+        except DecodeFail as e:
+            assert str(e).startswith("error values")
+            failed += 1
+        assert solves == ["_error_system"]
+    assert failed > 0
+
+
+BAD_BUDGETS = {"seed-str": {"seed": "x"}, "seed-none": {"seed": None},
+               "seed-float": {"seed": 1.5},
+               "attempts-str": {"max_attempts": "3"},
+               "attempts-zero": {"max_attempts": 0},
+               "attempts-negative": {"max_attempts": -3}}
+
+
+@pytest.mark.parametrize("fn", [find_denominator, basic_decode])
+@pytest.mark.parametrize("kwargs", list(BAD_BUDGETS.values()),
+                         ids=list(BAD_BUDGETS))
+def test_search_budget_is_refused_unless_a_positive_int(fn, kwargs):
+    code, dd = rs_pair()
+    rng = random.Random(17)
+    cw = encode(code, rand_message(code, rng))
+    r, _ = corrupt(code, cw, 2, rng)
+    for word in (r, cw):
+        with pytest.raises(InvariantViolation):
+            fn(dd, word, **kwargs)
 
 
 def test_find_denominator_matches_classical_locator():

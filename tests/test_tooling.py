@@ -2,7 +2,8 @@
 packaging rely on, and for the package's one field type, the few
 places that test its degree, the one representation of K[G]
 matrices, the one raw matrix-vector product, the one transform path,
-the one Krylov routine and the one first-dependency routine.
+the one Krylov routine, the one first-dependency routine and the one
+denominator search per decode.
 
 perfbench/tracer.py wraps library functions by (module, attribute) and
 reads the kernel sampler's operator from its first argument;
@@ -252,6 +253,40 @@ def test_one_first_dependency_routine():
                 for t in node.targets if isinstance(t, ast.Name)}
     assert "wiedemann_kernel_sample" in defined
     assert names_used(trees["decode.py"]) & (defined | {"blackbox"}) == set()
+
+
+def calls_to(tree, names):
+    """Every call in tree to one of names."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in names]
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def test_one_denominator_search_per_decode():
+    """basic_decode makes one find_denominator call, outside any loop or
+    comprehension, and only find_denominator draws folds and streams
+    their columns (through _denominator_columns, the one caller of
+    _fold_matrix): a verified denominator does not depend on the fold,
+    so a second retry loop cannot come back unnoticed."""
+    trees = dict(package_trees())
+    found = {fn for name, tree in trees.items()
+             for fn in callers(tree, name[:-3], {"find_denominator"})}
+    assert found == {"decode.basic_decode"}
+    (decode,) = [node for node in trees["decode.py"].body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "basic_decode"]
+    assert len(calls_to(decode, {"find_denominator"})) == 1
+    assert [call for loop in ast.walk(decode) if isinstance(loop, LOOPS)
+            for call in calls_to(loop, {"find_denominator"})] == []
+    for helper, caller in (("_denominator_columns", "find_denominator"),
+                           ("_fold_matrix", "_denominator_columns")):
+        found = {fn for name, tree in trees.items()
+                 for fn in callers(tree, name[:-3], {helper})}
+        assert found == {"decode." + caller}
 
 
 PACKING_HELPERS = {"_slot_width", "_pack_coeffs", "_unpack_coeffs"}
