@@ -7,7 +7,9 @@ products a0 * f with a0 in the E0 space and f in the E space.  A Pade
 approximant of a received vector r is a pair (a0, a1), a0 != 0, with
 a0 * r = a1 pointwise; a0 is then a denominator of r.  When r = c + eps
 with few errors, every denominator vanishes on the error support, so its
-zero set locates the errors and a small dense solve recovers them.
+zero set locates the errors.  At a place whose row of the check matrix C
+is a scalar times a unit vector (a systematic C has n - k) the syndrome
+gives the error values directly; one small dense solve finds the rest.
 
 The denominator condition "a0 * r lands in the product space" is one
 K-linear system A = expand(C1^t) . diag(r) . expand(E0) whose matrix is
@@ -234,8 +236,9 @@ def denominator_zeros(dd: DecoderData, x):
     return [divmod(i, o) for i, c in enumerate(values) if c == zero]
 
 
-def _error_system(code: EquivariantCode, zeros):
-    """The columns of expand(C^t) at the given (place, group index) pairs.
+def _error_system(code: EquivariantCode, zeros, dropped=frozenset()):
+    """The columns of expand(C^t) at the given (place, group index) pairs,
+    without the rows j |G| + g in dropped.
 
     Row (j, g), column (i, s) holds coefficient g s^{-1} of (C^t)_{j,i},
     which is C_{i,j}: the K-matrix taking error values on the zeros to the
@@ -248,14 +251,74 @@ def _error_system(code: EquivariantCode, zeros):
     for j in range(check.cols):
         blocks = [(entries[i * check.cols + j], shift[s]) for i, s in zeros]
         for g in range(G.order):
-            sub.append([c[t[g]] for c, t in blocks])
+            if j * G.order + g not in dropped:
+                sub.append([c[t[g]] for c, t in blocks])
     return sub
+
+
+def _unit_places(code: EquivariantCode):
+    """{i: (j, c)} for the places i whose row of C is c e_j: a nonzero
+    scalar c at the group identity of entry j and zero elsewhere, with
+    distinct j (the first such place keeps j).  Column (i, s) of the
+    error system is then c times the unit at row (j, s).  A code built
+    through `split_kernel_and_inverse` usually has one per check column:
+    each character's kernel basis is the unit at its free columns."""
+    o, zero = code.group.order, code.field.zero
+    size = code.check.cols * o
+    units = {}
+    for i in range(code.n):
+        row = code.check.coeffs[i * size:(i + 1) * size]
+        hits = [t for t, x in enumerate(row) if x != zero]
+        if (len(hits) == 1 and hits[0] % o == 0
+                and all(j != hits[0] // o for j, _ in units.values())):
+            units[i] = (hits[0] // o, row[hits[0]])
+    return units
+
+
+def _error_values(code: EquivariantCode, zeros, syndrome):
+    """The raw error vector (n |G| values) that vanishes off the zeros and
+    has the given raw syndrome: gauss.solve's solution of
+    _error_system(code, zeros), or Inconsistent.
+
+    A unit place i with row c e_j of C puts c eps(i, s) into syndrome
+    entry (j, s) and nowhere else, so the zeros at the other places solve
+    the system without the unit columns and their rows, consistent
+    exactly when the full one is.  When it has full column rank its one
+    solution is the full system's, and eps(i, s) = c^{-1} (sigma -
+    C^t eps)(j, s) with eps still zero at the unit places; otherwise the
+    full system is solved, so gauss.solve's choice of free unknowns
+    stands."""
+    ctx, o = code.field, code.group.order
+    units = _unit_places(code)
+    free = [(i, s) for i, s in zeros if i not in units]
+    dropped = {units[i][0] * o + s for i, s in zeros if i in units}
+    rhs = [v for t, v in enumerate(syndrome) if t not in dropped]
+    red, pivots = gauss.rref(ctx, [row + [v] for row, v in zip(
+        _error_system(code, free, dropped), rhs)])
+    if pivots and pivots[-1] == len(free):
+        raise Inconsistent("right-hand side outside the column span")
+    evec = [ctx.zero] * (code.n * o)
+    if len(pivots) < len(free):
+        for (i, s), v in zip(zeros, gauss.solve(
+                ctx, _error_system(code, zeros), syndrome)):
+            evec[i * o + s] = v
+        return evec
+    for (i, s), row in zip(free, red):
+        evec[i * o + s] = row[-1]
+    partial = _apply(kg_transpose(code.check), evec) if dropped else ()
+    for i, s in zeros:
+        if i in units:
+            j, c = units[i]
+            evec[i * o + s] = ctx.mul(ctx.inv(c), ctx.sub(
+                syndrome[j * o + s], partial[j * o + s]))
+    return evec
 
 
 def basic_decode(dd: DecoderData, r, seed=0, max_attempts=40,
                  trace=None) -> DecodeResult:
     """Correct r to a codeword: locate errors at the zeros of a verified
-    denominator, then solve for the error values densely.
+    denominator, then read the error values at C's unit places off the
+    syndrome and solve for the rest densely (`_error_values`).
 
     Exact up to dd.radius errors for the geometric constructions; always
     sound (the returned triple is verified: c is a codeword, m encodes to
@@ -283,13 +346,10 @@ def basic_decode(dd: DecoderData, r, seed=0, max_attempts=40,
     zeros = denominator_zeros(dd, x)
     log("denominator vanishes at %d points" % len(zeros))
     try:
-        sol = gauss.solve(ctx, _error_system(code, zeros),
-                          [c for a in syndrome for c in a.coeffs])
+        evec = _error_values(code, zeros,
+                             [c for a in syndrome for c in a.coeffs])
     except Inconsistent:
         raise DecodeFail("error values: inconsistent system") from None
-    evec = [ctx.zero] * (code.n * o)
-    for (i, s), value in zip(zeros, sol):
-        evec[i * o + s] = value
     err = _elements(G, ctx, evec)
     cw = [ga_sub(ri, ei) for ri, ei in zip(r, err)]
     if not all(s.is_zero() for s in parity_check(code, cw)):

@@ -528,7 +528,7 @@ def field_make(p: int, d: int = 1, modulus=None) -> FieldCtx:
     """
     if not isinstance(p, int) or p < 2 or not is_probable_prime(p):
         raise CompositeP("p = %r is not a prime int" % (p,))
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise DegreeMismatch("extension degree must be an int >= 1, got %r"
                              % (d,))
     if d == 1:

@@ -133,8 +133,10 @@ def rref(ctx, m):
         out[c][t] = ctx.one
         pivots.append(c)
         r += 1
-    by_slot = list(zip(*out))
-    return [list(by_slot[t]) for t in order], pivots
+    # lists straight from zip, which reuses its one tuple: short rows as
+    # tuples would be kept on the interpreter's tuple free lists
+    by_slot = list(map(list, zip(*out)))
+    return [by_slot[t] for t in order], pivots
 
 
 def first_dependency(ctx, columns, rows):

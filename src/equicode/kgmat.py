@@ -75,9 +75,9 @@ from .ff import OPS, FieldCtx, root_of_unity
 
 
 def _require_ints(**sizes):
-    """InvariantViolation unless every size is an int."""
+    """InvariantViolation unless every size is an int (a bool is not)."""
     for name, v in sizes.items():
-        if not isinstance(v, int):
+        if isinstance(v, bool) or not isinstance(v, int):
             raise InvariantViolation("%s must be an int, got %r" % (name, v))
 
 

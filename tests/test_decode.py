@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import time
@@ -20,7 +21,9 @@ from equicode.decode import (
     DecodeResult,
     _denominator_columns,
     _error_system,
+    _error_values,
     _fold_matrix,
+    _unit_places,
     basic_decode,
     basic_radius,
     denominator_check,
@@ -33,10 +36,13 @@ from equicode.decode import (
 )
 from equicode.errors import (
     CheckFailed,
+    CompositeP,
     DecodeFail,
+    DegreeMismatch,
     DegreeWindow,
     DegreeWindowWarning,
     DimMismatch,
+    Inconsistent,
     InvariantViolation,
     Mismatch,
     NotADenominatorCandidate,
@@ -53,8 +59,8 @@ from equicode.galg import (
     ga_rand,
     ga_zero,
 )
-from equicode.kgmat import (KGMatrix, expand, kg_apply, kg_matmul,
-                            kg_transpose, kg_zero)
+from equicode.kgmat import (KGMatrix, expand, expanded_rank, kg_apply,
+                            kg_matmul, kg_transpose, kg_zero)
 
 K13 = field_make(13)
 
@@ -526,17 +532,21 @@ def test_decode_with_a_wrong_denominator_solves_once(monkeypatch):
     # always exists, but its zeros may not carry the error
     code, dd = rs_pair()
     rng = random.Random(16)
-    solves = _counting(monkeypatch, "_error_system")
+    solves = _counting(monkeypatch, "_error_values")
+    systems = _counting(monkeypatch, "_error_system")
     failed = 0
     for _ in range(10):
         r, _ = corrupt(code, encode(code, rand_message(code, rng)), 4, rng)
         solves.clear()
+        systems.clear()
         try:
             audit(dd, r, basic_decode(dd, r, seed=3))
         except DecodeFail as e:
             assert str(e).startswith("error values")
             failed += 1
-        assert solves == ["_error_system"]
+        assert solves == ["_error_values"]
+        # one system, of full column rank without the unit places
+        assert systems == ["_error_system"]
     assert failed > 0
 
 
@@ -558,6 +568,34 @@ def test_search_budget_is_refused_unless_a_positive_int(fn, kwargs):
     for word in (r, cw):
         with pytest.raises(InvariantViolation):
             fn(dd, word, **kwargs)
+
+
+# bool subclasses int, but True and False are flags, not sizes
+BOOL_SIZES = {
+    "find_denominator-seed": (InvariantViolation, lambda dd, r, b:
+                              find_denominator(dd, r, seed=b)),
+    "basic_decode-max_attempts": (InvariantViolation, lambda dd, r, b:
+                                  basic_decode(dd, r, max_attempts=b)),
+    "rs_degenerate_code-n": (InvariantViolation, lambda dd, r, b:
+                             rs_degenerate_code(13, b, 0)),
+    "KGMatrix-rows": (InvariantViolation, lambda dd, r, b: KGMatrix(
+        AbelianGroup([]), K13, b, 1, (K13.zero,) * b)),
+    "field_make-p": (CompositeP, lambda dd, r, b: field_make(b)),
+    "field_make-d": (DegreeMismatch, lambda dd, r, b: field_make(13, b)),
+}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("case", list(BOOL_SIZES))
+def test_bools_are_refused_as_sizes(case, flag):
+    code, dd = rs_pair()
+    rng = random.Random(17)
+    r, _ = corrupt(code, encode(code, rand_message(code, rng)), 2, rng)
+    error, call = BOOL_SIZES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegreeWindowWarning)
+        with pytest.raises(error):
+            call(dd, r, flag)
 
 
 def test_find_denominator_matches_classical_locator():
@@ -892,6 +930,99 @@ def test_error_system_is_the_expanded_check_at_the_zeros(code):
         zeros = sorted(rng.sample(places, size))
         assert _error_system(code, zeros) == \
             [[row[i * o + s] for i, s in zeros] for row in ct]
+        dropped = set(rng.sample(range(len(ct)), len(ct) // 2))
+        assert _error_system(code, zeros, dropped) == \
+            [[row[i * o + s] for i, s in zeros]
+             for t, row in enumerate(ct) if t not in dropped]
+
+
+def _mixed_check_code():
+    """The cyclic F_13[Z/4] code with C replaced by C M for a random
+    invertible K[G] matrix M: the same code, with no unit row in C."""
+    code = cyclic_cover_code(13, 1, 4, 3, 1)
+    G, ctx, m = code.group, code.field, code.n - code.k
+    rng = random.Random(19)
+    while True:
+        mix = KGMatrix(G, ctx, m, m, tuple(
+            ctx.rand(rng) for _ in range(m * m * G.order)))
+        if expanded_rank(mix) == m * G.order:
+            return dataclasses.replace(code, check=kg_matmul(code.check, mix))
+
+
+def _error_value_codes():
+    """Code and its number of unit places, by name: genus 2 has c = -1,
+    three times the RS check matrix has c = 3, and an RS check matrix
+    whose rows 6 and 7 are both e_0 has a unit place for j = 0 once."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegreeWindowWarning)
+        genus2 = genus2_example_code()
+    rs = rs_degenerate_code(13, 12, 5)
+    c = rs.check
+    tripled = KGMatrix(c.group, c.field, c.rows, c.cols,
+                       tuple(3 * x % 13 for x in c.coeffs))
+    twice = c.coeffs[:42] + c.coeffs[36:42] + c.coeffs[48:]
+    return {
+        "rs-times-3": (dataclasses.replace(rs, check=tripled), 6),
+        "rs-e0-twice": (dataclasses.replace(rs, check=KGMatrix(
+            c.group, c.field, c.rows, c.cols, twice)), 5),
+        "cyclic": (cyclic_cover_code(13, 1, 4, 3, 1), 2),
+        "two-axis": (synth_split_code(5, 1, AbelianGroup([2, 2]), 4, 2,
+                                      seed=1), 1),
+        "rs": (rs, 6),
+        "genus2": (genus2, 2),
+        "f25": (cyclic_cover_code(5, 2, 4, 3, 1), 2),
+        "no-units": (_mixed_check_code(), 0),
+    }
+
+
+ERROR_VALUE_CODES = _error_value_codes()
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_VALUE_CODES))
+def test_error_values_match_the_full_solve(monkeypatch, case):
+    """_error_values gives gauss.solve's solution of the full system
+    _error_system(code, zeros), or both raise Inconsistent: on zero sets
+    of every size up to all places, for the syndrome of a random error on
+    the zeros and for a random syndrome.  Large zero sets make the
+    system without the unit places rank-deficient, so the full solve
+    runs there too."""
+    code, units = ERROR_VALUE_CODES[case]
+    assert len(_unit_places(code)) == units
+    ctx, o = code.field, code.group.order
+    solve = gauss.solve
+    fallbacks = []
+
+    def counted(*args):
+        fallbacks.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(gauss, "solve", counted)
+    rng = random.Random(20)
+    places = [(i, s) for i in range(code.n) for s in range(o)]
+    outcomes = set()
+    for size in range(len(places) + 1):
+        for trial in range(4):
+            zeros = sorted(rng.sample(places, size))
+            full = _error_system(code, zeros)
+            if trial % 2:
+                syndrome = [ctx.rand(rng) for _ in range(len(full))]
+            else:
+                syndrome = gauss.matvec(ctx, full,
+                                        [ctx.rand(rng) for _ in zeros])
+            try:
+                sol = solve(ctx, full, syndrome)
+            except Inconsistent:
+                with pytest.raises(Inconsistent):
+                    _error_values(code, zeros, syndrome)
+                outcomes.add("inconsistent")
+                continue
+            want = [ctx.zero] * (code.n * o)
+            for (i, s), v in zip(zeros, sol):
+                want[i * o + s] = v
+            assert _error_values(code, zeros, syndrome) == want
+            outcomes.add("solved")
+    assert outcomes == {"inconsistent", "solved"}
+    assert fallbacks
 
 
 def test_basic_decode_runs_no_transform(monkeypatch, tmp_path):

@@ -289,6 +289,32 @@ def test_one_denominator_search_per_decode():
         assert found == {"decode." + caller}
 
 
+def test_one_error_solve_per_decode():
+    """basic_decode recovers the error values with one _error_values call,
+    outside any loop or comprehension.  Only _error_values finds the unit
+    places (through _unit_places, their one helper), builds error systems
+    and eliminates them: one gauss.rref, and gauss.solve on the full
+    system when the reduced one is rank-deficient.  Besides it only the
+    set-up make_split_decoder_data eliminates in decode, so a second
+    solve per decode cannot come back unnoticed."""
+    trees = dict(package_trees())
+    found = {fn for name, tree in trees.items()
+             for fn in callers(tree, name[:-3], {"_error_values"})}
+    assert found == {"decode.basic_decode"}
+    (decode,) = [node for node in trees["decode.py"].body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "basic_decode"]
+    assert len(calls_to(decode, {"_error_values"})) == 1
+    assert [call for loop in ast.walk(decode) if isinstance(loop, LOOPS)
+            for call in calls_to(loop, {"_error_values"})] == []
+    for helper in ("_unit_places", "_error_system"):
+        found = {fn for name, tree in trees.items()
+                 for fn in callers(tree, name[:-3], {helper})}
+        assert found == {"decode._error_values"}
+    assert set(callers(trees["decode.py"], "decode", {"rref", "solve"})) \
+        == {"decode._error_values", "decode.make_split_decoder_data"}
+
+
 PACKING_HELPERS = {"_slot_width", "_pack_coeffs", "_unpack_coeffs"}
 
 
