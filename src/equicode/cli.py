@@ -2,8 +2,9 @@
 
 Conventions:
   * data to stdout or --out files, warnings and progress to stderr;
-  * every randomized subcommand echoes the seed it used to stderr
-    (--seed, falling back to the EQUICODE_SEED variable, then 0);
+  * every randomized subcommand (bench-mul, gen split) echoes the seed
+    it used to stderr (--seed, falling back to the EQUICODE_SEED
+    variable, then 0); decode draws no random number and ignores --seed;
   * JSON artifacts are canonical (see files.py) so identical inputs give
     byte-identical outputs;
   * exit codes: 0 success, 1 parse/usage problems, 2 InvariantViolation,
@@ -208,9 +209,6 @@ def cmd_code(args):
 
 
 def cmd_decode(args):
-    if args.max_attempts < 1:
-        raise ParseError("--max-attempts must be at least 1, got %d"
-                         % args.max_attempts)
     dd = files.load_decoder(args.decoder)
     if args.code:
         if files.load_code(args.code) != dd.code:
@@ -219,13 +217,10 @@ def cmd_decode(args):
     _validate(code)
     group, ctx = code.group, code.field
     r = _load_elements(args.received, group, ctx, "--received")
-    seed = _resolve_seed(args)
-    _echo_seed(seed)
     trace = None
     if args.trace:
         trace = lambda line: print("trace: %s" % line, file=sys.stderr)
-    res = basic_decode(dd, r, seed=seed, max_attempts=args.max_attempts,
-                       trace=trace)
+    res = basic_decode(dd, r, trace=trace)
     out = {"codeword": [files.element_to_obj(a) for a in res.codeword],
            "message": [files.element_to_obj(a) for a in res.message],
            "error": [files.element_to_obj(a) for a in res.error],
@@ -324,9 +319,8 @@ def build_parser():
     p.add_argument("--decoder", required=True)
     p.add_argument("--code")
     p.add_argument("--received", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-attempts", type=int, default=40,
-                   help="folds the denominator search may draw")
+    p.add_argument("--seed", type=int, default=None,
+                   help="ignored: decoding draws no random number")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_decode)

@@ -12,20 +12,18 @@ is a scalar times a unit vector (a systematic C has n - k) the syndrome
 gives the error values directly; one small dense solve finds the rest.
 
 The denominator condition "a0 * r lands in the product space" is one
-K-linear system A = expand(C1^t) . diag(r) . expand(E0) whose matrix is
-never formed.  A has more rows than columns, so a random K[G] matrix R
-folds the checks to the square B = R A, of side k0 |G|.  B's columns are
+K-linear system A = expand(C1^t) . diag(r) . expand(E0), (n - k1) |G|
+rows by k0 |G| columns, whose matrix is never formed.  A's columns are
 made one at a time and eliminated as they come; the first that depends
-on the ones before it gives a kernel vector of B (`find_denominator`).
-With t errors B has rank at most t, so at most t + 1 columns are made.
-ker A lies in ker B, so a B of full rank proves that r has no
-denominator, and a candidate that passes the check against A itself is
-A's own first column dependency, whatever R was: a decode's outcome is a
-function of r, and a fold decides only how many candidates are refused.
+on the ones before it is a kernel vector of A, a denominator
+(`find_denominator`).  With t errors A has rank at most t, so at most
+t + 1 columns are made, and an A of full column rank proves that r has
+no denominator.  Decoding draws no random number: a decode's outcome is
+a function of r.
 
 The decoder computes on raw coefficients only, through `kgmat._apply`,
-the one raw matrix-vector product.  Column (b, h) of B is one apply,
-_apply(R C1^t, r * (column b of E0 translated by h)): expand(E0)'s
+the one raw matrix-vector product.  Column (b, h) of A is one apply,
+_apply(C1^t, r * (column b of E0 translated by h)): expand(E0)'s
 column is a re-indexing of E0's, so only the second stage of A runs.
 `denominator_check` applies C1^t and `pade_numerator` I1 to the product
 (E0 x) * r, taken while E0 x is unpacked, with one reduction per value,
@@ -150,69 +148,39 @@ def denominator_check(dd: DecoderData, r, x) -> bool:
     return all(c == zero for c in _apply(kg_transpose(dd.c1), u))
 
 
-def _fold_matrix(dd: DecoderData, rng) -> KGMatrix:
-    """A random k0 x (n-k1) K[G] matrix: the fold of the extended checks,
-    drawn row-major, |G| values per entry."""
-    G, ctx = dd.code.group, dd.code.field
-    rows, cols = dd.e0.cols, dd.c1.cols
-    return KGMatrix(G, ctx, rows, cols, tuple(
-        ctx.rand(rng) for _ in range(rows * cols * G.order)))
-
-
-def _denominator_columns(dd: DecoderData, r, rng):
-    """The columns of the folded denominator condition, one at a time.
-
-    The condition itself, A = expand(C1^t) . diag(r) . expand(E0), is
-    (n-k1)o x k0 o.  A random k0 x (n-k1) K[G] matrix R drawn from rng
-    folds it to the square B = expand(R C1^t) . diag(r) . expand(E0); R
-    C1^t is formed here, the columns as they are pulled.  Column (b, h) of
-    expand(E0), for the coefficient index b o + h, is column b of E0 with
-    every entry translated by h (coefficient g is coefficient g h^{-1}),
-    so column (b, h) of B costs one apply of R C1^t to r times it."""
+def _denominator_columns(dd: DecoderData, r):
+    """The columns of the denominator condition
+    A = expand(C1^t) . diag(r) . expand(E0), (n-k1)o x k0 o, one at a
+    time, as they are pulled.  Column (b, h) of expand(E0), for the
+    coefficient index b o + h, is column b of E0 with every entry
+    translated by h (coefficient g is coefficient g h^{-1}), so column
+    (b, h) of A costs one apply of C1^t to r times it."""
     G, ctx, k0 = dd.code.group, dd.code.field, dd.e0.cols
-    # R C1^t = (C1 R^t)^t, as K[G] commutes; C1 keeps its packed rows
-    rc = kg_transpose(kg_matmul(dd.c1, kg_transpose(_fold_matrix(dd, rng))))
-    e0, scale = _blocks(dd.e0), _flat(dd.i1, r)
+    c1t, e0, scale = kg_transpose(dd.c1), _blocks(dd.e0), _flat(dd.i1, r)
     shifts = [G.quotients(h) for h in range(G.order)]
-    return (_apply(rc, ctx.vmul([a[g] for a in e0[b::k0] for g in q], scale))
+    return (_apply(c1t, ctx.vmul([a[g] for a in e0[b::k0] for g in q], scale))
             for b in range(k0) for q in shifts)
 
 
-def _require_search_args(seed, max_attempts):
-    _require_ints(seed=seed, max_attempts=max_attempts)
-    if max_attempts < 1:
-        raise InvariantViolation("max_attempts must be at least 1")
+def find_denominator(dd: DecoderData, r):
+    """A denominator of r, or None.
 
-
-def find_denominator(dd: DecoderData, r, seed=0, max_attempts=40):
-    """Find a verified denominator of r, or None.
-
-    Each attempt folds the checks with a fresh R (stream
-    fold/<seed>/<attempt>) and eliminates B's columns as they come
-    (`gauss.first_dependency`) up to the first that depends on the ones
-    before it, which gives a kernel vector of B.  With t errors B has rank
-    at most t, so at most t + 1 of its k0 o columns are made.  ker A lies
-    in ker B: a B of full rank proves that r has no denominator and ends
-    the search, and a candidate that passes denominator_check is A's own
-    first column dependency, the same for every R.  Only a refused
-    candidate draws the next fold.  None means either that certificate
-    or max_attempts refused candidates.
+    A's columns are eliminated as they come (`gauss.first_dependency`) up
+    to the first that depends on the ones before it, which gives a kernel
+    vector of A, with its last nonzero coordinate one.  With t errors A
+    has rank at most t, so at most t + 1 of its k0 o columns are made.
+    None certifies that A has full column rank: r has no denominator.
     """
-    _require_search_args(seed, max_attempts)
     if len(r) != dd.code.n:
         raise DimMismatch("received word has length %d, expected %d"
                           % (len(r), dd.code.n))
     G, ctx = dd.code.group, dd.code.field
     size = dd.e0.cols * G.order
-    for attempt in range(max_attempts):
-        coeffs = gauss.first_dependency(ctx, _denominator_columns(
-            dd, r, random.Random("fold/%d/%d" % (seed, attempt))), size)
-        if coeffs is None:
-            return None
-        x = _elements(G, ctx, coeffs + [ctx.zero] * (size - len(coeffs)))
-        if denominator_check(dd, r, x):
-            return x
-    return None
+    coeffs = gauss.first_dependency(ctx, _denominator_columns(dd, r),
+                                    dd.c1.cols * G.order)
+    if coeffs is None:
+        return None
+    return _elements(G, ctx, coeffs + [ctx.zero] * (size - len(coeffs)))
 
 
 def pade_numerator(dd: DecoderData, r, x) -> PadeApproximant:
@@ -314,21 +282,20 @@ def _error_values(code: EquivariantCode, zeros, syndrome):
     return evec
 
 
-def basic_decode(dd: DecoderData, r, seed=0, max_attempts=40,
-                 trace=None) -> DecodeResult:
-    """Correct r to a codeword: locate errors at the zeros of a verified
+def basic_decode(dd: DecoderData, r, seed=None, trace=None) -> DecodeResult:
+    """Correct r to a codeword: locate errors at the zeros of a
     denominator, then read the error values at C's unit places off the
     syndrome and solve for the rest densely (`_error_values`).
 
     Exact up to dd.radius errors for the geometric constructions; always
     sound (the returned triple is verified: c is a codeword, m encodes to
     c, r = c + error, and the error sits inside the denominator's zeros).
-    One denominator search (budget: max_attempts folds), one error solve,
-    one verification; DecodeFail names the stage that failed: "denominator
-    search", "error values" or "verification".  trace, if given, is
-    called with one line per pipeline stage.
+    One denominator search, one error solve, one verification; DecodeFail
+    names the stage that failed: "denominator search", "error values" or
+    "verification".  Nothing is random: seed is accepted for existing
+    callers and ignored.  trace, if given, is called with one line per
+    pipeline stage.
     """
-    _require_search_args(seed, max_attempts)
     log = trace if trace is not None else lambda line: None
     code = dd.code
     G, ctx, o = code.group, code.field, code.group.order
@@ -340,9 +307,10 @@ def basic_decode(dd: DecoderData, r, seed=0, max_attempts=40,
         zero = GroupAlgebraElement(G, ctx, (ctx.zero,) * o)
         return DecodeResult(tuple(r), tuple(m), (zero,) * code.n, None, ())
     log("syndrome nonzero, searching denominators")
-    x = find_denominator(dd, r, seed=seed, max_attempts=max_attempts)
+    x = find_denominator(dd, r)
     if x is None:
-        raise DecodeFail("denominator search: none in %d folds" % max_attempts)
+        raise DecodeFail("denominator search: the Pade condition has full "
+                         "column rank")
     zeros = denominator_zeros(dd, x)
     log("denominator vanishes at %d points" % len(zeros))
     try:

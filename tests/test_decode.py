@@ -22,7 +22,6 @@ from equicode.decode import (
     _denominator_columns,
     _error_system,
     _error_values,
-    _fold_matrix,
     _unit_places,
     basic_decode,
     basic_radius,
@@ -60,7 +59,7 @@ from equicode.galg import (
     ga_zero,
 )
 from equicode.kgmat import (KGMatrix, expand, expanded_rank, kg_apply,
-                            kg_matmul, kg_transpose, kg_zero)
+                            kg_matmul, kg_transpose)
 
 K13 = field_make(13)
 
@@ -210,14 +209,14 @@ OPERATOR_PAIRS = _operator_pairs()
        seed=st.integers(0, 2 ** 32), top=st.booleans())
 @example(case="two-axis-f5", seed=2773, top=False)  # draws a zero candidate
 def test_denominator_operator_matches_dense_expansion(case, seed, top):
-    """The streamed columns are those of the folded condition
-    expand(R C1^t) . diag(r) . expand(E0), in coefficient order; with top,
-    r and x are all p - 1, so every packed slot is as large as it gets.
-    denominator_check, pade_numerator and denominator_zeros agree with the
-    unfolded A = expand(C1^t) . diag(r) . expand(E0), with expand(I1) on
-    the same product and with the zeros of expand(E0) . x, on r and on a
-    codeword, for which every candidate is a denominator.  A random
-    candidate can be zero, which denominator_check refuses."""
+    """The streamed columns are those of the condition
+    A = expand(C1^t) . diag(r) . expand(E0), in coefficient order; with
+    top, r and x are all p - 1, so every packed slot is as large as it
+    gets.  denominator_check, pade_numerator and denominator_zeros agree
+    with A, with expand(I1) on the same product and with the zeros of
+    expand(E0) . x, on r and on a codeword, for which every candidate is
+    a denominator.  A random candidate can be zero, which
+    denominator_check refuses."""
     code, dd = OPERATOR_PAIRS[case]
     G, ctx, o = code.group, code.field, code.group.order
     rng = random.Random(seed)
@@ -226,17 +225,11 @@ def test_denominator_operator_matches_dense_expansion(case, seed, top):
         r = [GroupAlgebraElement(G, ctx, (full,) * o)] * code.n
     else:
         r = [ga_rand(G, ctx, rng) for _ in range(code.n)]
-    rvec = [c for a in r for c in a.coeffs]
-    fold = _fold_matrix(dd, random.Random("fold/%d" % seed))
-    folded = expand(kg_matmul(fold, kg_transpose(dd.c1)))
     e0x = expand(dd.e0)
-    scaled = [[ctx.mul(rvec[i], v) for v in row] for i, row in enumerate(e0x)]
-    dense = gauss.matmul(ctx, folded, scaled)
-    cols = list(_denominator_columns(dd, r,
-                                     random.Random("fold/%d" % seed)))
+    cols = list(_denominator_columns(dd, r))
     size = dd.e0.cols * o
-    assert len(cols) == size == len(dense)
-    assert cols == gauss.transpose(dense)
+    assert len(cols) == size
+    assert cols == gauss.transpose(_unfolded_condition(dd, r))
     xs = [[full] * size] if top else []
     xs += [[ctx.rand(rng) for _ in range(size)] for _ in range(3)]
     # a candidate that vanishes at the first k0 o - 1 coordinates at least
@@ -247,7 +240,7 @@ def test_denominator_operator_matches_dense_expansion(case, seed, top):
         wvec = [c for a in word for c in a.coeffs]
         prod = [[ctx.mul(wvec[i], v) for v in row]
                 for i, row in enumerate(e0x)]
-        unfolded = gauss.matmul(ctx, expand(kg_transpose(dd.c1)), prod)
+        condition = gauss.matmul(ctx, expand(kg_transpose(dd.c1)), prod)
         interp = gauss.matmul(ctx, expand(dd.i1), prod)
         for xv in xs:
             x = galg._elements(G, ctx, xv)
@@ -255,7 +248,7 @@ def test_denominator_operator_matches_dense_expansion(case, seed, top):
                 with pytest.raises(NotADenominatorCandidate):
                     denominator_check(dd, word, x)
                 continue
-            passes = set(gauss.matvec(ctx, unfolded, xv)) == {zero}
+            passes = set(gauss.matvec(ctx, condition, xv)) == {zero}
             assert denominator_check(dd, word, x) == passes
             assert passes or word is r
             if passes:
@@ -275,29 +268,28 @@ def test_denominator_operator_matches_dense_expansion(case, seed, top):
 @pytest.mark.parametrize("case", sorted(OPERATOR_PAIRS))
 def test_denominator_operator_apply_nominal_op_count(case):
     """One column counts the nominal field operations of its n |G|
-    pointwise products and its packed K[G] matrix-vector product:
-    n |G| + 2 k0 n (2d - 1) T, T = prod_k (2 o_k - 1)."""
+    pointwise products and its packed K[G] matrix-vector product, C1^t
+    applied: n |G| + 2 (n - k1) n (2d - 1) T, T = prod_k (2 o_k - 1)."""
     code, dd = OPERATOR_PAIRS[case]
     G, ctx = code.group, code.field
-    n, k0, d = code.n, dd.e0.cols, ctx.d
+    n, k1, d = code.n, dd.i1.rows, ctx.d
     T = 1
     for o in G.factors:
         T *= 2 * o - 1
     rng = random.Random(23)
     r = [ga_rand(G, ctx, rng) for _ in range(n)]
-    columns = _denominator_columns(dd, r, random.Random(24))
-    for _ in range(2):  # the first column packs R C1^t
+    columns = _denominator_columns(dd, r)
+    for _ in range(2):  # the first column may pack C1^t
         with count_field_ops() as counted:
             next(columns)
-        assert counted.count == n * G.order + 2 * k0 * n * (2 * d - 1) * T
+        assert counted.count == \
+            n * G.order + 2 * (n - k1) * n * (2 * d - 1) * T
 
 
-def test_fold_attempts_pack_c1_once(monkeypatch):
-    """Each fold forms R C1^t as (C1 R^t)^t (K[G] is commutative), so
-    C1's rows are packed once and kept on dd.c1: a second fold packs only
-    the k0 columns of its own R^t."""
+def test_column_searches_pack_c1_once(monkeypatch):
+    """C1^t is kept on dd.c1 and its rows, once packed, on C1^t: a second
+    search packs only its own columns."""
     code, dd = cyclic_pair()
-    o, k0 = code.group.order, dd.e0.cols
     packed = []
     real = kgmat._pack_coeffs
 
@@ -307,54 +299,14 @@ def test_fold_attempts_pack_c1_once(monkeypatch):
 
     monkeypatch.setattr(kgmat, "_pack_coeffs", counting)
     rng = random.Random(5)
-    r = [ga_rand(code.group, code.field, rng) for _ in range(code.n)]
     counts = []
-    for seed in (1, 2):
+    for _ in range(2):
+        r = [ga_rand(code.group, code.field, rng) for _ in range(code.n)]
         packed.clear()
-        _denominator_columns(dd, r, random.Random(seed))
+        next(_denominator_columns(dd, r))
         counts.append(list(packed))
-    column = dd.c1.cols * o
-    assert counts == [[len(dd.c1.coeffs)] + [column] * k0, [column] * k0]
-
-
-def _zero_fold(dd, rng):
-    return kg_zero(dd.code.group, dd.code.field, dd.e0.cols, dd.c1.cols)
-
-
-def _radius_word(code, dd, rng):
-    """A corrupted codeword with exactly dd.radius expanded errors."""
-    return corrupt(code, encode(code, rand_message(code, rng)), dd.radius,
-                   rng)[0]
-
-
-def test_zero_fold_costs_retries_not_a_wrong_answer(monkeypatch):
-    # R = 0 makes B = 0: its first column is a dependency, and the unit
-    # vector it gives is turned away by denominator_check on every attempt
-    code = cyclic_cover_code(257, 1, 16, 8, 2)
-    dd = make_cyclic_decoder_data(code, 2)
-    r = _radius_word(code, dd, random.Random(12))
-    assert find_denominator(dd, r, seed=3) is not None
-    monkeypatch.setattr(decode_module, "_fold_matrix", _zero_fold)
-    assert find_denominator(dd, r, seed=3, max_attempts=8) is None
-
-
-def test_zero_fold_first_then_random_recovers(monkeypatch):
-    real = decode_module._fold_matrix
-    folds = []
-
-    def first_zero(dd, rng):
-        folds.append(_zero_fold(dd, rng) if not folds else real(dd, rng))
-        return folds[-1]
-
-    for code, dd in (rs_pair(), cyclic_pair()):
-        r = _radius_word(code, dd, random.Random(13))
-        folds.clear()
-        monkeypatch.setattr(decode_module, "_fold_matrix", first_zero)
-        x = find_denominator(dd, r, seed=4)
-        monkeypatch.undo()
-        assert x is not None and denominator_check(dd, r, x)
-        assert len(folds) >= 2
-        assert set(folds[0].coeffs) == {dd.code.field.zero}
+    column = code.n * code.group.order
+    assert counts == [[len(dd.c1.coeffs), column], [column]]
 
 
 def _small_field_pairs():
@@ -375,60 +327,46 @@ SMALL_FIELD_PAIRS = _small_field_pairs()
 
 @settings(max_examples=60, deadline=None)
 @given(which=st.integers(0, len(SMALL_FIELD_PAIRS) - 1),
-       word_seed=st.integers(0, 2 ** 16), seed=st.integers(0, 2 ** 16),
-       weight=st.integers(0, 3))
-def test_find_denominator_results_are_verified(which, word_seed, seed,
-                                                weight):
-    """Every column an attempt pulls is that column of expand(R) times the
-    unfolded A = expand(C1^t) . diag(r) . expand(E0), for the attempt's
-    R; the columns before the last are independent.  A returned x passes
-    denominator_check and lies in the kernel of the last attempt's B,
-    with its last nonzero coefficient one, at the last column pulled."""
+       word_seed=st.integers(0, 2 ** 16), weight=st.integers(0, 3))
+def test_find_denominator_results_are_verified(which, word_seed, weight):
+    """The columns the search pulls are A's leading columns,
+    A = expand(C1^t) . diag(r) . expand(E0), and those before the last
+    are independent.  A returned x passes denominator_check and lies in
+    the kernel of A, with its last nonzero coefficient one, at the last
+    column pulled; None comes after every column, all independent."""
     code, dd = SMALL_FIELD_PAIRS[which]
     ctx = code.field
     rng = random.Random(word_seed)
     r, _ = corrupt(code, encode(code, rand_message(code, rng)),
                    min(weight, dd.radius), rng)
-    folds, pulled = [], []
-    real_fold = decode_module._fold_matrix
+    pulled = []
     real_columns = decode_module._denominator_columns
 
-    def recording_fold(*args):
-        folds.append(real_fold(*args))
-        return folds[-1]
-
     def recording_columns(*args):
-        pulled.append([])
         for col in real_columns(*args):
-            pulled[-1].append(col)
+            pulled.append(col)
             yield col
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decode_module, "_fold_matrix", recording_fold)
         mp.setattr(decode_module, "_denominator_columns", recording_columns)
-        x = find_denominator(dd, r, seed=seed, max_attempts=4)
-    rvec = [c for a in r for c in a.coeffs]
-    prod = [[ctx.mul(rvec[i], v) for v in row]
-            for i, row in enumerate(expand(dd.e0))]
-    unfolded = gauss.matmul(ctx, expand(kg_transpose(dd.c1)), prod)
-    assert len(folds) == len(pulled) >= 1
-    for fold, cols in zip(folds, pulled):
-        b = gauss.matmul(ctx, expand(fold), unfolded)
-        assert cols == gauss.transpose(b)[:len(cols)]
-        assert gauss.rank(ctx, cols[:-1]) == len(cols) - 1
+        x = find_denominator(dd, r)
+    a = _unfolded_condition(dd, r)
+    assert pulled == gauss.transpose(a)[:len(pulled)]
     if x is None:
+        assert gauss.rank(ctx, pulled) == len(pulled) == len(a[0])
         return
+    assert gauss.rank(ctx, pulled[:-1]) == len(pulled) - 1
     assert denominator_check(dd, r, x)
     flat = [c for a in x for c in a.coeffs]
     last = max(i for i, c in enumerate(flat) if c != ctx.zero)
-    assert flat[last] == ctx.one and last == len(pulled[-1]) - 1
-    assert gauss.matvec(ctx, b, flat) == [ctx.zero] * len(flat)
+    assert flat[last] == ctx.one and last == len(pulled) - 1
+    assert gauss.matvec(ctx, a, flat) == [ctx.zero] * len(a)
 
 
 def test_column_search_stops_at_the_first_dependency(monkeypatch):
-    # N = 256: B has side k0 o = 64 and rank at most the error count, so
-    # a word at the radius t = 63 pulls all 64 columns per fold attempt,
-    # and a word with 15 errors at most 16
+    # N = 256: A has k0 o = 64 columns and rank at most the error count,
+    # so a word at the radius t = 63 pulls all 64 columns, and a word with
+    # 15 errors at most 16
     code = cyclic_cover_code(12289, 1, 32, 8, 2)
     dd = make_cyclic_decoder_data(code, 2)
     pulled = []
@@ -445,9 +383,9 @@ def test_column_search_stops_at_the_first_dependency(monkeypatch):
     for t, most in ((dd.radius, 64), (15, 16)):
         pulled.clear()
         r, _ = corrupt(code, encode(code, rand_message(code, rng)), t, rng)
-        assert find_denominator(dd, r, seed=1, max_attempts=4) is not None
-        assert pulled and max(pulled) <= most
-        assert t < dd.radius or pulled == [64] * len(pulled)
+        assert find_denominator(dd, r) is not None
+        assert len(pulled) == 1 and pulled[0] <= most
+        assert t < dd.radius or pulled == [64]
 
 
 def _unfolded_condition(dd, r):
@@ -474,10 +412,9 @@ def _first_column_dependency(ctx, a):
 
 @pytest.mark.parametrize("pair", [rs_pair, cyclic_pair])
 def test_find_denominator_is_the_first_dependency_of_a(pair):
-    # ker A lies in ker B for every fold R, so a verified candidate is A's
-    # own first column dependency and a B of full rank certifies that A
-    # has none: the search returns the same thing for every seed.  The
-    # RS pair's A is 3 x 4, so only the cyclic pair's can have full rank
+    # the search returns A's first column dependency, or None when A has
+    # full column rank.  The RS pair's A is 3 x 4, so only the cyclic
+    # pair's can have full rank
     code, dd = pair()
     ctx = code.field
     rng = random.Random(14)
@@ -490,10 +427,9 @@ def test_find_denominator_is_the_first_dependency_of_a(pair):
                            rng)
             want = _first_column_dependency(ctx, _unfolded_condition(dd, r))
             found[want is None] += 1
-            for seed in range(6):
-                x = find_denominator(dd, r, seed=seed)
-                got = None if x is None else [c for a in x for c in a.coeffs]
-                assert got == want, (t, seed)
+            x = find_denominator(dd, r)
+            got = None if x is None else [c for a in x for c in a.coeffs]
+            assert got == want, t
     assert found[False] > 0
     assert pair is rs_pair or found[True] > 0
 
@@ -510,21 +446,27 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_decode_without_a_denominator_draws_one_fold(monkeypatch):
+def test_decode_fails_in_the_search_exactly_at_full_column_rank():
     # beyond the radius of the cyclic pair A is square and mostly of full
-    # rank: the first fold's B proves that no denominator exists
+    # rank; the search fails exactly when it is, and at the radius never
     code, dd = cyclic_pair()
     rng = random.Random(15)
-    while True:
-        r, _ = corrupt(code, encode(code, rand_message(code, rng)),
-                       dd.radius + 1, rng)
-        if _first_column_dependency(code.field,
-                                    _unfolded_condition(dd, r)) is None:
-            break
-    folds = _counting(monkeypatch, "_fold_matrix")
-    with pytest.raises(DecodeFail, match="denominator search"):
-        basic_decode(dd, r, seed=2)
-    assert folds == ["_fold_matrix"]
+    seen = {True: 0, False: 0}
+    for t in [dd.radius] * 4 + [dd.radius + 1] * 8:
+        r, _ = corrupt(code, encode(code, rand_message(code, rng)), t, rng)
+        full = _first_column_dependency(
+            code.field, _unfolded_condition(dd, r)) is None
+        seen[full] += 1
+        try:
+            audit(dd, r, basic_decode(dd, r))
+            failed = ""
+        except DecodeFail as e:
+            failed = str(e)
+        assert failed.startswith("denominator search") == full, t
+        if full:
+            assert failed == ("denominator search: the Pade condition has "
+                              "full column rank")
+    assert seen[True] > 0 and seen[False] >= 4
 
 
 def test_decode_with_a_wrong_denominator_solves_once(monkeypatch):
@@ -540,7 +482,7 @@ def test_decode_with_a_wrong_denominator_solves_once(monkeypatch):
         solves.clear()
         systems.clear()
         try:
-            audit(dd, r, basic_decode(dd, r, seed=3))
+            audit(dd, r, basic_decode(dd, r))
         except DecodeFail as e:
             assert str(e).startswith("error values")
             failed += 1
@@ -550,32 +492,8 @@ def test_decode_with_a_wrong_denominator_solves_once(monkeypatch):
     assert failed > 0
 
 
-BAD_BUDGETS = {"seed-str": {"seed": "x"}, "seed-none": {"seed": None},
-               "seed-float": {"seed": 1.5},
-               "attempts-str": {"max_attempts": "3"},
-               "attempts-zero": {"max_attempts": 0},
-               "attempts-negative": {"max_attempts": -3}}
-
-
-@pytest.mark.parametrize("fn", [find_denominator, basic_decode])
-@pytest.mark.parametrize("kwargs", list(BAD_BUDGETS.values()),
-                         ids=list(BAD_BUDGETS))
-def test_search_budget_is_refused_unless_a_positive_int(fn, kwargs):
-    code, dd = rs_pair()
-    rng = random.Random(17)
-    cw = encode(code, rand_message(code, rng))
-    r, _ = corrupt(code, cw, 2, rng)
-    for word in (r, cw):
-        with pytest.raises(InvariantViolation):
-            fn(dd, word, **kwargs)
-
-
 # bool subclasses int, but True and False are flags, not sizes
 BOOL_SIZES = {
-    "find_denominator-seed": (InvariantViolation, lambda dd, r, b:
-                              find_denominator(dd, r, seed=b)),
-    "basic_decode-max_attempts": (InvariantViolation, lambda dd, r, b:
-                                  basic_decode(dd, r, max_attempts=b)),
     "rs_degenerate_code-n": (InvariantViolation, lambda dd, r, b:
                              rs_degenerate_code(13, b, 0)),
     "KGMatrix-rows": (InvariantViolation, lambda dd, r, b: KGMatrix(
@@ -605,7 +523,7 @@ def test_find_denominator_matches_classical_locator():
     for trial in range(10):
         cw = encode(code, rand_message(code, rng))
         r, pos = corrupt(code, cw, 3, rng)
-        x = find_denominator(dd, r, seed=trial)
+        x = find_denominator(dd, r)
         assert x is not None
         assert denominator_check(dd, r, x)
         # locator polynomial prod (X - x_i) over the error positions
@@ -669,7 +587,7 @@ def test_basic_decode_rs_against_berlekamp_welch():
         cw = encode(code, m)
         t = rng.randrange(0, 4)
         r, _ = corrupt(code, cw, t, rng)
-        res = basic_decode(dd, r, seed=trial)
+        res = basic_decode(dd, r)
         audit(dd, r, res)
         assert list(res.codeword) == cw
         assert list(res.message) == m
@@ -677,12 +595,24 @@ def test_basic_decode_rs_against_berlekamp_welch():
         assert oracle == [a.coeffs[0] for a in m]
 
 
+def test_basic_decode_ignores_its_seed():
+    # decoding draws no random number; seed stays for older callers
+    code, dd = cyclic_pair()
+    rng = random.Random(18)
+    for t in (1, dd.radius):
+        r, _ = corrupt(code, encode(code, rand_message(code, rng)), t, rng)
+        want = basic_decode(dd, r)
+        audit(dd, r, want)
+        for seed in (0, 1, 12345):
+            assert basic_decode(dd, r, seed=seed) == want
+
+
 def test_basic_decode_fast_path():
     code, dd = rs_pair()
     rng = random.Random(10)
     m = rand_message(code, rng)
     r = encode(code, m)
-    res = basic_decode(dd, r, seed=0)
+    res = basic_decode(dd, r)
     assert res.denominator is None and res.zeros == ()
     assert list(res.message) == m
     assert all(a.is_zero() for a in res.error)
@@ -697,7 +627,7 @@ def test_basic_decode_beyond_radius_stays_sound():
         cw = encode(code, rand_message(code, rng))
         r, _ = corrupt(code, cw, 5, rng)
         try:
-            res = basic_decode(dd, r, seed=trial, max_attempts=8)
+            res = basic_decode(dd, r)
         except DecodeFail:
             fails += 1
             continue
@@ -744,7 +674,7 @@ def test_rs_decoder_data_zero_auxiliary_degree():
     assert dd.radius == 0
     rng = random.Random(12)
     m = rand_message(code, rng)
-    res = basic_decode(dd, encode(code, m), seed=0)
+    res = basic_decode(dd, encode(code, m))
     assert list(res.message) == m
 
 
@@ -771,7 +701,7 @@ def test_cyclic_decoder_data_parameters_and_decoding():
         cw = encode(code, m)
         t = rng.randrange(0, 4)
         r, _ = corrupt(code, cw, t, rng)
-        res = basic_decode(dd, r, seed=trial)
+        res = basic_decode(dd, r)
         audit(dd, r, res)
         assert list(res.codeword) == cw
         assert list(res.message) == m
@@ -821,7 +751,7 @@ def test_split_decoder_data_on_cyclic_code():
         cw = encode(code, rand_message(code, rng))
         t = rng.randrange(0, 4)
         r, _ = corrupt(code, cw, t, rng)
-        res = basic_decode(dd, r, seed=trial)
+        res = basic_decode(dd, r)
         audit(dd, r, res)
         assert list(res.codeword) == cw  # observed exact on this fixture
 
@@ -900,8 +830,7 @@ def test_basic_decode_bit_equal_to_entrywise_apply(fixture, monkeypatch):
     for trial in range(6):
         cw = encode(code, rand_message(code, rng))
         words.append(corrupt(code, cw, trial % 4, rng)[0])
-    spectral = [basic_decode(dd, r, seed=seed)
-                for seed, r in enumerate(words)]
+    spectral = [basic_decode(dd, r) for r in words]
     monkeypatch.setattr(code_module, "kg_apply", entrywise_apply)
     applied = []
 
@@ -910,8 +839,7 @@ def test_basic_decode_bit_equal_to_entrywise_apply(fixture, monkeypatch):
         return entrywise_apply_flat(*args, **kwargs)
 
     monkeypatch.setattr(decode_module, "_apply", reference)
-    entrywise = [basic_decode(dd, r, seed=seed)
-                 for seed, r in enumerate(words)]
+    entrywise = [basic_decode(dd, r) for r in words]
     assert spectral == entrywise
     assert applied  # the denominator's column search ran the reference
 
@@ -1050,7 +978,7 @@ def test_basic_decode_runs_no_transform(monkeypatch, tmp_path):
                 monkeypatch.setattr(mod, name, counting)
     for data in (dd, reloaded):
         calls.clear()
-        res = basic_decode(data, r, seed=3)
+        res = basic_decode(data, r)
         assert res.denominator is not None and list(res.message) == msg
         assert calls == []
         audit(data, r, res)

@@ -161,7 +161,7 @@ def test_loaded_decoder_decodes(tmp_path):
     rng = random.Random(1)
     m = [ga_rand(cc.group, cc.field, rng) for _ in range(cc.k)]
     cw = encode(cc, m)
-    res = basic_decode(loaded, cw, seed=0)
+    res = basic_decode(loaded, cw)
     assert list(res.message) == m
 
 

@@ -2,8 +2,8 @@
 
 Each fixture writes its code and decoder files, corrupts one codeword at
 fixed positions and decodes it through the CLI.  The digests pin the bytes
-of all three artifacts, so a refactor that changes any matrix, the
-denominator search or the decode loop's choice of seeds shows up here.  A
+of all three artifacts, so a refactor that changes any matrix or the
+denominator search shows up here.  A
 second digest pins only the decoded codeword, message and error: those
 are unique within the radius, so it holds across changes that find a
 different denominator.
@@ -54,7 +54,7 @@ def _decode(tmp_path, dec_path, positions, seed):
                       _corrupted_word(dd.code, positions, seed))
     assert cli.main(["decode", "--decoder", str(dec_path),
                      "--received", "@%s" % word_path,
-                     "--seed", str(seed), "--out", str(out_path)]) == 0
+                     "--out", str(out_path)]) == 0
     return out_path
 
 
@@ -100,7 +100,7 @@ GOLDEN = {
         "71f972bd85df5c7224b32469ef742ad053640cd2e1e2b85ec5a2590d54575afe",
         "60726f62f3e0e85ee8d8a671faad502a7d03f918bea9d28b0df76c7d9c29cd35",
         # the decode output holds the denominator, the first column
-        # dependency of the condition folded by the attempts' random R
+        # dependency of the Pade condition
         "c546b6bdb83bc5a7a2f06a91b3ac6c8b62e61966a15311bbfbf476bd4648913b",
     )),
     "cyclic257": (cyclic257, (

@@ -239,7 +239,7 @@ def test_one_krylov_routine():
 def test_one_first_dependency_routine():
     """gauss.first_dependency is called only by the Krylov routine and by
     the decoder's column search, and decode names nothing that blackbox
-    defines: denominators come from the columns of the folded condition,
+    defines: denominators come from the columns of the Pade condition,
     not from a black-box kernel sample."""
     trees = dict(package_trees())
     found = {fn for name, tree in trees.items()
@@ -268,10 +268,11 @@ LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
 
 def test_one_denominator_search_per_decode():
     """basic_decode makes one find_denominator call, outside any loop or
-    comprehension, and only find_denominator draws folds and streams
-    their columns (through _denominator_columns, the one caller of
-    _fold_matrix): a verified denominator does not depend on the fold,
-    so a second retry loop cannot come back unnoticed."""
+    comprehension, and only find_denominator streams the condition's
+    columns (through _denominator_columns), so a second retry loop cannot
+    come back unnoticed.  In decode only the set-up
+    make_split_decoder_data names random or draws (ctx.rand), so no
+    random draw can come back onto the decode path."""
     trees = dict(package_trees())
     found = {fn for name, tree in trees.items()
              for fn in callers(tree, name[:-3], {"find_denominator"})}
@@ -282,11 +283,13 @@ def test_one_denominator_search_per_decode():
     assert len(calls_to(decode, {"find_denominator"})) == 1
     assert [call for loop in ast.walk(decode) if isinstance(loop, LOOPS)
             for call in calls_to(loop, {"find_denominator"})] == []
-    for helper, caller in (("_denominator_columns", "find_denominator"),
-                           ("_fold_matrix", "_denominator_columns")):
-        found = {fn for name, tree in trees.items()
-                 for fn in callers(tree, name[:-3], {helper})}
-        assert found == {"decode." + caller}
+    found = {fn for name, tree in trees.items()
+             for fn in callers(tree, name[:-3], {"_denominator_columns"})}
+    assert found == {"decode.find_denominator"}
+    drawing = {getattr(node, "name", None) for node in trees["decode.py"].body
+               if not isinstance(node, ast.Import)
+               and names_used(node) & {"random", "rand"}}
+    assert drawing == {"make_split_decoder_data"}
 
 
 def test_one_error_solve_per_decode():
