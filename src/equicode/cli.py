@@ -277,8 +277,16 @@ def cmd_gen(args):
 # ------------------------------------------------------------------ driver
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, so --json-errors reports them too;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        raise ParseError("%s: %s" % (self.prog, message))
+
+
 def build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="equicode",
         description="group-algebra arithmetic and equivariant codes")
     top.add_argument("--json-errors", action="store_true",
@@ -357,25 +365,32 @@ _EXIT_CODES = (
 )
 
 
+def _report(e: EquicodeError, json_errors: bool) -> int:
+    for klass, status in _EXIT_CODES:
+        if isinstance(e, klass):
+            break
+    if json_errors:
+        sys.stdout.write(files.canonical_dumps(
+            {"error": type(e).__name__, "message": str(e)}))
+    else:
+        print("error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+    return status
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parser().parse_args(argv)
     except SystemExit as e:
-        # argparse exits 2 on usage errors; fold those into the parse
-        # failure code and keep 2 for invariant violations.
+        # --help exits through here
         return 0 if not e.code else 1
+    except ParseError as e:
+        # the flag itself may be what failed to parse, so look for it
+        return _report(e, "--json-errors" in argv)
     try:
         return args.fn(args)
     except EquicodeError as e:
-        for klass, status in _EXIT_CODES:
-            if isinstance(e, klass):
-                break
-        if args.json_errors:
-            sys.stdout.write(files.canonical_dumps(
-                {"error": type(e).__name__, "message": str(e)}))
-        else:
-            print("error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
-        return status
+        return _report(e, args.json_errors)
 
 
 if __name__ == "__main__":

@@ -307,6 +307,24 @@ def test_decode_output_does_not_depend_on_the_seed(tmp_path):
     assert "--max-attempts" in r.stderr
 
 
+@pytest.mark.parametrize("attempts", [0, -1])
+def test_decode_nonpositive_max_attempts_is_a_parse_error(tmp_path,
+                                                          attempts):
+    """The search has no budget, so --max-attempts is refused as an
+    unknown option, nonpositive values included."""
+    code_path, dec_path = tmp_path / "c.json", tmp_path / "d.json"
+    run_cli("gen", "rs", "--p", 13, "--n", 12, "--deg", 5,
+            "--out", code_path, "--decoder-out", dec_path)
+    cw_path = tmp_path / "cw.json"
+    run_cli("code", "encode", "--code", code_path,
+            "--message", "[[1],[2],[3],[4],[5],[6]]", "--out", cw_path)
+    corrupt_file(cw_path, [2])
+    r = run_cli("--json-errors", "decode", "--decoder", dec_path,
+                "--received", "@%s" % cw_path, "--max-attempts", attempts)
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == "ParseError"
+
+
 @pytest.mark.parametrize("action", ["validate", "encode"])
 def test_code_with_negative_dimensions_is_a_parse_error(tmp_path, action):
     """n = k = -1 with -1x-1 matrices of one entry (and a -1x0 check)
