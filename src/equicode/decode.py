@@ -14,20 +14,24 @@ gives the error values directly; one small dense solve finds the rest.
 The denominator condition "a0 * r lands in the product space" is one
 K-linear system A = expand(C1^t) . diag(r) . expand(E0), (n - k1) |G|
 rows by k0 |G| columns, whose matrix is never formed.  A's columns are
-made one at a time and eliminated as they come; the first that depends
-on the ones before it is a kernel vector of A, a denominator
+made one at a time and eliminated as they come, by an elimination with
+no identity block (`gauss.first_dependency`); the first column that
+depends on the ones before it is a kernel vector of A, a denominator
 (`find_denominator`).  With t errors A has rank at most t, so at most
 t + 1 columns are made, and an A of full column rank proves that r has
 no denominator.  Decoding draws no random number: a decode's outcome is
 a function of r.
 
-The decoder computes on raw coefficients only, through `kgmat._apply`,
-the one raw matrix-vector product.  Column (b, h) of A is one apply,
-_apply(C1^t, r * (column b of E0 translated by h)): expand(E0)'s
-column is a re-indexing of E0's, so only the second stage of A runs.
-`denominator_check` applies C1^t and `pade_numerator` I1 to the product
-(E0 x) * r, taken while E0 x is unpacked, with one reduction per value,
-and `denominator_zeros` scans E0 x.  K[G] elements appear only where the
+The decoder computes on raw coefficients only, through `kgmat._apply`.
+Column (b, h) of A is one apply of C1^t to r * (column b of E0
+translated by h): expand(E0)'s column is a re-indexing of E0's, so only
+the second stage of A runs.  The search takes that apply packed
+(`kgmat._apply_packed`): over F_p with at most one axis its big-int
+slots go into the elimination unreduced, at a slot width that holds
+them and the elimination's growth (`_search_width`).  `denominator_check`
+applies C1^t and `pade_numerator` I1 to the product (E0 x) * r, taken
+while E0 x is unpacked, with one reduction per value, and
+`denominator_zeros` scans E0 x.  K[G] elements appear only where the
 public functions return them.
 """
 
@@ -63,6 +67,7 @@ from .galg import GroupAlgebraElement, _elements, ga_sub
 from .kgmat import (
     KGMatrix,
     _apply,
+    _apply_packed,
     _blocks,
     _flat,
     _leading_columns,
@@ -148,17 +153,31 @@ def denominator_check(dd: DecoderData, r, x) -> bool:
     return all(c == zero for c in _apply(kg_transpose(dd.c1), u))
 
 
+def _search_width(dd: DecoderData):
+    """Slot width of the search's packed columns: a slot of C1^t's product
+    sums n |G| coefficient products, below n |G| d (p - 1)^2, and the
+    elimination adds d (p - 1)^2 at each of at most (n - k1) |G| pivots
+    (`gauss.column_width`)."""
+    o = dd.code.group.order
+    return gauss.column_width(dd.code.field, dd.c1.cols * o, dd.code.n * o)
+
+
 def _denominator_columns(dd: DecoderData, r):
     """The columns of the denominator condition
     A = expand(C1^t) . diag(r) . expand(E0), (n-k1)o x k0 o, one at a
-    time, as they are pulled.  Column (b, h) of expand(E0), for the
-    coefficient index b o + h, is column b of E0 with every entry
-    translated by h (coefficient g is coefficient g h^{-1}), so column
-    (b, h) of A costs one apply of C1^t to r times it."""
+    time, as they are pulled, each packed for `gauss.first_dependency` at
+    `_search_width`.  Column (b, h) of expand(E0), for the coefficient
+    index b o + h, is column b of E0 with every entry translated by h
+    (coefficient g is coefficient g h^{-1}), so column (b, h) of A costs
+    one apply of C1^t to r times it.  The apply's product ints go to the
+    elimination as they are (`kgmat._apply_packed`): over F_p with at most
+    one axis a column is never unpacked or reduced."""
     G, ctx, k0 = dd.code.group, dd.code.field, dd.e0.cols
     c1t, e0, scale = kg_transpose(dd.c1), _blocks(dd.e0), _flat(dd.i1, r)
+    width = _search_width(dd)
     shifts = [G.quotients(h) for h in range(G.order)]
-    return (_apply(c1t, ctx.vmul([a[g] for a in e0[b::k0] for g in q], scale))
+    return (_apply_packed(c1t, ctx.vmul([a[g] for a in e0[b::k0] for g in q],
+                                        scale), width)
             for b in range(k0) for q in shifts)
 
 
@@ -177,7 +196,7 @@ def find_denominator(dd: DecoderData, r):
     G, ctx = dd.code.group, dd.code.field
     size = dd.e0.cols * G.order
     coeffs = gauss.first_dependency(ctx, _denominator_columns(dd, r),
-                                    dd.c1.cols * G.order)
+                                    dd.c1.cols * G.order, _search_width(dd))
     if coeffs is None:
         return None
     return _elements(G, ctx, coeffs + [ctx.zero] * (size - len(coeffs)))

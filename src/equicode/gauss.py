@@ -9,6 +9,14 @@ read (delayed reduction, as in FFLAS-FFPACK).  Over F_p a block is one slot.
 Over F_{p^d} it is 2d - 1 slots, the d coordinates of a value and d - 1 zero
 slots that a product with a d-coordinate factor fills; a block is read by
 folding x^w for w >= d along the field modulus, then mod p.
+
+`first_dependency` eliminates a stream of such columns as they come and
+stops at the first that depends on the ones before it.  It carries no
+identity block: each pivot keeps the multipliers that reduced it, packed,
+and the dependency is recovered by back-substitution through them.  Its
+columns may arrive packed, with unreduced slots (`column_width` gives the
+slot width that holds them and the elimination's growth), so a producer
+of big-int products hands them over without a reduction or a repack.
 """
 
 from __future__ import annotations
@@ -91,7 +99,7 @@ def rref(ctx, m):
     if d == 1:
         packed = [_to_int(col, width) for col in zip(*m)]
     else:
-        packed = [_pack(col, width) for col in zip(*m)]
+        packed = [_pack(ctx, col, width) for col in zip(*m)]
     order = list(range(rows))
     out = []
     pivots = []
@@ -122,13 +130,12 @@ def rref(ctx, m):
         else:
             vals[t] = ((vals[t][0] - 1) % p,) + vals[t][1:]
             neg_inv = _to_int([-e % p for e in inv], width)
-            f = _pack(_reduce(ctx, _from_int(_pack(vals, width) * neg_inv,
-                                             rows * size, width)), width)
+            f = _pack(ctx, _unpack(ctx, _pack(ctx, vals, width) * neg_inv,
+                                   rows, width), width)
             for j in range(c + 1, cols):
-                x = _reduce(ctx, _from_int(packed[j] >> shift & mask, size,
-                                           width))[0]
+                x = _unpack(ctx, packed[j] >> shift & mask, 1, width)[0]
                 if x != zero:
-                    packed[j] += _to_int(x, width) * f
+                    packed[j] += _pack(ctx, [x], width) * f
         out[c] = [zero] * rows
         out[c][t] = ctx.one
         pivots.append(c)
@@ -139,83 +146,114 @@ def rref(ctx, m):
     return [by_slot[t] for t in order], pivots
 
 
-def first_dependency(ctx, columns, rows):
-    """The first linear dependency among the columns that the iterable
-    yields (each `rows` raw values): [c_0, .., c_j] with c_j = 1 and
-    sum c_i col_i = 0, or None when every column is independent of the
-    ones before it.  No column after col_j is pulled.
+def column_width(ctx, rows, terms=0):
+    """Bytes per slot of `first_dependency`'s packed columns of `rows`
+    values: room for a slot that arrives below (p - 1) + terms d (p - 1)^2
+    (a sum of terms products of raw values, or a raw value when terms is
+    0), plus d (p - 1)^2 from each of at most rows pivots."""
+    p = ctx.p
+    bound = (p - 1) + (terms + rows) * ctx.d * (p - 1) ** 2
+    return -(-bound.bit_length() // 8)
 
-    Each column is packed as `rref` packs it, with a unit in slot
-    rows + j of an identity block below, and reduced as it arrives against
-    the pivots so far, in order (left-looking): pivot k keeps its reduced
-    column F_k, nonzero in slot t_k and zero at every earlier pivot slot,
-    as f_k = -F_k / F_k[t_k], and x in slot t_k of a column gets
-    col += x f_k, which clears slot t_k.  A column that reduces to zero
-    above the identity block has its coefficients in it.  Pivot slots are
-    chosen as in `rref`, with the same slot bound at min(rows, cols) = rows
-    pivots.  OPS gets the count the per-cell `rref` would make on the
-    columns pulled: by the time a column becomes a pivot, the identity
-    block holds minus the coefficients of its reduced form on the earlier
-    pivot columns.
+
+def first_dependency(ctx, columns, rows, width=None):
+    """The first linear dependency among the columns that the iterable
+    yields: [c_0, .., c_j] with c_j = 1 and sum c_i col_i = 0, or None
+    when every column is independent of the ones before it.  No column
+    after col_j is pulled.
+
+    A column is a list of `rows` raw values, packed here as `rref` packs
+    one; or, with width given, one int already in that layout at width
+    bytes a slot, its slots unreduced but within what `column_width` gave
+    width for.
+
+    Columns are reduced as they arrive against the pivots so far, in order
+    (left-looking).  Pivot k keeps its reduced column F_k, every slot
+    reduced, nonzero in slot t_k (chosen as in `rref`) and zero at every
+    earlier pivot slot, and s_k = -1 / F_k[t_k].  A column whose slot t_k
+    holds y gets col += x F_k with x = s_k y, which clears slot t_k; the
+    read masks below slot t_k first, so it costs t_k slots, not rows.
+    There is no identity block: pivot k keeps the multipliers x_{k,i}
+    that made it, packed in one int, so F_k = col_k + sum_i x_{k,i} F_i.
+    The first column that reduces to zero, col_j + sum_k a_k F_k = 0, goes
+    back to the columns by back-substitution, one packed pass per pivot
+    from the last: a_k is final, it is c_k, and a += a_k x_k.
+
+    OPS gets the count of this elimination run cell by cell through ctx:
+    1 + 2 rows per nonzero y (x, and col += x F_k), 2 per pivot (s_k), and
+    2k per pass of the back-substitution with a_k != 0.
     """
-    p, d, zero = ctx.p, ctx.d, ctx.zero
-    bound = (p - 1) + rows * d * (p - 1) ** 2
-    # no 8-byte floor as in rref: a column is unpacked once, but every
-    # pivot costs a pass over it
-    width = -(-bound.bit_length() // 8)
-    size = 2 * d - 1  # slots per value
-    bits = 8 * width * size
-    mask = (1 << bits) - 1
+    p, zero = ctx.p, ctx.zero
+    packed = width is not None
+    if not packed:
+        width = column_width(ctx, rows)
+    bits = 8 * width * (2 * ctx.d - 1)  # one value's block
     order = list(range(rows))
-    pivots = []  # (slot t_k's shift, f_k) per pivot
-    cells = 0  # nonzeros off the pivot of every pivot column, for OPS
-    j = -1
+    pivots = []  # (slot t_k's shift, F_k, s_k) per pivot
+    kept = []  # the multipliers of F_k, packed, per pivot
+    ops = 0
     for j, col in enumerate(columns):
-        if len(col) != rows:
-            raise DimMismatch("column %d has %d entries, expected %d"
-                              % (j, len(col), rows))
-        v = (_to_int(col, width) if d == 1 else _pack(col, width)) \
-            + (1 << (rows + j) * bits)
-        for shift, f in pivots:
-            if d == 1:
-                x = (v >> shift & mask) % p
+        if not packed:
+            if len(col) != rows:
+                raise DimMismatch("column %d has %d entries, expected %d"
+                                  % (j, len(col), rows))
+            col = _pack(ctx, col, width)
+        xs = []
+        if ctx.d == 1:
+            for shift, f, s in pivots:
+                x = ((col & (1 << shift + bits) - 1) >> shift) * s % p
                 if x:
-                    v += x * f
-            else:
-                x = _reduce(ctx, _from_int(v >> shift & mask, size,
-                                           width))[0]
+                    col += x * f
+                xs.append(x)
+            ops += len(xs) - xs.count(zero)  # x = s y, as ctx.mul counts
+        else:
+            for shift, f, s in pivots:
+                x = _unpack(ctx, (col & (1 << shift + bits) - 1) >> shift,
+                            1, width)[0]
                 if x != zero:
-                    v += _to_int(x, width) * f
-        slots = _from_int(v, (rows + j + 1) * size, width)
-        vals = [s % p for s in slots] if d == 1 else _reduce(ctx, slots)
+                    x = ctx.mul(s, x)
+                    col += _pack(ctx, [x], width) * f
+                xs.append(x)
+        ops += 2 * rows * (len(xs) - xs.count(zero))
+        vals = _unpack(ctx, col, rows, width)
         r = len(pivots)
         for pos in range(r, rows):
             if vals[order[pos]] != zero:
                 break
         else:
-            OPS.add((j + 1) * (r + 2 * cells))
-            return vals[rows:]
+            a, mask = _pack(ctx, xs, width), (1 << bits) - 1
+            for k in range(r - 1, -1, -1):
+                xs[k] = _unpack(ctx, a >> k * bits & mask, 1, width)[0]
+                if xs[k] != zero:
+                    a += _pack(ctx, [xs[k]], width) * kept[k]
+                    ops += 2 * k
+            OPS.add(ops)
+            return xs + [ctx.one]
         order[r], order[pos] = order[pos], order[r]
         t = order[r]
-        cells += len(vals) - vals.count(zero) - 2  # not the unit, the pivot
-        if d == 1:
-            neg_inv = p - ctx.inv(vals[t])
-            f = _to_int([neg_inv * e % p for e in vals], width)
-        else:
-            neg_inv = _to_int([-e % p for e in ctx.inv(vals[t])], width)
-            f = _pack(_reduce(ctx, _from_int(_pack(vals, width) * neg_inv,
-                                             len(vals) * size, width)), width)
-        pivots.append((t * bits, f))
-    OPS.add((j + 1) * (len(pivots) + 2 * cells))
+        pivots.append((t * bits, _pack(ctx, vals, width),
+                       ctx.neg(ctx.inv(vals[t]))))
+        kept.append(_pack(ctx, xs, width))
+    OPS.add(ops)
     return None
 
 
-def _pack(vals, width):
-    """F_{p^d} values packed in blocks of 2d - 1 slots: the d coordinates
-    and d - 1 zero slots, so a product with a packed d-coordinate factor
-    stays inside each block."""
-    pad = (0,) * (len(vals[0]) - 1) if vals else ()
+def _pack(ctx, vals, width):
+    """Raw values packed as `rref` packs a column: one slot each over F_p;
+    over F_{p^d} blocks of 2d - 1 slots, the d coordinates and d - 1 zero
+    slots, so a product with a packed d-coordinate factor stays inside
+    each block."""
+    if ctx.d == 1:
+        return _to_int(vals, width)
+    pad = (0,) * (ctx.d - 1)
     return _to_int([e for v in vals for e in v + pad], width)
+
+
+def _unpack(ctx, x, count, width):
+    """The first count values packed in x (see `_pack`), their slots
+    reduced."""
+    slots = _from_int(x, count * (2 * ctx.d - 1), width)
+    return [v % ctx.p for v in slots] if ctx.d == 1 else _reduce(ctx, slots)
 
 
 def _reduce(ctx, slots):

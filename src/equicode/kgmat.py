@@ -12,13 +12,15 @@ expand(a) . vec(b) = vec(a b) and expand(involution(a)) = expand(a)^t.
 Products use the Kronecker substitution of `galg.ga_mul_fast` and its
 packing helpers in every algebra: an output entry costs one sum of big-int
 products and one unpacking, and no transform runs.  There is one raw
-matrix-vector product, `_apply`: a matrix times a column of raw
-coefficients, packed at the matrix's one slot width, giving raw
-coefficients.  `kg_matmul` runs it on each column of its right factor,
-`kg_apply` on a vector of elements, flattened, and the decoder on raw
-coefficients throughout, so no module but this one and galg knows a slot
-width.  Each matrix keeps its packed rows and its transpose once
-computed.
+matrix-vector product, `_products`: a matrix times a column of raw
+coefficients, both packed at one slot width.  `_apply` unpacks its
+products into raw coefficients; `kg_matmul` runs it on each column of its
+right factor, `kg_apply` on a vector of elements, flattened, and the
+decoder on raw coefficients throughout.  The decoder's denominator search
+takes its products through `_apply_packed` instead, as columns already in
+`gauss.first_dependency`'s packed layout, so no module but this one, galg
+and gauss knows a slot width.  Each matrix keeps its packed rows, with
+their width, and its transpose once computed.
 
 Whenever K[G] is split (the exponent of G dividing q - 1, so also for the
 trivial group, where K[1] = K has one character) the Fourier transform
@@ -202,27 +204,51 @@ def kg_matmul(a: KGMatrix, b: KGMatrix) -> KGMatrix:
 # --------------------------------------------------- packed (Kronecker) product
 
 
-def _apply(a: KGMatrix, flat, scale=None):
-    """a times a column of raw coefficients (a.cols |G| values), as the raw
-    coefficients of its rows, concatenated: the column is packed at
-    `_slot_width(G, K, a.cols)`, as are a's rows (once, kept on a), then
-    per row one sum of big-int products and one unpacking for all rows.  With
-    scale (|G| raw values per row, concatenated), every coefficient comes
-    out times its scale value (see `galg._unpack_coeffs`).
-
-    Nominal cost, added to OPS: one multiplication and one addition per
-    slot of every packed product, 2 a.rows a.cols (2d - 1) T with
-    T = prod_k (2 o_k - 1), plus rows |G| with scale."""
+def _products(a: KGMatrix, flat, width):
+    """The big-int products of a's rows with the column flat (a.cols |G|
+    raw values), both packed at width bytes a slot; a's rows are packed
+    once per width and kept on a.  OPS gets one multiplication and one
+    addition per slot of every packed product, 2 a.rows a.cols (2d - 1) T
+    with T = prod_k (2 o_k - 1)."""
     G, ctx = a.group, a.field
-    width = _slot_width(G, ctx, a.cols)
-    if not a._packed:
+    if not a._packed or a._packed[0] != width:
         packed = _pack_coeffs(G, ctx, a.coeffs, width)
-        a._packed.extend(packed[i * a.cols:(i + 1) * a.cols]
-                         for i in range(a.rows))
+        a._packed[:] = [width, [packed[i * a.cols:(i + 1) * a.cols]
+                                for i in range(a.rows)]]
     col = _pack_coeffs(G, ctx, flat, width)
     OPS.add(2 * a.rows * a.cols * (2 * ctx.d - 1) * _layout(G)[1])
-    return _unpack_coeffs(G, ctx, [sum(map(int_mul, row, col))
-                                   for row in a._packed], width, scale)
+    return [sum(map(int_mul, row, col)) for row in a._packed[1]]
+
+
+def _apply(a: KGMatrix, flat, scale=None):
+    """a times a column of raw coefficients, as the raw coefficients of its
+    rows, concatenated: `_products` at `_slot_width(G, K, a.cols)`, or at
+    the wider width a's rows are kept at, then one unpacking.  With scale
+    (|G| raw values per row), every coefficient comes out times its scale
+    value (see `galg._unpack_coeffs`), and OPS gets rows |G| more."""
+    G, ctx = a.group, a.field
+    width = max(_slot_width(G, ctx, a.cols), a._packed[0] if a._packed else 0)
+    return _unpack_coeffs(G, ctx, _products(a, flat, width), width, scale)
+
+
+def _apply_packed(a: KGMatrix, flat, width):
+    """a times a column of raw coefficients as one column of
+    `gauss.first_dependency` at width bytes a slot, coefficient g of row i
+    in slot i |G| + g.  Over F_p with at most one axis the slots are
+    `_products`' own, unreduced (below a.cols |G| (p - 1)^2, which width
+    must hold): the axis folds on the integer, as in `galg._unpack_coeffs`,
+    and the rows' bytes are concatenated.  Other layouts go through
+    `_apply` and pack its values."""
+    G, ctx = a.group, a.field
+    if ctx.d != 1 or len(G.factors) > 1:
+        return gauss._pack(ctx, _apply(a, flat), width)
+    xs = _products(a, flat, width)
+    step = width * G.order
+    if G.factors:
+        mask = (1 << 8 * step) - 1
+        xs = [(x & mask) + (x >> 8 * step) for x in xs]
+    return int.from_bytes(b"".join([x.to_bytes(step, "little") for x in xs]),
+                          "little")
 
 
 def _is_split(group, ctx):

@@ -110,6 +110,13 @@ def audit(dd, r, res):
                     assert (i, s) in zeros
 
 
+def column_values(dd, col):
+    """The values of a column of the search's stream, which comes packed
+    for gauss.first_dependency at the search's slot width."""
+    return gauss._unpack(dd.code.field, col, dd.c1.cols * dd.code.group.order,
+                         decode_module._search_width(dd))
+
+
 def unit_candidate(dd):
     ctx, G, o = dd.code.field, dd.code.group, dd.code.group.order
     one = GroupAlgebraElement(G, ctx, (ctx.one,) + (ctx.zero,) * (o - 1))
@@ -226,7 +233,7 @@ def test_denominator_operator_matches_dense_expansion(case, seed, top):
     else:
         r = [ga_rand(G, ctx, rng) for _ in range(code.n)]
     e0x = expand(dd.e0)
-    cols = list(_denominator_columns(dd, r))
+    cols = [column_values(dd, c) for c in _denominator_columns(dd, r)]
     size = dd.e0.cols * o
     assert len(cols) == size
     assert cols == gauss.transpose(_unfolded_condition(dd, r))
@@ -344,7 +351,7 @@ def test_find_denominator_results_are_verified(which, word_seed, weight):
 
     def recording_columns(*args):
         for col in real_columns(*args):
-            pulled.append(col)
+            pulled.append(column_values(dd, col))
             yield col
 
     with pytest.MonkeyPatch.context() as mp:
@@ -410,11 +417,52 @@ def _first_column_dependency(ctx, a):
     return None
 
 
-@pytest.mark.parametrize("pair", [rs_pair, cyclic_pair])
+def search_pair(p, d, factors, n, k0, checks, coeff):
+    """Decoder data over F_{p^d}[G] whose E0 (n x k0) and C1 (n x checks)
+    draw their coefficients from coeff(), with I1 and the code's E zero,
+    so a corrupted codeword is its error.  Only DecoderData's shape checks
+    stand between these matrices and the search; the radius is the
+    k0 |G| - 1 errors that leave A = expand(C1^t) diag(r) expand(E0) a
+    dependency among its k0 |G| columns."""
+    ctx, G = field_make(p, d), AbelianGroup(factors)
+    o, k1 = G.order, n - checks
+
+    def matrix(rows, cols, draw):
+        return KGMatrix(G, ctx, rows, cols,
+                        tuple(draw() for _ in range(rows * cols * o)))
+
+    def zero():
+        return ctx.zero
+
+    code = code_module.EquivariantCode(
+        ctx, G, n, 1, matrix(n, 1, zero), matrix(n, n - 1, zero),
+        matrix(1, n, zero))
+    return code, decode_module.DecoderData(
+        code, matrix(n, k0, coeff), matrix(n, checks, coeff),
+        matrix(k1, n, zero), None, k0 * o - 1)
+
+
+def f9_z4_pair():
+    # d = 2: A is 12 x 8
+    rng = random.Random(41)
+    ctx = field_make(3, 2)
+    return search_pair(3, 2, [4], 4, 2, 3, lambda: ctx.rand(rng))
+
+
+def f13_z2z6_pair():
+    # two axes: A is 24 x 12
+    rng = random.Random(42)
+    return search_pair(13, 1, [2, 6], 3, 1, 2, lambda: K13.rand(rng))
+
+
+@pytest.mark.parametrize("pair", [rs_pair, cyclic_pair, f9_z4_pair,
+                                  f13_z2z6_pair])
 def test_find_denominator_is_the_first_dependency_of_a(pair):
     # the search returns A's first column dependency, or None when A has
-    # full column rank.  The RS pair's A is 3 x 4, so only the cyclic
-    # pair's can have full rank
+    # full column rank.  The RS pair's A is 3 x 4, so only the others can
+    # have full rank.  The F_9[Z/4] and F_13[Z/2 x Z/6] pairs have random
+    # E0 and C1 and words that are their errors, so A has a dependency up
+    # to the radius and mostly full rank above it
     code, dd = pair()
     ctx = code.field
     rng = random.Random(14)
@@ -432,6 +480,63 @@ def test_find_denominator_is_the_first_dependency_of_a(pair):
             assert got == want, t
     assert found[False] > 0
     assert pair is rs_pair or found[True] > 0
+
+
+TOP_PRIMES = [2 ** 31 - 1, 2 ** 61 - 1]
+
+
+@pytest.mark.parametrize("p", TOP_PRIMES)
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("factors", [[4], [2, 2]], ids=["Z4", "Z2xZ2"])
+@pytest.mark.parametrize("e0", ["top", "one", "hole"])
+def test_find_denominator_with_every_coefficient_top(p, d, factors, e0):
+    """Every coefficient of r and C1 is p - 1, and with e0 = "top" so is
+    every coefficient of E0.  Then r * E0 is 1 in every coefficient, since
+    (p - 1)^2 = 1; with E0 = 1 ("one") it is p - 1, so over F_p with one
+    axis each product slot the search hands over unreduced is n |G|
+    (p - 1)^2, as large as it gets.  With those two A's columns are all
+    equal; a hole (E0 = 1 but coefficient 0 zero) makes the translates
+    differ, and the slots stay n (p - 1)^2 below the largest.  The result
+    is always the dense A's first column dependency.  With slots one byte
+    narrower than _search_width, six cases at 2^61 - 1 fail: every "top"
+    case, and the prime one-axis "one" and "hole" cases."""
+    ctx = field_make(p, d)
+    top = p - 1 if d == 1 else (p - 1,) * d
+    code, dd = search_pair(p, d, factors, 3, 1, 2, lambda: top)
+    o = code.group.order
+    if e0 != "top":
+        dd = dataclasses.replace(dd, e0=KGMatrix(
+            code.group, ctx, dd.e0.rows, dd.e0.cols, tuple(
+                ctx.zero if e0 == "hole" and i % o == 0 else ctx.one
+                for i in range(len(dd.e0.coeffs)))))
+    r = [GroupAlgebraElement(code.group, ctx, (top,) * o)] * code.n
+    want = _first_column_dependency(ctx, _unfolded_condition(dd, r))
+    x = find_denominator(dd, r)
+    assert want is not None
+    assert [c for a in x for c in a.coeffs] == want
+
+
+def test_prime_one_axis_search_never_unpacks(monkeypatch):
+    """Over F_p with one axis the search hands the products' slots to the
+    elimination as they are: find_denominator makes no _unpack_coeffs
+    call, and C1^t is packed once, at the search's width."""
+    code, dd = cyclic_pair()
+    calls = []
+    real = kgmat._unpack_coeffs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kgmat, "_unpack_coeffs", counting)
+    rng = random.Random(43)
+    for t in (1, dd.radius):
+        r, _ = corrupt(code, encode(code, rand_message(code, rng)), t, rng)
+        calls.clear()
+        assert find_denominator(dd, r) is not None
+        assert calls == []
+    c1t = kg_transpose(dd.c1)
+    assert c1t._packed[0] == decode_module._search_width(dd)
 
 
 def _counting(monkeypatch, name):
@@ -835,13 +940,20 @@ def test_basic_decode_bit_equal_to_entrywise_apply(fixture, monkeypatch):
     applied = []
 
     def reference(*args, **kwargs):
-        applied.append(1)
+        applied.append("apply")
         return entrywise_apply_flat(*args, **kwargs)
 
+    def packed_reference(a, flat, width):
+        applied.append("search")
+        return gauss._pack(a.field, entrywise_apply_flat(a, flat), width)
+
     monkeypatch.setattr(decode_module, "_apply", reference)
+    monkeypatch.setattr(decode_module, "_apply_packed", packed_reference)
     entrywise = [basic_decode(dd, r) for r in words]
     assert spectral == entrywise
-    assert applied  # the denominator's column search ran the reference
+    # the denominator's column search and the other applies ran the
+    # reference
+    assert {"apply", "search"} <= set(applied)
 
 
 @pytest.mark.parametrize("code", [

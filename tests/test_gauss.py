@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equicode import ff, gauss
+from equicode import ff, galg, gauss
 from equicode.errors import DimMismatch, Inconsistent
 
 
@@ -237,11 +237,49 @@ def test_rref_extension_block_reaches_its_bound(p, d):
     assert_rref_matches_reference(ctx, [[piv, top(ctx)]])
 
 
+def first_dependency_reference(ctx, columns, rows):
+    """The elimination gauss.first_dependency runs, cell by cell through
+    the FieldCtx calls, each counting itself in OPS.  Columns are reduced
+    as they come against the pivots so far, in order: y in slot t_k gets
+    col += x F_k with x = s_k y and s_k = -1 / F_k[t_k].  Each pivot keeps
+    the multipliers that reduced it, and the first column that reduces to
+    zero is taken back to the columns by back-substitution through them,
+    from the last pivot: c_k = a_k, and a += a_k x_k."""
+    zero = ctx.zero
+    order = list(range(rows))
+    pivots = []  # (t_k, F_k, s_k, multipliers of F_k)
+    for col in columns:
+        col = list(col)
+        xs = []
+        for t, f, s, _ in pivots:
+            x = zero
+            if col[t] != zero:
+                x = ctx.mul(s, col[t])
+                col = [ctx.add(c, ctx.mul(x, e)) for c, e in zip(col, f)]
+            xs.append(x)
+        r = len(pivots)
+        pos = next((pos for pos in range(r, rows)
+                    if col[order[pos]] != zero), None)
+        if pos is None:
+            a = xs
+            for k in range(r - 1, -1, -1):
+                if a[k] != zero:
+                    a = [ctx.add(u, ctx.mul(a[k], y))
+                         for u, y in zip(a, pivots[k][3])] + a[k:]
+            return a + [ctx.one]
+        order[r], order[pos] = order[pos], order[r]
+        t = order[r]
+        pivots.append((t, col, ctx.neg(ctx.inv(col[t])), xs))
+    return None
+
+
 def assert_first_dependency_matches_reference(ctx, m):
     """gauss.first_dependency on m's columns is the per-cell rref's first
     non-pivot column, as coefficients ending in one, or None when every
-    column is a pivot; its OPS count is the reference's on the columns it
-    pulled."""
+    column is a pivot; its OPS count is first_dependency_reference's on
+    the columns it pulled.  The same holds for the columns handed over
+    packed, every slot p (p - 1) above its value, at a width that allows
+    for it."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     red, pivots = rref_reference(ctx, m)
@@ -251,10 +289,20 @@ def assert_first_dependency_matches_reference(ctx, m):
         m = [row[:j + 1] for row in m]
     else:
         want = None
-    with ff.count_field_ops() as ops:
-        got = gauss.first_dependency(ctx, iter(gauss.transpose(m)), rows)
+    columns = gauss.transpose(m)
     with ff.count_field_ops() as ref_ops:
-        rref_reference(ctx, m)
+        assert first_dependency_reference(ctx, columns, rows) == want
+    with ff.count_field_ops() as ops:
+        got = gauss.first_dependency(ctx, iter(columns), rows)
+    assert got == want
+    assert ops.count == ref_ops.count
+    p = ctx.p
+    width = gauss.column_width(ctx, rows, 2)
+    lift = galg._to_int([p * (p - 1)] * (rows * (2 * ctx.d - 1)), width)
+    with ff.count_field_ops() as ops:
+        got = gauss.first_dependency(
+            ctx, (gauss._pack(ctx, col, width) + lift for col in columns),
+            rows, width)
     assert got == want
     assert ops.count == ref_ops.count
 
@@ -293,7 +341,7 @@ def test_first_dependency_of_a_zero_column_and_of_a_full_rank_stream(p, d):
 @pytest.mark.parametrize("rows, cols", [(2, 2), (2, 5), (5, 2), (6, 6)])
 def test_first_dependency_slots_near_their_bound(p, d, rows, cols):
     """The shapes of test_rref_extension_slots_near_their_bound, every
-    coefficient p - 1, through the identity block as well."""
+    coefficient p - 1, with the back-substitution's packed passes."""
     ctx = ff.field_make(p, d)
     t = top(ctx)
     assert_first_dependency_matches_reference(

@@ -99,16 +99,23 @@ def test_field_ctx_is_the_only_field_type():
 
 
 # Functions outside ff that may branch on the field degree: the packed
-# coefficient layouts, the packed eliminations, the parsers of raw values,
-# and the choice of a lift.
+# coefficient layouts, the packed eliminations and their column layout
+# (gauss._pack and gauss._unpack: one slot per value over F_p, a block of
+# 2d - 1 slots over F_{p^d}), the search's hand-off of product slots into
+# that layout (kgmat._apply_packed: only over F_p are the slots of a
+# product the values' slots), the parsers of raw values, and the choice
+# of a lift.
 DEGREE_TESTS_ALLOWED = {
     "blackbox._work_field",
     "cli._load_elements",
     "files.matrix_from_obj",
     "galg._pack_coeffs",
     "galg._unpack_coeffs",
+    "gauss._pack",
+    "gauss._unpack",
     "gauss.first_dependency",
     "gauss.rref",
+    "kgmat._apply_packed",
 }
 
 
