@@ -11,27 +11,28 @@ dependency, with `gauss.first_dependency`, which eliminates the vectors as
 they come and stops at B^deg(mp) v: deg(mp) <= n applies of the n x n
 operator B, and no random projection.  The decoder does not use this
 module: it finds denominators by a first dependency among the columns of
-its folded condition (see `decode.find_denominator`).
+its Pade condition (see `decode.find_denominator`).
 
-Over fields F_q = F_{p^d} with fewer than 16 elements the drivers re-run
-the whole computation over an extension F_{q^l} with q^l >= 16 (random
-vectors and diagonals in a tiny field fail too often) and project the
-answer back; one extension apply costs l base applies.  The extension is
-the flat FieldCtx(p, d l, f) for a random f from the driver's stream that
-passes Rabin's test; an extension base (F_4, F_8, F_9) embeds in it
-through a root of its own modulus.  The scalar loops are the work field's
-vector operations (FieldCtx.dot, vmul and sub_scaled).
+The drivers run in the operator's own field, however small, and call
+`a.apply` directly.  A solve attempt preconditions A as B = A.D.P, with a
+fresh random unit diagonal D and random column permutation P, and returns
+D P x' for B x' = b; it succeeds when b's minimal polynomial under B has a
+nonzero constant term.  The diagonal alone cannot always get there: for
+A = [[0, 1], [0, 0]] and b = e_1, A.D is nilpotent for every D, so b's
+minimal polynomial is lambda^2; and over F_2 the only unit diagonal is
+the identity, so every attempt would repeat one computation.  The
+permutation moves the columns, as in Kaltofen and Saunders (AAECC-9,
+1991), and costs no field operation.  The kernel sampler keeps the
+diagonal alone.  The scalar loops are the field's vector operations
+(FieldCtx.dot, vmul and sub_scaled).
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from operator import mul
 
 from . import gauss
 from .errors import DimMismatch
-from .ff import FieldCtx, poly_is_irreducible
 
 
 class BlackBoxOperator:
@@ -104,86 +105,6 @@ def berlekamp_massey(ctx, seq):
     return list(reversed(c))
 
 
-# ----------------------------------------------- extension-field lifting
-
-
-def _lift_degree(q):
-    ell = 1
-    t = q
-    while t < 16:
-        t *= q
-        ell += 1
-    return ell
-
-
-_irreducible = lru_cache(maxsize=None)(poly_is_irreducible)
-
-
-@lru_cache(maxsize=None)
-def _embedding(ctx, f):
-    """(down, up) between W = FieldCtx(p, d l, f) and l-tuples over the
-    extension base ctx = F_{p^d}.
-
-    alpha, the first root of ctx.modulus in W, embeds F_q; the products
-    alpha^i x^r (i < d, r < l) are the rows of an F_p-basis M of W, so
-    x^0 .. x^(l-1) is a basis over F_q.  down(z) is z M^-1 cut into l base
-    values, and up inverts it.
-    """
-    p, d = ctx.p, ctx.d
-    work = FieldCtx(p, len(f) - 1, f)
-
-    def is_root(z):
-        acc = work.zero
-        for c in reversed(ctx.modulus):
-            acc = work.add(work.mul(acc, z), work.from_int(c))
-        return acc == work.zero
-
-    alpha = next(filter(is_root, work.elements()))
-    x = (0, 1) + (0,) * (work.d - 2)
-    rows = [work.mul(work.pow_(alpha, i), work.pow_(x, r))
-            for r in range(work.d // d) for i in range(d)]
-    up_cols = list(zip(*rows))
-    down_cols = list(zip(*gauss.inverse(FieldCtx(p, 1, (0, 1)), rows)))
-
-    def down(z):
-        c = [sum(map(mul, z, col)) % p for col in down_cols]
-        return [tuple(c[i:i + d]) for i in range(0, len(c), d)]
-
-    def up(v):
-        c = [ci for e in v for ci in e]
-        return tuple(sum(map(mul, c, col)) % p for col in up_cols)
-
-    return down, up
-
-
-def _work_field(a: BlackBoxOperator, rng):
-    """(work, apply, down, up): the field the drivers run in and the
-    operator's apply there, with down/up between its values and l-tuples of
-    base values (None when no lift is needed).
-
-    The work field is the base itself when it has at least 16 elements.
-    Else it is FieldCtx(p, d l, f) for l = _lift_degree(q) and a random
-    irreducible f drawn from rng, and the apply runs on each of the l base
-    coordinates.  For a prime base down and up are `tuple`.
-    """
-    ctx = a.ctx
-    if ctx.q >= 16:
-        return ctx, a.apply, None, None
-    degree = ctx.d * _lift_degree(ctx.q)
-    while True:
-        f = tuple(rng.randrange(ctx.p) for _ in range(degree)) + (1,)
-        if _irreducible(f, ctx.p):
-            break
-    work = FieldCtx(ctx.p, degree, f)
-    down, up = (tuple, tuple) if ctx.d == 1 else _embedding(ctx, f)
-
-    def lifted(x):
-        return [up(v) for v in
-                zip(*[a.apply(col) for col in zip(*map(down, x))])]
-
-    return work, lifted, down, up
-
-
 # ----------------------------------------------------- Wiedemann drivers
 
 
@@ -212,20 +133,24 @@ def _minimal_polynomial(ctx, apply_fn, krylov, n):
 
 
 def _solve_attempt(ctx, apply_fn, n, b, rng):
-    """One Las Vegas round for (A.D) x' = b; returns D x' or None.
+    """One Las Vegas round for (A.D.P) x' = b; returns D P x' or None.
 
-    Applies: deg(mp) <= n of A.D, for the Krylov vectors from b; the
+    Applies: deg(mp) <= n of A.D.P, for the Krylov vectors from b; the
     candidate combines cached vectors and costs none.
     """
     diag = [ctx.rand_nonzero(rng) for _ in range(n)]
+    perm = rng.sample(range(n), n)
+
+    def pre(x):
+        return ctx.vmul(diag, [x[i] for i in perm])
+
     krylov = [list(b)]
-    mp = _minimal_polynomial(ctx, lambda x: apply_fn(ctx.vmul(diag, x)),
-                             krylov, n)
+    mp = _minimal_polynomial(ctx, lambda x: apply_fn(pre(x)), krylov, n)
     if mp[0] == ctx.zero:
         return None
     scale = ctx.inv(ctx.neg(mp[0]))
     coeffs = [c if c == ctx.zero else ctx.mul(scale, c) for c in mp[1:]]
-    return ctx.vmul(diag, _combine(ctx, coeffs, krylov))
+    return pre(_combine(ctx, coeffs, krylov))
 
 
 def _kernel_attempt(ctx, apply_fn, n, rng):
@@ -254,12 +179,10 @@ def _kernel_attempt(ctx, apply_fn, n, rng):
 def wiedemann_solve(a: BlackBoxOperator, b, seed=0, max_attempts=40):
     """Random solution of Ax = b for a square black box, or None.
 
-    Per attempt the operator is touched at most (n + 1) l + 1 times, l the
-    lift degree (1 when the base has at least 16 elements): deg(mp) <= n
-    work-field applies for the Krylov vectors and one to verify, each
-    costing l base applies, plus one base apply when a lifted candidate is
-    verified on `a` itself.  None reports failure for these seeds only;
-    inconsistency can only be certified densely.
+    Per attempt the operator is touched at most n + 1 times: deg(mp) <= n
+    applies for the Krylov vectors and one to verify the candidate.  None
+    reports failure for these seeds only; inconsistency can only be
+    certified densely.
     """
     if a.rows != a.cols:
         raise DimMismatch("solve needs a square operator, got %dx%d"
@@ -271,22 +194,12 @@ def wiedemann_solve(a: BlackBoxOperator, b, seed=0, max_attempts=40):
     n = a.cols
     if all(x == ctx.zero for x in b):
         return [ctx.zero] * n
+    b = list(b)
     rng = random.Random(seed)
-    work, apply_fn, down, up = _work_field(a, rng)
-    if work is ctx:
-        wb = list(b)
-    else:
-        pad = (ctx.zero,) * (work.d // ctx.d - 1)
-        wb = [up((x,) + pad) for x in b]
     for _ in range(max_attempts):
-        x = _solve_attempt(work, apply_fn, n, wb, rng)
-        if x is None or apply_fn(x) != wb:
-            continue
-        if work is not ctx:
-            x = [down(xi)[0] for xi in x]
-            if a.apply(x) != list(b):
-                continue
-        return x
+        x = _solve_attempt(ctx, a.apply, n, b, rng)
+        if x is not None and a.apply(x) == b:
+            return x
     return None
 
 
@@ -296,8 +209,8 @@ def wiedemann_kernel_sample(a: BlackBoxOperator, seed=0, max_attempts=40):
     The operator is preconditioned as A.D with a fresh random unit diagonal
     per attempt, and the candidate is checked against A itself before
     anything is returned.  Per attempt the operator is touched at most
-    n l + 1 times: deg(mp) <= n work-field applies for the Krylov vectors,
-    each costing l base applies, plus the check.
+    n + 1 times: deg(mp) <= n applies for the Krylov vectors, plus the
+    check.
     """
     if a.rows != a.cols:
         raise DimMismatch("kernel sampling needs a square operator, got "
@@ -305,19 +218,14 @@ def wiedemann_kernel_sample(a: BlackBoxOperator, seed=0, max_attempts=40):
     ctx = a.ctx
     n = a.cols
     rng = random.Random(seed)
-    work, fwd, down, _ = _work_field(a, rng)
     for _ in range(max_attempts):
-        diag = [work.rand_nonzero(rng) for _ in range(n)]
-        w = _kernel_attempt(work, lambda x: fwd(work.vmul(diag, x)), n,
+        diag = [ctx.rand_nonzero(rng) for _ in range(n)]
+        w = _kernel_attempt(ctx, lambda x: a.apply(ctx.vmul(diag, x)), n,
                             rng)
         if w is None:
             continue
-        cand = work.vmul(diag, w)
-        if work is not ctx:  # its first nonzero base-coordinate vector
-            cand = next((list(c) for c in zip(*map(down, cand))
-                         if any(v != ctx.zero for v in c)), None)
-        if (cand is None or all(v == ctx.zero for v in cand)
-                or a.apply(cand) != [ctx.zero] * n):
-            continue
-        return cand
+        cand = ctx.vmul(diag, w)
+        if (any(v != ctx.zero for v in cand)
+                and a.apply(cand) == [ctx.zero] * n):
+            return cand
     return None

@@ -58,18 +58,7 @@ def matmul(ctx, a, b):
         raise DimMismatch("inner dimensions %d and %d differ"
                           % (len(a[0]), len(b)))
     bt = transpose(b)
-    out = []
-    for row in a:
-        out.append([_dot(ctx, row, col) for col in bt])
-    return out
-
-
-def _dot(ctx, u, v):
-    acc = ctx.zero
-    for x, y in zip(u, v):
-        if x != ctx.zero and y != ctx.zero:
-            acc = ctx.add(acc, ctx.mul(x, y))
-    return acc
+    return [[ctx.dot(row, col) for col in bt] for row in a]
 
 
 def rref(ctx, m):

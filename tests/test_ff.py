@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -266,6 +267,34 @@ def test_polynomial_helpers_over_prime_field():
     assert ff.poly_is_irreducible([2, 0, 1], p)
     assert not ff.poly_is_irreducible(prod, p)
     assert not ff.poly_is_irreducible([3], p)
+
+
+def _divides(g, f, p):
+    """Whether the monic g divides f over F_p (ints, low degree first)."""
+    r = list(f)
+    for shift in range(len(f) - len(g), -1, -1):
+        c = r[shift + len(g) - 1]
+        for i, gi in enumerate(g):
+            r[shift + i] = (r[shift + i] - c * gi) % p
+    return not any(r)
+
+
+def test_poly_is_irreducible_matches_trial_division():
+    """field_make tests a modulus with ff.poly_is_irreducible (Rabin's
+    test).  On every monic candidate of each small degree over the small
+    primes it agrees with trial division by every monic polynomial of
+    degree at most deg(f) / 2."""
+    for p in (2, 3, 5, 7, 11, 13):
+        for deg in range(1, 7):
+            if p ** deg > 400:
+                break
+            for low in itertools.product(range(p), repeat=deg):
+                f = low + (1,)
+                trial = not any(
+                    _divides(g + (1,), f, p)
+                    for k in range(1, deg // 2 + 1)
+                    for g in itertools.product(range(p), repeat=k))
+                assert ff.poly_is_irreducible(list(f), p) == trial, (p, f)
 
 
 VECTOR_FIELDS = [ff.field_make(13), ff.field_make(3, 2), ff.field_make(13, 2)]

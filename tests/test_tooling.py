@@ -103,10 +103,8 @@ def test_field_ctx_is_the_only_field_type():
 # (gauss._pack and gauss._unpack: one slot per value over F_p, a block of
 # 2d - 1 slots over F_{p^d}), the search's hand-off of product slots into
 # that layout (kgmat._apply_packed: only over F_p are the slots of a
-# product the values' slots), the parsers of raw values, and the choice
-# of a lift.
+# product the values' slots) and the parsers of raw values.
 DEGREE_TESTS_ALLOWED = {
-    "blackbox._work_field",
     "cli._load_elements",
     "files.matrix_from_obj",
     "galg._pack_coeffs",
@@ -224,9 +222,9 @@ def test_one_krylov_routine():
     caller of gauss.first_dependency; blackbox calls no gauss.rref, and
     nothing in the package calls berlekamp_massey,
     which stays public because the benchmark's tracer wraps it by name.
-    blackbox tests a lift modulus only with ff.poly_is_irreducible, so it
-    uses none of ff's polynomial helpers and a second irreducibility test
-    cannot come back unnoticed."""
+    blackbox computes in the operator's own field: it names none of ff's
+    polynomial helpers, no poly_is_irreducible and no FieldCtx, so a
+    second field construction cannot come back unnoticed."""
     trees = dict(package_trees())
     found = set(callers(trees["blackbox.py"], "blackbox",
                         {"_minimal_polynomial"}))
@@ -239,8 +237,8 @@ def test_one_krylov_routine():
              for fn in callers(tree, name[:-3], {"berlekamp_massey"})}
     assert found == set()
     used = names_used(trees["blackbox.py"])
-    assert used & POLYNOMIAL_HELPERS == set()
-    assert "poly_is_irreducible" in used
+    assert used & (POLYNOMIAL_HELPERS
+                   | {"poly_is_irreducible", "FieldCtx"}) == set()
 
 
 def test_one_first_dependency_routine():
