@@ -22,7 +22,11 @@ A = [[0, 1], [0, 0]] and b = e_1, A.D is nilpotent for every D, so b's
 minimal polynomial is lambda^2; and over F_2 the only unit diagonal is
 the identity, so every attempt would repeat one computation.  The
 permutation moves the columns, as in Kaltofen and Saunders (AAECC-9,
-1991), and costs no field operation.  The kernel sampler keeps the
+1991), and costs no field operation.  Even so b's minimal polynomial can
+keep a zero constant term under every D and P: over F_2, A = [[1, 1],
+[1, 1]] and b = [1, 1] give A.P = A and A b = 0.  Such an attempt goes on
+to a kernel vector (x, t) of the augmented operator [[A, -b], [0, 0]]
+with t != 0, so that A (x / t) = b.  The kernel sampler keeps the
 diagonal alone.  The scalar loops are the field's vector operations
 (FieldCtx.dot, vmul and sub_scaled).
 """
@@ -133,10 +137,17 @@ def _minimal_polynomial(ctx, apply_fn, krylov, n):
 
 
 def _solve_attempt(ctx, apply_fn, n, b, rng):
-    """One Las Vegas round for (A.D.P) x' = b; returns D P x' or None.
+    """One Las Vegas round for A x = b; returns a candidate or None.
 
-    Applies: deg(mp) <= n of A.D.P, for the Krylov vectors from b; the
-    candidate combines cached vectors and costs none.
+    First (A.D.P) x' = b from b's Krylov vectors, which returns D P x'
+    when b's minimal polynomial has a nonzero constant term.  When it has
+    none, one `_kernel_attempt` on the augmented operator
+    [[A, -b], [0, 0]], with its own random unit diagonal, looks for a
+    kernel vector (x, t) with t != 0, and returns x / t.
+
+    Applies: deg(mp) <= n of A.D.P for the Krylov vectors, whose
+    combination costs none; then, if b's constant term is zero, at most
+    n + 1 of A for the kernel sample.
     """
     diag = [ctx.rand_nonzero(rng) for _ in range(n)]
     perm = rng.sample(range(n), n)
@@ -146,11 +157,21 @@ def _solve_attempt(ctx, apply_fn, n, b, rng):
 
     krylov = [list(b)]
     mp = _minimal_polynomial(ctx, lambda x: apply_fn(pre(x)), krylov, n)
-    if mp[0] == ctx.zero:
+    if mp[0] != ctx.zero:
+        scale = ctx.inv(ctx.neg(mp[0]))
+        coeffs = [c if c == ctx.zero else ctx.mul(scale, c) for c in mp[1:]]
+        return pre(_combine(ctx, coeffs, krylov))
+    diag = [ctx.rand_nonzero(rng) for _ in range(n + 1)]
+
+    def augmented(y):
+        y = ctx.vmul(diag, y)
+        return ctx.sub_scaled(apply_fn(y[:n]), y[n], b) + [ctx.zero]
+
+    w = _kernel_attempt(ctx, augmented, n + 1, rng)
+    if w is None or w[n] == ctx.zero:
         return None
-    scale = ctx.inv(ctx.neg(mp[0]))
-    coeffs = [c if c == ctx.zero else ctx.mul(scale, c) for c in mp[1:]]
-    return pre(_combine(ctx, coeffs, krylov))
+    w = ctx.vmul(diag, w)
+    return ctx.vmul([ctx.inv(w[n])] * n, w[:n])
 
 
 def _kernel_attempt(ctx, apply_fn, n, rng):
@@ -179,8 +200,10 @@ def _kernel_attempt(ctx, apply_fn, n, rng):
 def wiedemann_solve(a: BlackBoxOperator, b, seed=0, max_attempts=40):
     """Random solution of Ax = b for a square black box, or None.
 
-    Per attempt the operator is touched at most n + 1 times: deg(mp) <= n
-    applies for the Krylov vectors and one to verify the candidate.  None
+    Per attempt the operator is touched at most 2n + 2 times: deg(mp) <= n
+    applies for b's Krylov vectors, at most n + 1 more for the augmented
+    kernel sample when b's minimal polynomial has a zero constant term
+    (see `_solve_attempt`), and one to verify the candidate.  None
     reports failure for these seeds only; inconsistency can only be
     certified densely.
     """

@@ -23,15 +23,19 @@ no denominator.  Decoding draws no random number: a decode's outcome is
 a function of r.
 
 The decoder computes on raw coefficients only, through `kgmat._apply`.
-Column (b, h) of A is one apply of C1^t to r * (column b of E0
-translated by h): expand(E0)'s column is a re-indexing of E0's, so only
-the second stage of A runs.  The search takes that apply packed
-(`kgmat._apply_packed`): over F_p with at most one axis its big-int
-slots go into the elimination unreduced, at a slot width that holds
-them and the elimination's growth (`_search_width`).  `denominator_check`
-applies C1^t and `pade_numerator` I1 to the product (E0 x) * r, taken
-while E0 x is unpacked, with one reduction per value, and
-`denominator_zeros` scans E0 x.  K[G] elements appear only where the
+Only diag(r) changes from one word to the next, so the search scales the
+block diag(r) . expand(E0) a few columns at a time
+(`kgmat._scaled_expansion`): over F_p with one axis each row of the
+block is one big-int product of a value of r and a window of E0 packed
+once per decoder, and one packed reduction takes every slot of the block
+mod p.  Column (b, h) of A is one apply of C1^t to a slice of that
+block, so only the second stage of A runs.  The search takes that apply
+packed (`kgmat._apply_packed`): over F_p with at most one axis its
+big-int slots go into the elimination unreduced, at a slot width that
+holds them and the elimination's growth (`_search_width`).
+`denominator_check` applies C1^t and `pade_numerator` I1 to the product
+(E0 x) * r, taken while E0 x is unpacked, with one reduction per value,
+and `denominator_zeros` scans E0 x.  K[G] elements appear only where the
 public functions return them.
 """
 
@@ -72,6 +76,7 @@ from .kgmat import (
     _flat,
     _leading_columns,
     _require_ints,
+    _scaled_expansion,
     _spectrum,
     expanded_rank,
     kg_from_spectrum,
@@ -166,19 +171,17 @@ def _denominator_columns(dd: DecoderData, r):
     """The columns of the denominator condition
     A = expand(C1^t) . diag(r) . expand(E0), (n-k1)o x k0 o, one at a
     time, as they are pulled, each packed for `gauss.first_dependency` at
-    `_search_width`.  Column (b, h) of expand(E0), for the coefficient
-    index b o + h, is column b of E0 with every entry translated by h
-    (coefficient g is coefficient g h^{-1}), so column (b, h) of A costs
-    one apply of C1^t to r times it.  The apply's product ints go to the
-    elimination as they are (`kgmat._apply_packed`): over F_p with at most
-    one axis a column is never unpacked or reduced."""
-    G, ctx, k0 = dd.code.group, dd.code.field, dd.e0.cols
-    c1t, e0, scale = kg_transpose(dd.c1), _blocks(dd.e0), _flat(dd.i1, r)
-    width = _search_width(dd)
-    shifts = [G.quotients(h) for h in range(G.order)]
-    return (_apply_packed(c1t, ctx.vmul([a[g] for a in e0[b::k0] for g in q],
-                                        scale), width)
-            for b in range(k0) for q in shifts)
+    `_search_width`.  The block diag(r) . expand(E0) comes a few columns
+    at a time, each block when its first column is pulled, from
+    `kgmat._scaled_expansion`, which packs the windows of E0's entries
+    that make expand(E0)'s rows once, keeps them on dd.e0 and scales each
+    row by one value of r; column (b, h) of A costs one apply of C1^t to
+    a slice of that block.  The apply's product ints go to the
+    elimination as they are (`kgmat._apply_packed`): over F_p with at
+    most one axis a column is never unpacked or reduced."""
+    c1t, width = kg_transpose(dd.c1), _search_width(dd)
+    return (_apply_packed(c1t, col, width)
+            for col in _scaled_expansion(dd.e0, _flat(dd.i1, r)))
 
 
 def find_denominator(dd: DecoderData, r):
@@ -187,8 +190,10 @@ def find_denominator(dd: DecoderData, r):
     A's columns are eliminated as they come (`gauss.first_dependency`) up
     to the first that depends on the ones before it, which gives a kernel
     vector of A, with its last nonzero coordinate one.  With t errors A
-    has rank at most t, so at most t + 1 of its k0 o columns are made.
-    None certifies that A has full column rank: r has no denominator.
+    has rank at most t, so at most t + 1 of its k0 o columns are made,
+    and of diag(r) . expand(E0) only the blocks that hold them are scaled
+    (`_denominator_columns`).  None certifies that A has full column
+    rank: r has no denominator.
     """
     if len(r) != dd.code.n:
         raise DimMismatch("received word has length %d, expected %d"

@@ -53,14 +53,6 @@ def matvec(ctx, m, v):
     return out
 
 
-def matmul(ctx, a, b):
-    if a and b and len(a[0]) != len(b):
-        raise DimMismatch("inner dimensions %d and %d differ"
-                          % (len(a[0]), len(b)))
-    bt = transpose(b)
-    return [[ctx.dot(row, col) for col in bt] for row in a]
-
-
 def rref(ctx, m):
     """Reduced row echelon form; returns (new matrix, pivot column list).
 
@@ -276,14 +268,10 @@ def solve_matrix(ctx, a, b):
     return x
 
 
-def kernel_basis(ctx, m):
-    """Basis of the right kernel of m, one vector per free column."""
-    return kernel_and_solution(ctx, m, [[] for _ in m])[0]
-
-
 def kernel_and_solution(ctx, a, b):
-    """(kernel_basis(a), one solution X of a·X = B or None if there is
-    none), from one elimination of [a | B], whose left block is rref(a)."""
+    """(a basis of a's right kernel, one vector per free column; one
+    solution X of a·X = B or None if there is none), from one elimination
+    of [a | B], whose left block is rref(a)."""
     if len(a) != len(b):
         raise DimMismatch("a has %d rows, b has %d" % (len(a), len(b)))
     cols = len(a[0]) if a else 0

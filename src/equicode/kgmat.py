@@ -19,8 +19,13 @@ right factor, `kg_apply` on a vector of elements, flattened, and the
 decoder on raw coefficients throughout.  The decoder's denominator search
 takes its products through `_apply_packed` instead, as columns already in
 `gauss.first_dependency`'s packed layout, so no module but this one, galg
-and gauss knows a slot width.  Each matrix keeps its packed rows, with
-their width, and its transpose once computed.
+and gauss knows a slot width.  The columns it applies C1^t to are those of
+diag(r) . expand(E0), which `_scaled_expansion` makes a block at a time:
+over F_p with one axis a row of the block is one big-int product
+of a scale value and a packed window of the entry, and one packed
+Barrett reduction takes all of the block's slots mod p.  Each matrix
+keeps its packed rows, with their width, its packed expansion windows
+and its transpose once computed.
 
 Whenever K[G] is split (the exponent of G dividing q - 1, so also for the
 trivial group, where K[1] = K has one character) the Fourier transform
@@ -46,6 +51,8 @@ and left-inverse computation.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field as dc_field
 from operator import mul as int_mul
 
@@ -64,10 +71,12 @@ from .galg import (
     AbelianGroup,
     GroupAlgebraElement,
     _elements,
+    _from_bytes,
     _inverse_transform,
     _layout,
     _pack_coeffs,
     _slot_width,
+    _to_bytes,
     _transform,
     _unpack_coeffs,
     ga_mul_fast,
@@ -91,12 +100,15 @@ class KGMatrix:
     cols: int
     coeffs: tuple  # row-major raw values, |G| per entry
     # the per-character K-matrices (see _spectrum), the packed rows (see
-    # _apply) and the transpose, each once built (see kg_transpose);
-    # memoization only
+    # _apply), the packed windows of expand(m)'s rows (see
+    # _scaled_expansion) and the transpose, each once built (see
+    # kg_transpose); memoization only
     _spectra: list = dc_field(default_factory=list, init=False,
                               compare=False, hash=False, repr=False)
     _packed: list = dc_field(default_factory=list, init=False,
                              compare=False, hash=False, repr=False)
+    _expanded: list = dc_field(default_factory=list, init=False,
+                               compare=False, hash=False, repr=False)
     _transposed: list = dc_field(default_factory=list, init=False,
                                  compare=False, hash=False, repr=False)
 
@@ -249,6 +261,97 @@ def _apply_packed(a: KGMatrix, flat, width):
         xs = [(x & mask) + (x >> 8 * step) for x in xs]
     return int.from_bytes(b"".join([x.to_bytes(step, "little") for x in xs]),
                           "little")
+
+
+# columns of diag(scale) . expand(m) that `_scaled_expansion` scales at
+# once (at most |G|): enough to spread the Python cost of a block's
+# m.rows |G| products, few enough that a word with few errors scales
+# little more than the columns it pulls
+_BLOCK_COLUMNS = 16
+
+
+def _scaled_expansion(m: KGMatrix, scale):
+    """The columns of diag(scale) . expand(m), in order, each the m.rows |G|
+    raw values of rows (i, g), i major; scale holds one raw value per row.
+    Column (b, h) of expand(m) is column b of m with every entry translated
+    by h: row (i, g) holds coefficient g h^{-1} of m_{i,b}.  OPS gets
+    m.rows |G| per column pulled, the entrywise products.
+
+    Over F_p with one axis the columns come in blocks of c =
+    min(|G|, _BLOCK_COLUMNS), (b, h0) to (b, h0 + c - 1), each block made
+    when its first column is pulled.  Row (i, g) of a block holds
+    coefficients g - h0 - v, v < c, of m_{i,b}, which depend on i, b and
+    h0 - g only.  So the windows of every entry are packed once and kept
+    on m, a slot of w = ceil(B / 8) bytes per coefficient, with B =
+    bits((p - 1)^2), and row (i, g) of the scaled block is one window
+    times the raw value scale[(i, g)], which does not carry.  The
+    products' bytes are joined, widened once to W-byte slots and read as
+    one int, and each slot v <= (p - 1)^2 is reduced mod p in one packed
+    pass (Barrett): with k = B + bits(p) and mu = ceil(2^k / p),
+    floor(v mu / 2^k) = floor(v / p) since v (mu p - 2^k) < 2^k, and
+    v mu < 2^(2B + 1) fits a slot of W = max(8, ceil((2B + 1) / 8))
+    bytes.  With W = 8 (every p <= 46337) the reduced slots are one
+    64-bit array, and the columns its strided slices.  Other algebras
+    translate and `ctx.vmul` one column at a time; so does the trivial
+    group, which has no translates to keep and whose blocks would hold
+    one column each."""
+    G, ctx, o, cols = m.group, m.field, m.group.order, m.cols
+    if ctx.d != 1 or len(G.factors) != 1:
+        entries, shifts = _blocks(m), [G.quotients(h) for h in range(o)]
+        for b in range(cols):
+            for q in shifts:
+                yield ctx.vmul([a[t] for a in entries[b::cols] for t in q],
+                               scale)
+        return
+    p, height = ctx.p, m.rows * o
+    B = ((p - 1) ** 2).bit_length()
+    w, W, k = -(-B // 8), max(8, -(-(2 * B + 1) // 8)), B + p.bit_length()
+    c = min(o, _BLOCK_COLUMNS)
+    starts = range(0, o, c)
+    if not m._expanded:
+        # window u of an entry holds its coefficients -1 - u - v, v < c:
+        # row (i, g) of block h0 is window h0 + |G| - 1 - g of m_{i,b}
+        count = o + starts[-1]
+        windows = []
+        for a in _blocks(m):
+            raw = _to_bytes([a[-1 - s % o] for s in range(count + c)], w)
+            windows.append([int.from_bytes(raw[u * w:(u + c) * w], "little")
+                            for u in range(count)])
+        m._expanded[:] = [windows, int.from_bytes(
+            ((1 << 8 * W - k) - 1).to_bytes(W, "little") * (height * c),
+            "little")]
+    windows, mask = m._expanded
+    mu = -(-(1 << k) // p)
+    scales = [scale[i:i + o] for i in range(0, height, o)]
+    for b in range(cols):
+        for h0 in starts:
+            prods = b"".join([
+                (x * r[u]).to_bytes(c * w, "little")
+                for r, xs in zip(windows[b::cols], scales)
+                for x, u in zip(xs, range(h0 + o - 1, h0 - 1, -1))])
+            # each stage's buffer goes before the next is made, since the
+            # search's pivots grow meanwhile
+            wide = bytearray(height * c * W)
+            for j in range(w):
+                wide[j::W] = prods[j::w]
+            del prods
+            v = int.from_bytes(wide, "little")
+            del wide
+            # the shift moves each slot's low k bits into the top of the
+            # slot below, which the mask clears
+            v -= ((v * mu >> k) & mask) * p
+            raw = v.to_bytes(height * c * W, "little")
+            del v
+            if W == 8:
+                vals = array("Q", raw)
+                if sys.byteorder == "big":
+                    vals.byteswap()
+            else:
+                vals = _from_bytes(raw, W)
+            del raw
+            for j in range(min(c, o - h0)):
+                OPS.add(height)
+                yield vals[j::c]
 
 
 def _is_split(group, ctx):

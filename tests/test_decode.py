@@ -60,6 +60,7 @@ from equicode.galg import (
 )
 from equicode.kgmat import (KGMatrix, expand, expanded_rank, kg_apply,
                             kg_matmul, kg_transpose)
+from gauss_helpers import kernel_basis, matmul
 
 K13 = field_make(13)
 
@@ -240,15 +241,15 @@ def test_denominator_operator_matches_dense_expansion(case, seed, top):
     xs = [[full] * size] if top else []
     xs += [[ctx.rand(rng) for _ in range(size)] for _ in range(3)]
     # a candidate that vanishes at the first k0 o - 1 coordinates at least
-    xs.append(gauss.kernel_basis(ctx, e0x[:size - 1])[0])
+    xs.append(kernel_basis(ctx, e0x[:size - 1])[0])
     zero = ctx.zero
     cw = encode(code, rand_message(code, rng))
     for word in (r, cw):
         wvec = [c for a in word for c in a.coeffs]
         prod = [[ctx.mul(wvec[i], v) for v in row]
                 for i, row in enumerate(e0x)]
-        condition = gauss.matmul(ctx, expand(kg_transpose(dd.c1)), prod)
-        interp = gauss.matmul(ctx, expand(dd.i1), prod)
+        condition = matmul(ctx, expand(kg_transpose(dd.c1)), prod)
+        interp = matmul(ctx, expand(dd.i1), prod)
         for xv in xs:
             x = galg._elements(G, ctx, xv)
             if set(xv) == {zero}:
@@ -401,7 +402,7 @@ def _unfolded_condition(dd, r):
     rvec = [c for a in r for c in a.coeffs]
     prod = [[ctx.mul(rvec[i], v) for v in row]
             for i, row in enumerate(expand(dd.e0))]
-    return gauss.matmul(ctx, expand(kg_transpose(dd.c1)), prod)
+    return matmul(ctx, expand(kg_transpose(dd.c1)), prod)
 
 
 def _first_column_dependency(ctx, a):
@@ -410,7 +411,7 @@ def _first_column_dependency(ctx, a):
     cols = gauss.transpose(a)
     for j in range(len(cols)):
         if gauss.rank(ctx, cols[:j + 1]) == j:
-            (v,) = gauss.kernel_basis(ctx, gauss.transpose(cols[:j + 1]))
+            (v,) = kernel_basis(ctx, gauss.transpose(cols[:j + 1]))
             inv = ctx.inv(v[j])
             return [ctx.mul(c, inv) for c in v] + [ctx.zero] * (
                 len(cols) - j - 1)
@@ -537,6 +538,67 @@ def test_prime_one_axis_search_never_unpacks(monkeypatch):
         assert calls == []
     c1t = kg_transpose(dd.c1)
     assert c1t._packed[0] == decode_module._search_width(dd)
+
+
+def test_search_scales_only_the_blocks_it_pulls(monkeypatch):
+    """Over F_p with one axis the block diag(r) . expand(E0) is scaled 16
+    columns at a time, when its first column is pulled (one 64-bit array
+    of reduced slots per block): a word with 3 errors pulls 4 columns and
+    scales one block, and a word at the radius pulls all k0 |G| = 64
+    columns, in 4 blocks."""
+    code = cyclic_cover_code(12289, 1, 32, 8, 2)
+    dd = make_cyclic_decoder_data(code, 2)
+    blocks, columns = [], []
+    real_array, real_apply = kgmat.array, decode_module._apply_packed
+
+    def counting_array(*args):
+        blocks.append(1)
+        return real_array(*args)
+
+    def counting_apply(*args):
+        columns.append(1)
+        return real_apply(*args)
+
+    monkeypatch.setattr(kgmat, "array", counting_array)
+    monkeypatch.setattr(decode_module, "_apply_packed", counting_apply)
+    rng = random.Random(7)
+    for t, pulled, scaled in ((3, 4, 1), (dd.radius, 64, 4)):
+        r, _ = corrupt(code, encode(code, rand_message(code, rng)), t, rng)
+        blocks.clear()
+        columns.clear()
+        assert find_denominator(dd, r) is not None
+        assert (len(columns), len(blocks)) == (pulled, scaled)
+
+
+def test_prime_search_makes_no_vmul_and_keeps_e0_once(monkeypatch):
+    """Over F_p the search scales r * E0 by packed products, with no
+    FieldCtx.vmul call, and the rows of expand(E0) it scales are packed
+    once per decoder, one window per entry of E0 at the first search: a
+    second search and a second decode pack none."""
+    code, dd = cyclic_pair()
+    vmuls, packs = [], []
+    real_vmul, real_pack = type(code.field).vmul, kgmat._to_bytes
+
+    def counting_vmul(ctx, u, v):
+        vmuls.append(1)
+        return real_vmul(ctx, u, v)
+
+    def counting_pack(vals, width):
+        packs.append(1)
+        return real_pack(vals, width)
+
+    monkeypatch.setattr(type(code.field), "vmul", counting_vmul)
+    monkeypatch.setattr(kgmat, "_to_bytes", counting_pack)
+    rng = random.Random(8)
+    for built in (dd.e0.rows * dd.e0.cols, 0):
+        r, _ = corrupt(code, encode(code, rand_message(code, rng)),
+                       dd.radius, rng)
+        vmuls.clear()
+        packs.clear()
+        assert find_denominator(dd, r) is not None
+        assert (len(vmuls), len(packs)) == (0, built)
+    audit(dd, r, basic_decode(dd, r))
+    assert packs == []
 
 
 def _counting(monkeypatch, name):

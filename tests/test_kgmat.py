@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -34,6 +35,7 @@ from equicode.galg import (
     ga_sigma,
     ga_zero,
 )
+from gauss_helpers import matmul
 
 K3 = ff.field_make(3)
 K5 = ff.field_make(5)
@@ -144,7 +146,7 @@ def test_expand_action_and_multiplicativity():
         a = kg_rand(Z4, K5, rng, 2, 2)
         b = kg_rand(Z4, K5, rng, 2, 2)
         lhs = kgmat.expand(kgmat.kg_matmul(a, b))
-        rhs = gauss.matmul(K5, kgmat.expand(a), kgmat.expand(b))
+        rhs = matmul(K5, kgmat.expand(a), kgmat.expand(b))
         assert lhs == rhs
 
 
@@ -354,6 +356,43 @@ def test_kg_apply_nominal_op_count(p, d, factors, ops):
     with ff.count_field_ops() as counted:
         kgmat.kg_apply(a, vec)
     assert counted.count == ops
+
+
+@pytest.mark.parametrize("fill", ["top", "random"])
+@pytest.mark.parametrize("factors", [[20], [2, 2], []],
+                         ids=["z20", "z2xz2", "trivial"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p", [2, 13, 12289, 46337, 46349, 2 ** 31 - 1,
+                               2 ** 61 - 1])
+def test_scaled_expansion_matches_dense(p, d, factors, fill):
+    """The columns of _scaled_expansion are those of diag(scale) .
+    expand(m), pulled twice (the second pass reads the rows kept on m),
+    and OPS gets m.rows |G| per column.  With "top" every value is p - 1,
+    so every slot of the packed reduction over F_p with one axis is
+    (p - 1)^2; 46337 is the last prime whose slots fit 8 bytes, and 46349
+    the first whose slots do not.  At |G| = 20 each column of m gives a
+    block of 16 columns and one of 4.  Two axes, the trivial group and
+    F_{p^d} take one column at a time."""
+    ctx, G = ff.field_make(p, d), AbelianGroup(factors)
+    rng = random.Random("scaled/%d/%d/%s" % (p, d, fill))
+    top = p - 1 if d == 1 else (p - 1,) * d
+
+    def draw():
+        return top if fill == "top" else ctx.rand(rng)
+
+    m = kgmat.KGMatrix(G, ctx, 3, 2,
+                       tuple(draw() for _ in range(6 * G.order)))
+    scale = [draw() for _ in range(3 * G.order)]
+    want = [[ctx.mul(s, v) for s, v in zip(scale, col)]
+            for col in zip(*kgmat.expand(m))]
+    for _ in range(2):
+        with ff.count_field_ops() as counted:
+            got = list(kgmat._scaled_expansion(m, scale))
+        assert [list(col) for col in got] == want
+        assert counted.count == len(want) * 3 * G.order
+    packed = d == 1 and len(factors) == 1
+    assert all(isinstance(col, array) == (packed and p <= 46337)
+               for col in got)
 
 
 def test_kg_apply_rejects_foreign_vector():

@@ -103,7 +103,9 @@ def test_field_ctx_is_the_only_field_type():
 # (gauss._pack and gauss._unpack: one slot per value over F_p, a block of
 # 2d - 1 slots over F_{p^d}), the search's hand-off of product slots into
 # that layout (kgmat._apply_packed: only over F_p are the slots of a
-# product the values' slots) and the parsers of raw values.
+# product the values' slots), the search's scaled input block
+# (kgmat._scaled_expansion: only over F_p is a product of raw values one
+# slot, reduced by a packed pass) and the parsers of raw values.
 DEGREE_TESTS_ALLOWED = {
     "cli._load_elements",
     "files.matrix_from_obj",
@@ -114,6 +116,7 @@ DEGREE_TESTS_ALLOWED = {
     "gauss.first_dependency",
     "gauss.rref",
     "kgmat._apply_packed",
+    "kgmat._scaled_expansion",
 }
 
 
