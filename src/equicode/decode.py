@@ -22,17 +22,28 @@ t + 1 columns are made, and an A of full column rank proves that r has
 no denominator.  Decoding draws no random number: a decode's outcome is
 a function of r.
 
+A is K-linear in r and vanishes on the code, since C1^t kills every
+product of an E0 column with an E column: A(r) = A(r - c) for every
+codeword c.  So `basic_decode` searches r - c for the codeword c that
+agrees with r off C's unit places (`_lifted_word`).  That word is zero at
+the k other places, and at unit place i, with row c_i e_j of C, it is
+c_i^{-1} s_j, read off the syndrome s the decode already holds.  When
+some check column of C has no unit place, or G is trivial, r itself is
+searched.
+
 The decoder computes on raw coefficients only, through `kgmat._apply`.
 Only diag(r) changes from one word to the next, so the search scales the
 block diag(r) . expand(E0) a few columns at a time
 (`kgmat._scaled_expansion`): over F_p with one axis each row of the
 block is one big-int product of a value of r and a window of E0 packed
 once per decoder, and one packed reduction takes every slot of the block
-mod p.  Column (b, h) of A is one apply of C1^t to a slice of that
-block, so only the second stage of A runs.  The search takes that apply
-packed (`kgmat._apply_packed`): over F_p with at most one axis its
-big-int slots go into the elimination unreduced, at a slot width that
-holds them and the elimination's growth (`_search_width`).
+mod p; a place where r is zero adds a zero row block with no window
+products, and its products with C1^t are products by 0.  Column (b, h)
+of A is one apply of C1^t to a slice of that block, so only the second
+stage of A runs.  The search takes that apply packed
+(`kgmat._apply_packed`): over F_p with at most one axis its big-int
+slots go into the elimination unreduced, at a slot width that holds
+them and the elimination's growth (`_search_width`).
 `denominator_check` applies C1^t and `pade_numerator` I1 to the product
 (E0 x) * r, taken while E0 x is unpacked, with one reduction per value,
 and `denominator_zeros` scans E0 x.  K[G] elements appear only where the
@@ -267,7 +278,25 @@ def _unit_places(code: EquivariantCode):
     return units
 
 
-def _error_values(code: EquivariantCode, zeros, syndrome):
+def _lifted_word(code: EquivariantCode, units, syndrome):
+    """The raw coefficients of r - c, for the codeword c that agrees with
+    r off the unit places, from r's raw syndrome; None unless C has a unit
+    place for every check column and G is nontrivial (over K[1] a zero
+    place saves a one-slot product, less than the lift costs).  r - c has
+    r's syndrome and is zero off the unit places, so at unit place i,
+    with row c_i e_j of C, it is c_i^{-1} s_j: one ctx.vmul per unit
+    place."""
+    ctx, o = code.field, code.group.order
+    if o == 1 or len(units) < code.check.cols:
+        return None
+    word = [ctx.zero] * (code.n * o)
+    for i, (j, c) in units.items():
+        word[i * o:(i + 1) * o] = ctx.vmul([ctx.inv(c)] * o,
+                                           syndrome[j * o:(j + 1) * o])
+    return word
+
+
+def _error_values(code: EquivariantCode, units, zeros, syndrome):
     """The raw error vector (n |G| values) that vanishes off the zeros and
     has the given raw syndrome: gauss.solve's solution of
     _error_system(code, zeros), or Inconsistent.
@@ -279,9 +308,8 @@ def _error_values(code: EquivariantCode, zeros, syndrome):
     solution is the full system's, and eps(i, s) = c^{-1} (sigma -
     C^t eps)(j, s) with eps still zero at the unit places; otherwise the
     full system is solved, so gauss.solve's choice of free unknowns
-    stands."""
+    stands.  units are C's unit places (`_unit_places`)."""
     ctx, o = code.field, code.group.order
-    units = _unit_places(code)
     free = [(i, s) for i, s in zeros if i not in units]
     dropped = {units[i][0] * o + s for i, s in zeros if i in units}
     rhs = [v for t, v in enumerate(syndrome) if t not in dropped]
@@ -311,6 +339,14 @@ def basic_decode(dd: DecoderData, r, seed=None, trace=None) -> DecodeResult:
     denominator, then read the error values at C's unit places off the
     syndrome and solve for the rest densely (`_error_values`).
 
+    The search takes r - c, for the codeword c that agrees with r off C's
+    unit places (`_lifted_word`), so k of the n places of its word are
+    zero.  C1^t kills every product of an E0 column with an E column, so
+    A(r - c) = A(r) and the denominator is r's own.  When some check
+    column of C has no unit place, or G is trivial, the search takes r
+    itself: which word it takes depends on C alone.  C's unit places are
+    found once and shared with the error solve.
+
     Exact up to dd.radius errors for the geometric constructions; always
     sound (the returned triple is verified: c is a codeword, m encodes to
     c, r = c + error, and the error sits inside the denominator's zeros).
@@ -331,15 +367,21 @@ def basic_decode(dd: DecoderData, r, seed=None, trace=None) -> DecodeResult:
         zero = GroupAlgebraElement(G, ctx, (ctx.zero,) * o)
         return DecodeResult(tuple(r), tuple(m), (zero,) * code.n, None, ())
     log("syndrome nonzero, searching denominators")
-    x = find_denominator(dd, r)
+    flat = [c for a in syndrome for c in a.coeffs]
+    units = _unit_places(code)
+    lifted = _lifted_word(code, units, flat)
+    word = r if lifted is None else _elements(G, ctx, lifted)
+    if trace is not None:
+        log("search word nonzero at %d of %d places"
+            % (sum(not a.is_zero() for a in word), code.n))
+    x = find_denominator(dd, word)
     if x is None:
         raise DecodeFail("denominator search: the Pade condition has full "
                          "column rank")
     zeros = denominator_zeros(dd, x)
     log("denominator vanishes at %d points" % len(zeros))
     try:
-        evec = _error_values(code, zeros,
-                             [c for a in syndrome for c in a.coeffs])
+        evec = _error_values(code, units, zeros, flat)
     except Inconsistent:
         raise DecodeFail("error values: inconsistent system") from None
     err = _elements(G, ctx, evec)

@@ -249,8 +249,10 @@ def _apply_packed(a: KGMatrix, flat, width):
     in slot i |G| + g.  Over F_p with at most one axis the slots are
     `_products`' own, unreduced (below a.cols |G| (p - 1)^2, which width
     must hold): the axis folds on the integer, as in `galg._unpack_coeffs`,
-    and the rows' bytes are concatenated.  Other layouts go through
-    `_apply` and pack its values."""
+    and the rows' bytes are concatenated.  An entry of the column that
+    is zero packs to the int 0, so its products with a's rows are
+    products by 0.  Other layouts go through `_apply` and pack its
+    values."""
     G, ctx = a.group, a.field
     if ctx.d != 1 or len(G.factors) > 1:
         return gauss._pack(ctx, _apply(a, flat), width)
@@ -284,10 +286,12 @@ def _scaled_expansion(m: KGMatrix, scale):
     h0 - g only.  So the windows of every entry are packed once and kept
     on m, a slot of w = ceil(B / 8) bytes per coefficient, with B =
     bits((p - 1)^2), and row (i, g) of the scaled block is one window
-    times the raw value scale[(i, g)], which does not carry.  The
-    products' bytes are joined, widened once to W-byte slots and read as
-    one int, and each slot v <= (p - 1)^2 is reduced mod p in one packed
-    pass (Barrett): with k = B + bits(p) and mu = ceil(2^k / p),
+    times the raw value scale[(i, g)], which does not carry; where scale
+    is zero at all of row i's |G| values the rows (i, g) are zero bytes
+    and make no products.  The products' bytes are joined, widened once
+    to W-byte slots and read as one int, and each slot v <= (p - 1)^2 is
+    reduced mod p in one packed pass (Barrett): with k = B + bits(p) and
+    mu = ceil(2^k / p),
     floor(v mu / 2^k) = floor(v / p) since v (mu p - 2^k) < 2^k, and
     v mu < 2^(2B + 1) fits a slot of W = max(8, ceil((2B + 1) / 8))
     bytes.  With W = 8 (every p <= 46337) the reduced slots are one
@@ -322,13 +326,18 @@ def _scaled_expansion(m: KGMatrix, scale):
             "little")]
     windows, mask = m._expanded
     mu = -(-(1 << k) // p)
+    # None marks a row i whose scale values are all zero
     scales = [scale[i:i + o] for i in range(0, height, o)]
+    scales = [xs if any(xs) else None for xs in scales]
+    blank = bytes(o * c * w)
     for b in range(cols):
         for h0 in starts:
+            us = range(h0 + o - 1, h0 - 1, -1)
             prods = b"".join([
-                (x * r[u]).to_bytes(c * w, "little")
-                for r, xs in zip(windows[b::cols], scales)
-                for x, u in zip(xs, range(h0 + o - 1, h0 - 1, -1))])
+                blank if xs is None else b"".join([
+                    (x * r[u]).to_bytes(c * w, "little")
+                    for x, u in zip(xs, us)])
+                for r, xs in zip(windows[b::cols], scales)])
             # each stage's buffer goes before the next is made, since the
             # search's pivots grow meanwhile
             wide = bytearray(height * c * W)

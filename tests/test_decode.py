@@ -22,6 +22,7 @@ from equicode.decode import (
     _denominator_columns,
     _error_system,
     _error_values,
+    _lifted_word,
     _unit_places,
     basic_decode,
     basic_radius,
@@ -41,6 +42,7 @@ from equicode.errors import (
     DegreeWindow,
     DegreeWindowWarning,
     DimMismatch,
+    EquicodeError,
     Inconsistent,
     InvariantViolation,
     Mismatch,
@@ -214,13 +216,21 @@ OPERATOR_PAIRS = _operator_pairs()
 
 @settings(max_examples=60, deadline=None)
 @given(case=st.sampled_from(sorted(OPERATOR_PAIRS)),
-       seed=st.integers(0, 2 ** 32), top=st.booleans())
-@example(case="two-axis-f5", seed=2773, top=False)  # draws a zero candidate
-def test_denominator_operator_matches_dense_expansion(case, seed, top):
+       seed=st.integers(0, 2 ** 32), top=st.booleans(),
+       holes=st.sampled_from(["none", "some", "all-but-one"]))
+# the first example draws a zero candidate
+@example(case="two-axis-f5", seed=2773, top=False, holes="none")
+@example(case="cyclic-f13", seed=1, top=True, holes="all-but-one")
+@example(case="rs-f9", seed=2, top=True, holes="some")
+def test_denominator_operator_matches_dense_expansion(case, seed, top, holes):
     """The streamed columns are those of the condition
     A = expand(C1^t) . diag(r) . expand(E0), in coefficient order; with
     top, r and x are all p - 1, so every packed slot is as large as it
-    gets.  denominator_check, pade_numerator and denominator_zeros agree
+    gets.  With holes, r is zero on a random subset of its places, or on
+    all places but one, as the lifted word the decoder searches is off
+    the unit places: those places scale no window and multiply C1^t by
+    0, and the columns are still A's.  denominator_check, pade_numerator
+    and denominator_zeros agree
     with A, with expand(I1) on the same product and with the zeros of
     expand(E0) . x, on r and on a codeword, for which every candidate is
     a denominator.  A random candidate can be zero, which
@@ -233,6 +243,11 @@ def test_denominator_operator_matches_dense_expansion(case, seed, top):
         r = [GroupAlgebraElement(G, ctx, (full,) * o)] * code.n
     else:
         r = [ga_rand(G, ctx, rng) for _ in range(code.n)]
+    if holes != "none":
+        kept = rng.randrange(code.n)
+        blank = ga_zero(G, ctx)
+        r = [a if i == kept or holes == "some" and rng.random() < 0.5
+             else blank for i, a in enumerate(r)]
     e0x = expand(dd.e0)
     cols = [column_values(dd, c) for c in _denominator_columns(dd, r)]
     size = dd.e0.cols * o
@@ -1088,8 +1103,9 @@ def test_error_values_match_the_full_solve(monkeypatch, case):
     the zeros and for a random syndrome.  Large zero sets make the
     system without the unit places rank-deficient, so the full solve
     runs there too."""
-    code, units = ERROR_VALUE_CODES[case]
-    assert len(_unit_places(code)) == units
+    code, count = ERROR_VALUE_CODES[case]
+    units = _unit_places(code)
+    assert len(units) == count
     ctx, o = code.field, code.group.order
     solve = gauss.solve
     fallbacks = []
@@ -1115,16 +1131,121 @@ def test_error_values_match_the_full_solve(monkeypatch, case):
                 sol = solve(ctx, full, syndrome)
             except Inconsistent:
                 with pytest.raises(Inconsistent):
-                    _error_values(code, zeros, syndrome)
+                    _error_values(code, units, zeros, syndrome)
                 outcomes.add("inconsistent")
                 continue
             want = [ctx.zero] * (code.n * o)
             for (i, s), v in zip(zeros, sol):
                 want[i * o + s] = v
-            assert _error_values(code, zeros, syndrome) == want
+            assert _error_values(code, units, zeros, syndrome) == want
             outcomes.add("solved")
     assert outcomes == {"inconsistent", "solved"}
     assert fallbacks
+
+
+# codes without a unit place for every check column: the search takes r,
+# as it does over the trivial group
+INCOMPLETE_UNITS = {"no-units", "rs-e0-twice", "two-axis"}
+SEARCH_WORD_CASES = sorted(OPERATOR_PAIRS) + sorted(ERROR_VALUE_CODES)
+
+
+def _decode_outcome(dd, r, trace=None):
+    try:
+        return basic_decode(dd, r, trace=trace)
+    except DecodeFail as e:
+        return str(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(SEARCH_WORD_CASES),
+       seed=st.integers(0, 2 ** 32), weight=st.integers(0, 6))
+@example(case="cyclic-f13", seed=0, weight=3)
+@example(case="two-axis-f5", seed=0, weight=2)
+@example(case="no-units", seed=0, weight=2)
+def test_search_word_is_the_lift_of_r(case, seed, weight):
+    """The word basic_decode searches has r's syndrome and is zero off C's
+    unit places; a code without a unit place for every check column, or
+    over the trivial group, searches r itself.  On decoder data the
+    search finds r's own first column dependency, basic_decode hands it
+    exactly that word, and its outcome is the one it has when the search
+    is given r."""
+    if case in OPERATOR_PAIRS:
+        code, dd = OPERATOR_PAIRS[case]
+    else:
+        code, dd = ERROR_VALUE_CODES[case][0], None
+    G, ctx, o = code.group, code.field, code.group.order
+    rng = random.Random(seed)
+    r, _ = corrupt(code, encode(code, rand_message(code, rng)),
+                   min(weight, code.n * o), rng)
+    units = _unit_places(code)
+    syndrome = parity_check(code, r)
+    lifted = _lifted_word(code, units,
+                          [c for a in syndrome for c in a.coeffs])
+    assert (lifted is None) == (case in INCOMPLETE_UNITS or o == 1)
+    word = r if lifted is None else galg._elements(G, ctx, lifted)
+    assert parity_check(code, word) == syndrome
+    assert lifted is None or all(word[i].is_zero() for i in range(code.n)
+                                 if i not in units)
+    if dd is None:
+        return
+    assert find_denominator(dd, word) == find_denominator(dd, r)
+    real = decode_module.find_denominator
+    searched, lines = [], []
+
+    def recording(data, w):
+        searched.append(w)
+        return real(data, w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decode_module, "find_denominator", recording)
+        got = _decode_outcome(dd, r, lines.append)
+        mp.setattr(decode_module, "find_denominator",
+                   lambda data, w: real(data, r))
+        assert _decode_outcome(dd, r) == got
+    if any(not a.is_zero() for a in syndrome):
+        assert searched == [word]
+        nonzero = sum(not a.is_zero() for a in word)
+        assert "search word nonzero at %d of %d places" % (
+            nonzero, code.n) in lines
+    else:
+        assert searched == []
+
+
+def _corrupt_decoder(dd, which, index, delta):
+    """dd with coefficient index of its C1 or E0 moved by delta."""
+    m = getattr(dd, which)
+    ctx = m.field
+    coeffs = list(m.coeffs)
+    coeffs[index] = ctx.add(coeffs[index], delta)
+    return dataclasses.replace(dd, **{which: KGMatrix(
+        m.group, ctx, m.rows, m.cols, tuple(coeffs))})
+
+
+def test_corrupt_decoders_decode_soundly_or_raise():
+    """One coefficient of C1 or E0 moved in the decoder of
+    cyclic_cover_code(13, 1, 4, 3, 1) breaks A(c) = 0 on codewords, so
+    the lifted word's search can find what r's would not.  Decodes of
+    words with 1-3 errors either pass the audit against the valid code,
+    or raise an EquicodeError; both happen."""
+    code, dd = cyclic_pair()
+    ctx = code.field
+    rng = random.Random(24)
+    outcomes = {"decoded": 0, "refused": 0}
+    for trial in range(240):
+        which = ("c1", "e0")[trial % 2]
+        size = len(getattr(dd, which).coeffs)
+        bad = _corrupt_decoder(dd, which, rng.randrange(size),
+                               ctx.rand_nonzero(rng))
+        r, _ = corrupt(code, encode(code, rand_message(code, rng)),
+                       rng.randint(1, 3), rng)
+        try:
+            res = basic_decode(bad, r)
+        except EquicodeError:
+            outcomes["refused"] += 1
+            continue
+        audit(dd, r, res)
+        outcomes["decoded"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_basic_decode_runs_no_transform(monkeypatch, tmp_path):

@@ -302,10 +302,12 @@ def test_one_denominator_search_per_decode():
 
 def test_one_error_solve_per_decode():
     """basic_decode recovers the error values with one _error_values call,
-    outside any loop or comprehension.  Only _error_values finds the unit
-    places (through _unit_places, their one helper), builds error systems
-    and eliminates them: one gauss.rref, and gauss.solve on the full
-    system when the reduced one is rank-deficient.  Besides it only the
+    outside any loop or comprehension.  Only basic_decode finds the unit
+    places, with one _unit_places call outside any loop, and shares them
+    between the search word and _error_values, so C is scanned once per
+    decode.  Only _error_values builds error systems and eliminates them:
+    one gauss.rref, and gauss.solve on the full system when the reduced
+    one is rank-deficient.  Besides it only the
     set-up make_split_decoder_data eliminates in decode, so a second
     solve per decode cannot come back unnoticed."""
     trees = dict(package_trees())
@@ -316,12 +318,15 @@ def test_one_error_solve_per_decode():
                  if isinstance(node, ast.FunctionDef)
                  and node.name == "basic_decode"]
     assert len(calls_to(decode, {"_error_values"})) == 1
+    assert len(calls_to(decode, {"_unit_places"})) == 1
     assert [call for loop in ast.walk(decode) if isinstance(loop, LOOPS)
-            for call in calls_to(loop, {"_error_values"})] == []
-    for helper in ("_unit_places", "_error_system"):
+            for call in calls_to(loop, {"_error_values", "_unit_places"})] \
+        == []
+    for helper, caller in (("_unit_places", "decode.basic_decode"),
+                           ("_error_system", "decode._error_values")):
         found = {fn for name, tree in trees.items()
                  for fn in callers(tree, name[:-3], {helper})}
-        assert found == {"decode._error_values"}
+        assert found == {caller}
     assert set(callers(trees["decode.py"], "decode", {"rref", "solve"})) \
         == {"decode._error_values", "decode.make_split_decoder_data"}
 
