@@ -38,9 +38,11 @@ from .errors import (
     TooManyPoints,
 )
 from .ff import FieldCtx, field_make
-from .galg import AbelianGroup, ga_from_ints
+from .galg import AbelianGroup, _elements, ga_from_ints
 from .kgmat import (
     KGMatrix,
+    _apply,
+    _flat,
     _require_ints,
     expanded_rank,
     kg_apply,
@@ -101,12 +103,18 @@ def parity_check(code: EquivariantCode, received):
     return kg_apply(kg_transpose(code.check), list(received))
 
 
-def interpolate(code: EquivariantCode, word):
-    """Recover the message of a codeword; re-encodes to verify membership."""
-    m = kg_apply(code.interp, list(word))
-    if encode(code, m) != list(word):
+def _message(code: EquivariantCode, flat):
+    """`interpolate` on the list flat of a word's raw coefficients."""
+    m = _apply(code.interp, flat)
+    if _apply(code.evaluation, m) != flat:
         raise NotInImage("vector is not in the image of the evaluation map")
     return m
+
+
+def interpolate(code: EquivariantCode, word):
+    """Recover the message of a codeword; re-encodes to verify membership."""
+    return _elements(code.group, code.field,
+                     _message(code, _flat(code.interp, list(word))))
 
 
 def expanded_weight(vec) -> int:

@@ -28,26 +28,17 @@ codeword c.  So `basic_decode` searches r - c for the codeword c that
 agrees with r off C's unit places (`_lifted_word`).  That word is zero at
 the k other places, and at unit place i, with row c_i e_j of C, it is
 c_i^{-1} s_j, read off the syndrome s the decode already holds.  When
-some check column of C has no unit place, or G is trivial, r itself is
-searched.
+some check column of C has no unit place, r itself is searched.
 
-The decoder computes on raw coefficients only, through `kgmat._apply`.
-Only diag(r) changes from one word to the next, so the search scales the
-block diag(r) . expand(E0) a few columns at a time
-(`kgmat._scaled_expansion`): over F_p with one axis each row of the
-block is one big-int product of a value of r and a window of E0 packed
-once per decoder, and one packed reduction takes every slot of the block
-mod p; a place where r is zero adds a zero row block with no window
-products, and its products with C1^t are products by 0.  Column (b, h)
-of A is one apply of C1^t to a slice of that block, so only the second
-stage of A runs.  The search takes that apply packed
-(`kgmat._apply_packed`): over F_p with at most one axis its big-int
-slots go into the elimination unreduced, at a slot width that holds
-them and the elimination's growth (`_search_width`).
-`denominator_check` applies C1^t and `pade_numerator` I1 to the product
-(E0 x) * r, taken while E0 x is unpacked, with one reduction per value,
-and `denominator_zeros` scans E0 x.  K[G] elements appear only where the
-public functions return them.
+The decoder computes on raw coefficients only, from r, flattened once,
+to the result, through `kgmat._apply`; K[G] elements are built only
+where the public functions return them.  Only diag(r) changes from one
+word to the next, so the search scales the block diag(r) . expand(E0) a
+few columns at a time, on windows of E0 packed once per decoder, and
+hands each column of A, one apply of C1^t to a slice of that block, to
+the elimination packed (`_denominator_columns`).  `denominator_check`
+applies C1^t and `pade_numerator` I1 to the product (E0 x) * r, taken
+while E0 x is unpacked, and `denominator_zeros` scans E0 x.
 """
 
 from __future__ import annotations
@@ -61,9 +52,8 @@ from .code import (
     EquivariantCode,
     _check_shapes,
     _first_nonzero_points,
+    _message,
     cyclic_orbit_evaluation,
-    interpolate,
-    parity_check,
 )
 from .errors import (
     CheckFailed,
@@ -78,7 +68,7 @@ from .errors import (
     NotInImage,
     RankDeficient,
 )
-from .galg import GroupAlgebraElement, _elements, ga_sub
+from .galg import _elements
 from .kgmat import (
     KGMatrix,
     _apply,
@@ -178,25 +168,26 @@ def _search_width(dd: DecoderData):
     return gauss.column_width(dd.code.field, dd.c1.cols * o, dd.code.n * o)
 
 
-def _denominator_columns(dd: DecoderData, r):
+def _denominator_columns(dd: DecoderData, word):
     """The columns of the denominator condition
-    A = expand(C1^t) . diag(r) . expand(E0), (n-k1)o x k0 o, one at a
-    time, as they are pulled, each packed for `gauss.first_dependency` at
-    `_search_width`.  The block diag(r) . expand(E0) comes a few columns
-    at a time, each block when its first column is pulled, from
-    `kgmat._scaled_expansion`, which packs the windows of E0's entries
-    that make expand(E0)'s rows once, keeps them on dd.e0 and scales each
-    row by one value of r; column (b, h) of A costs one apply of C1^t to
-    a slice of that block.  The apply's product ints go to the
-    elimination as they are (`kgmat._apply_packed`): over F_p with at
-    most one axis a column is never unpacked or reduced."""
+    A = expand(C1^t) . diag(r) . expand(E0), (n-k1)o x k0 o, for the raw
+    coefficients word of r, one at a time as they are pulled, each packed
+    for `gauss.first_dependency` at `_search_width`.  The block
+    diag(r) . expand(E0) comes a few columns at a time, each block when
+    its first column is pulled, from `kgmat._scaled_expansion`, which
+    scales windows of E0's entries that it packs once and keeps on dd.e0;
+    column (b, h) of A is one apply of C1^t to a slice of that block, and
+    the apply's product ints go to the elimination as they are
+    (`kgmat._apply_packed`): over F_p with at most one axis a column is
+    never unpacked or reduced."""
     c1t, width = kg_transpose(dd.c1), _search_width(dd)
     return (_apply_packed(c1t, col, width)
-            for col in _scaled_expansion(dd.e0, _flat(dd.i1, r)))
+            for col in _scaled_expansion(dd.e0, word))
 
 
-def find_denominator(dd: DecoderData, r):
-    """A denominator of r, or None.
+def _find_denominator(dd: DecoderData, word):
+    """The raw coefficients of a denominator of r, given as its raw
+    coefficients word, or None.
 
     A's columns are eliminated as they come (`gauss.first_dependency`) up
     to the first that depends on the ones before it, which gives a kernel
@@ -206,16 +197,19 @@ def find_denominator(dd: DecoderData, r):
     (`_denominator_columns`).  None certifies that A has full column
     rank: r has no denominator.
     """
+    ctx, o = dd.code.field, dd.code.group.order
+    x = gauss.first_dependency(ctx, _denominator_columns(dd, word),
+                               dd.c1.cols * o, _search_width(dd))
+    return None if x is None else x + [ctx.zero] * (dd.e0.cols * o - len(x))
+
+
+def find_denominator(dd: DecoderData, r):
+    """A denominator of r, or None: `_find_denominator` on elements."""
     if len(r) != dd.code.n:
         raise DimMismatch("received word has length %d, expected %d"
                           % (len(r), dd.code.n))
-    G, ctx = dd.code.group, dd.code.field
-    size = dd.e0.cols * G.order
-    coeffs = gauss.first_dependency(ctx, _denominator_columns(dd, r),
-                                    dd.c1.cols * G.order, _search_width(dd))
-    if coeffs is None:
-        return None
-    return _elements(G, ctx, coeffs + [ctx.zero] * (size - len(coeffs)))
+    x = _find_denominator(dd, _flat(dd.i1, r))
+    return None if x is None else _elements(dd.code.group, dd.code.field, x)
 
 
 def pade_numerator(dd: DecoderData, r, x) -> PadeApproximant:
@@ -233,10 +227,9 @@ def pade_numerator(dd: DecoderData, r, x) -> PadeApproximant:
 
 def denominator_zeros(dd: DecoderData, x):
     """(place, group index) pairs where the denominator values E0 x
-    vanish."""
+    vanish, for the raw coefficients x of a denominator."""
     o, zero = dd.code.group.order, dd.code.field.zero
-    values = _apply(dd.e0, _flat(dd.e0, x))
-    return [divmod(i, o) for i, c in enumerate(values) if c == zero]
+    return [divmod(i, o) for i, c in enumerate(_apply(dd.e0, x)) if c == zero]
 
 
 def _error_system(code: EquivariantCode, zeros, dropped=frozenset()):
@@ -260,9 +253,9 @@ def _error_system(code: EquivariantCode, zeros, dropped=frozenset()):
 
 
 def _unit_places(code: EquivariantCode):
-    """{i: (j, c)} for the places i whose row of C is c e_j: a nonzero
-    scalar c at the group identity of entry j and zero elsewhere, with
-    distinct j (the first such place keeps j).  Column (i, s) of the
+    """{i: (j, c^{-1})} for the places i whose row of C is c e_j: a
+    nonzero scalar c at the group identity of entry j and zero elsewhere,
+    with distinct j (the first such place keeps j).  Column (i, s) of the
     error system is then c times the unit at row (j, s).  A code built
     through `split_kernel_and_inverse` usually has one per check column:
     each character's kernel basis is the unit at its free columns."""
@@ -274,24 +267,22 @@ def _unit_places(code: EquivariantCode):
         hits = [t for t, x in enumerate(row) if x != zero]
         if (len(hits) == 1 and hits[0] % o == 0
                 and all(j != hits[0] // o for j, _ in units.values())):
-            units[i] = (hits[0] // o, row[hits[0]])
+            units[i] = (hits[0] // o, code.field.inv(row[hits[0]]))
     return units
 
 
 def _lifted_word(code: EquivariantCode, units, syndrome):
     """The raw coefficients of r - c, for the codeword c that agrees with
     r off the unit places, from r's raw syndrome; None unless C has a unit
-    place for every check column and G is nontrivial (over K[1] a zero
-    place saves a one-slot product, less than the lift costs).  r - c has
-    r's syndrome and is zero off the unit places, so at unit place i,
-    with row c_i e_j of C, it is c_i^{-1} s_j: one ctx.vmul per unit
-    place."""
+    place for every check column, whatever G.  r - c has r's syndrome and
+    is zero off the unit places, so at unit place i, with row c_i e_j of
+    C, it is c_i^{-1} s_j: one ctx.vmul per unit place."""
     ctx, o = code.field, code.group.order
-    if o == 1 or len(units) < code.check.cols:
+    if len(units) < code.check.cols:
         return None
     word = [ctx.zero] * (code.n * o)
-    for i, (j, c) in units.items():
-        word[i * o:(i + 1) * o] = ctx.vmul([ctx.inv(c)] * o,
+    for i, (j, inv) in units.items():
+        word[i * o:(i + 1) * o] = ctx.vmul([inv] * o,
                                            syndrome[j * o:(j + 1) * o])
     return word
 
@@ -328,8 +319,8 @@ def _error_values(code: EquivariantCode, units, zeros, syndrome):
     partial = _apply(kg_transpose(code.check), evec) if dropped else ()
     for i, s in zeros:
         if i in units:
-            j, c = units[i]
-            evec[i * o + s] = ctx.mul(ctx.inv(c), ctx.sub(
+            j, inv = units[i]
+            evec[i * o + s] = ctx.mul(inv, ctx.sub(
                 syndrome[j * o + s], partial[j * o + s]))
     return evec
 
@@ -343,9 +334,10 @@ def basic_decode(dd: DecoderData, r, seed=None, trace=None) -> DecodeResult:
     unit places (`_lifted_word`), so k of the n places of its word are
     zero.  C1^t kills every product of an E0 column with an E column, so
     A(r - c) = A(r) and the denominator is r's own.  When some check
-    column of C has no unit place, or G is trivial, the search takes r
-    itself: which word it takes depends on C alone.  C's unit places are
-    found once and shared with the error solve.
+    column of C has no unit place the search takes r itself: which word
+    it takes depends on C alone.  C's unit places are found once and
+    shared with the error solve.  r is flattened once, and K[G] elements
+    are built only for the returned DecodeResult.
 
     Exact up to dd.radius errors for the geometric constructions; always
     sound (the returned triple is verified: c is a codeword, m encodes to
@@ -358,43 +350,42 @@ def basic_decode(dd: DecoderData, r, seed=None, trace=None) -> DecodeResult:
     """
     log = trace if trace is not None else lambda line: None
     code = dd.code
-    G, ctx, o = code.group, code.field, code.group.order
-    r = list(r)
-    syndrome = parity_check(code, r)
-    if all(s.is_zero() for s in syndrome):
+    G, ctx, o, zero = code.group, code.field, code.group.order, code.field.zero
+    r = tuple(r)
+    check = kg_transpose(code.check)
+    flat = _flat(check, r)
+    syndrome = _apply(check, flat)
+    if all(s == zero for s in syndrome):
         log("syndrome zero, fast path")
-        m = interpolate(code, r)
-        zero = GroupAlgebraElement(G, ctx, (ctx.zero,) * o)
-        return DecodeResult(tuple(r), tuple(m), (zero,) * code.n, None, ())
+        return DecodeResult(r, tuple(_elements(G, ctx, _message(code, flat))),
+                            tuple(_elements(G, ctx, [zero] * len(flat))),
+                            None, ())
     log("syndrome nonzero, searching denominators")
-    flat = [c for a in syndrome for c in a.coeffs]
     units = _unit_places(code)
-    lifted = _lifted_word(code, units, flat)
-    word = r if lifted is None else _elements(G, ctx, lifted)
-    if trace is not None:
-        log("search word nonzero at %d of %d places"
-            % (sum(not a.is_zero() for a in word), code.n))
-    x = find_denominator(dd, word)
+    lifted = _lifted_word(code, units, syndrome)
+    word = flat if lifted is None else lifted
+    log("search word nonzero at %d of %d places" % (sum(
+        word[i:i + o] != [zero] * o for i in range(0, len(word), o)), code.n))
+    x = _find_denominator(dd, word)
     if x is None:
         raise DecodeFail("denominator search: the Pade condition has full "
                          "column rank")
     zeros = denominator_zeros(dd, x)
     log("denominator vanishes at %d points" % len(zeros))
     try:
-        evec = _error_values(code, units, zeros, flat)
+        evec = _error_values(code, units, zeros, syndrome)
     except Inconsistent:
         raise DecodeFail("error values: inconsistent system") from None
-    err = _elements(G, ctx, evec)
-    cw = [ga_sub(ri, ei) for ri, ei in zip(r, err)]
-    if not all(s.is_zero() for s in parity_check(code, cw)):
+    cw = [ctx.sub(a, e) for a, e in zip(flat, evec)]
+    if any(s != zero for s in _apply(check, cw)):
         raise DecodeFail("verification: parity check failed")
     try:
-        m = interpolate(code, cw)
+        m = _message(code, cw)
     except NotInImage:
         raise DecodeFail("verification: not in the image") from None
     log("decoded: %d expanded error positions" % len(zeros))
-    return DecodeResult(tuple(cw), tuple(m), tuple(err), tuple(x),
-                        tuple(zeros))
+    return DecodeResult(*(tuple(_elements(G, ctx, v))
+                          for v in (cw, m, evec, x)), tuple(zeros))
 
 
 # ------------------------------------------------------- data constructors

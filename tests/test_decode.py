@@ -113,6 +113,11 @@ def audit(dd, r, res):
                     assert (i, s) in zeros
 
 
+def raw(vec):
+    """The raw coefficients of a vector of K[G] elements, concatenated."""
+    return [c for a in vec for c in a.coeffs]
+
+
 def column_values(dd, col):
     """The values of a column of the search's stream, which comes packed
     for gauss.first_dependency at the search's slot width."""
@@ -249,7 +254,7 @@ def test_denominator_operator_matches_dense_expansion(case, seed, top, holes):
         r = [a if i == kept or holes == "some" and rng.random() < 0.5
              else blank for i, a in enumerate(r)]
     e0x = expand(dd.e0)
-    cols = [column_values(dd, c) for c in _denominator_columns(dd, r)]
+    cols = [column_values(dd, c) for c in _denominator_columns(dd, raw(r))]
     size = dd.e0.cols * o
     assert len(cols) == size
     assert cols == gauss.transpose(_unfolded_condition(dd, r))
@@ -284,7 +289,7 @@ def test_denominator_operator_matches_dense_expansion(case, seed, top, holes):
                     pade_numerator(dd, word, x)
     for xv in xs:
         values = gauss.matvec(ctx, e0x, xv)
-        assert denominator_zeros(dd, galg._elements(G, ctx, xv)) == \
+        assert denominator_zeros(dd, xv) == \
             [divmod(i, o) for i, v in enumerate(values) if v == zero]
 
 
@@ -301,7 +306,7 @@ def test_denominator_operator_apply_nominal_op_count(case):
         T *= 2 * o - 1
     rng = random.Random(23)
     r = [ga_rand(G, ctx, rng) for _ in range(n)]
-    columns = _denominator_columns(dd, r)
+    columns = _denominator_columns(dd, raw(r))
     for _ in range(2):  # the first column may pack C1^t
         with count_field_ops() as counted:
             next(columns)
@@ -326,7 +331,7 @@ def test_column_searches_pack_c1_once(monkeypatch):
     for _ in range(2):
         r = [ga_rand(code.group, code.field, rng) for _ in range(code.n)]
         packed.clear()
-        next(_denominator_columns(dd, r))
+        next(_denominator_columns(dd, raw(r)))
         counts.append(list(packed))
     column = code.n * code.group.order
     assert counts == [[len(dd.c1.coeffs), column], [column]]
@@ -726,7 +731,7 @@ def test_find_denominator_matches_classical_locator():
         pivot = next(i for i, v in enumerate(locvals) if v != K13.zero)
         scale = K13.mul(vals[pivot], K13.inv(locvals[pivot]))
         assert vals == [K13.mul(scale, lv) for lv in locvals]
-        assert set(denominator_zeros(dd, x)) == {(p, 0) for p in pos}
+        assert set(denominator_zeros(dd, raw(x))) == {(p, 0) for p in pos}
 
 
 def test_pade_numerator_round_trip():
@@ -789,15 +794,39 @@ def test_basic_decode_ignores_its_seed():
             assert basic_decode(dd, r, seed=seed) == want
 
 
-def test_basic_decode_fast_path():
-    code, dd = rs_pair()
+def _fast_path_pairs():
+    rs9 = rs_degenerate_code(3, 8, 3, d=2)
+    f25 = cyclic_cover_code(5, 2, 4, 3, 1)
+    return {"rs-f13": rs_pair(), "rs-f9": (rs9, make_rs_decoder_data(rs9)),
+            "cyclic-f25": (f25, make_cyclic_decoder_data(f25, 1))}
+
+
+FAST_PATH_PAIRS = _fast_path_pairs()
+
+
+@pytest.mark.parametrize("case", sorted(FAST_PATH_PAIRS))
+def test_basic_decode_fast_path(case):
+    """A clean word takes the syndrome-zero path, and a word with one
+    error does not.  Over F_{p^d} a raw zero is the tuple (0,) * d, which
+    is truthy, so a zero test must compare with the field's zero: the
+    fields here are F_13, F_9 and F_25."""
+    code, dd = FAST_PATH_PAIRS[case]
     rng = random.Random(10)
     m = rand_message(code, rng)
-    r = encode(code, m)
-    res = basic_decode(dd, r)
+    cw = encode(code, m)
+    res = basic_decode(dd, cw)
     assert res.denominator is None and res.zeros == ()
-    assert list(res.message) == m
+    assert list(res.message) == m and list(res.codeword) == cw
     assert all(a.is_zero() for a in res.error)
+    audit(dd, cw, res)
+    assert dd.radius >= 1
+    r, pos = corrupt(code, cw, 1, rng)
+    res = basic_decode(dd, r)
+    assert res.denominator is not None
+    assert list(res.message) == m and list(res.codeword) == cw
+    o = code.group.order
+    assert [i * o + s for i, a in enumerate(res.error)
+            for s, c in enumerate(a.coeffs) if c != code.field.zero] == pos
     audit(dd, r, res)
 
 
@@ -1143,8 +1172,7 @@ def test_error_values_match_the_full_solve(monkeypatch, case):
     assert fallbacks
 
 
-# codes without a unit place for every check column: the search takes r,
-# as it does over the trivial group
+# codes without a unit place for every check column: the search takes r
 INCOMPLETE_UNITS = {"no-units", "rs-e0-twice", "two-axis"}
 SEARCH_WORD_CASES = sorted(OPERATOR_PAIRS) + sorted(ERROR_VALUE_CODES)
 
@@ -1162,13 +1190,14 @@ def _decode_outcome(dd, r, trace=None):
 @example(case="cyclic-f13", seed=0, weight=3)
 @example(case="two-axis-f5", seed=0, weight=2)
 @example(case="no-units", seed=0, weight=2)
+@example(case="rs-f9", seed=0, weight=2)
 def test_search_word_is_the_lift_of_r(case, seed, weight):
     """The word basic_decode searches has r's syndrome and is zero off C's
-    unit places; a code without a unit place for every check column, or
-    over the trivial group, searches r itself.  On decoder data the
-    search finds r's own first column dependency, basic_decode hands it
-    exactly that word, and its outcome is the one it has when the search
-    is given r."""
+    unit places; a code without a unit place for every check column
+    searches r itself, whatever its group.  On decoder data the search
+    finds r's own first column dependency, basic_decode hands it exactly
+    that word, and its outcome is the one it has when the search is given
+    r."""
     if case in OPERATOR_PAIRS:
         code, dd = OPERATOR_PAIRS[case]
     else:
@@ -1181,7 +1210,7 @@ def test_search_word_is_the_lift_of_r(case, seed, weight):
     syndrome = parity_check(code, r)
     lifted = _lifted_word(code, units,
                           [c for a in syndrome for c in a.coeffs])
-    assert (lifted is None) == (case in INCOMPLETE_UNITS or o == 1)
+    assert (lifted is None) == (case in INCOMPLETE_UNITS)
     word = r if lifted is None else galg._elements(G, ctx, lifted)
     assert parity_check(code, word) == syndrome
     assert lifted is None or all(word[i].is_zero() for i in range(code.n)
@@ -1189,7 +1218,7 @@ def test_search_word_is_the_lift_of_r(case, seed, weight):
     if dd is None:
         return
     assert find_denominator(dd, word) == find_denominator(dd, r)
-    real = decode_module.find_denominator
+    real = decode_module._find_denominator
     searched, lines = [], []
 
     def recording(data, w):
@@ -1197,13 +1226,13 @@ def test_search_word_is_the_lift_of_r(case, seed, weight):
         return real(data, w)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decode_module, "find_denominator", recording)
+        mp.setattr(decode_module, "_find_denominator", recording)
         got = _decode_outcome(dd, r, lines.append)
-        mp.setattr(decode_module, "find_denominator",
-                   lambda data, w: real(data, r))
+        mp.setattr(decode_module, "_find_denominator",
+                   lambda data, w: real(data, raw(r)))
         assert _decode_outcome(dd, r) == got
     if any(not a.is_zero() for a in syndrome):
-        assert searched == [word]
+        assert searched == [raw(word)]
         nonzero = sum(not a.is_zero() for a in word)
         assert "search word nonzero at %d of %d places" % (
             nonzero, code.n) in lines

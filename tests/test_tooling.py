@@ -148,14 +148,16 @@ def test_field_degree_is_tested_only_where_allowed():
 # Functions of kgmat, files, code and decode that may build
 # GroupAlgebraElements from raw values: the on-demand accessor, kg_apply
 # (it takes elements), the element-level duality and unit helpers, the
-# vector loader, the hand-written fixture and the decoder's public
-# returns.  A KGMatrix itself holds raw values, its Fourier image is
-# transformed on raw values, and the decoder computes on raw
-# coefficients.
+# vector loader, the hand-written fixture, interpolate's return (the
+# decoder reads the message through its raw core, code._message) and the
+# decoder's public returns.  A KGMatrix itself holds raw values, its
+# Fourier image is transformed on raw values, and the decoder computes on
+# raw coefficients.
 ELEMENT_BUILDERS = {"GroupAlgebraElement", "_elements", "ga_from_ints",
                     "ga_one", "ga_rand", "ga_sigma", "ga_zero"}
 ELEMENT_BUILDS_ALLOWED = {
     "code.genus2_example_code.ga",
+    "code.interpolate",
     "decode.basic_decode",
     "decode.find_denominator",
     "decode.pade_numerator",
@@ -246,14 +248,14 @@ def test_one_krylov_routine():
 
 def test_one_first_dependency_routine():
     """gauss.first_dependency is called only by the Krylov routine and by
-    the decoder's column search, and decode names nothing that blackbox
+    the decoder's raw column search, and decode names nothing that blackbox
     defines: denominators come from the columns of the Pade condition,
     not from a black-box kernel sample."""
     trees = dict(package_trees())
     found = {fn for name, tree in trees.items()
              for fn in callers(tree, name[:-3], {"first_dependency"})}
     assert found == {"blackbox._minimal_polynomial",
-                     "decode.find_denominator"}
+                     "decode._find_denominator"}
     body = trees["blackbox.py"].body
     defined = {node.name for node in body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -274,26 +276,51 @@ LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
 
 
+def basic_decode_tree(trees):
+    (decode,) = [node for node in trees["decode.py"].body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "basic_decode"]
+    return decode
+
+
+def test_basic_decode_stays_raw():
+    """basic_decode carries raw coefficients from r to its result: it
+    names no element-level helper (ga_sub, parity_check, interpolate,
+    GroupAlgebraElement) and builds elements only inside the
+    DecodeResult(...) it returns, so a second word representation cannot
+    come back onto the decode path unnoticed."""
+    decode = basic_decode_tree(dict(package_trees()))
+    assert names_used(decode) & {"ga_sub", "parity_check", "interpolate",
+                                 "GroupAlgebraElement"} == set()
+    returned = [node.value for node in ast.walk(decode)
+                if isinstance(node, ast.Return)
+                and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "DecodeResult"]
+    inside = {id(call) for result in returned
+              for call in calls_to(result, ELEMENT_BUILDERS)}
+    builds = calls_to(decode, ELEMENT_BUILDERS)
+    assert builds and {id(call) for call in builds} == inside
+
+
 def test_one_denominator_search_per_decode():
-    """basic_decode makes one find_denominator call, outside any loop or
-    comprehension, and only find_denominator streams the condition's
-    columns (through _denominator_columns), so a second retry loop cannot
-    come back unnoticed.  In decode only the set-up
+    """basic_decode makes one call of the raw search _find_denominator,
+    outside any loop or comprehension; besides it only the public
+    find_denominator wraps that search, and only the search streams the
+    condition's columns (through _denominator_columns), so a second retry
+    loop cannot come back unnoticed.  In decode only the set-up
     make_split_decoder_data names random or draws (ctx.rand), so no
     random draw can come back onto the decode path."""
     trees = dict(package_trees())
     found = {fn for name, tree in trees.items()
-             for fn in callers(tree, name[:-3], {"find_denominator"})}
-    assert found == {"decode.basic_decode"}
-    (decode,) = [node for node in trees["decode.py"].body
-                 if isinstance(node, ast.FunctionDef)
-                 and node.name == "basic_decode"]
-    assert len(calls_to(decode, {"find_denominator"})) == 1
+             for fn in callers(tree, name[:-3], {"_find_denominator"})}
+    assert found == {"decode.basic_decode", "decode.find_denominator"}
+    decode = basic_decode_tree(trees)
+    assert len(calls_to(decode, {"_find_denominator"})) == 1
     assert [call for loop in ast.walk(decode) if isinstance(loop, LOOPS)
-            for call in calls_to(loop, {"find_denominator"})] == []
+            for call in calls_to(loop, {"_find_denominator"})] == []
     found = {fn for name, tree in trees.items()
              for fn in callers(tree, name[:-3], {"_denominator_columns"})}
-    assert found == {"decode.find_denominator"}
+    assert found == {"decode._find_denominator"}
     drawing = {getattr(node, "name", None) for node in trees["decode.py"].body
                if not isinstance(node, ast.Import)
                and names_used(node) & {"random", "rand"}}
@@ -314,9 +341,7 @@ def test_one_error_solve_per_decode():
     found = {fn for name, tree in trees.items()
              for fn in callers(tree, name[:-3], {"_error_values"})}
     assert found == {"decode.basic_decode"}
-    (decode,) = [node for node in trees["decode.py"].body
-                 if isinstance(node, ast.FunctionDef)
-                 and node.name == "basic_decode"]
+    decode = basic_decode_tree(trees)
     assert len(calls_to(decode, {"_error_values"})) == 1
     assert len(calls_to(decode, {"_unit_places"})) == 1
     assert [call for loop in ast.walk(decode) if isinstance(loop, LOOPS)
