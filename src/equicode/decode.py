@@ -9,7 +9,10 @@ a0 * r = a1 pointwise; a0 is then a denominator of r.  When r = c + eps
 with few errors, every denominator vanishes on the error support, so its
 zero set locates the errors.  At a place whose row of the check matrix C
 is a scalar times a unit vector (a systematic C has n - k) the syndrome
-gives the error values directly; one small dense solve finds the rest.
+gives the error values directly.  The rest solve a small dense system,
+whose rows are made and eliminated only until they decide its unknowns
+(`_error_values`); the rows left over are checked through the apply of
+C^t that the unit places need anyway.
 
 The denominator condition "a0 * r lands in the product space" is one
 K-linear system A = expand(C1^t) . diag(r) . expand(E0), (n - k1) |G|
@@ -37,8 +40,9 @@ word to the next, so the search scales the block diag(r) . expand(E0) a
 few columns at a time, on windows of E0 packed once per decoder, and
 hands each column of A, one apply of C1^t to a slice of that block, to
 the elimination packed (`_denominator_columns`).  `denominator_check`
-applies C1^t and `pade_numerator` I1 to the product (E0 x) * r, taken
-while E0 x is unpacked, and `denominator_zeros` scans E0 x.
+applies C1^t, and `pade_numerator` C1^t and I1, to one product
+(E0 x) * r, taken while E0 x is unpacked, and `denominator_zeros` scans
+E0 x.
 """
 
 from __future__ import annotations
@@ -148,15 +152,21 @@ def _product(dd: DecoderData, r, x):
     return _apply(dd.e0, _flat(dd.e0, x), _flat(dd.i1, r))
 
 
-def denominator_check(dd: DecoderData, r, x) -> bool:
-    """True iff a0 = E0.x is a denominator of r: (E0 x) * r passes the
-    product-space check C1^t.  Cost: two K[G]-matrix applications plus n
+def _checked_product(dd: DecoderData, r, x):
+    """(E0 x) * r as `_product` gives it, and whether it passes the
+    product-space check C1^t: two K[G]-matrix applications plus n
     pointwise products."""
     u = _product(dd, r, x)
     if all(a.is_zero() for a in x):
         raise NotADenominatorCandidate("the zero function is not allowed")
     zero = dd.code.field.zero
-    return all(c == zero for c in _apply(kg_transpose(dd.c1), u))
+    return u, all(c == zero for c in _apply(kg_transpose(dd.c1), u))
+
+
+def denominator_check(dd: DecoderData, r, x) -> bool:
+    """True iff a0 = E0.x is a denominator of r: (E0 x) * r passes the
+    product-space check C1^t (`_checked_product`)."""
+    return _checked_product(dd, r, x)[1]
 
 
 def _search_width(dd: DecoderData):
@@ -217,10 +227,12 @@ def pade_numerator(dd: DecoderData, r, x) -> PadeApproximant:
 
     a1 = I1 . ((E0 x) * r); membership of the product in the I1/C1 space
     is exactly the condition denominator_check verified (the check matrix
-    has full rank n - k1, so its kernel IS the product space)."""
-    if not denominator_check(dd, r, x):
+    has full rank n - k1, so its kernel IS the product space).  The
+    product is made once, for the check and for I1: three applications."""
+    u, ok = _checked_product(dd, r, x)
+    if not ok:
         raise CheckFailed("candidate is not a denominator of this word")
-    a1 = _apply(dd.i1, _product(dd, r, x))
+    a1 = _apply(dd.i1, u)
     return PadeApproximant(tuple(x), tuple(
         _elements(dd.code.group, dd.code.field, a1)))
 
@@ -232,9 +244,10 @@ def denominator_zeros(dd: DecoderData, x):
     return [divmod(i, o) for i, c in enumerate(_apply(dd.e0, x)) if c == zero]
 
 
-def _error_system(code: EquivariantCode, zeros, dropped=frozenset()):
-    """The columns of expand(C^t) at the given (place, group index) pairs,
-    without the rows j |G| + g in dropped.
+def _error_rows(code: EquivariantCode, zeros, dropped=frozenset()):
+    """The rows of expand(C^t) at the given (place, group index) pairs,
+    without the rows j |G| + g in dropped, one at a time as they are
+    pulled.
 
     Row (j, g), column (i, s) holds coefficient g s^{-1} of (C^t)_{j,i},
     which is C_{i,j}: the K-matrix taking error values on the zeros to the
@@ -243,13 +256,16 @@ def _error_system(code: EquivariantCode, zeros, dropped=frozenset()):
     G, check = code.group, code.check
     shift = {s: G.quotients(s) for s in {s for _, s in zeros}}
     entries = _blocks(check)
-    sub = []
     for j in range(check.cols):
         blocks = [(entries[i * check.cols + j], shift[s]) for i, s in zeros]
         for g in range(G.order):
             if j * G.order + g not in dropped:
-                sub.append([c[t[g]] for c, t in blocks])
-    return sub
+                yield [c[t[g]] for c, t in blocks]
+
+
+def _error_system(code: EquivariantCode, zeros, dropped=frozenset()):
+    """`_error_rows` as one list, the system that gauss.solve takes."""
+    return list(_error_rows(code, zeros, dropped))
 
 
 def _unit_places(code: EquivariantCode):
@@ -295,28 +311,32 @@ def _error_values(code: EquivariantCode, units, zeros, syndrome):
     A unit place i with row c e_j of C puts c eps(i, s) into syndrome
     entry (j, s) and nowhere else, so the zeros at the other places solve
     the system without the unit columns and their rows, consistent
-    exactly when the full one is.  When it has full column rank its one
-    solution is the full system's, and eps(i, s) = c^{-1} (sigma -
-    C^t eps)(j, s) with eps still zero at the unit places; otherwise the
-    full system is solved, so gauss.solve's choice of free unknowns
-    stands.  units are C's unit places (`_unit_places`)."""
+    exactly when the full one is.  Its rows stream from `_error_rows` into
+    `gauss.solve_rows`, which eliminates them only until they decide the
+    unknowns.  When they do, the system's one solution, if any, is that
+    square system's, and the rows not eliminated are checked through the
+    C^t eps that eps(i, s) = c^{-1} (sigma - C^t eps)(j, s) needs anyway,
+    with eps still zero at the unit places.  Otherwise the full system is
+    solved, so gauss.solve's choice of free unknowns stands.  units are
+    C's unit places (`_unit_places`)."""
     ctx, o = code.field, code.group.order
     free = [(i, s) for i, s in zeros if i not in units]
     dropped = {units[i][0] * o + s for i, s in zeros if i in units}
     rhs = [v for t, v in enumerate(syndrome) if t not in dropped]
-    red, pivots = gauss.rref(ctx, [row + [v] for row, v in zip(
-        _error_system(code, free, dropped), rhs)])
-    if pivots and pivots[-1] == len(free):
-        raise Inconsistent("right-hand side outside the column span")
+    u = gauss.solve_rows(ctx, (row + [v] for row, v in zip(
+        _error_rows(code, free, dropped), rhs)), len(free))
     evec = [ctx.zero] * (code.n * o)
-    if len(pivots) < len(free):
+    if u is None:
         for (i, s), v in zip(zeros, gauss.solve(
                 ctx, _error_system(code, zeros), syndrome)):
             evec[i * o + s] = v
         return evec
-    for (i, s), row in zip(free, red):
-        evec[i * o + s] = row[-1]
-    partial = _apply(kg_transpose(code.check), evec) if dropped else ()
+    for (i, s), v in zip(free, u):
+        evec[i * o + s] = v
+    partial = _apply(kg_transpose(code.check), evec)
+    if any(partial[t] != v for t, v in enumerate(syndrome)
+           if t not in dropped):
+        raise Inconsistent("right-hand side outside the column span")
     for i, s in zeros:
         if i in units:
             j, inv = units[i]

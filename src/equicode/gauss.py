@@ -17,6 +17,8 @@ and the dependency is recovered by back-substitution through them.  Its
 columns may arrive packed, with unreduced slots (`column_width` gives the
 slot width that holds them and the elimination's growth), so a producer
 of big-int products hands them over without a reduction or a repack.
+`solve_rows` runs the same reduce step (`_eliminate`) on a stream of rows
+[a | b], until they decide the unknowns of a u = b.
 """
 
 from __future__ import annotations
@@ -149,28 +151,26 @@ def first_dependency(ctx, columns, rows, width=None):
     width for.
 
     Columns are reduced as they arrive against the pivots so far, in order
-    (left-looking).  Pivot k keeps its reduced column F_k, every slot
-    reduced, nonzero in slot t_k (chosen as in `rref`) and zero at every
-    earlier pivot slot, and s_k = -1 / F_k[t_k].  A column whose slot t_k
-    holds y gets col += x F_k with x = s_k y, which clears slot t_k; the
-    read masks below slot t_k first, so it costs t_k slots, not rows.
-    There is no identity block: pivot k keeps the multipliers x_{k,i}
-    that made it, packed in one int, so F_k = col_k + sum_i x_{k,i} F_i.
-    The first column that reduces to zero, col_j + sum_k a_k F_k = 0, goes
-    back to the columns by back-substitution, one packed pass per pivot
-    from the last: a_k is final, it is c_k, and a += a_k x_k.
+    (left-looking, `_eliminate`).  Pivot k keeps its reduced column F_k,
+    every slot reduced, nonzero in slot t_k (chosen as in `rref`) and zero
+    at every earlier pivot slot, and s_k = -1 / F_k[t_k].  There is no
+    identity block: pivot k keeps the multipliers x_{k,i} that made it,
+    packed in one int, so F_k = col_k + sum_i x_{k,i} F_i.  The first
+    column that reduces to zero, col_j + sum_k a_k F_k = 0, goes back to
+    the columns by back-substitution, one packed pass per pivot from the
+    last: a_k is final, it is c_k, and a += a_k x_k.
 
     OPS gets the count of this elimination run cell by cell through ctx:
     1 + 2 rows per nonzero y (x, and col += x F_k), 2 per pivot (s_k), and
     2k per pass of the back-substitution with a_k != 0.
     """
-    p, zero = ctx.p, ctx.zero
+    p, zero, prime = ctx.p, ctx.zero, ctx.d == 1
     packed = width is not None
     if not packed:
         width = column_width(ctx, rows)
     bits = 8 * width * (2 * ctx.d - 1)  # one value's block
     order = list(range(rows))
-    pivots = []  # (slot t_k's shift, F_k, s_k) per pivot
+    pivots = []  # (read mask, slot t_k's shift, F_k, s_k) per pivot
     kept = []  # the multipliers of F_k, packed, per pivot
     ops = 0
     for j, col in enumerate(columns):
@@ -179,22 +179,7 @@ def first_dependency(ctx, columns, rows, width=None):
                 raise DimMismatch("column %d has %d entries, expected %d"
                                   % (j, len(col), rows))
             col = _pack(ctx, col, width)
-        xs = []
-        if ctx.d == 1:
-            for shift, f, s in pivots:
-                x = ((col & (1 << shift + bits) - 1) >> shift) * s % p
-                if x:
-                    col += x * f
-                xs.append(x)
-            ops += len(xs) - xs.count(zero)  # x = s y, as ctx.mul counts
-        else:
-            for shift, f, s in pivots:
-                x = _unpack(ctx, (col & (1 << shift + bits) - 1) >> shift,
-                            1, width)[0]
-                if x != zero:
-                    x = ctx.mul(s, x)
-                    col += _pack(ctx, [x], width) * f
-                xs.append(x)
+        col, xs = _eliminate(ctx, col, pivots, width)
         ops += 2 * rows * (len(xs) - xs.count(zero))
         vals = _unpack(ctx, col, rows, width)
         r = len(pivots)
@@ -202,21 +187,116 @@ def first_dependency(ctx, columns, rows, width=None):
             if vals[order[pos]] != zero:
                 break
         else:
-            a, mask = _pack(ctx, xs, width), (1 << bits) - 1
-            for k in range(r - 1, -1, -1):
-                xs[k] = _unpack(ctx, a >> k * bits & mask, 1, width)[0]
-                if xs[k] != zero:
-                    a += _pack(ctx, [xs[k]], width) * kept[k]
-                    ops += 2 * k
+            low = (1 << bits) - 1
+            if prime:
+                a = _to_int(xs, width)
+                for k in range(r - 1, -1, -1):
+                    xs[k] = x = (a >> k * bits & low) % p
+                    if x:
+                        a += x * kept[k]
+                        ops += 2 * k
+            else:
+                a = _pack(ctx, xs, width)
+                for k in range(r - 1, -1, -1):
+                    xs[k] = _unpack(ctx, a >> k * bits & low, 1, width)[0]
+                    if xs[k] != zero:
+                        a += _pack(ctx, [xs[k]], width) * kept[k]
+                        ops += 2 * k
             OPS.add(ops)
             return xs + [ctx.one]
         order[r], order[pos] = order[pos], order[r]
         t = order[r]
-        pivots.append((t * bits, _pack(ctx, vals, width),
-                       ctx.neg(ctx.inv(vals[t]))))
+        pivots.append(((1 << (t + 1) * bits) - 1, t * bits,
+                       _pack(ctx, vals, width), ctx.neg(ctx.inv(vals[t]))))
         kept.append(_pack(ctx, xs, width))
     OPS.add(ops)
     return None
+
+
+def solve_rows(ctx, rows, cols):
+    """The solution u of a u = b, from the rows [a_i | b_i] (lists of cols
+    + 1 raw values) that the iterable yields, read off the first cols of
+    them that are independent; None when the rows run out first.  No row
+    after the cols-th independent one is pulled, and the rows not pulled
+    are not checked: when a has full column rank, u is the one solution
+    exactly when it satisfies them.
+
+    Rows are reduced as they arrive against the pivots so far, in order,
+    by `_eliminate`, the step of `first_dependency` on the transpose: each
+    pivot row F_k keeps every slot reduced, b_k's included, is nonzero in
+    its first nonzero slot t_k of a and zero at every earlier pivot slot,
+    and s_k = -1 / F_k[t_k].  A row that reduces to zero is dropped; one
+    whose a part does while its b does not raises Inconsistent at once.
+    The cols pivot rows are then triangular in pivot order, and u comes
+    from the last: u_{t_k} = s_k (sum_{i > k} F_k[t_i] u_{t_i} - b_k).
+
+    OPS gets the count of this run cell by cell through ctx: 1 + 2 (cols
+    + 1) per nonzero y (x = s_k y, and row += x F_k), 2 per pivot (s_k),
+    and 2 (cols - k) per unknown u_{t_k} of the back-substitution.
+    """
+    zero = ctx.zero
+    width = column_width(ctx, cols)
+    bits = 8 * width * (2 * ctx.d - 1)  # one value's block
+    pivots = []  # (read mask, slot t_k's shift, F_k, s_k) per pivot
+    reduced = []  # (t_k, F_k's values) per pivot
+    ops = 0
+    for i, row in enumerate(rows if cols else ()):
+        if len(row) != cols + 1:
+            raise DimMismatch("row %d has %d entries, expected %d"
+                              % (i, len(row), cols + 1))
+        row, xs = _eliminate(ctx, _pack(ctx, row, width), pivots, width)
+        ops += 2 * (cols + 1) * (len(xs) - xs.count(zero))
+        vals = _unpack(ctx, row, cols + 1, width)
+        t = next((t for t in range(cols) if vals[t] != zero), cols)
+        if t == cols:
+            if vals[t] != zero:
+                OPS.add(ops)
+                raise Inconsistent("right-hand side outside the column "
+                                   "span")
+            continue
+        pivots.append(((1 << (t + 1) * bits) - 1, t * bits,
+                       _pack(ctx, vals, width), ctx.neg(ctx.inv(vals[t]))))
+        reduced.append((t, vals))
+        if len(pivots) == cols:
+            break
+    OPS.add(ops)
+    if len(pivots) < cols:
+        return None
+    u = [zero] * cols
+    later = []  # the slots t_i of the pivots after k
+    for (_, _, _, s), (t, vals) in zip(reversed(pivots), reversed(reduced)):
+        u[t] = ctx.mul(s, ctx.dot([vals[i] for i in later],
+                                  [u[i] for i in later], ctx.neg(vals[cols])))
+        later.append(t)
+    return u
+
+
+def _eliminate(ctx, col, pivots, width):
+    """col, packed at width bytes a slot, reduced against the pivots in
+    order, and the multipliers that did it: pivot (mask, shift, F, s) reads
+    the slot y at shift from col's bits below mask, so the read costs the
+    slots up to it, not all of col; y != 0 gets col += x F with x = s y,
+    which clears it.  Over F_p that is int arithmetic alone, and OPS gets
+    the x = s y that ctx.mul would count; over F_{p^d} y's block is
+    unpacked and reduced, and x packed."""
+    xs = []
+    if ctx.d == 1:
+        p = ctx.p
+        for mask, shift, f, s in pivots:
+            x = ((col & mask) >> shift) * s % p
+            if x:
+                col += x * f
+            xs.append(x)
+        OPS.add(len(xs) - xs.count(0))
+        return col, xs
+    zero = ctx.zero
+    for mask, shift, f, s in pivots:
+        x = _unpack(ctx, (col & mask) >> shift, 1, width)[0]
+        if x != zero:
+            x = ctx.mul(s, x)
+            col += _pack(ctx, [x], width) * f
+        xs.append(x)
+    return col, xs
 
 
 def _pack(ctx, vals, width):

@@ -416,7 +416,10 @@ def _flat(a: KGMatrix, vec):
     if a.cols != len(vec):
         raise DimMismatch("matrix has %d columns, vector %d entries"
                           % (a.cols, len(vec)))
-    if any(x.group != a.group or x.field != a.field for x in vec):
+    G, ctx = a.group, a.field
+    # identity first: the dataclass __eq__ runs only for foreign objects
+    if any(x.group is not G and x.group != G
+           or x.field is not ctx and x.field != ctx for x in vec):
         raise Mismatch("entries live in different group algebras")
     return [c for x in vec for c in x.coeffs]
 

@@ -60,8 +60,8 @@ from equicode.galg import (
     ga_rand,
     ga_zero,
 )
-from equicode.kgmat import (KGMatrix, expand, expanded_rank, kg_apply,
-                            kg_matmul, kg_transpose)
+from equicode.kgmat import (KGMatrix, _apply, expand, expanded_rank,
+                            kg_apply, kg_matmul, kg_transpose)
 from gauss_helpers import kernel_basis, matmul
 
 K13 = field_make(13)
@@ -662,11 +662,13 @@ def test_decode_with_a_wrong_denominator_solves_once(monkeypatch):
     code, dd = rs_pair()
     rng = random.Random(16)
     solves = _counting(monkeypatch, "_error_values")
+    streams = _counting(monkeypatch, "_error_rows")
     systems = _counting(monkeypatch, "_error_system")
     failed = 0
     for _ in range(10):
         r, _ = corrupt(code, encode(code, rand_message(code, rng)), 4, rng)
         solves.clear()
+        streams.clear()
         systems.clear()
         try:
             audit(dd, r, basic_decode(dd, r))
@@ -674,8 +676,10 @@ def test_decode_with_a_wrong_denominator_solves_once(monkeypatch):
             assert str(e).startswith("error values")
             failed += 1
         assert solves == ["_error_values"]
-        # one system, of full column rank without the unit places
-        assert systems == ["_error_system"]
+        # one row stream, of full column rank without the unit places, so
+        # no full system for the fallback
+        assert streams == ["_error_rows"]
+        assert systems == []
     assert failed > 0
 
 
@@ -754,6 +758,27 @@ def test_pade_numerator_zero_word():
     zero = GroupAlgebraElement(code.group, code.field, (code.field.zero,))
     pade = pade_numerator(dd, [zero] * code.n, unit_candidate(dd))
     assert all(a.is_zero() for a in pade.a1)
+
+
+def test_pade_numerator_makes_the_product_once(monkeypatch):
+    """One pade_numerator call makes three K[G]-matrix applications: E0 x
+    once, for the product that C1^t checks and I1 maps, then C1^t and I1;
+    denominator_check makes the first two."""
+    code, dd = rs_pair()
+    r = encode(code, rand_message(code, random.Random(22)))
+    applied = []
+    real = decode_module._apply
+
+    def counted(a, *args):
+        applied.append(a.rows)
+        return real(a, *args)
+
+    monkeypatch.setattr(decode_module, "_apply", counted)
+    pade_numerator(dd, r, unit_candidate(dd))
+    assert applied == [dd.e0.rows, dd.c1.cols, dd.i1.rows]
+    applied.clear()
+    assert denominator_check(dd, r, unit_candidate(dd))
+    assert applied == [dd.e0.rows, dd.c1.cols]
 
 
 def test_pade_numerator_rejects_non_denominator():
@@ -1170,6 +1195,70 @@ def test_error_values_match_the_full_solve(monkeypatch, case):
             outcomes.add("solved")
     assert outcomes == {"inconsistent", "solved"}
     assert fallbacks
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_VALUE_CODES))
+def test_error_values_eliminate_rows_only_until_they_decide(monkeypatch,
+                                                            case):
+    """_error_values pulls the rows of the system without the unit places
+    only up to the one that completes its rank |Z_F|, or up to the first
+    row that shows it inconsistent, whose a part then depends on the rows
+    before it.  At full column rank it calls neither gauss.rref nor
+    gauss.solve, and finds the error put on the zeros, or for a random
+    syndrome an error with that syndrome."""
+    code, _ = ERROR_VALUE_CODES[case]
+    units = _unit_places(code)
+    ctx, o = code.field, code.group.order
+    rank = lambda m: len(gauss.rref(ctx, m)[1]) if m else 0
+    real_rows, pulled = decode_module._error_rows, []
+
+    def recorded(*args):
+        for row in real_rows(*args):
+            pulled.append(row)
+            yield row
+
+    def refused(*args):
+        raise AssertionError("a full solve at full column rank")
+
+    rng = random.Random(21)
+    places = [(i, s) for i in range(code.n) for s in range(o)]
+    seen = set()
+    for size in range(len(places) + 1):
+        for trial in range(3):
+            zeros = sorted(rng.sample(places, size))
+            free = [(i, s) for i, s in zeros if i not in units]
+            dropped = {units[i][0] * o + s for i, s in zeros if i in units}
+            rows = list(real_rows(code, free, dropped))
+            if rank(rows) < len(free):
+                continue
+            want = [ctx.zero] * (code.n * o)
+            for i, s in zeros:
+                want[i * o + s] = ctx.rand(rng)
+            syndrome = _apply(kg_transpose(code.check), want)
+            if trial == 2:
+                syndrome = [ctx.rand(rng) for _ in syndrome]
+            pulled.clear()
+            with monkeypatch.context() as m:
+                m.setattr(decode_module, "_error_rows", recorded)
+                m.setattr(gauss, "rref", refused)
+                m.setattr(gauss, "solve", refused)
+                try:
+                    got = _error_values(code, units, zeros, syndrome)
+                except Inconsistent:
+                    got = None
+            if got is not None:
+                assert _apply(kg_transpose(code.check), got) == syndrome
+                assert trial == 2 or got == want
+            complete = rank(pulled) == len(free) > rank(pulled[:-1])
+            if got is None and not complete:
+                last = [row[:len(free)] for row in pulled]
+                assert rank(last) == rank(last[:-1])
+                seen.add("stopped at inconsistent")
+            else:
+                assert complete or not free and not pulled
+            if len(pulled) < len(rows):
+                seen.add("stopped early")
+    assert seen == {"stopped early", "stopped at inconsistent"}
 
 
 # codes without a unit place for every check column: the search takes r

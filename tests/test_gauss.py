@@ -362,3 +362,126 @@ def test_first_dependency_pulls_no_column_past_the_dependency():
     assert gauss.first_dependency(K13, stream(), 3) == [12, 12, 1]
     with pytest.raises(DimMismatch):
         gauss.first_dependency(K13, iter([[1, 2], [3]]), 2)
+
+
+def solve_rows_reference(ctx, rows, cols):
+    """The elimination gauss.solve_rows runs, cell by cell through the
+    FieldCtx calls, each counting itself in OPS.  Rows [a | b] are reduced
+    as they come against the pivot rows so far, in order: y in slot t_k
+    gets row += x F_k with x = s_k y and s_k = -1 / F_k[t_k].  A row that
+    reduces to zero is dropped, and one that does only in a raises
+    Inconsistent.  After cols pivots the unknowns come from the last
+    pivot: u_{t_k} = s_k (sum_{i > k} F_k[t_i] u_{t_i} - b_k)."""
+    zero = ctx.zero
+    pivots = []  # (t_k, F_k, s_k)
+    for row in rows if cols else ():
+        row = list(row)
+        for t, f, s in pivots:
+            if row[t] != zero:
+                x = ctx.mul(s, row[t])
+                row = [ctx.add(c, ctx.mul(x, e)) for c, e in zip(row, f)]
+        t = next((t for t in range(cols) if row[t] != zero), None)
+        if t is None:
+            if row[cols] != zero:
+                raise Inconsistent("right-hand side outside the column span")
+            continue
+        pivots.append((t, row, ctx.neg(ctx.inv(row[t]))))
+        if len(pivots) == cols:
+            break
+    if len(pivots) < cols:
+        return None
+    u = [zero] * cols
+    for k in range(cols - 1, -1, -1):
+        t, f, s = pivots[k]
+        acc = ctx.neg(f[cols])
+        for i, _, _ in pivots[k + 1:]:
+            acc = ctx.add(acc, ctx.mul(f[i], u[i]))
+        u[t] = ctx.mul(s, acc)
+    return u
+
+
+def assert_solve_rows_matches_reference(ctx, a, b):
+    """gauss.solve_rows on the rows of [a | b] gives what
+    solve_rows_reference gives, or both raise Inconsistent, with the same
+    OPS count; and it agrees with gauss.solve: a solution when a has full
+    column rank and the system is consistent, None when a is
+    rank-deficient and it is, Inconsistent or a u that fails some row
+    when it is not."""
+    cols = len(a[0]) if a else 0
+    rows = [list(ra) + [v] for ra, v in zip(a, b)]
+    outcome = {}
+    for name, run in (("got", gauss.solve_rows),
+                      ("want", solve_rows_reference)):
+        with ff.count_field_ops() as ops:
+            try:
+                outcome[name] = run(ctx, iter(rows), cols)
+            except Inconsistent:
+                outcome[name] = "inconsistent"
+        outcome[name + "_ops"] = ops.count
+    assert outcome["got"] == outcome["want"]
+    assert outcome["got_ops"] == outcome["want_ops"]
+    got = outcome["got"]
+    full = gauss.rank(ctx, a) == cols if a else cols == 0
+    try:
+        sol = gauss.solve(ctx, a, b) if a else [ctx.zero] * cols
+    except Inconsistent:
+        assert got == "inconsistent" or full and gauss.matvec(
+            ctx, a, got) != list(b)
+        return
+    assert got == (sol if full else None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(field_matrices())
+def test_solve_rows_matches_per_cell_reference(case):
+    """The last column of m is the right-hand side."""
+    ctx, m = case
+    if m and m[0]:
+        assert_solve_rows_matches_reference(
+            ctx, [row[:-1] for row in m], [row[-1] for row in m])
+
+
+@pytest.mark.parametrize("p, d", RREF_FIELDS)
+def test_solve_rows_on_consistent_random_systems(p, d):
+    """Tall random systems a u = a x: solve_rows finds x at full column
+    rank, None below it, and the per-cell count; with the first row
+    repeated ahead of the rest, the repeat is dropped."""
+    ctx = ff.field_make(p, d)
+    rng = random.Random("rows/%d/%d" % (p, d))
+    for rows, cols in ((1, 1), (3, 2), (6, 3), (9, 4), (5, 5), (4, 6)):
+        a = rand_matrix(ctx, rng, rows, cols)
+        a.insert(1, list(a[0]))
+        x = [ctx.rand(rng) for _ in range(cols)]
+        b = gauss.matvec(ctx, a, x)
+        assert_solve_rows_matches_reference(ctx, a, b)
+        if gauss.rank(ctx, a) == cols:
+            assert gauss.solve_rows(ctx, iter(
+                [list(r) + [v] for r, v in zip(a, b)]), cols) == x
+
+
+def test_solve_rows_pulls_no_row_past_the_last_pivot():
+    """u + 2v = 3 twice, then v = 5: the repeat is dropped, the third row
+    is the second pivot, and the stream fails when asked for a fourth.
+    With no unknowns no row is pulled; a row of the wrong length is
+    refused."""
+    def stream():
+        yield from ([1, 2, 3], [2, 4, 6], [0, 1, 5])
+        raise AssertionError("pulled past the last pivot")
+
+    assert gauss.solve_rows(K13, stream(), 2) == [6, 5]
+    assert gauss.solve_rows(K13, stream(), 0) == []
+    with pytest.raises(DimMismatch):
+        gauss.solve_rows(K13, iter([[1, 2, 3], [4, 5]]), 2)
+
+
+def test_solve_rows_raises_at_the_first_inconsistent_row():
+    """A row that reduces to zero in a but not in b raises Inconsistent
+    before the next row is pulled; rows that run out below full rank
+    give None."""
+    def stream():
+        yield from ([1, 2, 3], [2, 4, 7])
+        raise AssertionError("pulled past the inconsistent row")
+
+    with pytest.raises(Inconsistent):
+        gauss.solve_rows(K13, stream(), 2)
+    assert gauss.solve_rows(K13, iter([[1, 2, 3], [2, 4, 6]]), 2) is None

@@ -405,6 +405,34 @@ def test_kg_apply_rejects_foreign_vector():
             kgmat.kg_matmul(a, kg_rand(Z2, ctx, rng, 1, 1))
 
 
+def test_flat_compares_only_foreign_algebras(monkeypatch):
+    """kgmat._flat takes entries whose group and field are the matrix's
+    own objects without calling their __eq__, takes equal copies, and
+    refuses a foreign field or group with Mismatch."""
+    rng = random.Random(23)
+    a = kg_rand(Z4, K5, rng, 2, 2)
+    vec = [ga_rand(Z4, K5, rng) for _ in range(2)]
+    compared = []
+    for cls in (AbelianGroup, ff.FieldCtx):
+        real = cls.__eq__
+
+        def counted(x, y, real=real):
+            compared.append(type(x).__name__)
+            return real(x, y)
+
+        monkeypatch.setattr(cls, "__eq__", counted)
+    assert kgmat._flat(a, vec) == [c for x in vec for c in x.coeffs]
+    assert compared == []
+    copies = [GroupAlgebraElement(AbelianGroup([4]), ff.field_make(5),
+                                  x.coeffs) for x in vec]
+    assert kgmat._flat(a, copies) == kgmat._flat(a, vec)
+    assert sorted(set(compared)) == ["AbelianGroup", "FieldCtx"]
+    for foreign in (ga_rand(Z4, ff.field_make(7), rng),
+                    ga_rand(Z2Z2, K5, rng)):
+        with pytest.raises(Mismatch):
+            kgmat._flat(a, [vec[0], foreign])
+
+
 def test_duality_form_z2_values():
     d = kgmat.DualityContext(Z2, K3, 1)
     f = [ga_from_ints(Z2, K3, (1, 0))]

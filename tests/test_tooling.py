@@ -99,7 +99,9 @@ def test_field_ctx_is_the_only_field_type():
 
 
 # Functions outside ff that may branch on the field degree: the packed
-# coefficient layouts, the packed eliminations and their column layout
+# coefficient layouts, the packed eliminations (gauss.rref, the one reduce
+# step gauss._eliminate that first_dependency and solve_rows share, and
+# first_dependency's back-substitution) and their column layout
 # (gauss._pack and gauss._unpack: one slot per value over F_p, a block of
 # 2d - 1 slots over F_{p^d}), the search's hand-off of product slots into
 # that layout (kgmat._apply_packed: only over F_p are the slots of a
@@ -111,6 +113,7 @@ DEGREE_TESTS_ALLOWED = {
     "files.matrix_from_obj",
     "galg._pack_coeffs",
     "galg._unpack_coeffs",
+    "gauss._eliminate",
     "gauss._pack",
     "gauss._unpack",
     "gauss.first_dependency",
@@ -265,6 +268,16 @@ def test_one_first_dependency_routine():
     assert names_used(trees["decode.py"]) & (defined | {"blackbox"}) == set()
 
 
+def test_one_reduce_step():
+    """gauss._eliminate is the one left-looking reduce step: the column
+    search first_dependency and the row selector solve_rows call it, and
+    no other function does, so a second copy of the pivot loop cannot
+    come back unnoticed."""
+    found = {fn for name, tree in package_trees()
+             for fn in callers(tree, name[:-3], {"_eliminate"})}
+    assert found == {"gauss.first_dependency", "gauss.solve_rows"}
+
+
 def calls_to(tree, names):
     """Every call in tree to one of names."""
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
@@ -332,11 +345,13 @@ def test_one_error_solve_per_decode():
     outside any loop or comprehension.  Only basic_decode finds the unit
     places, with one _unit_places call outside any loop, and shares them
     between the search word and _error_values, so C is scanned once per
-    decode.  Only _error_values builds error systems and eliminates them:
-    one gauss.rref, and gauss.solve on the full system when the reduced
-    one is rank-deficient.  Besides it only the
-    set-up make_split_decoder_data eliminates in decode, so a second
-    solve per decode cannot come back unnoticed."""
+    decode.  Only _error_values streams error-system rows and eliminates
+    them: one gauss.solve_rows on the rows without the unit places, and
+    gauss.solve on the full system (_error_system, the stream as a list)
+    only when those are rank-deficient; decode calls no gauss.rref on the
+    decode path.  Besides it only the set-up make_split_decoder_data
+    eliminates in decode, so a second solve per decode cannot come back
+    unnoticed."""
     trees = dict(package_trees())
     found = {fn for name, tree in trees.items()
              for fn in callers(tree, name[:-3], {"_error_values"})}
@@ -347,13 +362,19 @@ def test_one_error_solve_per_decode():
     assert [call for loop in ast.walk(decode) if isinstance(loop, LOOPS)
             for call in calls_to(loop, {"_error_values", "_unit_places"})] \
         == []
-    for helper, caller in (("_unit_places", "decode.basic_decode"),
-                           ("_error_system", "decode._error_values")):
+    for helper, caller in (("_unit_places", {"decode.basic_decode"}),
+                           ("_error_system", {"decode._error_values"}),
+                           ("_error_rows", {"decode._error_values",
+                                            "decode._error_system"}),
+                           ("solve_rows", {"decode._error_values"})):
         found = {fn for name, tree in trees.items()
                  for fn in callers(tree, name[:-3], {helper})}
-        assert found == {caller}
-    assert set(callers(trees["decode.py"], "decode", {"rref", "solve"})) \
+        assert found == caller
+    assert set(callers(trees["decode.py"], "decode",
+                       {"rref", "solve", "solve_rows"})) \
         == {"decode._error_values", "decode.make_split_decoder_data"}
+    assert set(callers(trees["decode.py"], "decode", {"rref"})) \
+        == {"decode.make_split_decoder_data"}
 
 
 PACKING_HELPERS = {"_slot_width", "_pack_coeffs", "_unpack_coeffs"}
