@@ -170,7 +170,7 @@ def first_dependency(ctx, columns, rows, width=None):
         width = column_width(ctx, rows)
     bits = 8 * width * (2 * ctx.d - 1)  # one value's block
     order = list(range(rows))
-    pivots = []  # (read mask, slot t_k's shift, F_k, s_k) per pivot
+    pivots = []  # `_pivot` per pivot
     kept = []  # the multipliers of F_k, packed, per pivot
     ops = 0
     for j, col in enumerate(columns):
@@ -206,8 +206,7 @@ def first_dependency(ctx, columns, rows, width=None):
             return xs + [ctx.one]
         order[r], order[pos] = order[pos], order[r]
         t = order[r]
-        pivots.append(((1 << (t + 1) * bits) - 1, t * bits,
-                       _pack(ctx, vals, width), ctx.neg(ctx.inv(vals[t]))))
+        pivots.append(_pivot(ctx, vals, t, width))
         kept.append(_pack(ctx, xs, width))
     OPS.add(ops)
     return None
@@ -236,8 +235,7 @@ def solve_rows(ctx, rows, cols):
     """
     zero = ctx.zero
     width = column_width(ctx, cols)
-    bits = 8 * width * (2 * ctx.d - 1)  # one value's block
-    pivots = []  # (read mask, slot t_k's shift, F_k, s_k) per pivot
+    pivots = []  # `_pivot` per pivot
     reduced = []  # (t_k, F_k's values) per pivot
     ops = 0
     for i, row in enumerate(rows if cols else ()):
@@ -254,8 +252,7 @@ def solve_rows(ctx, rows, cols):
                 raise Inconsistent("right-hand side outside the column "
                                    "span")
             continue
-        pivots.append(((1 << (t + 1) * bits) - 1, t * bits,
-                       _pack(ctx, vals, width), ctx.neg(ctx.inv(vals[t]))))
+        pivots.append(_pivot(ctx, vals, t, width))
         reduced.append((t, vals))
         if len(pivots) == cols:
             break
@@ -269,6 +266,14 @@ def solve_rows(ctx, rows, cols):
                                   [u[i] for i in later], ctx.neg(vals[cols])))
         later.append(t)
     return u
+
+
+def _pivot(ctx, vals, t, width):
+    """The pivot `_eliminate` reads, from reduced values nonzero in slot t:
+    (read mask, slot t's shift, vals packed at width, -1 / vals[t])."""
+    bits = 8 * width * (2 * ctx.d - 1)  # one value's block
+    return ((1 << (t + 1) * bits) - 1, t * bits, _pack(ctx, vals, width),
+            ctx.neg(ctx.inv(vals[t])))
 
 
 def _eliminate(ctx, col, pivots, width):
