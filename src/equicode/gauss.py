@@ -1,24 +1,22 @@
 """Dense exact linear algebra over a FieldCtx.
 
-Matrices are lists of rows of raw field values.  `rref` is Gauss-Jordan
-elimination with the first nonzero entry as pivot, which is all exact
-arithmetic needs.  It runs on packed columns over every field: a column is
-one int with a block of fixed-width slots per row, a pivot costs one big-int
-multiply-add per later column it touches, and slots are reduced only when
-read (delayed reduction, as in FFLAS-FFPACK).  Over F_p a block is one slot.
-Over F_{p^d} it is 2d - 1 slots, the d coordinates of a value and d - 1 zero
-slots that a product with a d-coordinate factor fills; a block is read by
-folding x^w for w >= d along the field modulus, then mod p.
+Matrices are lists of rows of raw field values.  Every elimination is one
+left-looking loop on packed columns, over every field, with the first
+nonzero entry as pivot, which is all exact arithmetic needs.  A column is
+one int with a block of fixed-width slots per row, reduced as it arrives
+by one big-int multiply-add per earlier pivot whose slot it holds nonzero
+(`_eliminate`); slots are reduced only when read (delayed reduction, as in
+FFLAS-FFPACK).  Over F_p a block is one slot.  Over F_{p^d} it is 2d - 1
+slots, the d coordinates of a value and d - 1 zero slots that a product
+with a d-coordinate factor fills; a block is read by folding x^w for
+w >= d along the field modulus, then mod p.
 
-`first_dependency` eliminates a stream of such columns as they come and
-stops at the first that depends on the ones before it.  It carries no
-identity block: each pivot keeps the multipliers that reduced it, packed,
-and the dependency is recovered by back-substitution through them.  Its
-columns may arrive packed, with unreduced slots (`column_width` gives the
-slot width that holds them and the elimination's growth), so a producer
-of big-int products hands them over without a reduction or a repack.
-`solve_rows` runs the same reduce step (`_eliminate`) on a stream of rows
-[a | b], until they decide the unknowns of a u = b.
+`_reduce_columns` is that loop.  `rank` counts its pivots; `rref` gives
+each column a coordinate block, which the same updates turn into its
+echelon column; `first_dependency` stops at the first column that depends
+on the ones before it and gets the dependency back through the multipliers
+each pivot keeps.  `solve_rows` runs the same reduce step on a stream of
+rows [a | b].
 """
 
 from __future__ import annotations
@@ -58,82 +56,51 @@ def matvec(ctx, m, v):
 def rref(ctx, m):
     """Reduced row echelon form; returns (new matrix, pivot column list).
 
-    Runs on packed columns, row i in slot i (see the module docstring).
-    Rows are never moved: `order` maps echelon positions to slots.  A
-    pivot on slot t turns column c into the unit at t, and every later
-    column whose slot t holds x != 0 gets one big-int update from F,
-    column c with slot t set to piv - 1: over F_p col += (-inv x) F, with
-    the factor in [1, p - 1]; over F_{p^d} col += x f for f = -inv F,
-    packed once per pivot.  Either way slot t becomes inv x and slot i
-    loses inv x c_i.  Slots only grow, each by at most d (p - 1)^2 per
-    pivot, which the slot width holds, and are reduced only when read.
-    OPS gets the count the per-cell loop of ctx calls would make.
+    `_reduce_columns` on m's columns, each with a coordinate block after
+    its rows slots: -1 in slot rows + r, r the pivots so far, 0 elsewhere.
+    The updates carry it along (and the slot width holds its growth), so
+    a column that reduces to zero holds there its echelon column a, col =
+    sum_k a_k col(pivot k); a pivot column's is the unit at its rank.
+
+    OPS gets the per-cell Gauss-Jordan count in place of the reduce
+    step's: per pivot 1 + cols + 2 cols per other nonzero value of the
+    column or its coordinates.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if not cols:
         return [list(row) for row in m], []
-    p, d, zero = ctx.p, ctx.d, ctx.zero
-    bound = (p - 1) + min(rows, cols) * d * (p - 1) ** 2
-    width = max(8, -(-bound.bit_length() // 8))  # 8: the 64-bit array path
-    size = 2 * d - 1  # slots per value
-    bits = 8 * width * size
-    mask = (1 << bits) - 1
-    if d == 1:
-        packed = [_to_int(col, width) for col in zip(*m)]
-    else:
-        packed = [_pack(ctx, col, width) for col in zip(*m)]
-    order = list(range(rows))
-    out = []
-    pivots = []
-    r = 0
-    for c in range(cols):
-        slots = _from_int(packed[c], rows * size, width)
-        vals = [v % p for v in slots] if d == 1 else _reduce(ctx, slots)
-        out.append(vals)
-        if r == rows:
+    p, zero = ctx.p, ctx.zero
+    width = max(8, column_width(ctx, min(rows, cols)))  # 8: 64-bit arrays
+    bits = 8 * width * (2 * ctx.d - 1)  # one value's block
+    start, ops = OPS.count, 0
+    pivots, out = [], []  # out: the echelon columns
+    # -1, first coordinate p - 1, in the slot of the pivot a column would
+    # become: len(pivots) is read as the loop pulls the column
+    columns = (_pack(ctx, col, width)
+               + ((p - 1) << (rows + len(pivots)) * bits) for col in zip(*m))
+    for c, (vals, _, t) in enumerate(_reduce_columns(ctx, columns, rows,
+                                                     width)):
+        r = len(pivots)
+        if t is None:
+            out.append(vals[rows:rows + r] + [zero] * (rows - r))
             continue
-        for pos in range(r, rows):
-            if vals[order[pos]] != zero:
-                break
-        else:
-            continue
-        order[r], order[pos] = order[pos], order[r]
-        t = order[r]
-        inv = ctx.inv(vals[t])
-        OPS.add(cols + 2 * cols * (rows - vals.count(zero) - 1))
-        shift = t * bits
-        if d == 1:
-            vals[t] -= 1
-            f = _to_int(vals, width)
-            for j in range(c + 1, cols):
-                x = (packed[j] >> shift & mask) % p
-                if x:
-                    packed[j] += (p - inv * x % p) * f
-        else:
-            vals[t] = ((vals[t][0] - 1) % p,) + vals[t][1:]
-            neg_inv = _to_int([-e % p for e in inv], width)
-            f = _pack(ctx, _unpack(ctx, _pack(ctx, vals, width) * neg_inv,
-                                   rows, width), width)
-            for j in range(c + 1, cols):
-                x = _unpack(ctx, packed[j] >> shift & mask, 1, width)[0]
-                if x != zero:
-                    packed[j] += _pack(ctx, [x], width) * f
-        out[c] = [zero] * rows
-        out[c][t] = ctx.one
+        nonzero = rows + r - vals[:rows + r].count(zero)
+        ops += 1 + cols + 2 * cols * (nonzero - 1)
+        out.append([zero] * r + [ctx.one] + [zero] * (rows - r - 1))
         pivots.append(c)
-        r += 1
+    OPS.count = start
+    OPS.add(ops)
     # lists straight from zip, which reuses its one tuple: short rows as
     # tuples would be kept on the interpreter's tuple free lists
-    by_slot = list(map(list, zip(*out)))
-    return [by_slot[t] for t in order], pivots
+    return list(map(list, zip(*out))), pivots
 
 
 def column_width(ctx, rows, terms=0):
-    """Bytes per slot of `first_dependency`'s packed columns of `rows`
-    values: room for a slot that arrives below (p - 1) + terms d (p - 1)^2
-    (a sum of terms products of raw values, or a raw value when terms is
-    0), plus d (p - 1)^2 from each of at most rows pivots."""
+    """Bytes per slot of packed columns: room for a slot that arrives
+    below (p - 1) + terms d (p - 1)^2 (a sum of terms products of raw
+    values, or a raw value when terms is 0), plus d (p - 1)^2 from each of
+    at most rows pivots."""
     p = ctx.p
     bound = (p - 1) + (terms + rows) * ctx.d * (p - 1) ** 2
     return -(-bound.bit_length() // 8)
@@ -145,71 +112,54 @@ def first_dependency(ctx, columns, rows, width=None):
     when every column is independent of the ones before it.  No column
     after col_j is pulled.
 
-    A column is a list of `rows` raw values, packed here as `rref` packs
-    one; or, with width given, one int already in that layout at width
-    bytes a slot, its slots unreduced but within what `column_width` gave
-    width for.
+    A column is a list of `rows` raw values, packed here by `_pack`; or,
+    with width given, one int already in that layout at width bytes a
+    slot, its slots unreduced but within what `column_width` gave width
+    for.
 
-    Columns are reduced as they arrive against the pivots so far, in order
-    (left-looking, `_eliminate`).  Pivot k keeps its reduced column F_k,
-    every slot reduced, nonzero in slot t_k (chosen as in `rref`) and zero
-    at every earlier pivot slot, and s_k = -1 / F_k[t_k].  There is no
-    identity block: pivot k keeps the multipliers x_{k,i} that made it,
-    packed in one int, so F_k = col_k + sum_i x_{k,i} F_i.  The first
-    column that reduces to zero, col_j + sum_k a_k F_k = 0, goes back to
-    the columns by back-substitution, one packed pass per pivot from the
-    last: a_k is final, it is c_k, and a += a_k x_k.
+    Columns are reduced as they arrive by `_reduce_columns`.  Pivot k
+    keeps its reduced column F_k, every slot reduced, nonzero in its pivot
+    slot t_k and zero at every earlier pivot slot, and s_k = -1 / F_k[t_k].
+    There is no identity block: pivot k keeps the multipliers x_{k,i} that
+    made it, packed in one int, so F_k = col_k + sum_i x_{k,i} F_i.  The
+    first column that reduces to zero, col_j + sum_k a_k F_k = 0, goes
+    back to the columns by back-substitution, one packed pass per pivot
+    from the last: a_k is final, it is c_k, and a += a_k x_k.
 
     OPS gets the count of this elimination run cell by cell through ctx:
     1 + 2 rows per nonzero y (x, and col += x F_k), 2 per pivot (s_k), and
     2k per pass of the back-substitution with a_k != 0.
     """
     p, zero, prime = ctx.p, ctx.zero, ctx.d == 1
-    packed = width is not None
-    if not packed:
+    if width is None:
         width = column_width(ctx, rows)
+        columns = _packed(ctx, columns, rows, width, "column")
     bits = 8 * width * (2 * ctx.d - 1)  # one value's block
-    order = list(range(rows))
-    pivots = []  # `_pivot` per pivot
     kept = []  # the multipliers of F_k, packed, per pivot
-    ops = 0
-    for j, col in enumerate(columns):
-        if not packed:
-            if len(col) != rows:
-                raise DimMismatch("column %d has %d entries, expected %d"
-                                  % (j, len(col), rows))
-            col = _pack(ctx, col, width)
-        col, xs = _eliminate(ctx, col, pivots, width)
-        ops += 2 * rows * (len(xs) - xs.count(zero))
-        vals = _unpack(ctx, col, rows, width)
-        r = len(pivots)
-        for pos in range(r, rows):
-            if vals[order[pos]] != zero:
-                break
-        else:
-            low = (1 << bits) - 1
-            if prime:
-                a = _to_int(xs, width)
-                for k in range(r - 1, -1, -1):
-                    xs[k] = x = (a >> k * bits & low) % p
-                    if x:
-                        a += x * kept[k]
-                        ops += 2 * k
-            else:
-                a = _pack(ctx, xs, width)
-                for k in range(r - 1, -1, -1):
-                    xs[k] = _unpack(ctx, a >> k * bits & low, 1, width)[0]
-                    if xs[k] != zero:
-                        a += _pack(ctx, [xs[k]], width) * kept[k]
-                        ops += 2 * k
-            OPS.add(ops)
-            return xs + [ctx.one]
-        order[r], order[pos] = order[pos], order[r]
-        t = order[r]
-        pivots.append(_pivot(ctx, vals, t, width))
+    for _, xs, t in _reduce_columns(ctx, columns, rows, width):
+        if t is None:
+            break
         kept.append(_pack(ctx, xs, width))
+    else:
+        return None
+    low = (1 << bits) - 1
+    ops = 0
+    if prime:
+        a = _to_int(xs, width)
+        for k in range(len(kept) - 1, -1, -1):
+            xs[k] = x = (a >> k * bits & low) % p
+            if x:
+                a += x * kept[k]
+                ops += 2 * k
+    else:
+        a = _pack(ctx, xs, width)
+        for k in range(len(kept) - 1, -1, -1):
+            xs[k] = _unpack(ctx, a >> k * bits & low, 1, width)[0]
+            if xs[k] != zero:
+                a += _pack(ctx, [xs[k]], width) * kept[k]
+                ops += 2 * k
     OPS.add(ops)
-    return None
+    return xs + [ctx.one]
 
 
 def solve_rows(ctx, rows, cols):
@@ -237,18 +187,12 @@ def solve_rows(ctx, rows, cols):
     width = column_width(ctx, cols)
     pivots = []  # `_pivot` per pivot
     reduced = []  # (t_k, F_k's values) per pivot
-    ops = 0
-    for i, row in enumerate(rows if cols else ()):
-        if len(row) != cols + 1:
-            raise DimMismatch("row %d has %d entries, expected %d"
-                              % (i, len(row), cols + 1))
-        row, xs = _eliminate(ctx, _pack(ctx, row, width), pivots, width)
-        ops += 2 * (cols + 1) * (len(xs) - xs.count(zero))
+    for row in _packed(ctx, rows if cols else (), cols + 1, width, "row"):
+        row = _eliminate(ctx, row, pivots, width, cols + 1)[0]
         vals = _unpack(ctx, row, cols + 1, width)
         t = next((t for t in range(cols) if vals[t] != zero), cols)
         if t == cols:
             if vals[t] != zero:
-                OPS.add(ops)
                 raise Inconsistent("right-hand side outside the column "
                                    "span")
             continue
@@ -256,7 +200,6 @@ def solve_rows(ctx, rows, cols):
         reduced.append((t, vals))
         if len(pivots) == cols:
             break
-    OPS.add(ops)
     if len(pivots) < cols:
         return None
     u = [zero] * cols
@@ -268,6 +211,44 @@ def solve_rows(ctx, rows, cols):
     return u
 
 
+def _packed(ctx, vectors, count, width, what):
+    """Each of the vectors packed at width, DimMismatch for one that does
+    not hold count values."""
+    for i, v in enumerate(vectors):
+        if len(v) != count:
+            raise DimMismatch("%s %d has %d entries, expected %d"
+                              % (what, i, len(v), count))
+        yield _pack(ctx, v, width)
+
+
+def _reduce_columns(ctx, columns, rows, width):
+    """The left-looking column loop: yields (vals, xs, t) per column the
+    iterable yields, packed at width.  The column is reduced against the
+    pivots so far by `_eliminate`, with multipliers xs; vals are all its
+    values, `rref`'s coordinates too, reduced; t is the first slot in
+    `order` from the rank on that holds a nonzero value, swapped to the
+    rank's place, or None.  The pivot keeps all of vals."""
+    zero = ctx.zero
+    bits = 8 * width * (2 * ctx.d - 1)  # one value's block
+    order = list(range(rows))
+    pivots = []  # `_pivot` per pivot
+    for col in columns:
+        col, xs = _eliminate(ctx, col, pivots, width, rows)
+        count = -(-col.bit_length() // bits)  # values, coordinates too
+        vals = _unpack(ctx, col, count if count > rows else rows, width)
+        r = len(pivots)
+        for pos in range(r, rows):
+            if vals[order[pos]] != zero:
+                break
+        else:
+            yield vals, xs, None
+            continue
+        order[r], order[pos] = order[pos], order[r]
+        t = order[r]
+        pivots.append(_pivot(ctx, vals, t, width))
+        yield vals, xs, t
+
+
 def _pivot(ctx, vals, t, width):
     """The pivot `_eliminate` reads, from reduced values nonzero in slot t:
     (read mask, slot t's shift, vals packed at width, -1 / vals[t])."""
@@ -276,14 +257,14 @@ def _pivot(ctx, vals, t, width):
             ctx.neg(ctx.inv(vals[t])))
 
 
-def _eliminate(ctx, col, pivots, width):
+def _eliminate(ctx, col, pivots, width, n):
     """col, packed at width bytes a slot, reduced against the pivots in
     order, and the multipliers that did it: pivot (mask, shift, F, s) reads
     the slot y at shift from col's bits below mask, so the read costs the
     slots up to it, not all of col; y != 0 gets col += x F with x = s y,
-    which clears it.  Over F_p that is int arithmetic alone, and OPS gets
-    the x = s y that ctx.mul would count; over F_{p^d} y's block is
-    unpacked and reduced, and x packed."""
+    which clears it.  Over F_p that is int arithmetic alone; over F_{p^d}
+    y's block is unpacked and reduced, and x packed.  OPS gets the count
+    of the per-cell update of n values: 1 + 2n per y != 0."""
     xs = []
     if ctx.d == 1:
         p = ctx.p
@@ -292,7 +273,7 @@ def _eliminate(ctx, col, pivots, width):
             if x:
                 col += x * f
             xs.append(x)
-        OPS.add(len(xs) - xs.count(0))
+        OPS.add((1 + 2 * n) * (len(xs) - xs.count(0)))
         return col, xs
     zero = ctx.zero
     for mask, shift, f, s in pivots:
@@ -301,11 +282,12 @@ def _eliminate(ctx, col, pivots, width):
             x = ctx.mul(s, x)
             col += _pack(ctx, [x], width) * f
         xs.append(x)
+    OPS.add(2 * n * (len(xs) - xs.count(zero)))
     return col, xs
 
 
 def _pack(ctx, vals, width):
-    """Raw values packed as `rref` packs a column: one slot each over F_p;
+    """Raw values packed at width bytes a slot: one slot each over F_p;
     over F_{p^d} blocks of 2d - 1 slots, the d coordinates and d - 1 zero
     slots, so a product with a packed d-coordinate factor stays inside
     each block."""
@@ -317,17 +299,13 @@ def _pack(ctx, vals, width):
 
 def _unpack(ctx, x, count, width):
     """The first count values packed in x (see `_pack`), their slots
-    reduced."""
-    slots = _from_int(x, count * (2 * ctx.d - 1), width)
-    return [v % ctx.p for v in slots] if ctx.d == 1 else _reduce(ctx, slots)
-
-
-def _reduce(ctx, slots):
-    """The F_{p^d} values of slots, blocks of 2d - 1 unreduced polynomial
-    coefficients: x^w for w >= d folds along the field modulus (as in
-    FieldCtx.mul), then each coordinate is taken mod p."""
+    reduced: over F_{p^d} x^w for w >= d folds along the field modulus
+    (as in FieldCtx.mul), then each coordinate is taken mod p."""
     d, p = ctx.d, ctx.p
     size = 2 * d - 1
+    slots = _from_int(x, count * size, width)
+    if d == 1:
+        return [v % p for v in slots]
     power = [slots[w::size] for w in range(size)]
     for w in range(size - 1, d - 1, -1):
         for j, rj in enumerate(ctx._red[w - d]):
@@ -337,7 +315,18 @@ def _reduce(ctx, slots):
 
 
 def rank(ctx, m):
-    return len(rref(ctx, m)[1])
+    """The number of pivots `_reduce_columns` finds in m's columns, pulled
+    until it is len(m).  OPS gets the per-cell count of `first_dependency`
+    without its back-substitution."""
+    rows = len(m)
+    width = max(8, column_width(ctx, rows))  # 8: 64-bit arrays
+    r = 0
+    for _, _, t in _reduce_columns(
+            ctx, (_pack(ctx, col, width) for col in zip(*m)), rows, width):
+        r += t is not None
+        if r == rows:
+            break
+    return r
 
 
 def solve(ctx, a, b):

@@ -546,7 +546,8 @@ def equivariant_projection(v: KGMatrix, support_rows=None) -> KGMatrix:
     K[G]^L; freeness is witnessed by the expansion having K-rank r*order.
     The K-linear lift extends the dual basis by zero outside a set of
     expanded coordinate rows: the echelon pivot rows by default, or the
-    caller-chosen `support_rows` (the lift choice).
+    caller-chosen `support_rows` (the lift choice), ints in
+    0 .. v.rows |G| - 1 (InvariantViolation, DimMismatch).
     """
     G = v.group
     ctx = v.field
@@ -557,7 +558,12 @@ def equivariant_projection(v: KGMatrix, support_rows=None) -> KGMatrix:
         _, pivots = gauss.rref(ctx, gauss.transpose(x))
         support = list(pivots)
     else:
-        support = sorted(set(support_rows))
+        support = list(support_rows)
+        for s in support:
+            _require_ints(support_row=s)
+            if not 0 <= s < v.rows * o:
+                raise DimMismatch("support row %d out of range" % s)
+        support = sorted(set(support))
     if len(support) != need:
         raise NotFree("expanded rank %d, need %d" % (len(support), need))
     minor = [x[s] for s in support]

@@ -274,6 +274,44 @@ def first_dependency_reference(ctx, columns, rows):
     return None
 
 
+def rank_reference(ctx, m):
+    """The elimination gauss.rank runs, cell by cell through the FieldCtx
+    calls: first_dependency_reference's loop on m's columns, carried on
+    past the columns that reduce to zero until there are len(m) pivots."""
+    zero, rows = ctx.zero, len(m)
+    order = list(range(rows))
+    pivots = []  # (t_k, F_k, s_k)
+    for col in gauss.transpose(m):
+        r = len(pivots)
+        if r == rows:
+            break
+        for t, f, s in pivots:
+            if col[t] != zero:
+                x = ctx.mul(s, col[t])
+                col = [ctx.add(c, ctx.mul(x, e)) for c, e in zip(col, f)]
+        pos = next((pos for pos in range(r, rows)
+                    if col[order[pos]] != zero), None)
+        if pos is not None:
+            order[r], order[pos] = order[pos], order[r]
+            t = order[r]
+            pivots.append((t, col, ctx.neg(ctx.inv(col[t]))))
+    return len(pivots)
+
+
+@settings(max_examples=400, deadline=None)
+@given(field_matrices())
+def test_rank_matches_per_cell_reference(case):
+    """gauss.rank is the per-cell rref's pivot count, with the OPS count
+    of rank_reference."""
+    ctx, m = case
+    with ff.count_field_ops() as ref_ops:
+        want = rank_reference(ctx, m)
+    with ff.count_field_ops() as ops:
+        got = gauss.rank(ctx, m)
+    assert got == want == len(rref_reference(ctx, m)[1])
+    assert ops.count == ref_ops.count
+
+
 def assert_first_dependency_matches_reference(ctx, m):
     """gauss.first_dependency on m's columns is the per-cell rref's first
     non-pivot column, as coefficients ending in one, or None when every

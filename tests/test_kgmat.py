@@ -531,6 +531,27 @@ def test_equivariant_projection_random_and_support_choice():
             kgmat.kg_from_rows([[ga_from_ints(Z4, K5, (0, 1, 0, 1))]]))
 
 
+@pytest.mark.parametrize("support, error", [
+    ([0, 1, 2, 99], DimMismatch),
+    ([0, 1, 2, 12], DimMismatch),
+    ([0, 1, 2, -1], DimMismatch),
+    ([0, 1, 2, -12], DimMismatch),
+    ([0, 1, 2, 3.0], InvariantViolation),
+    ([0, 1, 2, "3"], InvariantViolation),
+    ([0, True, 2, 3], InvariantViolation),
+])
+def test_equivariant_projection_refuses_bad_support_rows(support, error):
+    """A support row is an int in 0 .. v.rows |G| - 1: 12 rows here, for
+    a 3 x 1 matrix over F_13[Z/4]; negative rows are not counted from the
+    end, and a bool is not an int."""
+    one, z = ga_one(Z4, K13), ga_zero(Z4, K13)
+    v = kgmat.kg_from_rows([[one], [z], [z]])
+    assert kgmat.equivariant_projection(v, support_rows=[0, 1, 2, 3]) == \
+        kgmat.equivariant_projection(v)
+    with pytest.raises(error):
+        kgmat.equivariant_projection(v, support_rows=support)
+
+
 def test_ga_unit_inverse():
     s = ga_sigma(Z4, K5, 1)
     inv = kgmat.ga_unit_inverse(s)
@@ -690,19 +711,18 @@ def test_one_split_decision(p, order):
 
 def test_split_kernel_and_inverse_eliminates_once_per_character(
         monkeypatch):
-    """C and I come from one rref of [E_chi^t | I] per character; the
-    other rref per character is the rank of the stored C."""
+    """C and I come from one rref of [E_chi^t | I] per character, and the
+    rank of the stored C from one rank per character."""
     code = cyclic_cover_code(13, 1, 4, 3, 1)  # E is 3 x 1, C is 3 x 2
-    real = gauss.rref
-    widths = []
+    widths = {"rref": [], "rank": []}
+    for name in widths:
+        def counting(ctx, m, real=getattr(gauss, name), name=name):
+            widths[name].append(len(m[0]))
+            return real(ctx, m)
 
-    def counting(ctx, m):
-        widths.append(len(m[0]))
-        return real(ctx, m)
-
-    monkeypatch.setattr(gauss, "rref", counting)
+        monkeypatch.setattr(gauss, name, counting)
     kgmat.split_kernel_and_inverse(code.evaluation)
-    assert widths == [3 + 1] * 4 + [2] * 4
+    assert widths == {"rref": [3 + 1] * 4, "rank": [2] * 4}
 
 
 def test_split_kernel_and_inverse_checks_the_rank_of_c(monkeypatch):

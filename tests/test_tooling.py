@@ -15,6 +15,7 @@ sys.stdlib_module_names).
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import sys
 
@@ -37,11 +38,21 @@ def package_trees():
 
 
 def test_traced_names_resolve():
-    tracer = load_tracer()
-    missing = [name for name, (modname, attr) in tracer.TRACED.items()
-               if not callable(getattr(importlib.import_module(modname),
-                                       attr, None))]
-    assert missing == []
+    """Every (module, function) pair of the tracer's TRACED table, read
+    from its source with ast (the tracer is neither imported nor run),
+    names a function of that equicode module, so renaming a traced
+    function fails here rather than in a benchmark run."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (table,) = [node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["TRACED"]]
+    traced = ast.literal_eval(table)
+    missing = [name for name, (modname, attr) in traced.items()
+               if not modname.startswith("equicode.")
+               or not inspect.isfunction(getattr(
+                   importlib.import_module(modname), attr, None))]
+    assert traced and missing == []
 
 
 def test_kernel_sample_takes_the_operator_first():
@@ -99,8 +110,9 @@ def test_field_ctx_is_the_only_field_type():
 
 
 # Functions outside ff that may branch on the field degree: the packed
-# coefficient layouts, the packed eliminations (gauss.rref, the one reduce
-# step gauss._eliminate that first_dependency and solve_rows share, and
+# coefficient layouts, the packed eliminations (the one reduce step
+# gauss._eliminate, which the column loop of rref, rank and
+# first_dependency and the row selector solve_rows share, and
 # first_dependency's back-substitution) and their column layout
 # (gauss._pack and gauss._unpack: one slot per value over F_p, a block of
 # 2d - 1 slots over F_{p^d}), the search's hand-off of product slots into
@@ -117,7 +129,6 @@ DEGREE_TESTS_ALLOWED = {
     "gauss._pack",
     "gauss._unpack",
     "gauss.first_dependency",
-    "gauss.rref",
     "kgmat._apply_packed",
     "kgmat._scaled_expansion",
 }
@@ -270,12 +281,19 @@ def test_one_first_dependency_routine():
 
 def test_one_reduce_step():
     """gauss._eliminate is the one left-looking reduce step: the column
-    search first_dependency and the row selector solve_rows call it, and
-    no other function does, so a second copy of the pivot loop cannot
-    come back unnoticed."""
-    found = {fn for name, tree in package_trees()
-             for fn in callers(tree, name[:-3], {"_eliminate"})}
-    assert found == {"gauss.first_dependency", "gauss.solve_rows"}
+    loop _reduce_columns, which rref, rank and the column search
+    first_dependency run, and the row selector solve_rows call it, and no
+    other function does, so a second copy of the pivot loop cannot come
+    back unnoticed."""
+    trees = list(package_trees())
+    found = {step: {fn for name, tree in trees
+                    for fn in callers(tree, name[:-3], {step})}
+             for step in ("_eliminate", "_reduce_columns")}
+    assert found == {
+        "_eliminate": {"gauss._reduce_columns", "gauss.solve_rows"},
+        "_reduce_columns": {"gauss.rref", "gauss.rank",
+                            "gauss.first_dependency"},
+    }
 
 
 def calls_to(tree, names):
